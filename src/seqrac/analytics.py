@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -39,14 +40,24 @@ def round_reported(value: float, digits: int = 4, guard: int = 8) -> float:
     return float(d)
 
 
+def witness_level(name: str, value: float, tol: float, lower: float = 0.5) -> float:
+    """``value`` clamped to ``[lower, (2 + sqrt(2))/4]``.
+
+    Raises :class:`DomainError` for NaN, infinities, and values outside
+    that range by more than ``tol``.
+    """
+    if not (math.isfinite(value) and lower - tol <= value <= W_AB_MAX + tol):
+        raise DomainError(f"{name} = {value!r} outside [{lower:g}, (2+sqrt(2))/4]")
+    return min(max(value, lower), W_AB_MAX)
+
+
 def boundary_wac(alpha: float, tol: float = 1e-9) -> float:
     """Largest Alice-Charlie witness compatible with ``w_ab = alpha``.
 
     ``(4 + sqrt(2) + sqrt(16 a - 16 a^2 - 2)) / 8`` on
     ``alpha in [1/2, (2 + sqrt(2))/4]``.
     """
-    if alpha < 0.5 - tol or alpha > W_AB_MAX + tol:
-        raise DomainError(f"alpha = {alpha!r} outside [1/2, (2+sqrt(2))/4]")
+    witness_level("alpha", alpha, tol)
     radicand = max(16.0 * alpha - 16.0 * alpha * alpha - 2.0, 0.0)
     return float(0.125 * (4.0 + SQRT2 + np.sqrt(radicand)))
 
@@ -59,11 +70,10 @@ def equal_witness_point() -> float:
 def sharpness_lower(w_ab: float, tol: float = 1e-9) -> float:
     """Smallest instrument sharpness compatible with an observed ``w_ab``.
 
-    ``max(0, sqrt(2) (2 w_ab - 1))``; values above the quantum maximum are
-    unphysical.
+    ``max(0, sqrt(2) (2 w_ab - 1))`` on ``w_ab in [0, (2 + sqrt(2))/4]``;
+    values above the quantum maximum are unphysical.
     """
-    if w_ab > W_AB_MAX + tol:
-        raise DomainError(f"w_ab = {w_ab!r} exceeds the quantum maximum")
+    witness_level("w_ab", w_ab, tol, lower=0.0)
     return max(0.0, float(SQRT2 * (2.0 * w_ab - 1.0)))
 
 
@@ -73,8 +83,7 @@ def sharpness_upper(w_ac: float, tol: float = 1e-9) -> float:
     Trivially 1 for ``w_ac <= (4 + sqrt(2))/8``; otherwise
     ``2 sqrt((2 + sqrt(2) - 4 w_ac)(2 w_ac - 1))``, clamped to [0, 1].
     """
-    if w_ac < 0.5 - tol or w_ac > W_AB_MAX + tol:
-        raise DomainError(f"w_ac = {w_ac!r} outside [1/2, (2+sqrt(2))/4]")
+    witness_level("w_ac", w_ac, tol)
     if w_ac <= W_AC_TRIVIAL:
         return 1.0
     radicand = max((2.0 + SQRT2 - 4.0 * w_ac) * (2.0 * w_ac - 1.0), 0.0)
@@ -106,18 +115,14 @@ def certify_interval(w: WitnessPair, tol: float = FEASIBILITY_TOL) -> SharpnessI
     for name, value in (("w_ab", w.w_ab), ("w_ac", w.w_ac)):
         if not np.isfinite(value) or value < -tol or value > 1.0 + tol:
             raise DomainError(f"{name} = {value!r} outside [0, 1]")
-    lower = max(0.0, SQRT2 * (2.0 * w.w_ab - 1.0))
+    lower = sharpness_lower(w.w_ab, tol=np.inf)
     if lower > 1.0 + tol:
         raise InfeasiblePair(
             f"w_ab = {w.w_ab!r} requires sharpness {lower:.4f} > 1"
         )
     if w.w_ac > W_AB_MAX + tol:
         raise InfeasiblePair(f"w_ac = {w.w_ac!r} exceeds the quantum maximum")
-    if w.w_ac <= W_AC_TRIVIAL:
-        upper = 1.0
-    else:
-        radicand = max((2.0 + SQRT2 - 4.0 * w.w_ac) * (2.0 * w.w_ac - 1.0), 0.0)
-        upper = min(1.0, 2.0 * float(np.sqrt(radicand)))
+    upper = sharpness_upper(w.w_ac, tol=np.inf)
     lower = min(lower, 1.0)
     if lower > upper + tol:
         raise InfeasiblePair(
@@ -197,11 +202,9 @@ def _orthonormal_frame(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     """Rotation sending ``a0 -> x`` and (Gram-Schmidt of) ``a1 -> z``."""
     e1 = a0 / np.linalg.norm(a0)
     raw = a1 - np.dot(a1, e1) * e1
-    if np.linalg.norm(raw) < 1e-12:
-        # a1 parallel to a0; complete with the least-aligned coordinate axis
-        pick = int(np.argmin(np.abs(e1)))
-        raw = np.eye(3)[pick] - e1[pick] * e1
-    e3 = raw / np.linalg.norm(raw)
+    norm = np.linalg.norm(raw)
+    # a1 parallel to a0 completes the frame from the least-aligned axis
+    e3 = raw / norm if norm >= 1e-12 else _least_aligned_perp(e1)
     e2 = np.cross(e3, e1)
     return np.vstack([e1, e2, e3])
 

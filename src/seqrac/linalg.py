@@ -335,9 +335,3 @@ def unitary_from_rotation(r: np.ndarray) -> np.ndarray:
         y = (r[1, 2] + r[2, 1]) / s
         z = 0.25 * s
     return w * ID2 - 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
-
-
-def unitary_distance(u1: np.ndarray, u2: np.ndarray) -> float:
-    """Frobenius distance between 2x2 unitaries minimized over a global phase."""
-    overlap = abs(np.trace(u1.conj().T @ u2))
-    return float(np.sqrt(max(4.0 - 2.0 * overlap, 0.0)))

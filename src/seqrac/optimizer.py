@@ -9,14 +9,13 @@ exactly through the largest-eigenvector best response.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .analytics import W_AB_MAX, boundary_wac
+from .analytics import boundary_wac, sharpness_lower, witness_level
 from .errors import (
     ConvergenceFailure,
     DomainError,
@@ -33,26 +32,21 @@ from .linalg import (
     state_from_bloch,
     validate_povm,
 )
-from .sampling import random_unit_vector
+from .sampling import random_povm, random_su2, random_unit_vector
 from .scenario import (
+    INPUT_PAIRS,
     BinaryInstrument,
     PreparationEnsemble,
     Strategy,
     WitnessPair,
+    conjugate_strategy,
     difference_vectors,
     witness_ab,
     witness_ac,
     witness_pair,
 )
-from .strategies import (
-    enumerate_classical_strategies,
-    square_preparations,
-    unsharp_axis_povm,
-    witness_pair_classical,
-)
+from .strategies import X_AXIS, Z_AXIS, axis_instruments, canonical_strategy
 
-X_AXIS = np.array([1.0, 0.0, 0.0])
-Z_AXIS = np.array([0.0, 0.0, 1.0])
 HALF_PI = 0.5 * np.pi
 
 
@@ -125,10 +119,7 @@ def strategy_from_reduced(
     u = np.array([c, 0.0, s])
     w = np.array([c, 0.0, -s])
     states = tuple(state_from_bloch(n) for n in (u, w, -w, -u))
-    instruments = (
-        BinaryInstrument.luders(unsharp_axis_povm(X_AXIS, float(np.cos(r.phi0)))),
-        BinaryInstrument.luders(unsharp_axis_povm(Z_AXIS, float(np.cos(r.phi1)))),
-    )
+    instruments = axis_instruments(float(np.cos(r.phi0)), float(np.cos(r.phi1)))
     if measurements is None:
         measurements = (projective_povm(X_AXIS), projective_povm(Z_AXIS))
     return Strategy(PreparationEnsemble(states), instruments, measurements)
@@ -164,43 +155,37 @@ def charlie_best_response(
     return (povms[0], povms[1]), float(value)
 
 
-def solve_reduced_phi0(alpha: float, theta: float, phi1: float, slack: float = 1e-9):
+def _invert_constraint(alpha: float, theta, phi1):
+    """Solve ``reduced_constraint = alpha`` for ``cos(phi0)``, elementwise.
+
+    Returns ``(cos_phi0, feasible, c, s)``: the requirement clipped to
+    [0, 1], whether it lies within 1e-9 of that range, and
+    ``c, s = cos(theta/2), sin(theta/2)`` for the caller's objective.
+    """
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    required = (8.0 * alpha - 4.0 - 2.0 * s * np.cos(phi1)) / (2.0 * c)
+    feasible = (required >= -1e-9) & (required <= 1.0 + 1e-9)
+    return np.clip(required, 0.0, 1.0), feasible, c, s
+
+
+def solve_reduced_phi0(alpha: float, theta: float, phi1: float) -> float | None:
     """Eliminate ``phi0`` from the witness constraint at level ``alpha``.
 
     Returns the angle whose cosine solves
     ``reduced_constraint = alpha`` exactly, or None when the requirement
-    leaves [0, 1] by more than ``slack``.
+    leaves [0, 1] by more than 1e-9.
     """
-    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    required = (8.0 * alpha - 4.0 - 2.0 * s * np.cos(phi1)) / (2.0 * c)
-    if required < -slack or required > 1.0 + slack:
-        return None
-    return float(np.arccos(np.clip(required, 0.0, 1.0)))
-
-
-def _constrained_objective(alpha: float, theta: float, phi1: float) -> tuple[float, float | None]:
-    """Boundary objective with ``phi0`` eliminated; equals the fixed-Charlie
-    witness at unit overlaps (ideal final measurements)."""
-    phi0 = solve_reduced_phi0(alpha, theta, phi1)
-    if phi0 is None:
-        return -1.0, None
-    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    obj = 0.5 + (c + s + c * np.sin(phi1) + s * np.sin(phi0)) / 8.0
-    return float(obj), phi0
+    cos_phi0, feasible, _, _ = _invert_constraint(alpha, theta, phi1)
+    return float(np.arccos(cos_phi0)) if feasible else None
 
 
 def _grid_argmax(alpha: float, resolution: int) -> tuple[float, float, float]:
-    thetas = np.linspace(0.0, HALF_PI, resolution)
-    phis = np.linspace(0.0, HALF_PI, resolution)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    c, s = np.cos(0.5 * tt), np.sin(0.5 * tt)
-    required = (8.0 * alpha - 4.0 - 2.0 * s * np.cos(pp)) / (2.0 * c)
-    feasible = (required >= -1e-9) & (required <= 1.0 + 1e-9)
-    clipped = np.clip(required, 0.0, 1.0)
-    obj = 0.5 + (c + s + c * np.sin(pp) + s * np.sqrt(1.0 - clipped**2)) / 8.0
-    obj = np.where(feasible, obj, -np.inf)
-    flat = int(np.argmax(obj))
-    i, j = np.unravel_index(flat, obj.shape)
+    axis = np.linspace(0.0, HALF_PI, resolution)
+    tt, pp = np.meshgrid(axis, axis, indexing="ij")
+    # Unit Charlie overlaps turn the fixed-measurement value into the
+    # boundary objective.
+    obj = _fixed_charlie_values(alpha, tt, pp, 1.0, 1.0)
+    i, j = np.unravel_index(int(np.argmax(obj)), obj.shape)
     return float(obj[i, j]), float(tt[i, j]), float(pp[i, j])
 
 
@@ -238,21 +223,24 @@ def trace_boundary(
     cfg = cfg or OptimizerConfig()
     out = []
     for alpha in alphas:
-        if alpha < 0.5 - 1e-12 or alpha > W_AB_MAX + 1e-12:
-            raise DomainError(f"alpha = {alpha!r} outside [1/2, (2+sqrt(2))/4]")
-        alpha = min(max(alpha, 0.5), W_AB_MAX)
+        alpha = witness_level("alpha", alpha, tol=1e-12)
         value, theta, phi1 = _grid_argmax(alpha, cfg.grid_resolution)
         if not np.isfinite(value):
             raise ConvergenceFailure(f"no feasible grid point at alpha = {alpha!r}")
         value, theta, phi1 = _coordinate_refine(
             alpha, theta, phi1, value, cfg.refinement_iterations
         )
-        obj, phi0 = _constrained_objective(alpha, theta, phi1)
-        if phi0 is None or abs(obj - boundary_wac(alpha)) > 1e-6:
+        phi0 = solve_reduced_phi0(alpha, theta, phi1)
+        if phi0 is None:
+            raise ConvergenceFailure(f"refinement left the feasible set at alpha = {alpha!r}")
+        params = ReducedParameters(theta, phi0, phi1)
+        # Keep reduced_objective's grouping: _fixed_charlie_value(q=1) changes 6 CSV rows.
+        obj = reduced_objective(params)
+        if abs(obj - boundary_wac(alpha)) > 1e-6:
             raise ConvergenceFailure(
                 f"refinement stalled at alpha = {alpha!r}: reached {obj!r}"
             )
-        out.append(BoundaryPoint(alpha, obj, ReducedParameters(theta, phi0, phi1)))
+        out.append(BoundaryPoint(alpha, obj, params))
     return out
 
 
@@ -280,12 +268,24 @@ def _fixed_charlie_value(
     Bloch vectors; the signed preparation sums stay on those axes for the
     whole reduced family.
     """
-    phi0 = solve_reduced_phi0(alpha, theta, phi1)
-    if phi0 is None:
+    cos_phi0, feasible, c, s = _invert_constraint(alpha, theta, phi1)
+    if not feasible:
         return -1.0, None
-    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    phi0 = float(np.arccos(cos_phi0))
+    # Keep sin(arccos r): sqrt(1 - r^2) here changes 11 rows of the boundary CSV.
     value = 0.5 + (2.0 * c * (1.0 + np.sin(phi1)) * q0 + 2.0 * s * (1.0 + np.sin(phi0)) * q1) / 16.0
     return float(value), phi0
+
+
+def _fixed_charlie_values(alpha: float, theta, phi1, q0: float, q1: float) -> np.ndarray:
+    """Vectorised :func:`_fixed_charlie_value`; ``-inf`` where infeasible."""
+    cos_phi0, feasible, c, s = _invert_constraint(alpha, theta, phi1)
+    # Keep sqrt(1 - r^2): sin(arccos r) here changes a row of the boundary CSV.
+    sin_phi0 = np.sqrt(1.0 - cos_phi0**2)
+    values = 0.5 + (
+        2.0 * c * (1.0 + np.sin(phi1)) * q0 + 2.0 * s * (1.0 + sin_phi0) * q1
+    ) / 16.0
+    return np.where(feasible, values, -np.inf)
 
 
 def _scan_coordinate(
@@ -301,14 +301,7 @@ def _scan_coordinate(
     xs = np.linspace(0.0, HALF_PI, resolution)
     th = xs if coord == 0 else theta
     p1 = phi1 if coord == 0 else xs
-    c, s = np.cos(0.5 * th), np.sin(0.5 * th)
-    required = (8.0 * alpha - 4.0 - 2.0 * s * np.cos(p1)) / (2.0 * c)
-    feasible = (required >= -1e-9) & (required <= 1.0 + 1e-9)
-    sin_phi0 = np.sqrt(1.0 - np.clip(required, 0.0, 1.0) ** 2)
-    values = 0.5 + (
-        2.0 * c * (1.0 + np.sin(p1)) * q0 + 2.0 * s * (1.0 + sin_phi0) * q1
-    ) / 16.0
-    values = np.where(feasible, values, -np.inf)
+    values = _fixed_charlie_values(alpha, th, p1, q0, q1)
     i = int(np.argmax(values))
     here = float(_fixed_charlie_value(alpha, theta, phi1, q0, q1)[0])
     if not np.isfinite(values[i]):
@@ -400,9 +393,7 @@ def seesaw(
     falsify the reduction, not to certify the curve).
     """
     cfg = cfg or OptimizerConfig()
-    if alpha < 0.5 - 1e-12 or alpha > W_AB_MAX + 1e-12:
-        raise DomainError(f"alpha = {alpha!r} outside [1/2, (2+sqrt(2))/4]")
-    alpha = min(max(alpha, 0.5), W_AB_MAX)
+    alpha = witness_level("alpha", alpha, tol=1e-12)
     if generic:
         return _seesaw_generic(alpha, cfg)
 
@@ -435,12 +426,8 @@ def seesaw(
 def _generic_start(alpha: float, rng: np.random.Generator) -> Strategy:
     """Feasible unreduced starting point: a randomly rotated strategy that
     already meets the witness constraint, with random final measurements."""
-    from .sampling import random_su2
-    from .scenario import conjugate_strategy
-    from .strategies import canonical_strategy
-
-    eta = np.sqrt(2.0) * (2.0 * alpha - 1.0)
-    seeded = conjugate_strategy(canonical_strategy(float(eta)), random_su2(rng))
+    eta = sharpness_lower(alpha)
+    seeded = conjugate_strategy(canonical_strategy(eta), random_su2(rng))
     return Strategy(
         seeded.preparations,
         seeded.instruments,
@@ -513,11 +500,7 @@ def _perturb_strategy(s: Strategy, rng: np.random.Generator, scale: float) -> St
         c0 = float(np.clip(povm.c0 + 0.2 * scale * rng.normal(), -1.0, 1.0))
         c0 = float(np.clip(c0, -(1.0 - np.linalg.norm(cvec)), 1.0 - np.linalg.norm(cvec)))
         noisy = BinaryPovm.from_observable(c0, cvec)
-        kraus = tuple(
-            (u[0] @ matrix_sqrt_psd(e),)
-            for u, e in zip(insts[idx].unitaries, noisy.effects)
-        )
-        insts[idx] = BinaryInstrument(kraus, noisy, insts[idx].unitaries)
+        insts[idx] = BinaryInstrument.from_polar(insts[idx].unitaries, noisy)
         instruments = tuple(insts)
     else:
         from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -533,13 +516,7 @@ def _perturb_strategy(s: Strategy, rng: np.random.Generator, scale: float) -> St
         insts = list(instruments)
         unitaries = [list(branch) for branch in insts[y].unitaries]
         unitaries[b][0] = twist @ unitaries[b][0]
-        kraus = tuple(
-            (us[0] @ matrix_sqrt_psd(e),)
-            for us, e in zip(unitaries, insts[y].povm.effects)
-        )
-        insts[y] = BinaryInstrument(
-            kraus, insts[y].povm, tuple(tuple(us) for us in unitaries)
-        )
+        insts[y] = BinaryInstrument.from_polar(unitaries, insts[y].povm)
         instruments = tuple(insts)
     return Strategy(preparations, instruments, s.measurements)
 
@@ -560,11 +537,7 @@ def _repair_witness_level(s: Strategy, alpha: float) -> Strategy | None:
         if norm > 1.0 or abs(inst.povm.c0) > 1.0 - norm:
             return None
         povm = BinaryPovm.from_observable(inst.povm.c0, cvec)
-        kraus = tuple(
-            (u[0] @ matrix_sqrt_psd(e),)
-            for u, e in zip(inst.unitaries, povm.effects)
-        )
-        instruments.append(BinaryInstrument(kraus, povm, inst.unitaries))
+        instruments.append(BinaryInstrument.from_polar(inst.unitaries, povm))
     repaired = Strategy(s.preparations, tuple(instruments), s.measurements)
     if abs(witness_ab(repaired) - alpha) > 1e-9:
         return None
@@ -577,49 +550,34 @@ class ClassicalBruteforce(NamedTuple):
     extremes: tuple[WitnessPair, ...]
 
 
+def _classical_hits() -> tuple[np.ndarray, np.ndarray]:
+    """Success counts ``ab[e, b]`` (of 8) and ``ac[e, r, c]`` (of 16) of
+    every deterministic strategy, indexed by its 4-bit table codes."""
+    bits = (np.arange(16)[:, None] >> np.arange(4)) & 1  # bits[code, entry]
+    tables = bits.reshape(16, 2, 2)  # tables[code, m, k] = entry 2*m + k
+    # hits[code, m, i]: correct guesses of x_k over k = 0, 1 by an answer
+    # table reading message m on input pair i.  Bob and Charlie share it.
+    hits = (tables[:, :, None, :] == np.array(INPUT_PAIRS)).sum(axis=3)
+    pairs = np.arange(4)
+    ab = hits[:, bits, pairs].sum(axis=2).T
+    relayed = tables[:, bits, :]  # relayed[r, e, i, y]
+    ac = hits[:, relayed, pairs[:, None]].sum(axis=(3, 4)).transpose(2, 1, 0)
+    return ab, ac
+
+
 def classical_bruteforce() -> ClassicalBruteforce:
     """Enumerate all 65536 deterministic classical strategies exactly.
 
     Success counts are integers, so the maxima and the convex-hull
     extreme points of the attainable witness set are exact.
     """
-    ab_hits = np.zeros((16, 16), dtype=np.int64)
-    ac_hits = np.zeros((16, 16, 16), dtype=np.int64)
-    for e in range(16):
-        enc = [(e >> (2 * x0 + x1)) & 1 for x0, x1 in itertools.product((0, 1), repeat=2)]
-        for b in range(16):
-            hits = 0
-            for i, (x0, x1) in enumerate(itertools.product((0, 1), repeat=2)):
-                m = enc[i]
-                for y, bit in ((0, x0), (1, x1)):
-                    if ((b >> (2 * m + y)) & 1) == bit:
-                        hits += 1
-            ab_hits[e, b] = hits
-        for r in range(16):
-            for c in range(16):
-                hits = 0
-                for i, (x0, x1) in enumerate(itertools.product((0, 1), repeat=2)):
-                    m = enc[i]
-                    for y in (0, 1):
-                        relayed = (r >> (2 * m + y)) & 1
-                        for z, bit in ((0, x0), (1, x1)):
-                            if ((c >> (2 * relayed + z)) & 1) == bit:
-                                hits += 1
-                ac_hits[e, r, c] = hits
-
-    best_ab = 0
-    best_ac = 0
-    points = set()
-    for e, b, r, c in itertools.product(range(16), repeat=4):
-        a_hits = int(ab_hits[e, b])
-        c_hits = int(ac_hits[e, r, c])
-        best_ab = max(best_ab, a_hits)
-        best_ac = max(best_ac, c_hits)
-        points.add((2 * a_hits, c_hits))  # common denominator 16
-
-    hull = _integer_hull(sorted(points))
-    extremes = tuple(WitnessPair(p / 16.0, q / 16.0) for p, q in hull)
-    return ClassicalBruteforce(best_ab / 8.0, best_ac / 16.0, extremes)
+    ab, ac = _classical_hits()
+    # One integer key per (2 * ab, ac) point over all (e, b, r, c); both
+    # coordinates lie in [0, 16], so base 17 keeps the sort order.
+    keys = 17 * (2 * ab)[:, :, None, None] + ac[:, None, :, :]
+    points = [divmod(int(k), 17) for k in np.unique(keys)]  # common denominator 16
+    extremes = tuple(WitnessPair(p / 16.0, q / 16.0) for p, q in _integer_hull(points))
+    return ClassicalBruteforce(int(ab.max()) / 8.0, int(ac.max()) / 16.0, extremes)
 
 
 def _integer_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -724,8 +682,8 @@ def inequality_report(samples: int, grid: int, seed: int) -> dict:
     worst disagreement between the closed-form sandwich eigenvalue and a
     direct eigensolve.
     """
-    from .sampling import random_povm
-
+    if samples < 1 or grid < 1:
+        raise DomainError(f"samples and grid must be positive, got {samples!r} and {grid!r}")
     rng = np.random.default_rng([seed, 11])
     bound_margin = -np.inf
     for _ in range(samples):

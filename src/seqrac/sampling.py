@@ -12,7 +12,6 @@ from .linalg import (
     BinaryPovm,
     QubitState,
     bloch_compose,
-    matrix_sqrt_psd,
 )
 from .scenario import BinaryInstrument, PreparationEnsemble, Strategy
 
@@ -49,11 +48,8 @@ def random_instrument(rng: np.random.Generator, luders: bool = False) -> BinaryI
     povm = random_povm(rng)
     if luders:
         return BinaryInstrument.luders(povm)
-    unitaries = (random_su2(rng), random_su2(rng))
-    kraus = tuple(
-        (u @ matrix_sqrt_psd(e),) for u, e in zip(unitaries, povm.effects)
-    )
-    return BinaryInstrument(kraus, povm, ((unitaries[0],), (unitaries[1],)))
+    unitaries = ((random_su2(rng),), (random_su2(rng),))
+    return BinaryInstrument.from_polar(unitaries, povm)
 
 
 def random_preparations(rng: np.random.Generator) -> PreparationEnsemble:

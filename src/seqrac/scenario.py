@@ -97,6 +97,19 @@ class BinaryInstrument:
         return cls.from_branches((k0,), (k1,), tol)
 
     @classmethod
+    def from_polar(cls, unitaries, povm: BinaryPovm) -> "BinaryInstrument":
+        """Extremal instrument ``K_b = U_b sqrt(M_b)``.
+
+        ``unitaries`` holds one polar unitary per outcome in the branch
+        layout of :attr:`unitaries`, ``((U_0,), (U_1,))``.
+        """
+        unitaries = tuple(tuple(branch) for branch in unitaries)
+        kraus = tuple(
+            (u[0] @ matrix_sqrt_psd(e),) for u, e in zip(unitaries, povm.effects)
+        )
+        return cls(kraus, povm, unitaries)
+
+    @classmethod
     def luders(cls, povm: BinaryPovm) -> "BinaryInstrument":
         """Instrument with ``K_b = sqrt(M_b)`` (trivial unitary part)."""
         kraus = tuple((matrix_sqrt_psd(e, tol=np.inf),) for e in povm.effects)

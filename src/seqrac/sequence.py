@@ -17,20 +17,13 @@ import numpy as np
 from .errors import DomainError
 from .linalg import bloch_compose, max_eigenpair
 from .scenario import (
-    BinaryInstrument,
     PreparationEnsemble,
     WitnessPair,
     average_instrument_channel,
     difference_vectors,
     rac_success,
 )
-from .strategies import (
-    X_AXIS,
-    Z_AXIS,
-    canonical_witness_pair,
-    square_preparations,
-    unsharp_axis_povm,
-)
+from .strategies import axis_instruments, canonical_witness_pair, square_preparations
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,8 @@ def party_witness_closed_form(k: int) -> float:
     """Witness of the k-th sharp party, ``(1 + sqrt(2)/2^k) / 2``."""
     if k < 1:
         raise DomainError(f"party index must be >= 1, got {k!r}")
-    return float(0.5 * (1.0 + np.sqrt(2.0) / 2.0**k))
+    # 2.0**-k underflows to 0 for huge k, where 2.0**k would overflow.
+    return float(0.5 * (1.0 + np.sqrt(2.0) * 2.0**-k))
 
 
 def simulate_chain(cfg: ChainConfig, readout: str = "instrument") -> list[ChainStep]:
@@ -86,10 +80,7 @@ def simulate_chain(cfg: ChainConfig, readout: str = "instrument") -> list[ChainS
     rows = []
     for k, eta in enumerate(cfg.sharpness_profile, start=1):
         radius = float(np.linalg.norm(ensemble.states[0].bloch))
-        instruments = (
-            BinaryInstrument.luders(unsharp_axis_povm(X_AXIS, eta)),
-            BinaryInstrument.luders(unsharp_axis_povm(Z_AXIS, eta)),
-        )
+        instruments = axis_instruments(eta, eta)
         if readout == "instrument":
             witness = rac_success(
                 ensemble.states, (instruments[0].povm, instruments[1].povm)

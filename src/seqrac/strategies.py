@@ -13,7 +13,6 @@ from .linalg import (
     BinaryPovm,
     QubitState,
     bloch_decompose,
-    matrix_sqrt_psd,
     projective_povm,
     state_from_bloch,
 )
@@ -48,6 +47,14 @@ def unsharp_axis_povm(axis: np.ndarray, eta: float) -> BinaryPovm:
     return BinaryPovm.from_observable(0.0, eta * axis)
 
 
+def axis_instruments(eta_x: float, eta_z: float) -> tuple[BinaryInstrument, BinaryInstrument]:
+    """Minimally disturbing instruments along x (``y = 0``) and z (``y = 1``)."""
+    return (
+        BinaryInstrument.luders(unsharp_axis_povm(X_AXIS, eta_x)),
+        BinaryInstrument.luders(unsharp_axis_povm(Z_AXIS, eta_z)),
+    )
+
+
 def canonical_strategy(eta: float) -> Strategy:
     """Square preparations, unsharp x/z instruments, sharp x/z readout.
 
@@ -57,12 +64,8 @@ def canonical_strategy(eta: float) -> Strategy:
     """
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"sharpness {eta!r} outside [0, 1]")
-    instruments = (
-        BinaryInstrument.luders(unsharp_axis_povm(X_AXIS, eta)),
-        BinaryInstrument.luders(unsharp_axis_povm(Z_AXIS, eta)),
-    )
     measurements = (projective_povm(X_AXIS), projective_povm(Z_AXIS))
-    return Strategy(square_preparations(), instruments, measurements)
+    return Strategy(square_preparations(), axis_instruments(eta, eta), measurements)
 
 
 def canonical_witness_pair(eta: float) -> WitnessPair:
@@ -110,11 +113,7 @@ def apply_visibility(s: Strategy, v: VisibilityTriple) -> Strategy:
                 "visibility is only defined for single-Kraus instruments"
             )
         noisy = BinaryPovm.from_observable(inst.povm.c0, v.v_b * inst.povm.cvec)
-        kraus = tuple(
-            (u[0] @ matrix_sqrt_psd(e),)
-            for u, e in zip(inst.unitaries, noisy.effects)
-        )
-        instruments.append(BinaryInstrument(kraus, noisy, inst.unitaries))
+        instruments.append(BinaryInstrument.from_polar(inst.unitaries, noisy))
     measurements = tuple(
         BinaryPovm.from_observable(p.c0, v.v_c * p.cvec) for p in s.measurements
     )

@@ -34,10 +34,9 @@ class TestBoundary:
         assert boundary_wac(0.5) == pytest.approx((2 + SQRT2) / 4, abs=1e-15)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            boundary_wac(0.49)
-        with pytest.raises(DomainError):
-            boundary_wac(0.86)
+        for alpha in (0.49, 0.86, np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError):
+                boundary_wac(alpha)
 
     def test_concavity_on_grid(self):
         grid = np.linspace(0.5, W_AB_MAX, 1001)
@@ -73,8 +72,9 @@ class TestSharpnessBounds:
         assert round_reported(sharpness_lower(0.7138)) == pytest.approx(0.6047)
 
     def test_lower_rejects_unphysical(self):
-        with pytest.raises(DomainError):
-            sharpness_lower(0.9)
+        for w_ab in (0.9, np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError):
+                sharpness_lower(w_ab)
 
     def test_upper_examples(self):
         assert sharpness_upper(W_AC_TRIVIAL) == 1.0
@@ -82,8 +82,9 @@ class TestSharpnessBounds:
         assert sharpness_upper((5 + SQRT2) / 8) == pytest.approx(1 / SQRT2, abs=1e-12)
 
     def test_upper_domain(self):
-        with pytest.raises(DomainError):
-            sharpness_upper(0.4)
+        for w_ac in (0.4, 0.86, np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError):
+                sharpness_upper(w_ac)
 
     def test_tightness_on_boundary(self):
         for alpha in np.linspace(0.5, W_AB_MAX, 47):

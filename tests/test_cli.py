@@ -139,6 +139,10 @@ class TestCertify:
     def test_infeasible_exit_code(self, capsys):
         assert main(["certify", "--wab", "0.86", "--wac", "0.85"]) == 5
 
+    def test_wab_above_quantum_maximum_is_infeasible(self, capsys):
+        assert main(["certify", "--wab", "0.86", "--wac", "0.8"]) == 5
+        assert "requires sharpness" in capsys.readouterr().err
+
     def test_out_of_range_rejected(self, capsys):
         assert main(["certify", "--wab", "1.2", "--wac", "0.5"]) == 2
 
@@ -182,6 +186,13 @@ class TestSequence:
         rows = out.read_text().splitlines()[1:]
         assert float(rows[1].split(",")[1]) == pytest.approx(0.5, abs=1e-12)
 
+    def test_chain_longer_than_float_exponent_range(self, tmp_path):
+        out = tmp_path / "chain.csv"
+        assert main(["sequence", "--parties", "1100", "--out", str(out)]) == 0
+        last = out.read_text().splitlines()[-1].split(",")
+        assert last[0] == "1100"
+        assert float(last[3]) == 0.5
+
 
 class TestClassicalCommand:
     def test_prints_exact_maxima(self, capsys):
@@ -201,6 +212,15 @@ class TestChecks:
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("SEQRAC_SEED", "17")
         assert main(["checks", "--samples", "50", "--grid", "10"]) == 0
+
+    @pytest.mark.parametrize(
+        "flags", [["--samples", "0"], ["--samples", "-5"], ["--grid", "0"], ["--grid", "-2"]]
+    )
+    def test_nonpositive_counts_map_to_2(self, capsys, flags):
+        assert main(["checks", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be positive" in captured.err
 
 
 class TestErrorExitCodes:

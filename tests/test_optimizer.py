@@ -26,9 +26,10 @@ from seqrac import (
 from seqrac.analytics import W_AB_MAX
 from seqrac.errors import DomainError
 from seqrac.linalg import bloch_compose, matrix_sqrt_psd, max_eigenpair, maximally_mixed
-from seqrac.optimizer import solve_reduced_phi0, trig_grid_max
+from seqrac.optimizer import _classical_hits, _integer_hull, solve_reduced_phi0, trig_grid_max
 from seqrac.sampling import random_povm, random_strategy, random_unit_vector
-from seqrac.scenario import PreparationEnsemble
+from seqrac.scenario import PreparationEnsemble, WitnessPair
+from seqrac.strategies import enumerate_classical_strategies, witness_pair_classical
 
 SQRT2 = np.sqrt(2.0)
 HALF_PI = np.pi / 2
@@ -131,11 +132,17 @@ class TestTraceBoundary:
             assert abs(point.params.phi0 - point.params.phi1) <= 1e-4
 
     def test_rejects_out_of_domain(self):
-        with pytest.raises(DomainError):
-            trace_boundary([0.4])
+        for alpha in (0.4, 0.9, np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError):
+                trace_boundary([alpha])
 
 
 class TestSeesaw:
+    def test_rejects_out_of_domain(self):
+        for alpha in (0.4, 0.9, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                seesaw(alpha)
+
     def test_reaches_boundary_at_reference_level(self):
         cfg = OptimizerConfig(seesaw_restarts=6)
         result = seesaw(0.75, cfg)
@@ -195,6 +202,25 @@ class TestClassicalBruteforce:
         ac = [p.w_ac for p in result.extremes]
         assert min(ab) == 0.25 and max(ab) == 0.75
         assert min(ac) == 0.25 and max(ac) == 0.75
+
+    def test_matches_per_strategy_oracle(self):
+        # Score every strategy with the per-strategy oracle; the hit tables
+        # must agree entry by entry, and the maxima and hull of the attained
+        # set (in sixteenths) must follow.
+        pairs = [witness_pair_classical(cs) for cs in enumerate_classical_strategies()]
+        assert len(pairs) == 65536
+        ab, ac = _classical_hits()
+        grid = (16, 16, 16, 16)  # (e, b, r, c), the enumeration order
+        oracle_ab = np.array([8 * p.w_ab for p in pairs]).reshape(grid)
+        oracle_ac = np.array([16 * p.w_ac for p in pairs]).reshape(grid)
+        assert np.array_equal(oracle_ab, np.broadcast_to(ab[:, :, None, None], grid))
+        assert np.array_equal(oracle_ac, np.broadcast_to(ac[:, None, :, :], grid))
+        points = sorted({(int(16 * p.w_ab), int(16 * p.w_ac)) for p in pairs})
+        hull = [WitnessPair(p / 16.0, q / 16.0) for p, q in _integer_hull(points)]
+        result = classical_bruteforce()
+        assert result.max_w_ab == max(p.w_ab for p in pairs)
+        assert result.max_w_ac == max(p.w_ac for p in pairs)
+        assert list(result.extremes) == hull
 
 
 class TestEigenvalueSumBound:
