@@ -48,7 +48,7 @@ def witness_level(name: str, value: float, tol: float, lower: float = 0.5) -> fl
     """
     if not (math.isfinite(value) and lower - tol <= value <= W_AB_MAX + tol):
         raise DomainError(f"{name} = {value!r} outside [{lower:g}, (2+sqrt(2))/4]")
-    return min(max(value, lower), W_AB_MAX)
+    return float(min(max(value, lower), W_AB_MAX))
 
 
 def boundary_wac(alpha: float, tol: float = 1e-9) -> float:

@@ -8,6 +8,7 @@ bits and errors stay at machine precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import (
     BlochNormExceeded,
     CompletenessViolated,
+    DomainError,
     NotHermitian,
     NotPsd,
 )
@@ -230,6 +232,8 @@ def state_from_bloch(n, tol: float | None = None) -> QubitState:
     if vec.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got {vec.shape}")
     norm = float(np.linalg.norm(vec))
+    if not math.isfinite(norm):
+        raise DomainError(f"Bloch vector {vec!r} is not finite")
     if norm > 1.0 + tol:
         raise BlochNormExceeded(f"|n| = {norm!r} exceeds 1")
     return QubitState(bloch_compose(0.5, 0.5 * vec), vec.copy())
@@ -267,6 +271,8 @@ class BinaryPovm:
         tol = TOL.herm if tol is None else tol
         c = np.asarray(cvec, dtype=float)
         norm = float(np.linalg.norm(c))
+        if not math.isfinite(c0 + norm):
+            raise DomainError(f"offset {c0!r} or observable vector {c!r} is not finite")
         if norm - 1.0 > tol or abs(c0) - (1.0 - norm) > tol:
             raise NotPsd(f"offset {c0!r} with |c| = {norm!r} breaks positivity")
         e0 = bloch_compose(0.5 * (1.0 + c0), 0.5 * c)

@@ -9,11 +9,12 @@ exactly through the largest-eigenvector best response.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .analytics import boundary_wac, sharpness_lower, witness_level
 from .errors import (
@@ -23,6 +24,9 @@ from .errors import (
     InvalidPovm,
 )
 from .linalg import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     BinaryPovm,
     bloch_compose,
     bloch_decompose,
@@ -155,17 +159,15 @@ def charlie_best_response(
     return (povms[0], povms[1]), float(value)
 
 
-def _invert_constraint(alpha: float, theta, phi1):
+def _invert_constraint(alpha: float, c, s, cos_phi1):
     """Solve ``reduced_constraint = alpha`` for ``cos(phi0)``, elementwise.
 
-    Returns ``(cos_phi0, feasible, c, s)``: the requirement clipped to
-    [0, 1], whether it lies within 1e-9 of that range, and
-    ``c, s = cos(theta/2), sin(theta/2)`` for the caller's objective.
+    Takes ``c, s = cos(theta/2), sin(theta/2)`` and ``cos(phi1)`` as floats
+    or arrays.  Returns ``(required, feasible)``: the unclipped requirement
+    and whether it lies within 1e-9 of [0, 1].
     """
-    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    required = (8.0 * alpha - 4.0 - 2.0 * s * np.cos(phi1)) / (2.0 * c)
-    feasible = (required >= -1e-9) & (required <= 1.0 + 1e-9)
-    return np.clip(required, 0.0, 1.0), feasible, c, s
+    required = (8.0 * alpha - 4.0 - 2.0 * s * cos_phi1) / (2.0 * c)
+    return required, (required >= -1e-9) & (required <= 1.0 + 1e-9)
 
 
 def solve_reduced_phi0(alpha: float, theta: float, phi1: float) -> float | None:
@@ -175,8 +177,9 @@ def solve_reduced_phi0(alpha: float, theta: float, phi1: float) -> float | None:
     ``reduced_constraint = alpha`` exactly, or None when the requirement
     leaves [0, 1] by more than 1e-9.
     """
-    cos_phi0, feasible, _, _ = _invert_constraint(alpha, theta, phi1)
-    return float(np.arccos(cos_phi0)) if feasible else None
+    if not math.isfinite(alpha + theta + phi1):
+        raise DomainError(f"non-finite input: alpha={alpha!r}, theta={theta!r}, phi1={phi1!r}")
+    return _fixed_charlie_value(alpha, theta, phi1, 1.0, 1.0)[1]
 
 
 def _grid_argmax(alpha: float, resolution: int) -> tuple[float, float, float]:
@@ -257,6 +260,8 @@ class SeesawResult:
     strategy: Strategy
     pair: WitnessPair
     runs: list[SeesawRun]
+    # The winning reduced parameters; None for the generic see-saw.
+    params: ReducedParameters | None = None
 
 
 def _fixed_charlie_value(
@@ -266,26 +271,121 @@ def _fixed_charlie_value(
 
     ``q0``/``q1`` are the x and z components of Charlie's two observable
     Bloch vectors; the signed preparation sums stay on those axes for the
-    whole reduced family.
+    whole reduced family.  Runs on plain floats: ``math.cos``/``math.sin``
+    matched ``np.cos``/``np.sin`` bit for bit on [0, pi/2] (x86-64, glibc
+    2.36, numpy 2.4), but ``math.acos`` does not match ``np.arccos``, so
+    that call stays numpy.  ``tests/test_seesaw_trajectory.py`` pins the bits.
     """
-    cos_phi0, feasible, c, s = _invert_constraint(alpha, theta, phi1)
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    required, feasible = _invert_constraint(alpha, c, s, math.cos(phi1))
     if not feasible:
         return -1.0, None
-    phi0 = float(np.arccos(cos_phi0))
+    phi0 = float(np.arccos(min(max(required, 0.0), 1.0)))
     # Keep sin(arccos r): sqrt(1 - r^2) here changes 11 rows of the boundary CSV.
-    value = 0.5 + (2.0 * c * (1.0 + np.sin(phi1)) * q0 + 2.0 * s * (1.0 + np.sin(phi0)) * q1) / 16.0
-    return float(value), phi0
+    value = 0.5 + (2.0 * c * (1.0 + math.sin(phi1)) * q0 + 2.0 * s * (1.0 + math.sin(phi0)) * q1) / 16.0
+    return value, phi0
 
 
 def _fixed_charlie_values(alpha: float, theta, phi1, q0: float, q1: float) -> np.ndarray:
     """Vectorised :func:`_fixed_charlie_value`; ``-inf`` where infeasible."""
-    cos_phi0, feasible, c, s = _invert_constraint(alpha, theta, phi1)
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    required, feasible = _invert_constraint(alpha, c, s, np.cos(phi1))
+    cos_phi0 = np.clip(required, 0.0, 1.0)
     # Keep sqrt(1 - r^2): sin(arccos r) here changes a row of the boundary CSV.
     sin_phi0 = np.sqrt(1.0 - cos_phi0**2)
     values = 0.5 + (
         2.0 * c * (1.0 + np.sin(phi1)) * q0 + 2.0 * s * (1.0 + sin_phi0) * q1
     ) / 16.0
     return np.where(feasible, values, -np.inf)
+
+
+@functools.lru_cache(maxsize=4)
+def _scan_axis(resolution: int) -> np.ndarray:
+    """The read-only ``linspace(0, pi/2, resolution)`` scan grid."""
+    xs = np.linspace(0.0, HALF_PI, resolution)
+    xs.flags.writeable = False
+    return xs
+
+
+def minimize_scalar(func, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Minimize ``func`` on ``[lo, hi]``; returns ``(x, func(x))``.
+
+    Brent's bounded method (golden section with parabolic steps), as in
+    scipy's ``minimize_scalar(method="bounded")`` with at most 500
+    evaluations.  It performs the same float operations in the same order,
+    so ``x`` and ``f(x)`` equal scipy's bit for bit, on plain floats and
+    without scipy's per-call overhead.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise DomainError(f"bounds must be finite with lo <= hi, got ({lo!r}, {hi!r})")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # Parabolic fit through the three best points.
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0.0 else -step)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
 
 
 def _scan_coordinate(
@@ -298,12 +398,12 @@ def _scan_coordinate(
     dense feasibility-aware scan picks the basin and a bounded search
     polishes inside the bracketing cells.
     """
-    xs = np.linspace(0.0, HALF_PI, resolution)
+    xs = _scan_axis(resolution)
     th = xs if coord == 0 else theta
     p1 = phi1 if coord == 0 else xs
     values = _fixed_charlie_values(alpha, th, p1, q0, q1)
     i = int(np.argmax(values))
-    here = float(_fixed_charlie_value(alpha, theta, phi1, q0, q1)[0])
+    here = _fixed_charlie_value(alpha, theta, phi1, q0, q1)[0]
     if not np.isfinite(values[i]):
         return (theta if coord == 0 else phi1), here
     best_x, best_v = float(xs[i]), float(values[i])
@@ -312,14 +412,11 @@ def _scan_coordinate(
         th_, p1_ = (t, phi1) if coord == 0 else (theta, t)
         return -_fixed_charlie_value(alpha, th_, p1_, q0, q1)[0]
 
-    res = minimize_scalar(
-        negated,
-        bounds=(float(xs[max(0, i - 1)]), float(xs[min(resolution - 1, i + 1)])),
-        method="bounded",
-        options={"xatol": 1e-14},
+    x, fx = minimize_scalar(
+        negated, float(xs[max(0, i - 1)]), float(xs[min(resolution - 1, i + 1)]), 1e-14
     )
-    if -float(res.fun) > best_v:
-        best_x, best_v = float(res.x), -float(res.fun)
+    if -fx > best_v:
+        best_x, best_v = x, -fx
     if best_v > here:
         return best_x, best_v
     return (theta if coord == 0 else phi1), here
@@ -420,7 +517,7 @@ def seesaw(
     if best is None or not np.isfinite(best[0]):
         raise ConvergenceFailure(f"all restarts failed at alpha = {alpha!r}")
     strategy = strategy_from_reduced(best[1], best[2])
-    return SeesawResult(strategy, witness_pair(strategy), runs)
+    return SeesawResult(strategy, witness_pair(strategy), runs, best[1])
 
 
 def _generic_start(alpha: float, rng: np.random.Generator) -> Strategy:
@@ -503,8 +600,6 @@ def _perturb_strategy(s: Strategy, rng: np.random.Generator, scale: float) -> St
         insts[idx] = BinaryInstrument.from_polar(insts[idx].unitaries, noisy)
         instruments = tuple(insts)
     else:
-        from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
-
         y = int(rng.integers(0, 2))
         b = int(rng.integers(0, 2))
         axis = rng.normal(size=3)

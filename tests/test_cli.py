@@ -1,12 +1,15 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqrac
 from seqrac import canonical_strategy
 from seqrac.cli import main
 from seqrac.documents import document_text, write_strategy_file
@@ -20,6 +23,19 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "[0.6047, 0.8010]" in proc.stdout
+
+
+def test_import_does_not_load_scipy():
+    """The runtime needs numpy only; scipy is a test dependency."""
+    src = str(Path(seqrac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, seqrac, seqrac.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import pytest
 from seqrac.errors import (
     BlochNormExceeded,
     CompletenessViolated,
+    DomainError,
     NotHermitian,
     NotPsd,
 )
@@ -14,6 +15,7 @@ from seqrac.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    BinaryPovm,
     QubitState,
     bloch_from_matrix,
     eigvals_hermitian,
@@ -48,6 +50,9 @@ class TestStateFromBloch:
     def test_outside_ball_rejected(self):
         with pytest.raises(BlochNormExceeded):
             state_from_bloch([0.0, 0.0, 2.0])
+        for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]):
+            with pytest.raises(DomainError):
+                state_from_bloch(bad)
 
     def test_round_trip_on_random_ball(self, rng):
         for _ in range(10_000):
@@ -187,6 +192,14 @@ class TestValidatePovm:
     def test_rejects_indefinite_effect(self):
         with pytest.raises(NotPsd):
             validate_povm(ID2 + SIGMA_Z, -SIGMA_Z)
+
+    def test_from_observable_domain(self):
+        with pytest.raises(NotPsd):
+            BinaryPovm.from_observable(0.6, [0.0, 0.0, 0.5])
+        for c0, cvec in ((np.nan, [0.0, 0.0, 0.5]), (0.0, [np.nan, 0.0, 0.5]),
+                         (np.inf, [0.0, 0.0, 0.5]), (0.0, [0.0, -np.inf, 0.0])):
+            with pytest.raises(DomainError):
+                BinaryPovm.from_observable(c0, cvec)
 
     def test_rejects_non_hermitian(self):
         skew = np.array([[0.5, 0.3], [0.1, 0.5]])

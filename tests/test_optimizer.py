@@ -1,7 +1,10 @@
 """Best responses, boundary tracing, see-saw, enumeration, inequalities."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 
 from seqrac import (
     OptimizerConfig,
@@ -26,7 +29,14 @@ from seqrac import (
 from seqrac.analytics import W_AB_MAX
 from seqrac.errors import DomainError
 from seqrac.linalg import bloch_compose, matrix_sqrt_psd, max_eigenpair, maximally_mixed
-from seqrac.optimizer import _classical_hits, _integer_hull, solve_reduced_phi0, trig_grid_max
+from seqrac.optimizer import (
+    _classical_hits,
+    _fixed_charlie_value,
+    _integer_hull,
+    minimize_scalar,
+    solve_reduced_phi0,
+    trig_grid_max,
+)
 from seqrac.sampling import random_povm, random_strategy, random_unit_vector
 from seqrac.scenario import PreparationEnsemble, WitnessPair
 from seqrac.strategies import enumerate_classical_strategies, witness_pair_classical
@@ -111,6 +121,68 @@ class TestReducedForms:
                 continue
             r = ReducedParameters(theta, phi0, phi1)
             assert reduced_constraint(r) == pytest.approx(alpha, abs=1e-12)
+
+    def test_phi0_elimination_rejects_non_finite(self):
+        for args in ((np.nan, 1.0, 1.0), (0.7, np.inf, 1.0), (0.7, 1.0, -np.inf)):
+            with pytest.raises(DomainError):
+                solve_reduced_phi0(*args)
+
+
+class TestMinimizeScalar:
+    """The plain-float bounded search against scipy's, compared with ``==``."""
+
+    @staticmethod
+    def _objective(rng):
+        a, c, b, w, p, d = rng.uniform(-2.0, 2.0, 6).tolist()
+        w *= 5.0
+        return lambda x: a * (x - c) ** 2 + b * math.sin(w * x + p) + d * x * x * x
+
+    @pytest.mark.parametrize("xatol", [1e-14, 1e-8, 1e-5])
+    def test_matches_scipy_bit_for_bit(self, xatol):
+        rng = np.random.default_rng([20250809, int(-math.log10(xatol))])
+        for k in range(600):
+            f = self._objective(rng)
+            lo = float(rng.uniform(-3.0, 3.0))
+            width = 10.0 ** rng.uniform(-9.0, 0.5) if k % 3 else 10.0 ** rng.uniform(-9.0, -6.0)
+            hi = lo + float(width)
+            expected = scipy_minimize_scalar(
+                f, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+            )
+            x, fx = minimize_scalar(f, lo, hi, xatol)
+            assert (x, fx) == (float(expected.x), float(expected.fun)), (k, lo, hi)
+
+    def test_matches_scipy_on_the_seesaw_objective(self, rng):
+        for _ in range(300):
+            alpha = float(rng.uniform(0.5, W_AB_MAX))
+            theta = float(rng.uniform(0.0, HALF_PI))
+            q0, q1 = (float(q) for q in rng.uniform(-1.0, 1.0, 2))
+
+            def f(t):
+                return -_fixed_charlie_value(alpha, theta, t, q0, q1)[0]
+
+            lo = float(rng.uniform(0.0, HALF_PI - 0.01))
+            hi = lo + HALF_PI / 512
+            expected = scipy_minimize_scalar(
+                f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-14}
+            )
+            assert minimize_scalar(f, lo, hi, 1e-14) == (float(expected.x), float(expected.fun))
+
+    @pytest.mark.parametrize("f, lo, hi, xatol", [
+        (abs, -1.0, 2.0, 0.0),  # never converges: stops at the 500-evaluation cap
+        (lambda x: x * x, -1.0, 2.0, 0.0),
+        (lambda x: float(x > 0.3), 0.0, 1.0, 1e-14),  # a step, not smooth
+        (math.cos, 2.0, 2.0, 1e-8),  # empty bracket
+    ])
+    def test_matches_scipy_on_edge_cases(self, f, lo, hi, xatol):
+        expected = scipy_minimize_scalar(
+            f, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+        )
+        assert minimize_scalar(f, lo, hi, xatol) == (float(expected.x), float(expected.fun))
+
+    def test_rejects_bad_bounds(self):
+        for lo, hi in ((1.0, 0.0), (np.nan, 1.0), (0.0, np.inf)):
+            with pytest.raises(DomainError):
+                minimize_scalar(abs, lo, hi, 1e-8)
 
 
 class TestTraceBoundary:
