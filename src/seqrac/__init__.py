@@ -31,8 +31,6 @@ from .linalg import (
     BinaryPovm,
     EigenPair,
     QubitState,
-    Tolerances,
-    TOL,
     bloch_from_matrix,
     matrix_sqrt_psd,
     max_eigenpair,

@@ -64,7 +64,10 @@ def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("SEQRAC_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise DomainError(f"SEQRAC_SEED = {env!r} is not an integer") from None
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -269,25 +272,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of each error a command may raise.
+_EXIT_CODES = {
+    DocumentError: EXIT_PARSE,
+    DomainError: EXIT_PARSE,
+    OSError: EXIT_PARSE,
+    DocumentInvariantError: EXIT_INVARIANT,
+    ConvergenceFailure: EXIT_CONVERGENCE,
+    InfeasiblePair: EXIT_INFEASIBLE,
+    InequalityViolation: EXIT_INEQUALITY,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, DomainError, OSError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DocumentInvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except ConvergenceFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except InfeasiblePair as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except InequalityViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INEQUALITY
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

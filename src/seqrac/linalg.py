@@ -29,20 +29,9 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
-@dataclass
-class Tolerances:
-    """Global numerical tolerances.
-
-    ``herm`` guards validity checks (hermiticity, trace, positivity),
-    ``eig`` guards spectral residuals.  Mutate the module-level ``TOL``
-    instance to reconfigure globally.
-    """
-
-    herm: float = 1e-9
-    eig: float = 1e-10
-
-
-TOL = Tolerances()
+# Default slack of the validity checks (hermiticity, trace, positivity,
+# completeness, Bloch norm); each check takes its own ``tol=`` argument.
+HERM_TOL = 1e-9
 
 
 class EigenPair(NamedTuple):
@@ -65,10 +54,10 @@ def herm_deviation(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def require_hermitian(m, tol: float | None = None) -> np.ndarray:
+def require_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
     a = as_matrix2(m)
     dev = herm_deviation(a)
-    if dev > (TOL.herm if tol is None else tol):
+    if dev > tol:
         raise NotHermitian(f"hermiticity deviation {dev:.3e}")
     return 0.5 * (a + a.conj().T)
 
@@ -91,7 +80,7 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
     return v * (mag / pivot)
 
 
-def max_eigenpair(h, tol: float | None = None) -> EigenPair:
+def max_eigenpair(h, tol: float = HERM_TOL) -> EigenPair:
     """Largest eigenvalue and unit eigenvector of a Hermitian 2x2 matrix.
 
     Degenerate spectra resolve deterministically to ``(1, 0)``; otherwise
@@ -120,13 +109,12 @@ def max_eigenpair(h, tol: float | None = None) -> EigenPair:
     return EigenPair(float(lam), _phase_fix(vec))
 
 
-def matrix_sqrt_psd(m, tol: float | None = None) -> np.ndarray:
+def matrix_sqrt_psd(m, tol: float = HERM_TOL) -> np.ndarray:
     """Positive square root of a PSD 2x2 matrix (closed form).
 
     For PSD ``M`` with trace t and determinant D,
     ``sqrt(M) = (M + sqrt(D) I) / sqrt(t + 2 sqrt(D))``.
     """
-    tol = TOL.herm if tol is None else tol
     h = require_hermitian(m, tol)
     lo = eigvals_hermitian(h)[1]
     if lo < -tol:
@@ -211,8 +199,7 @@ class QubitState:
     bloch: np.ndarray
 
     @classmethod
-    def from_matrix(cls, m, tol: float | None = None) -> "QubitState":
-        tol = TOL.herm if tol is None else tol
+    def from_matrix(cls, m, tol: float = HERM_TOL) -> "QubitState":
         h = require_hermitian(m, tol)
         tr = h[0, 0].real + h[1, 1].real
         if abs(tr - 1.0) > tol:
@@ -225,9 +212,8 @@ class QubitState:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-def state_from_bloch(n, tol: float | None = None) -> QubitState:
+def state_from_bloch(n, tol: float = HERM_TOL) -> QubitState:
     """Qubit state ``(I + n . sigma)/2`` from a Bloch vector in the unit ball."""
-    tol = TOL.herm if tol is None else tol
     vec = np.asarray(n, dtype=float)
     if vec.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got {vec.shape}")
@@ -266,9 +252,8 @@ class BinaryPovm:
         return self.effects[0] - self.effects[1]
 
     @classmethod
-    def from_observable(cls, c0: float, cvec, tol: float | None = None) -> "BinaryPovm":
+    def from_observable(cls, c0: float, cvec, tol: float = HERM_TOL) -> "BinaryPovm":
         """Build ``E_b = ((1 + (-1)^b c0) I + (-1)^b cvec . sigma)/2``."""
-        tol = TOL.herm if tol is None else tol
         c = np.asarray(cvec, dtype=float)
         norm = float(np.linalg.norm(c))
         if not math.isfinite(c0 + norm):
@@ -280,9 +265,8 @@ class BinaryPovm:
         return cls((e0, e1), float(c0), c.copy())
 
 
-def validate_povm(e0, e1, tol: float | None = None) -> BinaryPovm:
+def validate_povm(e0, e1, tol: float = HERM_TOL) -> BinaryPovm:
     """Check a two-effect measurement and return it with Bloch data filled in."""
-    tol = TOL.herm if tol is None else tol
     effects = []
     for name, e in (("E0", e0), ("E1", e1)):
         h = require_hermitian(e, tol)

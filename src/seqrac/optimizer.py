@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .analytics import boundary_wac, sharpness_lower, witness_level
+from .analytics import boundary_wac, witness_level
 from .errors import (
     ConvergenceFailure,
     DomainError,
@@ -24,9 +24,6 @@ from .errors import (
     InvalidPovm,
 )
 from .linalg import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     BinaryPovm,
     bloch_compose,
     bloch_decompose,
@@ -36,35 +33,35 @@ from .linalg import (
     state_from_bloch,
     validate_povm,
 )
-from .sampling import random_povm, random_su2, random_unit_vector
+from .sampling import random_povm, random_unit_vector
 from .scenario import (
     INPUT_PAIRS,
     BinaryInstrument,
     PreparationEnsemble,
     Strategy,
     WitnessPair,
-    conjugate_strategy,
     difference_vectors,
-    witness_ab,
-    witness_ac,
     witness_pair,
 )
-from .strategies import X_AXIS, Z_AXIS, axis_instruments, canonical_strategy
+from .strategies import X_AXIS, Z_AXIS, axis_instruments
 
 HALF_PI = 0.5 * np.pi
+# Cap on the sweeps of coordinate ascent over (theta, phi1).
+REFINEMENT_ITERATIONS = 40
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     grid_resolution: int = 512
-    refinement_iterations: int = 40
     seesaw_restarts: int = 32
     convergence_epsilon: float = 1e-8
     rng_seed: int = 20250809
 
     def __post_init__(self):
-        if min(self.grid_resolution, self.refinement_iterations, self.seesaw_restarts) < 1:
-            raise DomainError("grid, refinement and restart counts must be positive")
+        if min(self.grid_resolution, self.seesaw_restarts) < 1:
+            raise DomainError("grid and restart counts must be positive")
+        if self.rng_seed < 0:
+            raise DomainError(f"rng_seed must be non-negative, got {self.rng_seed!r}")
         if not 0.0 < self.convergence_epsilon < 1e-3:
             raise DomainError("convergence_epsilon must lie in (0, 1e-3)")
 
@@ -193,11 +190,11 @@ def _grid_argmax(alpha: float, resolution: int) -> tuple[float, float, float]:
 
 
 def _coordinate_refine(
-    alpha: float, theta: float, phi1: float, value: float, iterations: int
+    alpha: float, theta: float, phi1: float, value: float
 ) -> tuple[float, float, float]:
     # Unit Charlie overlaps turn the fixed-measurement scan into the
     # boundary objective itself.
-    for _ in range(iterations):
+    for _ in range(REFINEMENT_ITERATIONS):
         before = value
         theta, _ = _scan_coordinate(alpha, theta, phi1, 1.0, 1.0, coord=0, resolution=1025)
         phi1, value = _scan_coordinate(alpha, theta, phi1, 1.0, 1.0, coord=1, resolution=1025)
@@ -230,9 +227,7 @@ def trace_boundary(
         value, theta, phi1 = _grid_argmax(alpha, cfg.grid_resolution)
         if not np.isfinite(value):
             raise ConvergenceFailure(f"no feasible grid point at alpha = {alpha!r}")
-        value, theta, phi1 = _coordinate_refine(
-            alpha, theta, phi1, value, cfg.refinement_iterations
-        )
+        value, theta, phi1 = _coordinate_refine(alpha, theta, phi1, value)
         phi0 = solve_reduced_phi0(alpha, theta, phi1)
         if phi0 is None:
             raise ConvergenceFailure(f"refinement left the feasible set at alpha = {alpha!r}")
@@ -260,8 +255,7 @@ class SeesawResult:
     strategy: Strategy
     pair: WitnessPair
     runs: list[SeesawRun]
-    # The winning reduced parameters; None for the generic see-saw.
-    params: ReducedParameters | None = None
+    params: ReducedParameters
 
 
 def _fixed_charlie_value(
@@ -435,7 +429,7 @@ def _seesaw_reduced_run(
         q0 = float(charlie[0].cvec[0])
         q1 = float(charlie[1].cvec[2])
 
-        for _ in range(cfg.refinement_iterations):
+        for _ in range(REFINEMENT_ITERATIONS):
             here = _fixed_charlie_value(alpha, theta, phi1, q0, q1)[0]
             theta, _ = _scan_coordinate(alpha, theta, phi1, q0, q1, coord=0)
             phi1, moved_v = _scan_coordinate(alpha, theta, phi1, q0, q1, coord=1)
@@ -464,18 +458,7 @@ def _random_feasible_start(alpha: float, rng: np.random.Generator):
     return None
 
 
-def _random_projective_pair(rng: np.random.Generator) -> tuple[BinaryPovm, BinaryPovm]:
-    return (
-        projective_povm(random_unit_vector(rng)),
-        projective_povm(random_unit_vector(rng)),
-    )
-
-
-def seesaw(
-    alpha: float,
-    cfg: OptimizerConfig | None = None,
-    generic: bool = False,
-) -> SeesawResult:
+def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
     """Alternating maximization of the Alice-Charlie witness at fixed ``alpha``.
 
     Each round alternates a parameter update (preparations and instruments,
@@ -484,16 +467,9 @@ def seesaw(
     never decreases across best-response steps.  Restart 0 is seeded from
     a coarse grid, the rest from the seeded generator; the best restart
     wins, ties broken by lower restart index.
-
-    ``generic=True`` drops the antipodal/zero-offset reduction and runs a
-    repair-based stochastic ascent over raw strategies instead (used to
-    falsify the reduction, not to certify the curve).
     """
     cfg = cfg or OptimizerConfig()
     alpha = witness_level("alpha", alpha, tol=1e-12)
-    if generic:
-        return _seesaw_generic(alpha, cfg)
-
     _, grid_theta, grid_phi1 = _grid_argmax(alpha, 64)
     runs: list[SeesawRun] = []
     best = None
@@ -504,7 +480,10 @@ def seesaw(
             charlie = (projective_povm(X_AXIS), projective_povm(Z_AXIS))
         else:
             start = _random_feasible_start(alpha, rng)
-            charlie = _random_projective_pair(rng)
+            charlie = (
+                projective_povm(random_unit_vector(rng)),
+                projective_povm(random_unit_vector(rng)),
+            )
             if start is None:
                 start = (grid_theta, grid_phi1)
         run = SeesawRun()
@@ -518,125 +497,6 @@ def seesaw(
         raise ConvergenceFailure(f"all restarts failed at alpha = {alpha!r}")
     strategy = strategy_from_reduced(best[1], best[2])
     return SeesawResult(strategy, witness_pair(strategy), runs, best[1])
-
-
-def _generic_start(alpha: float, rng: np.random.Generator) -> Strategy:
-    """Feasible unreduced starting point: a randomly rotated strategy that
-    already meets the witness constraint, with random final measurements."""
-    eta = sharpness_lower(alpha)
-    seeded = conjugate_strategy(canonical_strategy(eta), random_su2(rng))
-    return Strategy(
-        seeded.preparations,
-        seeded.instruments,
-        _random_projective_pair(rng),
-    )
-
-
-def _seesaw_generic(alpha: float, cfg: OptimizerConfig) -> SeesawResult:
-    runs: list[SeesawRun] = []
-    best = None
-    for restart in range(cfg.seesaw_restarts):
-        rng = np.random.default_rng([cfg.rng_seed, 7919, restart])
-        state = _generic_start(alpha, rng)
-        # Alternate gentle and aggressive diversification so some restarts
-        # probe the optimum's neighborhood and others roam the full space.
-        diversify = 0.05 if restart % 2 == 0 else 0.3
-        for _ in range(16):
-            candidate = _repair_witness_level(
-                _perturb_strategy(state, rng, diversify), alpha
-            )
-            if candidate is not None:
-                state = candidate
-        run = SeesawRun()
-        value = -np.inf
-        for step in range(240):
-            povms, _ = charlie_best_response(state.preparations, state.instruments)
-            before = witness_ac(state)
-            state = Strategy(state.preparations, state.instruments, povms)
-            after = witness_ac(state)
-            run.charlie_steps.append((before, after))
-            if after <= value + cfg.convergence_epsilon and step > 20:
-                value = max(value, after)
-                break
-            value = max(value, after)
-            scale = 0.5 * (0.97**step)
-            proposal = _perturb_strategy(state, rng, scale)
-            repaired = _repair_witness_level(proposal, alpha)
-            if repaired is not None and witness_ac(repaired) > after:
-                state = repaired
-        run.final_wac = value
-        runs.append(run)
-        if best is None or value > best[0]:
-            best = (value, state)
-    if best is None:
-        raise ConvergenceFailure(f"generic see-saw found no feasible point at {alpha!r}")
-    return SeesawResult(best[1], witness_pair(best[1]), runs)
-
-
-def _perturb_strategy(s: Strategy, rng: np.random.Generator, scale: float) -> Strategy:
-    """Jitter one randomly chosen component of a strategy."""
-    which = rng.integers(0, 3)
-    preparations, instruments = s.preparations, s.instruments
-    if which == 0:
-        idx = int(rng.integers(0, 4))
-        states = list(preparations.states)
-        n = states[idx].bloch + scale * rng.normal(size=3)
-        norm = np.linalg.norm(n)
-        if norm > 1.0:
-            n = n / norm
-        states[idx] = state_from_bloch(n)
-        preparations = PreparationEnsemble(tuple(states))
-    elif which == 1:
-        idx = int(rng.integers(0, 2))
-        insts = list(instruments)
-        povm = insts[idx].povm
-        cvec = povm.cvec + scale * rng.normal(size=3)
-        norm = np.linalg.norm(cvec)
-        if norm > 1.0:
-            cvec = cvec / norm
-        c0 = float(np.clip(povm.c0 + 0.2 * scale * rng.normal(), -1.0, 1.0))
-        c0 = float(np.clip(c0, -(1.0 - np.linalg.norm(cvec)), 1.0 - np.linalg.norm(cvec)))
-        noisy = BinaryPovm.from_observable(c0, cvec)
-        insts[idx] = BinaryInstrument.from_polar(insts[idx].unitaries, noisy)
-        instruments = tuple(insts)
-    else:
-        y = int(rng.integers(0, 2))
-        b = int(rng.integers(0, 2))
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        angle = scale * rng.normal()
-        twist = np.cos(0.5 * angle) * np.eye(2, dtype=complex) - 1j * np.sin(
-            0.5 * angle
-        ) * (axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z)
-        insts = list(instruments)
-        unitaries = [list(branch) for branch in insts[y].unitaries]
-        unitaries[b][0] = twist @ unitaries[b][0]
-        insts[y] = BinaryInstrument.from_polar(unitaries, insts[y].povm)
-        instruments = tuple(insts)
-    return Strategy(preparations, instruments, s.measurements)
-
-
-def _repair_witness_level(s: Strategy, alpha: float) -> Strategy | None:
-    """Rescale both instrument sharpnesses so the first witness equals alpha."""
-    m0, m1 = difference_vectors(s.preparations)
-    overlap = float(
-        np.dot(s.instruments[0].povm.cvec, m0) + np.dot(s.instruments[1].povm.cvec, m1)
-    )
-    if abs(overlap) < 1e-9:
-        return None
-    t = 16.0 * (alpha - 0.5) / overlap
-    instruments = []
-    for inst in s.instruments:
-        cvec = t * inst.povm.cvec
-        norm = float(np.linalg.norm(cvec))
-        if norm > 1.0 or abs(inst.povm.c0) > 1.0 - norm:
-            return None
-        povm = BinaryPovm.from_observable(inst.povm.c0, cvec)
-        instruments.append(BinaryInstrument.from_polar(inst.unitaries, povm))
-    repaired = Strategy(s.preparations, tuple(instruments), s.measurements)
-    if abs(witness_ab(repaired) - alpha) > 1e-9:
-        return None
-    return repaired
 
 
 class ClassicalBruteforce(NamedTuple):
@@ -779,6 +639,8 @@ def inequality_report(samples: int, grid: int, seed: int) -> dict:
     """
     if samples < 1 or grid < 1:
         raise DomainError(f"samples and grid must be positive, got {samples!r} and {grid!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed!r}")
     rng = np.random.default_rng([seed, 11])
     bound_margin = -np.inf
     for _ in range(samples):

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import CompletenessViolated, InvalidStrategy
 from .linalg import (
+    HERM_TOL,
     ID2,
-    TOL,
     BinaryPovm,
     QubitState,
     as_matrix2,
@@ -71,8 +71,7 @@ class BinaryInstrument:
     unitaries: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
 
     @classmethod
-    def from_branches(cls, branch0, branch1, tol: float | None = None) -> "BinaryInstrument":
-        tol = TOL.herm if tol is None else tol
+    def from_branches(cls, branch0, branch1, tol: float = HERM_TOL) -> "BinaryInstrument":
         branches = tuple(
             tuple(as_matrix2(k) for k in branch) for branch in (branch0, branch1)
         )
@@ -92,7 +91,7 @@ class BinaryInstrument:
         return cls(branches, povm, unitaries)
 
     @classmethod
-    def from_kraus(cls, k0, k1, tol: float | None = None) -> "BinaryInstrument":
+    def from_kraus(cls, k0, k1, tol: float = HERM_TOL) -> "BinaryInstrument":
         """Validate an extremal instrument (one Kraus operator per outcome)."""
         return cls.from_branches((k0,), (k1,), tol)
 
@@ -153,9 +152,8 @@ class Strategy:
     instruments: tuple[BinaryInstrument, BinaryInstrument]
     measurements: tuple[BinaryPovm, BinaryPovm]
 
-    def validate(self, tol: float | None = None) -> "Strategy":
+    def validate(self, tol: float = HERM_TOL) -> "Strategy":
         """Re-validate every component; raises InvalidStrategy naming it."""
-        tol = TOL.herm if tol is None else tol
         for i, st in enumerate(self.preparations.states):
             try:
                 QubitState.from_matrix(st.matrix, tol)
@@ -204,7 +202,7 @@ def joint_prob(s: Strategy, x: tuple[int, int], y: int, z: int, b: int, c: int) 
     effect = s.measurements[z].effects[c]
     branch = s.instruments[y].apply_branch(rho, b)
     p = float(np.trace(branch @ effect).real)
-    return _clamp_prob(p, TOL.herm)
+    return _clamp_prob(p, HERM_TOL)
 
 
 def rac_success(states: Iterable[QubitState], povms: tuple[BinaryPovm, BinaryPovm]) -> float:
@@ -224,7 +222,7 @@ def rac_success(states: Iterable[QubitState], povms: tuple[BinaryPovm, BinaryPov
 def witness_ab(s: Strategy) -> float:
     """Alice-Bob witness ``(1/8) sum_{x,y} tr(rho_x M_{x_y|y})``."""
     value = rac_success(s.preparations.states, tuple(i.povm for i in s.instruments))
-    return _clamp_prob(value, TOL.herm)
+    return _clamp_prob(value, HERM_TOL)
 
 
 def average_instrument_channel(
@@ -255,7 +253,7 @@ def witness_ac(s: Strategy) -> float:
         for z in (0, 1):
             effect = s.measurements[z].effects[x[z]]
             total += float(np.trace(acc @ effect).real)
-    return _clamp_prob(total / 16.0, TOL.herm)
+    return _clamp_prob(total / 16.0, HERM_TOL)
 
 
 def witness_pair(s: Strategy) -> WitnessPair:

@@ -15,14 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .linalg import bloch_compose, max_eigenpair
-from .scenario import (
-    PreparationEnsemble,
-    WitnessPair,
-    average_instrument_channel,
-    difference_vectors,
-    rac_success,
-)
+from .scenario import WitnessPair, average_instrument_channel, rac_success
 from .strategies import axis_instruments, canonical_witness_pair, square_preparations
 
 
@@ -64,45 +57,23 @@ def party_witness_closed_form(k: int) -> float:
     return float(0.5 * (1.0 + np.sqrt(2.0) * 2.0**-k))
 
 
-def simulate_chain(cfg: ChainConfig, readout: str = "instrument") -> list[ChainStep]:
+def simulate_chain(cfg: ChainConfig) -> list[ChainStep]:
     """Iterate the averaged instrument channel down the chain.
 
     Each row reports the party index (1-based), its witness, and the
-    common Bloch radius of the ensemble it receives.  With
-    ``readout="instrument"`` (default) a party is scored on its own
-    instrument outcome, so a non-interacting party scores exactly 1/2;
-    ``readout="best_response"`` instead scores each party as a final
-    measurer with the optimal sharp readout of its incoming ensemble.
+    common Bloch radius of the ensemble it receives.  A party is scored on
+    its own instrument outcome, so a non-interacting party scores exactly
+    1/2.
     """
-    if readout not in ("instrument", "best_response"):
-        raise DomainError(f"unknown readout {readout!r}")
     ensemble = square_preparations()
     rows = []
     for k, eta in enumerate(cfg.sharpness_profile, start=1):
         radius = float(np.linalg.norm(ensemble.states[0].bloch))
         instruments = axis_instruments(eta, eta)
-        if readout == "instrument":
-            witness = rac_success(
-                ensemble.states, (instruments[0].povm, instruments[1].povm)
-            )
-        else:
-            witness = best_readout_value(ensemble)
+        witness = rac_success(ensemble.states, (instruments[0].povm, instruments[1].povm))
         rows.append(ChainStep(k, float(witness), radius))
         ensemble = average_instrument_channel(ensemble.states, instruments)
     return rows
-
-
-def best_readout_value(ensemble: PreparationEnsemble) -> float:
-    """Best one-step score of a final sharp measurer on an ensemble.
-
-    ``1/2 + sum_z lambda_max(gamma_z) / 8`` with
-    ``gamma_z = sum_x (-1)^{x_z} rho_x``.
-    """
-    total = 0.5
-    for m in difference_vectors(ensemble):
-        gamma = bloch_compose(0.0, 0.5 * m)
-        total += max_eigenpair(gamma, tol=np.inf).value / 8.0
-    return float(total)
 
 
 def double_violation_point() -> tuple[float, WitnessPair]:

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from seqrac import (
     Strategy,
+    VisibilityTriple,
     WitnessPair,
+    apply_visibility,
     boundary_wac,
     canonical_strategy,
     certify_interval,
@@ -17,6 +21,7 @@ from seqrac import (
     selftest_report,
     sharpness_lower,
     sharpness_upper,
+    witness_pair,
 )
 from seqrac.analytics import W_AB_MAX, W_AC_TRIVIAL, round_reported
 from seqrac.errors import DomainError, InfeasiblePair
@@ -96,6 +101,14 @@ class TestCertifyInterval:
     def test_published_example(self):
         interval = certify_interval(WitnessPair(0.7138, 0.7826))
         assert interval.rounded() == (0.6047, 0.8010)
+
+    @settings(max_examples=300, deadline=None)
+    @given(*[st.floats(0.0, 1.0)] * 4)
+    def test_contains_effective_sharpness_of_noisy_canonical(self, eta, v_a, v_b, v_c):
+        # Bob's visibility scales his instrument's sharpness to v_b * eta.
+        noisy = apply_visibility(canonical_strategy(eta), VisibilityTriple(v_a, v_b, v_c))
+        interval = certify_interval(witness_pair(noisy))
+        assert interval.lower - 1e-12 <= v_b * eta <= interval.upper + 1e-12
 
     def test_trivial_pair(self):
         interval = certify_interval(WitnessPair(0.5, 0.5))

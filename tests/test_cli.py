@@ -238,6 +238,25 @@ class TestChecks:
         assert captured.out == ""
         assert "must be positive" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, env_seed",
+        [
+            (["checks", "--samples", "3", "--grid", "2", "--seed", "-1"], None),
+            (["boundary", "--points", "2", "--with-seesaw", "--seed", "-5"], None),
+            (["checks", "--samples", "3", "--grid", "2"], "abc"),
+            (["checks", "--samples", "3", "--grid", "2"], "-3"),
+        ],
+    )
+    def test_bad_seed_maps_to_2(self, capsys, monkeypatch, argv, env_seed):
+        if env_seed is None:
+            monkeypatch.delenv("SEQRAC_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SEQRAC_SEED", env_seed)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed" in captured.err.lower()
+
 
 class TestErrorExitCodes:
     def test_missing_file_maps_to_2(self, capsys, tmp_path):

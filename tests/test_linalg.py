@@ -239,20 +239,18 @@ class TestRotationBridge:
             assert gap <= 1e-12
 
 
-class TestGlobalTolerances:
-    def test_validity_checks_follow_the_global_knob(self):
-        from seqrac.linalg import TOL
+class TestExplicitTolerance:
+    def test_validity_checks_follow_the_tol_argument(self):
+        def povm(d):  # E0 = (I + (1 + d) Z)/2 has eigenvalue -d/2
+            e0 = 0.5 * (ID2 + (1.0 + d) * SIGMA_Z)
+            return e0, ID2 - e0
 
-        slightly_off = 0.5 * (ID2 + 1.0000001 * SIGMA_Z)
-        original = TOL.herm
-        try:
-            TOL.herm = 1e-12
-            with pytest.raises(NotPsd):
-                validate_povm(slightly_off, ID2 - slightly_off)
-            TOL.herm = 1e-3
-            validate_povm(slightly_off, ID2 - slightly_off)
-        finally:
-            TOL.herm = original
+        validate_povm(*povm(1e-9))  # inside the HERM_TOL = 1e-9 default
+        with pytest.raises(NotPsd):
+            validate_povm(*povm(1e-9), tol=1e-12)
+        with pytest.raises(NotPsd):
+            validate_povm(*povm(1e-7))
+        validate_povm(*povm(1e-7), tol=1e-3)
 
 
 class TestQubitState:

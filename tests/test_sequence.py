@@ -89,11 +89,6 @@ class TestSimulateChain:
             )
             radius *= (1 + np.sqrt(1 - eta**2)) / 2
 
-    def test_best_response_readout_ignores_own_sharpness(self):
-        rows = simulate_chain(ChainConfig(2, (0.0, 1.0)), readout="best_response")
-        # a best-response reader extracts the full radius-1 square score
-        assert rows[0].witness == pytest.approx((2 + SQRT2) / 4, abs=1e-12)
-
     def test_rejects_bad_profile(self):
         with pytest.raises(DomainError):
             ChainConfig(2, (1.0,))
