@@ -33,7 +33,10 @@ def round_reported(value: float, digits: int = 4, guard: int = 8) -> float:
     mathematically ...x5 (like 0.71375) rounds up even when the computed
     float sits a hair below it.  The 8-digit guard matches the precision
     of typical inputs (for example a sharpness given as 0.70710678).
+    NaN and infinities raise :class:`DomainError`.
     """
+    if not math.isfinite(value):
+        raise DomainError(f"cannot round {value!r}")
     d = Decimal(repr(float(value)))
     d = d.quantize(Decimal(1).scaleb(-guard), rounding=ROUND_HALF_UP)
     d = d.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_UP)
@@ -132,23 +135,25 @@ def certify_interval(w: WitnessPair, tol: float = FEASIBILITY_TOL) -> SharpnessI
     return SharpnessInterval(lower, max(upper, lower))
 
 
-def _symmetrize(value: float) -> float:
-    """Map a witness to its bit-flip representative in [1/2, 1]."""
-    return max(value, 1.0 - value)
+def _symmetrize(w: WitnessPair) -> tuple[float, float]:
+    """Map both witnesses to their bit-flip representatives in [1/2, 1].
+
+    Raises :class:`DomainError` for NaN and infinities.
+    """
+    if not (math.isfinite(w.w_ab) and math.isfinite(w.w_ac)):
+        raise DomainError(f"witness pair {tuple(w)!r} is not finite")
+    return max(w.w_ab, 1.0 - w.w_ab), max(w.w_ac, 1.0 - w.w_ac)
 
 
 def in_classical_set(w: WitnessPair, tol: float = 1e-12) -> bool:
     """Whether both symmetrized witnesses respect the classical bound 3/4."""
-    return (
-        _symmetrize(w.w_ab) <= CLASSICAL_BOUND + tol
-        and _symmetrize(w.w_ac) <= CLASSICAL_BOUND + tol
-    )
+    a, c = _symmetrize(w)
+    return a <= CLASSICAL_BOUND + tol and c <= CLASSICAL_BOUND + tol
 
 
 def in_quantum_set(w: WitnessPair, tol: float = FEASIBILITY_TOL) -> bool:
     """Whether the symmetrized pair lies under the quantum trade-off curve."""
-    a = _symmetrize(w.w_ab)
-    c = _symmetrize(w.w_ac)
+    a, c = _symmetrize(w)
     if a > W_AB_MAX + tol or c > W_AB_MAX + tol:
         return False
     return c <= boundary_wac(min(a, W_AB_MAX)) + tol

@@ -8,6 +8,7 @@ bits and errors stay at machine precision.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -44,14 +45,25 @@ def as_matrix2(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not all(map(cmath.isfinite, a.ravel().tolist())):
         raise ValueError("matrix has non-finite entries")
     return a
 
 
 def herm_deviation(m: np.ndarray) -> float:
-    """Largest entrywise deviation of ``m`` from its own adjoint."""
-    return float(np.max(np.abs(m - m.conj().T)))
+    """Largest entrywise deviation of a finite 2x2 ``m`` from its own adjoint.
+
+    Computed on the four entries as Python complex numbers, each modulus
+    by libm's ``hypot`` (numpy's vectorised complex ``abs`` may differ in
+    the last bit).
+    """
+    a00, a01, a10, a11 = m.ravel().tolist()
+    return max(
+        abs(a00 - a00.conjugate()),
+        abs(a01 - a10.conjugate()),
+        abs(a10 - a01.conjugate()),
+        abs(a11 - a11.conjugate()),
+    )
 
 
 def require_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
@@ -64,9 +76,10 @@ def require_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
 
 def eigvals_hermitian(h: np.ndarray) -> tuple[float, float]:
     """Eigenvalues (descending) of a Hermitian 2x2 matrix, closed form."""
-    a = h[0, 0].real
-    d = h[1, 1].real
-    half_gap = np.hypot(0.5 * (a - d), abs(h[0, 1]))
+    h00, h01, _, h11 = h.ravel().tolist()
+    a = h00.real
+    d = h11.real
+    half_gap = np.hypot(0.5 * (a - d), abs(h01))
     mid = 0.5 * (a + d)
     return mid + half_gap, mid - half_gap
 
@@ -119,13 +132,15 @@ def matrix_sqrt_psd(m, tol: float = HERM_TOL) -> np.ndarray:
     lo = eigvals_hermitian(h)[1]
     if lo < -tol:
         raise NotPsd(f"negative eigenvalue {lo:.3e}")
-    t = max(h[0, 0].real + h[1, 1].real, 0.0)
-    det = max((h[0, 0].real * h[1, 1].real - abs(h[0, 1]) ** 2), 0.0)
-    root_det = np.sqrt(det)
+    h00, h01, _, h11 = h.ravel().tolist()
+    t = max(h00.real + h11.real, 0.0)
+    # A numpy square: it overflows to inf where a Python float ** 2 raises.
+    det = max(h00.real * h11.real - np.float64(abs(h01)) ** 2, 0.0)
+    root_det = math.sqrt(det)
     denom_sq = t + 2.0 * root_det
     if denom_sq <= 0.0:
         return np.zeros((2, 2), dtype=complex)
-    return (h + root_det * ID2) / np.sqrt(denom_sq)
+    return (h + root_det * ID2) / math.sqrt(denom_sq)
 
 
 def perp_vector(v: np.ndarray) -> np.ndarray:

@@ -618,15 +618,28 @@ def trig_inequality_value(theta: float, phi0: float, phi1: float) -> float:
     return value
 
 
+# Largest per-axis resolution of ``trig_grid_max``: one theta slab holds
+# resolution**2 float64 values, about 100 MB at this size.
+TRIG_GRID_MAX = 3500
+
+
 def trig_grid_max(resolution: int) -> float:
-    """Maximum of the trigonometric bound expression on a full-domain grid."""
-    theta = np.linspace(0.0, np.pi, resolution)[:, None, None]
-    phi0 = np.linspace(0.0, HALF_PI, resolution)[None, :, None]
-    phi1 = np.linspace(0.0, HALF_PI, resolution)[None, None, :]
-    values = np.cos(theta) * (np.cos(phi0) ** 2 - np.cos(phi1) ** 2) + np.sin(
-        theta
-    ) * np.cos(phi0 - phi1)
-    return float(values.max())
+    """Maximum of the trigonometric bound expression on a full-domain grid.
+
+    The ``resolution**3`` grid is scanned one theta slab at a time, so
+    memory grows with ``resolution**2``; ``resolution`` must lie in
+    ``[1, TRIG_GRID_MAX]``.
+    """
+    if not 1 <= resolution <= TRIG_GRID_MAX:
+        raise DomainError(f"grid = {resolution!r} outside [1, {TRIG_GRID_MAX}]")
+    theta = np.linspace(0.0, np.pi, resolution)
+    phi0 = np.linspace(0.0, HALF_PI, resolution)[:, None]
+    phi1 = np.linspace(0.0, HALF_PI, resolution)[None, :]
+    spread = np.cos(phi0) ** 2 - np.cos(phi1) ** 2
+    overlap = np.cos(phi0 - phi1)
+    return float(
+        max((c * spread + s * overlap).max() for c, s in zip(np.cos(theta), np.sin(theta)))
+    )
 
 
 def inequality_report(samples: int, grid: int, seed: int) -> dict:
@@ -641,6 +654,10 @@ def inequality_report(samples: int, grid: int, seed: int) -> dict:
         raise DomainError(f"samples and grid must be positive, got {samples!r} and {grid!r}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed!r}")
+    trig_max = trig_grid_max(grid)
+    if trig_max > 1.0 + 1e-12:
+        raise InequalityViolation(f"trig grid maximum {trig_max!r} exceeds 1")
+
     rng = np.random.default_rng([seed, 11])
     bound_margin = -np.inf
     for _ in range(samples):
@@ -648,10 +665,6 @@ def inequality_report(samples: int, grid: int, seed: int) -> dict:
         a = rng.normal(size=3) * rng.uniform(0.0, 2.0)
         sample = sandwich_eigenvalue_sum_bound(povm, a)
         bound_margin = max(bound_margin, sample.lhs - sample.rhs)
-
-    trig_max = trig_grid_max(grid)
-    if trig_max > 1.0 + 1e-12:
-        raise InequalityViolation(f"trig grid maximum {trig_max!r} exceeds 1")
 
     rng = np.random.default_rng([seed, 13])
     eigen_residual = 0.0

@@ -2,23 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .linalg import (
-    ID2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    BinaryPovm,
-    QubitState,
-    bloch_compose,
-)
+from .linalg import BinaryPovm, QubitState, bloch_compose
 from .scenario import BinaryInstrument, PreparationEnsemble, Strategy
 
 
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+    return v / math.sqrt(v.dot(v))
 
 
 def random_bloch_in_ball(rng: np.random.Generator) -> np.ndarray:
@@ -28,8 +22,9 @@ def random_bloch_in_ball(rng: np.random.Generator) -> np.ndarray:
 def random_su2(rng: np.random.Generator) -> np.ndarray:
     """Haar-random SU(2) element via a uniform quaternion."""
     q = rng.normal(size=4)
-    w, x, y, z = q / np.linalg.norm(q)
-    return w * ID2 - 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
+    w, x, y, z = (q / math.sqrt(q.dot(q))).tolist()
+    # w I - i (x X + y Y + z Z), entry by entry.
+    return np.array([[complex(w, -z), complex(-y, -x)], [complex(y, -x), complex(w, z)]])
 
 
 def random_state(rng: np.random.Generator) -> QubitState:

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import CompletenessViolated, InvalidStrategy
+from .errors import CompletenessViolated, DomainError, InvalidStrategy
 from .linalg import (
     HERM_TOL,
     ID2,
@@ -26,7 +26,6 @@ from .linalg import (
     QubitState,
     as_matrix2,
     bloch_decompose,
-    herm_deviation,
     matrix_sqrt_psd,
     polar_decompose,
     validate_povm,
@@ -125,8 +124,12 @@ class BinaryInstrument:
         return self.kraus[0][0], self.kraus[1][0]
 
     def apply_branch(self, rho: np.ndarray, b: int) -> np.ndarray:
-        """Unnormalized branch output ``sum_j K_bj rho K_bj^dag``."""
-        out = np.zeros((2, 2), dtype=complex)
+        """Unnormalized branch output ``sum_j K_bj rho K_bj^dag``.
+
+        ``rho`` is one 2x2 matrix or a stack of them, shape ``(n, 2, 2)``;
+        each matrix of a stack gets the bits it would get on its own.
+        """
+        out = np.zeros(rho.shape, dtype=complex)
         for k in self.kraus[b]:
             out += k @ rho @ k.conj().T
         return out
@@ -205,18 +208,42 @@ def joint_prob(s: Strategy, x: tuple[int, int], y: int, z: int, b: int, c: int) 
     return _clamp_prob(p, HERM_TOL)
 
 
+def _matrices(states: Iterable[QubitState]) -> np.ndarray:
+    """The four density matrices as one ``(4, 2, 2)`` stack."""
+    return np.array([st.matrix for st in states])
+
+
+def _channel_sum(
+    instruments: tuple[BinaryInstrument, BinaryInstrument], rhos: np.ndarray
+) -> np.ndarray:
+    """``sum_{y,b,j} K rho K^dag`` on a stack, added as ``apply_channel`` adds."""
+    acc = instruments[0].apply_channel(rhos)
+    acc += instruments[1].apply_channel(rhos)
+    return acc
+
+
+def _guess_score(ops: np.ndarray, povms: tuple[BinaryPovm, BinaryPovm]) -> float:
+    """``sum_{x,i} tr(ops_x E_{x_i|i})`` for a ``(4, 2, 2)`` stack ``ops``.
+
+    The eight products come from one stacked matmul; their traces are added
+    as Python floats in the ``x``-major order of a per-matrix loop.
+    """
+    effects = np.array([[povms[i].effects[x[i]] for i in (0, 1)] for x in INPUT_PAIRS])
+    prods = ops[:, None] @ effects
+    total = 0.0
+    # A plain loop, not sum(): Python 3.12+ compensates float sums.
+    for tr in (prods[..., 0, 0].real + prods[..., 1, 1].real).ravel().tolist():
+        total += tr
+    return total
+
+
 def rac_success(states: Iterable[QubitState], povms: tuple[BinaryPovm, BinaryPovm]) -> float:
     """Average success of guessing bit ``x_y`` with measurement ``povms[y]``.
 
     Computes ``(1/8) sum_{x,y} tr(rho_x M_{x_y | y})`` for the four-state
     ensemble; this is the generic one-step random-access score.
     """
-    total = 0.0
-    for x, st in zip(INPUT_PAIRS, states):
-        for y in (0, 1):
-            effect = povms[y].effects[x[y]]
-            total += float(np.trace(st.matrix @ effect).real)
-    return total / 8.0
+    return _guess_score(_matrices(states), povms) / 8.0
 
 
 def witness_ab(s: Strategy) -> float:
@@ -229,14 +256,12 @@ def average_instrument_channel(
     states: Iterable[QubitState], instruments: tuple[BinaryInstrument, BinaryInstrument]
 ) -> PreparationEnsemble:
     """Apply ``rho -> (1/2) sum_{y,b} K_{b|y} rho K_{b|y}^dag`` to each state."""
-    out = []
-    for st in states:
-        acc = instruments[0].apply_channel(st.matrix)
-        acc += instruments[1].apply_channel(st.matrix)
-        acc *= 0.5
-        acc = 0.5 * (acc + acc.conj().T)
-        out.append(QubitState(acc, 2.0 * bloch_decompose(acc)[1]))
-    return PreparationEnsemble(tuple(out))
+    acc = _channel_sum(instruments, _matrices(states))
+    acc *= 0.5
+    acc = 0.5 * (acc + acc.conj().transpose(0, 2, 1))
+    return PreparationEnsemble(
+        tuple(QubitState(m, 2.0 * bloch_decompose(m)[1]) for m in acc)
+    )
 
 
 def effective_ensemble(s: Strategy) -> PreparationEnsemble:
@@ -246,14 +271,8 @@ def effective_ensemble(s: Strategy) -> PreparationEnsemble:
 
 def witness_ac(s: Strategy) -> float:
     """Alice-Charlie witness ``(1/16) sum_{x,y,b,z} tr(K rho K^dag C_{x_z|z})``."""
-    total = 0.0
-    for x, st in zip(INPUT_PAIRS, s.preparations.states):
-        acc = s.instruments[0].apply_channel(st.matrix)
-        acc += s.instruments[1].apply_channel(st.matrix)
-        for z in (0, 1):
-            effect = s.measurements[z].effects[x[z]]
-            total += float(np.trace(acc @ effect).real)
-    return _clamp_prob(total / 16.0, HERM_TOL)
+    acc = _channel_sum(s.instruments, _matrices(s.preparations.states))
+    return _clamp_prob(_guess_score(acc, s.measurements) / 16.0, HERM_TOL)
 
 
 def witness_pair(s: Strategy) -> WitnessPair:
@@ -262,9 +281,13 @@ def witness_pair(s: Strategy) -> WitnessPair:
 
 def conjugate_strategy(s: Strategy, u) -> Strategy:
     """Conjugate every state, Kraus operator and effect by one unitary."""
-    v = as_matrix2(u)
-    if herm_deviation(v @ v.conj().T - ID2) > 1e-9:
-        raise ValueError("conjugation matrix is not unitary")
+    try:
+        v = as_matrix2(u)
+    except ValueError as exc:
+        raise DomainError(f"conjugation matrix: {exc}") from exc
+    dev = float(np.max(np.abs(v @ v.conj().T - ID2)))
+    if not dev <= 1e-9:
+        raise DomainError(f"conjugation matrix is not unitary (|V V^dag - I| = {dev:.3e})")
     vh = v.conj().T
 
     def sandwich(m: np.ndarray) -> np.ndarray:

@@ -150,6 +150,26 @@ class TestSetMembership:
         assert in_classical_set(WitnessPair(0.25, 0.3))
         assert in_quantum_set(WitnessPair(1 - equal_witness_point(), 0.5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        for pair in (WitnessPair(bad, 0.7), WitnessPair(0.7, bad)):
+            with pytest.raises(DomainError):
+                in_classical_set(pair)
+            with pytest.raises(DomainError):
+                in_quantum_set(pair)
+
+
+class TestRoundReported:
+    def test_half_up_with_guard(self):
+        assert round_reported(0.71375) == 0.7138
+        assert round_reported(0.713749999999) == 0.7138
+        assert round_reported(0.71374) == 0.7137
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            round_reported(bad)
+
 
 class TestSelfTest:
     def test_canonical_passes(self):

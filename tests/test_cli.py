@@ -238,6 +238,12 @@ class TestChecks:
         assert captured.out == ""
         assert "must be positive" in captured.err
 
+    def test_grid_above_maximum_maps_to_2(self, capsys):
+        assert main(["checks", "--samples", "1", "--grid", "2000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid = 2000000" in captured.err
+
     @pytest.mark.parametrize(
         "argv, env_seed",
         [

@@ -29,6 +29,7 @@ from seqrac.analytics import W_AB_MAX
 from seqrac.errors import DomainError
 from seqrac.linalg import bloch_compose, matrix_sqrt_psd, max_eigenpair, maximally_mixed
 from seqrac.optimizer import (
+    TRIG_GRID_MAX,
     _classical_hits,
     _fixed_charlie_value,
     _integer_hull,
@@ -328,6 +329,21 @@ class TestTrigInequality:
 
     def test_grid_maximum(self):
         assert trig_grid_max(100) <= 1.0 + 1e-12
+
+    def test_slab_maximum_equals_dense_grid(self):
+        for resolution in range(1, 81):
+            theta = np.linspace(0.0, np.pi, resolution)[:, None, None]
+            phi0 = np.linspace(0.0, HALF_PI, resolution)[None, :, None]
+            phi1 = np.linspace(0.0, HALF_PI, resolution)[None, None, :]
+            dense = np.cos(theta) * (np.cos(phi0) ** 2 - np.cos(phi1) ** 2) + np.sin(
+                theta
+            ) * np.cos(phi0 - phi1)
+            assert trig_grid_max(resolution) == float(dense.max())
+
+    @pytest.mark.parametrize("resolution", [0, -2, TRIG_GRID_MAX + 1, 2_000_000])
+    def test_grid_size_outside_domain_rejected(self, resolution):
+        with pytest.raises(DomainError):
+            trig_grid_max(resolution)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):

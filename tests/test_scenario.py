@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqrac import (
     Strategy,
@@ -17,9 +19,10 @@ from seqrac import (
     witness_ac,
     witness_pair,
 )
+from seqrac.errors import DomainError
 from seqrac.linalg import maximally_mixed
 from seqrac.sampling import random_strategy, random_su2
-from seqrac.scenario import INPUT_PAIRS, PreparationEnsemble
+from seqrac.scenario import INPUT_PAIRS, PreparationEnsemble, difference_vectors
 
 SQRT2 = np.sqrt(2.0)
 
@@ -165,6 +168,62 @@ class TestFrameInvariance:
             after = witness_pair(rotated)
             assert after.w_ab == pytest.approx(before.w_ab, abs=1e-12)
             assert after.w_ac == pytest.approx(before.w_ac, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            [[1.0, 1.0], [0.0, 1.0]],
+            2.0 * np.eye(2),
+            np.eye(2) + 1e-8,
+            [[np.nan, 0.0], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, np.inf]],
+            np.eye(3),
+        ],
+    )
+    def test_rejects_non_unitary_and_non_finite(self, canonical_sharp, u):
+        with pytest.raises(DomainError):
+            conjugate_strategy(canonical_sharp, u)
+
+
+def _drawn_strategy(seed: int, luders: bool) -> Strategy:
+    return random_strategy(np.random.default_rng(seed), luders)
+
+
+SEEDS = st.integers(0, 2**63 - 1)
+
+
+class TestWitnessProperties:
+    """Independent formulations of the witnesses agree on random strategies."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(SEEDS, st.booleans())
+    def test_equal_the_summed_distribution(self, seed, luders):
+        s = _drawn_strategy(seed, luders)
+        w_ab = w_ac = 0.0
+        for x, y, z, b, c in itertools.product(INPUT_PAIRS, *[(0, 1)] * 4):
+            p = joint_prob(s, x, y, z, b, c)
+            w_ab += p if b == x[y] else 0.0
+            w_ac += p if c == x[z] else 0.0
+        pair = witness_pair(s)
+        assert abs(pair.w_ab - w_ab / 16.0) <= 1e-12
+        assert abs(pair.w_ac - w_ac / 16.0) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(SEEDS, st.booleans())
+    def test_first_witness_equals_bloch_form(self, seed, luders):
+        s = _drawn_strategy(seed, luders)
+        m = difference_vectors(s.preparations)
+        overlap = sum(float(np.dot(i.povm.cvec, m_y)) for i, m_y in zip(s.instruments, m))
+        assert abs(witness_ab(s) - (0.5 + overlap / 16.0)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(SEEDS, st.booleans(), SEEDS)
+    def test_invariant_under_haar_conjugation(self, seed, luders, frame_seed):
+        s = _drawn_strategy(seed, luders)
+        rotated = conjugate_strategy(s, random_su2(np.random.default_rng(frame_seed)))
+        before, after = witness_pair(s), witness_pair(rotated)
+        assert abs(after.w_ab - before.w_ab) <= 1e-12
+        assert abs(after.w_ac - before.w_ac) <= 1e-12
 
 
 class TestDataProcessing:
