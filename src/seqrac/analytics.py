@@ -191,17 +191,6 @@ class SelfTestReport:
             *self.charlie_alignment_defects,
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "purity_defects": list(self.purity_defects),
-            "antipodality_defects": list(self.antipodality_defects),
-            "square_angle_defect": self.square_angle_defect,
-            "bob_offsets": list(self.bob_offsets),
-            "bob_sharpness_defect": self.bob_sharpness_defect,
-            "unitary_spread": self.unitary_spread,
-            "charlie_alignment_defects": list(self.charlie_alignment_defects),
-        }
-
 
 def _orthonormal_frame(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     """Rotation sending ``a0 -> x`` and (Gram-Schmidt of) ``a1 -> z``."""

@@ -41,12 +41,15 @@ class EigenPair(NamedTuple):
 
 
 def as_matrix2(m) -> np.ndarray:
-    """Coerce input to a finite complex 2x2 array."""
-    a = np.asarray(m, dtype=complex)
+    """Coerce input to a finite complex 2x2 array; :class:`DomainError` otherwise."""
+    try:
+        a = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"expected a 2x2 matrix: {exc}") from None
     if a.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
+        raise DomainError(f"expected a 2x2 matrix, got shape {a.shape}")
     if not all(map(cmath.isfinite, a.ravel().tolist())):
-        raise ValueError("matrix has non-finite entries")
+        raise DomainError("matrix has non-finite entries")
     return a
 
 
@@ -197,7 +200,7 @@ def bloch_compose(c0: float, c: np.ndarray) -> np.ndarray:
 
 def bloch_from_matrix(rho: np.ndarray) -> np.ndarray:
     """Bloch vector of a density matrix ``rho = (I + n . sigma)/2``."""
-    _, c = bloch_decompose(rho)
+    _, c = bloch_decompose(as_matrix2(rho))
     return 2.0 * c
 
 
@@ -299,7 +302,10 @@ def validate_povm(e0, e1, tol: float = HERM_TOL) -> BinaryPovm:
 def projective_povm(axis) -> BinaryPovm:
     """Sharp measurement along a unit Bloch axis."""
     a = np.asarray(axis, dtype=float)
-    return BinaryPovm.from_observable(0.0, a / np.linalg.norm(a))
+    norm = np.linalg.norm(a)
+    if not 0.0 < norm < math.inf:
+        raise DomainError(f"measurement axis {a!r} is zero or not finite")
+    return BinaryPovm.from_observable(0.0, a / norm)
 
 
 def rotation_from_unitary(u: np.ndarray) -> np.ndarray:

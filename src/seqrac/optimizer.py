@@ -180,13 +180,12 @@ def solve_reduced_phi0(alpha: float, theta: float, phi1: float) -> float | None:
 
 
 def _grid_argmax(alpha: float, resolution: int) -> tuple[float, float, float]:
-    axis = np.linspace(0.0, HALF_PI, resolution)
-    tt, pp = np.meshgrid(axis, axis, indexing="ij")
-    # Unit Charlie overlaps turn the fixed-measurement value into the
-    # boundary objective.
-    obj = _fixed_charlie_values(alpha, tt, pp, 1.0, 1.0)
+    xs, cos_half, sin_half, cos_x, sin_x = _axis_table(resolution)
+    # Theta runs down the rows, phi1 along the columns.  Unit Charlie
+    # overlaps turn the fixed-measurement value into the boundary objective.
+    obj = _fixed_charlie_values(alpha, cos_half[:, None], sin_half[:, None], cos_x, sin_x, 1.0, 1.0)
     i, j = np.unravel_index(int(np.argmax(obj)), obj.shape)
-    return float(obj[i, j]), float(tt[i, j]), float(pp[i, j])
+    return float(obj[i, j]), float(xs[i]), float(xs[j])
 
 
 def _coordinate_refine(
@@ -280,25 +279,29 @@ def _fixed_charlie_value(
     return value, phi0
 
 
-def _fixed_charlie_values(alpha: float, theta, phi1, q0: float, q1: float) -> np.ndarray:
-    """Vectorised :func:`_fixed_charlie_value`; ``-inf`` where infeasible."""
-    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    required, feasible = _invert_constraint(alpha, c, s, np.cos(phi1))
+def _fixed_charlie_values(alpha: float, c, s, cos_phi1, sin_phi1, q0: float, q1: float) -> np.ndarray:
+    """Vectorised :func:`_fixed_charlie_value` on ``c, s = cos(theta/2), sin(theta/2)``
+    and ``cos(phi1)``, ``sin(phi1)``, which broadcast; ``-inf`` where infeasible."""
+    required, feasible = _invert_constraint(alpha, c, s, cos_phi1)
     cos_phi0 = np.clip(required, 0.0, 1.0)
     # Keep sqrt(1 - r^2): sin(arccos r) here changes a row of the boundary CSV.
     sin_phi0 = np.sqrt(1.0 - cos_phi0**2)
     values = 0.5 + (
-        2.0 * c * (1.0 + np.sin(phi1)) * q0 + 2.0 * s * (1.0 + sin_phi0) * q1
+        2.0 * c * (1.0 + sin_phi1) * q0 + 2.0 * s * (1.0 + sin_phi0) * q1
     ) / 16.0
     return np.where(feasible, values, -np.inf)
 
 
 @functools.lru_cache(maxsize=4)
-def _scan_axis(resolution: int) -> np.ndarray:
-    """The read-only ``linspace(0, pi/2, resolution)`` scan grid."""
+def _axis_table(resolution: int) -> tuple[np.ndarray, ...]:
+    """Read-only ``xs = linspace(0, pi/2, resolution)``, ``cos(xs/2)``,
+    ``sin(xs/2)``, ``cos(xs)`` and ``sin(xs)``: the trigonometry of every scan."""
     xs = np.linspace(0.0, HALF_PI, resolution)
-    xs.flags.writeable = False
-    return xs
+    half = 0.5 * xs
+    table = (xs, np.cos(half), np.sin(half), np.cos(xs), np.sin(xs))
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def minimize_scalar(func, lo: float, hi: float, xatol: float) -> tuple[float, float]:
@@ -392,10 +395,12 @@ def _scan_coordinate(
     dense feasibility-aware scan picks the basin and a bounded search
     polishes inside the bracketing cells.
     """
-    xs = _scan_axis(resolution)
-    th = xs if coord == 0 else theta
-    p1 = phi1 if coord == 0 else xs
-    values = _fixed_charlie_values(alpha, th, p1, q0, q1)
+    xs, cos_half, sin_half, cos_x, sin_x = _axis_table(resolution)
+    if coord == 0:
+        values = _fixed_charlie_values(alpha, cos_half, sin_half, np.cos(phi1), np.sin(phi1), q0, q1)
+    else:
+        half = 0.5 * theta
+        values = _fixed_charlie_values(alpha, np.cos(half), np.sin(half), cos_x, sin_x, q0, q1)
     i = int(np.argmax(values))
     here = _fixed_charlie_value(alpha, theta, phi1, q0, q1)[0]
     if not np.isfinite(values[i]):
@@ -416,6 +421,28 @@ def _scan_coordinate(
     return (theta if coord == 0 else phi1), here
 
 
+def _seesaw_round(
+    alpha: float, theta: float, phi1: float, charlie: tuple[BinaryPovm, BinaryPovm]
+) -> tuple[ReducedParameters, float, tuple[BinaryPovm, BinaryPovm], float]:
+    """One see-saw round: refine ``(theta, phi1)`` against Charlie's
+    measurements, then best-respond.  Returns the refined parameters, the
+    witness before and after the best response, and the new measurements."""
+    q0 = float(charlie[0].cvec[0])
+    q1 = float(charlie[1].cvec[2])
+    for _ in range(REFINEMENT_ITERATIONS):
+        here = _fixed_charlie_value(alpha, theta, phi1, q0, q1)[0]
+        theta, _ = _scan_coordinate(alpha, theta, phi1, q0, q1, coord=0)
+        phi1, moved_v = _scan_coordinate(alpha, theta, phi1, q0, q1, coord=1)
+        if moved_v <= here + 1e-15:
+            break
+
+    before, phi0 = _fixed_charlie_value(alpha, theta, phi1, q0, q1)
+    params = ReducedParameters(theta, phi0, phi1)
+    partial = strategy_from_reduced(params, charlie)
+    charlie, after = charlie_best_response(partial.preparations, partial.instruments)
+    return params, before, charlie, after
+
+
 def _seesaw_reduced_run(
     alpha: float,
     cfg: OptimizerConfig,
@@ -423,23 +450,18 @@ def _seesaw_reduced_run(
     phi1: float,
     charlie: tuple[BinaryPovm, BinaryPovm],
     run: SeesawRun,
+    rounds: dict,
 ) -> tuple[float, ReducedParameters, tuple[BinaryPovm, BinaryPovm]]:
+    """Run rounds to convergence.  Charlie enters a round only through
+    ``q0 = cvec[0]`` and ``q1 = cvec[2]``, so ``rounds`` replays a round
+    already run from the same start, keyed by the exact bits of its floats."""
     value = -np.inf
     for _ in range(200):
-        q0 = float(charlie[0].cvec[0])
-        q1 = float(charlie[1].cvec[2])
-
-        for _ in range(REFINEMENT_ITERATIONS):
-            here = _fixed_charlie_value(alpha, theta, phi1, q0, q1)[0]
-            theta, _ = _scan_coordinate(alpha, theta, phi1, q0, q1, coord=0)
-            phi1, moved_v = _scan_coordinate(alpha, theta, phi1, q0, q1, coord=1)
-            if moved_v <= here + 1e-15:
-                break
-
-        before, phi0 = _fixed_charlie_value(alpha, theta, phi1, q0, q1)
-        params = ReducedParameters(theta, phi0, phi1)
-        partial = strategy_from_reduced(params, charlie)
-        charlie, after = charlie_best_response(partial.preparations, partial.instruments)
+        key = tuple(map(float.hex, (theta, phi1, charlie[0].cvec[0], charlie[1].cvec[2])))
+        if key not in rounds:
+            rounds[key] = _seesaw_round(alpha, theta, phi1, charlie)
+        params, before, charlie, after = rounds[key]
+        theta, phi1 = params.theta, params.phi1
         run.charlie_steps.append((before, after))
         if after - value < cfg.convergence_epsilon:
             value = after
@@ -472,6 +494,7 @@ def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
     alpha = witness_level("alpha", alpha, tol=1e-12)
     _, grid_theta, grid_phi1 = _grid_argmax(alpha, 64)
     runs: list[SeesawRun] = []
+    rounds: dict = {}  # lives for this call only; see _seesaw_reduced_run
     best = None
     for restart in range(cfg.seesaw_restarts):
         rng = np.random.default_rng([cfg.rng_seed, restart])
@@ -488,7 +511,7 @@ def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
                 start = (grid_theta, grid_phi1)
         run = SeesawRun()
         value, params, charlie = _seesaw_reduced_run(
-            alpha, cfg, start[0], start[1], charlie, run
+            alpha, cfg, start[0], start[1], charlie, run, rounds
         )
         runs.append(run)
         if best is None or value > best[0]:
@@ -703,6 +726,8 @@ def sandwich_eigenvalue_closed_form(povm: BinaryPovm, direction, outcome: int) -
     """
     a = np.asarray(direction, dtype=float)
     norm = float(np.linalg.norm(a))
+    if a.shape != (3,) or not math.isfinite(norm):
+        raise DomainError(f"direction must be a finite 3-vector, got {direction!r}")
     if norm == 0.0:
         return 0.0
     sign = -1.0 if outcome else 1.0

@@ -283,7 +283,7 @@ def conjugate_strategy(s: Strategy, u) -> Strategy:
     """Conjugate every state, Kraus operator and effect by one unitary."""
     try:
         v = as_matrix2(u)
-    except ValueError as exc:
+    except DomainError as exc:
         raise DomainError(f"conjugation matrix: {exc}") from exc
     dev = float(np.max(np.abs(v @ v.conj().T - ID2)))
     if not dev <= 1e-9:

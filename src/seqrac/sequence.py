@@ -9,6 +9,7 @@ party ``k`` scores ``(1 + sqrt(2)/2^k) / 2``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,6 +52,10 @@ class ChainStep(NamedTuple):
 
 def party_witness_closed_form(k: int) -> float:
     """Witness of the k-th sharp party, ``(1 + sqrt(2)/2^k) / 2``."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise DomainError(f"party index must be an integer, got {k!r}") from None
     if k < 1:
         raise DomainError(f"party index must be >= 1, got {k!r}")
     # 2.0**-k underflows to 0 for huge k, where 2.0**k would overflow.

@@ -1,5 +1,7 @@
 """Closed-form 2x2 kernels against independent numpy.linalg oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from seqrac.errors import (
     DomainError,
     NotHermitian,
     NotPsd,
+    SeqracError,
 )
 from seqrac.linalg import (
     ID2,
@@ -22,6 +25,7 @@ from seqrac.linalg import (
     matrix_sqrt_psd,
     max_eigenpair,
     polar_decompose,
+    projective_povm,
     rotation_from_unitary,
     state_from_bloch,
     unitary_from_rotation,
@@ -30,6 +34,12 @@ from seqrac.linalg import (
 from seqrac.sampling import random_su2
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+NON_FINITE = (
+    np.full((2, 2), np.nan),
+    [[1.0, np.nan], [np.nan, 0.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [complex(0.0, -np.inf), 1.0]],
+)
 
 
 def random_hermitian(rng):
@@ -60,6 +70,11 @@ class TestStateFromBloch:
             n *= rng.uniform() / np.linalg.norm(n)
             st = state_from_bloch(n)
             np.testing.assert_allclose(bloch_from_matrix(st.matrix), n, atol=1e-12)
+
+    def test_bloch_from_matrix_rejects_non_finite(self):
+        for bad in NON_FINITE:
+            with pytest.raises(DomainError):
+                bloch_from_matrix(np.asarray(bad, dtype=complex))
 
     def test_valid_state_spectrum(self, rng):
         for _ in range(1000):
@@ -101,6 +116,12 @@ class TestMaxEigenpair:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             max_eigenpair(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_non_finite_and_non_matrix(self):
+        for bad in (*NON_FINITE, np.eye(3), [[1.0, 0.0], [0.0]], "ab"):
+            with pytest.raises(DomainError):
+                max_eigenpair(bad)
+        assert issubclass(DomainError, SeqracError)
 
     def test_degenerate_tie_break(self):
         pair = max_eigenpair(np.zeros((2, 2)))
@@ -166,6 +187,11 @@ class TestPolarDecompose:
             assert np.max(np.abs(k - u @ p)) <= 1e-10
             np.testing.assert_allclose(u.conj().T @ u, ID2, atol=1e-10)
 
+    def test_rejects_non_finite(self):
+        for bad in (*NON_FINITE, np.eye(3)):
+            with pytest.raises(DomainError):
+                polar_decompose(bad)
+
     def test_rank_one_shift_operator(self):
         # |0><1| is rank-deficient with a nontrivial unitary part
         k = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -200,6 +226,13 @@ class TestValidatePovm:
                          (np.inf, [0.0, 0.0, 0.5]), (0.0, [0.0, -np.inf, 0.0])):
             with pytest.raises(DomainError):
                 BinaryPovm.from_observable(c0, cvec)
+
+    def test_projective_rejects_axis_without_direction(self):
+        for axis in ([0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError):
+                    projective_povm(axis)
 
     def test_rejects_non_hermitian(self):
         skew = np.array([[0.5, 0.3], [0.1, 0.5]])

@@ -27,11 +27,21 @@ from seqrac import (
 )
 from seqrac.analytics import W_AB_MAX
 from seqrac.errors import DomainError
-from seqrac.linalg import bloch_compose, matrix_sqrt_psd, max_eigenpair, maximally_mixed
+from seqrac.linalg import (
+    bloch_compose,
+    matrix_sqrt_psd,
+    max_eigenpair,
+    maximally_mixed,
+    projective_povm,
+)
+from seqrac import optimizer
 from seqrac.optimizer import (
     TRIG_GRID_MAX,
+    _axis_table,
     _classical_hits,
     _fixed_charlie_value,
+    _fixed_charlie_values,
+    _grid_argmax,
     _integer_hull,
     minimize_scalar,
     solve_reduced_phi0,
@@ -39,7 +49,12 @@ from seqrac.optimizer import (
 )
 from seqrac.sampling import random_povm, random_strategy, random_unit_vector
 from seqrac.scenario import PreparationEnsemble, WitnessPair
-from seqrac.strategies import enumerate_classical_strategies, witness_pair_classical
+from seqrac.strategies import (
+    X_AXIS,
+    Z_AXIS,
+    enumerate_classical_strategies,
+    witness_pair_classical,
+)
 
 SQRT2 = np.sqrt(2.0)
 HALF_PI = np.pi / 2
@@ -207,6 +222,145 @@ class TestTraceBoundary:
         for alpha in (0.4, 0.9, np.nan, np.inf, -np.inf):
             with pytest.raises(DomainError):
                 trace_boundary([alpha])
+
+
+def _meshgrid_charlie_values(alpha, theta, phi1, q0, q1):
+    """The vectorised fixed-measurement value as written before the axis
+    table: every cosine and sine taken on the full argument arrays."""
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    required = (8.0 * alpha - 4.0 - 2.0 * s * np.cos(phi1)) / (2.0 * c)
+    feasible = (required >= -1e-9) & (required <= 1.0 + 1e-9)
+    sin_phi0 = np.sqrt(1.0 - np.clip(required, 0.0, 1.0) ** 2)
+    values = 0.5 + (
+        2.0 * c * (1.0 + np.sin(phi1)) * q0 + 2.0 * s * (1.0 + sin_phi0) * q1
+    ) / 16.0
+    return np.where(feasible, values, -np.inf)
+
+
+def _meshgrid_argmax(alpha, resolution):
+    axis = np.linspace(0.0, HALF_PI, resolution)
+    tt, pp = np.meshgrid(axis, axis, indexing="ij")
+    obj = _meshgrid_charlie_values(alpha, tt, pp, 1.0, 1.0)
+    i, j = np.unravel_index(int(np.argmax(obj)), obj.shape)
+    return float(obj[i, j]), float(tt[i, j]), float(pp[i, j])
+
+
+class TestAxisTable:
+    """The hoisted axis trigonometry against the per-call formulation, by ``==``."""
+
+    LEVELS = np.linspace(0.5, W_AB_MAX, 10)
+
+    @pytest.mark.parametrize("resolution", [1, 2, 64, 512])
+    def test_grid_argmax_matches_meshgrid(self, resolution):
+        for alpha in self.LEVELS:
+            assert _grid_argmax(float(alpha), resolution) == _meshgrid_argmax(float(alpha), resolution)
+
+    @pytest.mark.parametrize("resolution", [513, 1025])
+    def test_scan_rows_match_per_call_trigonometry(self, resolution, rng):
+        xs, cos_half, sin_half, cos_x, sin_x = _axis_table(resolution)
+        for _ in range(200):
+            alpha = float(rng.uniform(0.5, W_AB_MAX))
+            theta, phi1 = (float(v) for v in rng.uniform(0.0, HALF_PI, 2))
+            q0, q1 = (float(q) for q in rng.uniform(-1.0, 1.0, 2))
+            half = 0.5 * theta
+            rows = (
+                (_fixed_charlie_values(alpha, cos_half, sin_half, np.cos(phi1), np.sin(phi1), q0, q1),
+                 _meshgrid_charlie_values(alpha, xs, phi1, q0, q1)),
+                (_fixed_charlie_values(alpha, np.cos(half), np.sin(half), cos_x, sin_x, q0, q1),
+                 _meshgrid_charlie_values(alpha, theta, xs, q0, q1)),
+            )
+            for new, old in rows:
+                assert new.tobytes() == old.tobytes()
+
+    def test_arrays_are_read_only(self):
+        table = _axis_table(513)
+        assert table[0].tobytes() == np.linspace(0.0, HALF_PI, 513).tobytes()
+        for a in table:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+
+def _memo_free_seesaw(alpha, cfg):
+    """``seesaw`` with every round run in full, as before the round memo."""
+    _, grid_theta, grid_phi1 = _grid_argmax(alpha, 64)
+    runs, best = [], None
+    for restart in range(cfg.seesaw_restarts):
+        rng = np.random.default_rng([cfg.rng_seed, restart])
+        if restart == 0:
+            theta, phi1 = grid_theta, grid_phi1
+            charlie = (projective_povm(X_AXIS), projective_povm(Z_AXIS))
+        else:
+            start = optimizer._random_feasible_start(alpha, rng)
+            charlie = (
+                projective_povm(random_unit_vector(rng)),
+                projective_povm(random_unit_vector(rng)),
+            )
+            theta, phi1 = start if start is not None else (grid_theta, grid_phi1)
+        steps, value = [], -np.inf
+        for _ in range(200):
+            q0 = float(charlie[0].cvec[0])
+            q1 = float(charlie[1].cvec[2])
+            for _ in range(optimizer.REFINEMENT_ITERATIONS):
+                here = _fixed_charlie_value(alpha, theta, phi1, q0, q1)[0]
+                theta, _ = optimizer._scan_coordinate(alpha, theta, phi1, q0, q1, coord=0)
+                phi1, moved_v = optimizer._scan_coordinate(alpha, theta, phi1, q0, q1, coord=1)
+                if moved_v <= here + 1e-15:
+                    break
+            before, phi0 = _fixed_charlie_value(alpha, theta, phi1, q0, q1)
+            params = ReducedParameters(theta, phi0, phi1)
+            partial = strategy_from_reduced(params, charlie)
+            charlie, after = charlie_best_response(partial.preparations, partial.instruments)
+            steps.append((before, after))
+            converged = after - value < cfg.convergence_epsilon
+            value = after
+            if converged:
+                break
+        runs.append((steps, value))
+        if best is None or value > best[0]:
+            best = (value, params, charlie)
+    strategy = strategy_from_reduced(best[1], best[2])
+    return runs, best[1], witness_pair(strategy)
+
+
+def _hex(*values):
+    return [float(v).hex() for v in values]
+
+
+class TestSeesawRoundMemo:
+    """Replaying repeated rounds within a call changes no bit of the result."""
+
+    DRAWS = [
+        (float(a), int(s))
+        for a, s in zip(
+            np.random.default_rng(61).uniform(0.5, W_AB_MAX, 8),
+            np.random.default_rng(62).integers(0, 2**32, 8),
+        )
+    ]
+
+    @pytest.mark.parametrize("alpha, rng_seed", DRAWS)
+    def test_matches_memo_free_loop(self, alpha, rng_seed, monkeypatch):
+        cfg = OptimizerConfig(rng_seed=rng_seed)
+        runs, params, pair = _memo_free_seesaw(alpha, cfg)
+        rounds_run = []
+        full_round = optimizer._seesaw_round
+
+        def counted(*args):
+            rounds_run.append(args)
+            return full_round(*args)
+
+        monkeypatch.setattr(optimizer, "_seesaw_round", counted)
+        result = seesaw(alpha, cfg)
+        assert [[_hex(*step) for step in run.charlie_steps] for run in result.runs] == [
+            [_hex(*step) for step in steps] for steps, _ in runs
+        ]
+        assert [_hex(run.final_wac) for run in result.runs] == [_hex(v) for _, v in runs]
+        assert _hex(result.params.theta, result.params.phi0, result.params.phi1) == _hex(
+            params.theta, params.phi0, params.phi1
+        )
+        assert _hex(*result.pair) == _hex(*pair)
+        # Restarts share rounds, so fewer rounds run than steps are recorded.
+        assert len(rounds_run) < sum(len(steps) for steps, _ in runs)
 
 
 class TestSeesaw:
@@ -379,6 +533,12 @@ class TestClosedFormEigenvalue:
             cos_beta = float(np.dot(povm.cvec, direction)) / max(povm.sharpness, 1e-300)
             expected = np.sqrt(1 - povm.sharpness**2 * (1 - cos_beta**2))
             assert total == pytest.approx(expected, abs=1e-12)
+
+    def test_rejects_non_finite_direction(self):
+        povm = projective_povm([0.0, 0.0, 1.0])
+        for direction in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [1.0, 0.0]):
+            with pytest.raises(DomainError):
+                sandwich_eigenvalue_closed_form(povm, direction, 0)
 
     def test_general_offset_matches_eigensolve(self, rng):
         for _ in range(500):

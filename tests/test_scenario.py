@@ -178,10 +178,11 @@ class TestFrameInvariance:
             [[np.nan, 0.0], [0.0, 1.0]],
             [[1.0, 0.0], [0.0, np.inf]],
             np.eye(3),
+            [[1.0, 0.0], [0.0]],
         ],
     )
     def test_rejects_non_unitary_and_non_finite(self, canonical_sharp, u):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^conjugation matrix"):
             conjugate_strategy(canonical_sharp, u)
 
 

@@ -28,8 +28,10 @@ class TestClosedForm:
         assert party_witness_closed_form(60) == pytest.approx(0.5, abs=1e-15)
 
     def test_rejects_bad_index(self):
-        with pytest.raises(DomainError):
-            party_witness_closed_form(0)
+        for k in (0, -3, np.nan, np.inf, 2.5, 2.0, "3"):
+            with pytest.raises(DomainError):
+                party_witness_closed_form(k)
+        assert party_witness_closed_form(np.int64(2)) == party_witness_closed_form(2)
 
 
 class TestSimulateChain:
