@@ -45,8 +45,8 @@ class InequalityViolation(SeqracError):
     """A sampled operator inequality was violated beyond tolerance."""
 
 
-class DocumentError(SeqracError):
-    """A strategy document is structurally malformed.
+class _DocumentPathError(SeqracError):
+    """An error located in a strategy document.
 
     ``path`` locates the offending entry, e.g. ``"instruments[0].kraus[1]"``.
     """
@@ -56,9 +56,9 @@ class DocumentError(SeqracError):
         super().__init__(f"{path}: {message}")
 
 
-class DocumentInvariantError(SeqracError):
-    """A well-formed strategy document describes an invalid component."""
+class DocumentError(_DocumentPathError):
+    """A strategy document is structurally malformed."""
 
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
+
+class DocumentInvariantError(_DocumentPathError):
+    """A well-formed strategy document describes an invalid component."""

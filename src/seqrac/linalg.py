@@ -230,11 +230,20 @@ class QubitState:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
+def _vector3(v, what: str) -> np.ndarray:
+    """``v`` as a float array of shape ``(3,)``; :class:`DomainError` otherwise."""
+    try:
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} is not numeric: {exc}") from None
+    if a.shape != (3,):
+        raise DomainError(f"{what} must have 3 components, got shape {a.shape}")
+    return a
+
+
 def state_from_bloch(n, tol: float = HERM_TOL) -> QubitState:
     """Qubit state ``(I + n . sigma)/2`` from a Bloch vector in the unit ball."""
-    vec = np.asarray(n, dtype=float)
-    if vec.shape != (3,):
-        raise ValueError(f"Bloch vector must have 3 components, got {vec.shape}")
+    vec = _vector3(n, "Bloch vector")
     norm = float(np.linalg.norm(vec))
     if not math.isfinite(norm):
         raise DomainError(f"Bloch vector {vec!r} is not finite")
@@ -272,7 +281,7 @@ class BinaryPovm:
     @classmethod
     def from_observable(cls, c0: float, cvec, tol: float = HERM_TOL) -> "BinaryPovm":
         """Build ``E_b = ((1 + (-1)^b c0) I + (-1)^b cvec . sigma)/2``."""
-        c = np.asarray(cvec, dtype=float)
+        c = _vector3(cvec, "observable vector")
         norm = float(np.linalg.norm(c))
         if not math.isfinite(c0 + norm):
             raise DomainError(f"offset {c0!r} or observable vector {c!r} is not finite")
@@ -301,7 +310,7 @@ def validate_povm(e0, e1, tol: float = HERM_TOL) -> BinaryPovm:
 
 def projective_povm(axis) -> BinaryPovm:
     """Sharp measurement along a unit Bloch axis."""
-    a = np.asarray(axis, dtype=float)
+    a = _vector3(axis, "measurement axis")
     norm = np.linalg.norm(a)
     if not 0.0 < norm < math.inf:
         raise DomainError(f"measurement axis {a!r} is zero or not finite")

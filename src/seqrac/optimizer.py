@@ -40,6 +40,7 @@ from .scenario import (
     PreparationEnsemble,
     Strategy,
     WitnessPair,
+    _channel_sum,
     difference_vectors,
     witness_pair,
 )
@@ -139,13 +140,10 @@ def charlie_best_response(
     achieve.  Ties (zero operator) resolve to the computational-basis
     readout.
     """
-    m0, m1 = difference_vectors(preparations)
+    gammas = np.array([bloch_compose(0.0, 0.5 * m) for m in difference_vectors(preparations)])
     povms = []
     value = 0.5
-    for m in (m0, m1):
-        gamma = bloch_compose(0.0, 0.5 * m)
-        total = instruments[0].apply_channel(gamma)
-        total += instruments[1].apply_channel(gamma)
+    for total in _channel_sum(instruments, gammas):
         total = 0.5 * (total + total.conj().T)
         lam, vec = max_eigenpair(total, tol=np.inf)
         proj = np.outer(vec, vec.conj())
@@ -188,20 +186,6 @@ def _grid_argmax(alpha: float, resolution: int) -> tuple[float, float, float]:
     return float(obj[i, j]), float(xs[i]), float(xs[j])
 
 
-def _coordinate_refine(
-    alpha: float, theta: float, phi1: float, value: float
-) -> tuple[float, float, float]:
-    # Unit Charlie overlaps turn the fixed-measurement scan into the
-    # boundary objective itself.
-    for _ in range(REFINEMENT_ITERATIONS):
-        before = value
-        theta, _ = _scan_coordinate(alpha, theta, phi1, 1.0, 1.0, coord=0, resolution=1025)
-        phi1, value = _scan_coordinate(alpha, theta, phi1, 1.0, 1.0, coord=1, resolution=1025)
-        if value <= before + 1e-15:
-            break
-    return value, theta, phi1
-
-
 class BoundaryPoint(NamedTuple):
     alpha: float
     wac: float
@@ -214,7 +198,7 @@ def trace_boundary(
     """Numerically maximize the reduced objective at each witness level.
 
     Grid search over ``(theta, phi1)`` with ``phi0`` eliminated exactly,
-    followed by bounded coordinate descent.  Raises
+    followed by bounded coordinate ascent.  Raises
     :class:`ConvergenceFailure` when the numerical maximum strays more
     than 1e-6 from the closed-form boundary; the closed form is never
     substituted for the search result.
@@ -226,8 +210,7 @@ def trace_boundary(
         value, theta, phi1 = _grid_argmax(alpha, cfg.grid_resolution)
         if not np.isfinite(value):
             raise ConvergenceFailure(f"no feasible grid point at alpha = {alpha!r}")
-        value, theta, phi1 = _coordinate_refine(alpha, theta, phi1, value)
-        phi0 = solve_reduced_phi0(alpha, theta, phi1)
+        _, theta, phi0, phi1 = _ascend(alpha, theta, phi1, 1.0, 1.0, 1025)
         if phi0 is None:
             raise ConvergenceFailure(f"refinement left the feasible set at alpha = {alpha!r}")
         params = ReducedParameters(theta, phi0, phi1)
@@ -386,39 +369,58 @@ def minimize_scalar(func, lo: float, hi: float, xatol: float) -> tuple[float, fl
 
 
 def _scan_coordinate(
-    alpha: float, theta: float, phi1: float, q0: float, q1: float,
-    coord: int, resolution: int = 513,
+    xs: np.ndarray, row: np.ndarray, func, x: float, here: float
 ) -> tuple[float, float]:
-    """Best value of one angle with the other held fixed.
+    """Line search of one angle: ``row`` holds ``func`` on the grid ``xs``,
+    ``here = func(x)``.  Returns the best angle and value, ``(x, here)`` if
+    nothing beats ``here``.
 
     The feasible region can be a narrow window inside [0, pi/2], so a
     dense feasibility-aware scan picks the basin and a bounded search
     polishes inside the bracketing cells.
     """
-    xs, cos_half, sin_half, cos_x, sin_x = _axis_table(resolution)
-    if coord == 0:
-        values = _fixed_charlie_values(alpha, cos_half, sin_half, np.cos(phi1), np.sin(phi1), q0, q1)
-    else:
-        half = 0.5 * theta
-        values = _fixed_charlie_values(alpha, np.cos(half), np.sin(half), cos_x, sin_x, q0, q1)
-    i = int(np.argmax(values))
-    here = _fixed_charlie_value(alpha, theta, phi1, q0, q1)[0]
-    if not np.isfinite(values[i]):
-        return (theta if coord == 0 else phi1), here
-    best_x, best_v = float(xs[i]), float(values[i])
-
-    def negated(t):
-        th_, p1_ = (t, phi1) if coord == 0 else (theta, t)
-        return -_fixed_charlie_value(alpha, th_, p1_, q0, q1)[0]
-
-    x, fx = minimize_scalar(
-        negated, float(xs[max(0, i - 1)]), float(xs[min(resolution - 1, i + 1)]), 1e-14
+    i = int(np.argmax(row))
+    if not np.isfinite(row[i]):
+        return x, here
+    best_x, best_v = float(xs[i]), float(row[i])
+    t, ft = minimize_scalar(
+        lambda t: -func(t), float(xs[max(0, i - 1)]), float(xs[min(len(xs) - 1, i + 1)]), 1e-14
     )
-    if -fx > best_v:
-        best_x, best_v = x, -fx
+    if -ft > best_v:
+        best_x, best_v = t, -ft
     if best_v > here:
         return best_x, best_v
-    return (theta if coord == 0 else phi1), here
+    return x, here
+
+
+def _ascend(
+    alpha: float, theta: float, phi1: float, q0: float, q1: float, resolution: int
+) -> tuple[float, float, float | None, float]:
+    """Coordinate ascent of :func:`_fixed_charlie_value` over ``(theta, phi1)``.
+
+    Each sweep scans theta, then phi1, on ``resolution``-point rows and
+    stops once it gains at most 1e-15 over its starting value.  Returns
+    the final value, ``theta``, ``phi0`` and ``phi1``.  Unit overlaps
+    ``q0 = q1 = 1`` make the value the boundary objective.
+    """
+    xs, cos_half, sin_half, cos_x, sin_x = _axis_table(resolution)
+    for _ in range(REFINEMENT_ITERATIONS):
+        here = _fixed_charlie_value(alpha, theta, phi1, q0, q1)[0]
+        row = _fixed_charlie_values(alpha, cos_half, sin_half, np.cos(phi1), np.sin(phi1), q0, q1)
+        moved, _ = _scan_coordinate(
+            xs, row, lambda t: _fixed_charlie_value(alpha, t, phi1, q0, q1)[0], theta, here
+        )
+        start = here if moved == theta else _fixed_charlie_value(alpha, moved, phi1, q0, q1)[0]
+        theta = moved
+        half = 0.5 * theta
+        row = _fixed_charlie_values(alpha, np.cos(half), np.sin(half), cos_x, sin_x, q0, q1)
+        phi1, value = _scan_coordinate(
+            xs, row, lambda t: _fixed_charlie_value(alpha, theta, t, q0, q1)[0], phi1, start
+        )
+        if value <= here + 1e-15:
+            break
+    value, phi0 = _fixed_charlie_value(alpha, theta, phi1, q0, q1)
+    return value, theta, phi0, phi1
 
 
 def _seesaw_round(
@@ -429,46 +431,11 @@ def _seesaw_round(
     witness before and after the best response, and the new measurements."""
     q0 = float(charlie[0].cvec[0])
     q1 = float(charlie[1].cvec[2])
-    for _ in range(REFINEMENT_ITERATIONS):
-        here = _fixed_charlie_value(alpha, theta, phi1, q0, q1)[0]
-        theta, _ = _scan_coordinate(alpha, theta, phi1, q0, q1, coord=0)
-        phi1, moved_v = _scan_coordinate(alpha, theta, phi1, q0, q1, coord=1)
-        if moved_v <= here + 1e-15:
-            break
-
-    before, phi0 = _fixed_charlie_value(alpha, theta, phi1, q0, q1)
+    before, theta, phi0, phi1 = _ascend(alpha, theta, phi1, q0, q1, 513)
     params = ReducedParameters(theta, phi0, phi1)
     partial = strategy_from_reduced(params, charlie)
     charlie, after = charlie_best_response(partial.preparations, partial.instruments)
     return params, before, charlie, after
-
-
-def _seesaw_reduced_run(
-    alpha: float,
-    cfg: OptimizerConfig,
-    theta: float,
-    phi1: float,
-    charlie: tuple[BinaryPovm, BinaryPovm],
-    run: SeesawRun,
-    rounds: dict,
-) -> tuple[float, ReducedParameters, tuple[BinaryPovm, BinaryPovm]]:
-    """Run rounds to convergence.  Charlie enters a round only through
-    ``q0 = cvec[0]`` and ``q1 = cvec[2]``, so ``rounds`` replays a round
-    already run from the same start, keyed by the exact bits of its floats."""
-    value = -np.inf
-    for _ in range(200):
-        key = tuple(map(float.hex, (theta, phi1, charlie[0].cvec[0], charlie[1].cvec[2])))
-        if key not in rounds:
-            rounds[key] = _seesaw_round(alpha, theta, phi1, charlie)
-        params, before, charlie, after = rounds[key]
-        theta, phi1 = params.theta, params.phi1
-        run.charlie_steps.append((before, after))
-        if after - value < cfg.convergence_epsilon:
-            value = after
-            break
-        value = after
-    run.final_wac = value
-    return value, params, charlie
 
 
 def _random_feasible_start(alpha: float, rng: np.random.Generator):
@@ -494,12 +461,15 @@ def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
     alpha = witness_level("alpha", alpha, tol=1e-12)
     _, grid_theta, grid_phi1 = _grid_argmax(alpha, 64)
     runs: list[SeesawRun] = []
-    rounds: dict = {}  # lives for this call only; see _seesaw_reduced_run
+    # Charlie enters a round only through q0 = cvec[0] and q1 = cvec[2], so
+    # a round already run from the same start is replayed from this dict,
+    # keyed by the exact bits of its floats.  It lives for this call only.
+    rounds: dict = {}
     best = None
     for restart in range(cfg.seesaw_restarts):
         rng = np.random.default_rng([cfg.rng_seed, restart])
         if restart == 0:
-            start = (grid_theta, grid_phi1)
+            start = None
             charlie = (projective_povm(X_AXIS), projective_povm(Z_AXIS))
         else:
             start = _random_feasible_start(alpha, rng)
@@ -507,12 +477,21 @@ def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
                 projective_povm(random_unit_vector(rng)),
                 projective_povm(random_unit_vector(rng)),
             )
-            if start is None:
-                start = (grid_theta, grid_phi1)
+        theta, phi1 = start if start is not None else (grid_theta, grid_phi1)
         run = SeesawRun()
-        value, params, charlie = _seesaw_reduced_run(
-            alpha, cfg, start[0], start[1], charlie, run, rounds
-        )
+        value = -np.inf
+        for _ in range(200):
+            key = tuple(map(float.hex, (theta, phi1, charlie[0].cvec[0], charlie[1].cvec[2])))
+            if key not in rounds:
+                rounds[key] = _seesaw_round(alpha, theta, phi1, charlie)
+            params, before, charlie, after = rounds[key]
+            theta, phi1 = params.theta, params.phi1
+            run.charlie_steps.append((before, after))
+            converged = after - value < cfg.convergence_epsilon
+            value = after
+            if converged:
+                break
+        run.final_wac = value
         runs.append(run)
         if best is None or value > best[0]:
             best = (value, params, charlie)
@@ -585,6 +564,12 @@ class BoundSample(NamedTuple):
     equality: bool
 
 
+def _sandwich_max(effect: np.ndarray, op: np.ndarray) -> float:
+    """``lambda_max[sqrt(E) op sqrt(E)]`` by a direct 2x2 eigensolve."""
+    root = matrix_sqrt_psd(effect, tol=np.inf)
+    return max_eigenpair(root @ op @ root, tol=np.inf).value
+
+
 def sandwich_eigenvalue_sum_bound(povm, direction, tol: float = 1e-9) -> BoundSample:
     """Check ``sum_b lambda_max[sqrt(M_b) (a.sigma) sqrt(M_b)] <= |a|``.
 
@@ -606,8 +591,7 @@ def sandwich_eigenvalue_sum_bound(povm, direction, tol: float = 1e-9) -> BoundSa
     op = bloch_compose(0.0, a)
     lhs = 0.0
     for effect in povm.effects:
-        root = matrix_sqrt_psd(effect, tol=np.inf)
-        lhs += max_eigenpair(root @ op @ root, tol=np.inf).value
+        lhs += _sandwich_max(effect, op)
     if lhs > rhs + tol:
         raise InequalityViolation(
             f"eigenvalue sum {lhs!r} exceeds |a| = {rhs!r}"
@@ -696,8 +680,7 @@ def inequality_report(samples: int, grid: int, seed: int) -> dict:
         direction = random_unit_vector(rng)
         op = bloch_compose(0.0, direction)
         for b in (0, 1):
-            root = matrix_sqrt_psd(povm.effects[b], tol=np.inf)
-            direct = max_eigenpair(root @ op @ root, tol=np.inf).value
+            direct = _sandwich_max(povm.effects[b], op)
             closed = sandwich_eigenvalue_closed_form(povm, direction, b)
             eigen_residual = max(eigen_residual, abs(direct - closed))
     if eigen_residual > 1e-10:

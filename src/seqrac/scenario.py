@@ -25,6 +25,7 @@ from .linalg import (
     BinaryPovm,
     QubitState,
     as_matrix2,
+    bloch_compose,
     bloch_decompose,
     matrix_sqrt_psd,
     polar_decompose,
@@ -162,7 +163,7 @@ class Strategy:
                 QubitState.from_matrix(st.matrix, tol)
             except Exception as exc:
                 raise InvalidStrategy(f"preparations[{i}]: {exc}") from exc
-            if np.max(np.abs(st.matrix - (0.5 * ID2 + 0.5 * _dot_sigma(st.bloch)))) > tol:
+            if np.max(np.abs(st.matrix - bloch_compose(0.5, 0.5 * st.bloch))) > tol:
                 raise InvalidStrategy(f"preparations[{i}]: matrix/bloch views disagree")
         for y, inst in enumerate(self.instruments):
             try:
@@ -185,12 +186,6 @@ class Strategy:
 class WitnessPair(NamedTuple):
     w_ab: float
     w_ac: float
-
-
-def _dot_sigma(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[v[2], v[0] - 1j * v[1]], [v[0] + 1j * v[1], -v[2]]], dtype=complex
-    )
 
 
 def _clamp_prob(p: float, tol: float) -> float:

@@ -26,7 +26,7 @@ from seqrac import (
 from seqrac.analytics import W_AB_MAX, W_AC_TRIVIAL, round_reported
 from seqrac.errors import DomainError, InfeasiblePair
 from seqrac.linalg import BinaryPovm, state_from_bloch
-from seqrac.sampling import random_su2
+from seqrac.sampling import random_strategy, random_su2
 from seqrac.scenario import BinaryInstrument, PreparationEnsemble
 
 SQRT2 = np.sqrt(2.0)
@@ -190,6 +190,17 @@ class TestSelfTest:
             rotated = conjugate_strategy(base, random_su2(rng))
             report = selftest_report(rotated)
             assert abs(report.max_defect() - reference.max_defect()) <= 1e-9
+
+    # Random strategies have sharpness > 0 almost surely: a sharpness-0
+    # instrument has no axis, and its frame falls back to coordinate axes.
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**63 - 1), st.booleans(), st.integers(0, 2**63 - 1))
+    def test_every_field_invariant_under_haar_conjugation(self, seed, luders, frame_seed):
+        s = random_strategy(np.random.default_rng(seed), luders)
+        rotated = conjugate_strategy(s, random_su2(np.random.default_rng(frame_seed)))
+        before, after = selftest_report(s), selftest_report(rotated)
+        for name in before.__dataclass_fields__:
+            np.testing.assert_allclose(getattr(after, name), getattr(before, name), rtol=0, atol=1e-9)
 
     def test_shrunk_preparation_shows_purity_defect(self):
         base = canonical_strategy(1.0)

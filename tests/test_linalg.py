@@ -60,7 +60,8 @@ class TestStateFromBloch:
     def test_outside_ball_rejected(self):
         with pytest.raises(BlochNormExceeded):
             state_from_bloch([0.0, 0.0, 2.0])
-        for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]):
+        for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf],
+                    [1.0, 0.0], [[0.0, 0.0, 0.5]], ["a", 0.0, 0.0]):
             with pytest.raises(DomainError):
                 state_from_bloch(bad)
 
@@ -223,12 +224,14 @@ class TestValidatePovm:
         with pytest.raises(NotPsd):
             BinaryPovm.from_observable(0.6, [0.0, 0.0, 0.5])
         for c0, cvec in ((np.nan, [0.0, 0.0, 0.5]), (0.0, [np.nan, 0.0, 0.5]),
-                         (np.inf, [0.0, 0.0, 0.5]), (0.0, [0.0, -np.inf, 0.0])):
+                         (np.inf, [0.0, 0.0, 0.5]), (0.0, [0.0, -np.inf, 0.0]),
+                         (0.0, [1.0, 0.0]), (0.0, [[0.0, 0.0, 0.5]]), (0.0, ["a", 0.0, 0.0])):
             with pytest.raises(DomainError):
                 BinaryPovm.from_observable(c0, cvec)
 
     def test_projective_rejects_axis_without_direction(self):
-        for axis in ([0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]):
+        for axis in ([0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0],
+                     [1.0, 0.0], [[1.0, 0.0, 0.0]], [[1.0], [0.0, 0.0]]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DomainError):

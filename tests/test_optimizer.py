@@ -301,13 +301,7 @@ def _memo_free_seesaw(alpha, cfg):
         for _ in range(200):
             q0 = float(charlie[0].cvec[0])
             q1 = float(charlie[1].cvec[2])
-            for _ in range(optimizer.REFINEMENT_ITERATIONS):
-                here = _fixed_charlie_value(alpha, theta, phi1, q0, q1)[0]
-                theta, _ = optimizer._scan_coordinate(alpha, theta, phi1, q0, q1, coord=0)
-                phi1, moved_v = optimizer._scan_coordinate(alpha, theta, phi1, q0, q1, coord=1)
-                if moved_v <= here + 1e-15:
-                    break
-            before, phi0 = _fixed_charlie_value(alpha, theta, phi1, q0, q1)
+            before, theta, phi0, phi1 = optimizer._ascend(alpha, theta, phi1, q0, q1, 513)
             params = ReducedParameters(theta, phi0, phi1)
             partial = strategy_from_reduced(params, charlie)
             charlie, after = charlie_best_response(partial.preparations, partial.instruments)

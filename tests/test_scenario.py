@@ -274,3 +274,15 @@ class TestValidation:
         )
         with pytest.raises(InvalidStrategy, match=r"measurements\[0\]"):
             broken.validate()
+
+    def test_validate_rejects_disagreeing_views(self, rng):
+        from seqrac.errors import InvalidStrategy
+        from seqrac.linalg import QubitState
+
+        strategy = random_strategy(rng)
+        states = list(strategy.preparations.states)
+        states[2] = QubitState(states[2].matrix, states[2].bloch + np.array([0.0, 0.0, 1e-6]))
+        broken = Strategy(PreparationEnsemble(tuple(states)), strategy.instruments,
+                          strategy.measurements)
+        with pytest.raises(InvalidStrategy, match=r"preparations\[2\]: matrix/bloch views disagree"):
+            broken.validate()
