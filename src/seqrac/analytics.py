@@ -70,6 +70,12 @@ def equal_witness_point() -> float:
     return float((5.0 + 2.0 * SQRT2) / 10.0)
 
 
+def _required_sharpness(w_ab: float):
+    """``sqrt(2) (2 w_ab - 1)``, signed and unclamped: the instrument
+    sharpness that an observed ``w_ab`` demands."""
+    return SQRT2 * (2.0 * w_ab - 1.0)
+
+
 def sharpness_lower(w_ab: float, tol: float = 1e-9) -> float:
     """Smallest instrument sharpness compatible with an observed ``w_ab``.
 
@@ -77,7 +83,7 @@ def sharpness_lower(w_ab: float, tol: float = 1e-9) -> float:
     values above the quantum maximum are unphysical.
     """
     witness_level("w_ab", w_ab, tol, lower=0.0)
-    return max(0.0, float(SQRT2 * (2.0 * w_ab - 1.0)))
+    return max(0.0, float(_required_sharpness(w_ab)))
 
 
 def sharpness_upper(w_ac: float, tol: float = 1e-9) -> float:
@@ -268,7 +274,7 @@ def selftest_report(s: Strategy) -> SelfTestReport:
         square_angle = abs(np.arccos(cosang) - np.pi / 2.0)
 
     offsets = tuple(abs(float(inst.povm.c0)) for inst in aligned.instruments)
-    eta_pred = SQRT2 * (2.0 * witness_ab(aligned) - 1.0)
+    eta_pred = _required_sharpness(witness_ab(aligned))
     sharpness_defect = max(
         abs(inst.povm.sharpness - eta_pred) for inst in aligned.instruments
     )

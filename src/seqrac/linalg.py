@@ -198,6 +198,21 @@ def bloch_compose(c0: float, c: np.ndarray) -> np.ndarray:
     )
 
 
+def _bloch_compose_rows(c0, c: np.ndarray) -> np.ndarray:
+    """:func:`bloch_compose` of each row of an ``(n, 3)`` array, as an ``(n, 2, 2)`` stack.
+
+    Every entry takes the float operations it takes in :func:`bloch_compose`,
+    so each matrix has the same bits.  ``c0`` is a float or an ``(n,)`` array.
+    """
+    cx, cy, cz = c[:, 0], c[:, 1], c[:, 2]
+    out = np.empty((len(c), 2, 2), dtype=complex)
+    out[:, 0, 0] = c0 + cz
+    out[:, 0, 1] = cx - 1j * cy
+    out[:, 1, 0] = cx + 1j * cy
+    out[:, 1, 1] = c0 - cz
+    return out
+
+
 def bloch_from_matrix(rho: np.ndarray) -> np.ndarray:
     """Bloch vector of a density matrix ``rho = (I + n . sigma)/2``."""
     _, c = bloch_decompose(as_matrix2(rho))

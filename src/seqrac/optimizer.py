@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -24,16 +25,19 @@ from .errors import (
     InvalidPovm,
 )
 from .linalg import (
+    HERM_TOL,
+    ID2,
     BinaryPovm,
+    _bloch_compose_rows,
+    _vector3,
     bloch_compose,
     bloch_decompose,
-    matrix_sqrt_psd,
     max_eigenpair,
     projective_povm,
     state_from_bloch,
     validate_povm,
 )
-from .sampling import random_povm, random_unit_vector
+from .sampling import _draw_observable, random_unit_vector
 from .scenario import (
     INPUT_PAIRS,
     BinaryInstrument,
@@ -564,10 +568,41 @@ class BoundSample(NamedTuple):
     equality: bool
 
 
-def _sandwich_max(effect: np.ndarray, op: np.ndarray) -> float:
-    """``lambda_max[sqrt(E) op sqrt(E)]`` by a direct 2x2 eigensolve."""
-    root = matrix_sqrt_psd(effect, tol=np.inf)
-    return max_eigenpair(root @ op @ root, tol=np.inf).value
+def _sandwich_max(effects: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """``lambda_max[sqrt(E) op sqrt(E)]`` for each pair of two C-contiguous ``(n, 2, 2)`` stacks.
+
+    Entry by entry this does the float operations of
+    ``matrix_sqrt_psd(E, tol=inf)``, then ``root @ op @ root``, then
+    ``max_eigenpair(..., tol=inf).value``, so each value has the bits of
+    that scalar path.  Complex moduli are ``np.hypot`` of the parts (libm's
+    ``hypot``, as the scalar ``abs``; numpy's vectorised complex ``abs``
+    may differ in the last bit), the squared modulus is one numpy scalar
+    ``** 2`` per entry (libm's ``pow``; an array ``** 2`` multiplies), and
+    ``@`` on C-contiguous stacks makes one BLAS product per matrix.
+    Raises :class:`DomainError` on a non-finite entry, as the scalar path does.
+    """
+    if not np.isfinite(effects).all():
+        raise DomainError("matrix has non-finite entries")
+    h = 0.5 * (effects + effects.conj().transpose(0, 2, 1))
+    h00 = h[:, 0, 0].real
+    h11 = h[:, 1, 1].real
+    t = h00 + h11
+    t = np.where(0.0 > t, 0.0, t)
+    off_sq = np.array([x**2 for x in np.hypot(h[:, 0, 1].real, h[:, 0, 1].imag)])
+    det = h00 * h11 - off_sq
+    root_det = np.sqrt(np.where(0.0 > det, 0.0, det))
+    denom_sq = t + 2.0 * root_det
+    zero = denom_sq <= 0.0
+    scale = np.sqrt(np.where(zero, 1.0, denom_sq))
+    roots = (h + root_det[:, None, None] * ID2) / scale[:, None, None]
+    roots[zero] = 0.0
+    m = roots @ ops @ roots
+    if not np.isfinite(m).all():
+        raise DomainError("matrix has non-finite entries")
+    m = 0.5 * (m + m.conj().transpose(0, 2, 1))
+    a = m[:, 0, 0].real
+    d = m[:, 1, 1].real
+    return 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.hypot(m[:, 0, 1].real, m[:, 0, 1].imag))
 
 
 def sandwich_eigenvalue_sum_bound(povm, direction, tol: float = 1e-9) -> BoundSample:
@@ -582,16 +617,16 @@ def sandwich_eigenvalue_sum_bound(povm, direction, tol: float = 1e-9) -> BoundSa
             povm = validate_povm(povm[0], povm[1])
         except Exception as exc:
             raise InvalidPovm(str(exc)) from exc
-    a = np.asarray(direction, dtype=float)
-    if a.shape != (3,) or not np.all(np.isfinite(a)):
+    a = _vector3(direction, "direction")
+    if not np.all(np.isfinite(a)):
         raise DomainError(f"direction must be a finite 3-vector, got {direction!r}")
     rhs = float(np.linalg.norm(a))
     if rhs == 0.0:
         return BoundSample(0.0, 0.0, True)
     op = bloch_compose(0.0, a)
     lhs = 0.0
-    for effect in povm.effects:
-        lhs += _sandwich_max(effect, op)
+    for value in _sandwich_max(np.array(povm.effects, dtype=complex), np.array([op, op])).tolist():
+        lhs += value
     if lhs > rhs + tol:
         raise InequalityViolation(
             f"eigenvalue sum {lhs!r} exceeds |a| = {rhs!r}"
@@ -649,6 +684,96 @@ def trig_grid_max(resolution: int) -> float:
     )
 
 
+def _povm_rows(draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The measurements of ``(c0, c, ...)`` draws of ``sampling._draw_observable``.
+
+    Returns the effects ``(E0, E1)`` of every draw as one ``(2n, 2, 2)``
+    stack, built as ``BinaryPovm.from_observable`` builds them, ``|c|``, and
+    the mask of the draws that ``from_observable`` rejects.  ``|c|`` is
+    taken per draw as ``sqrt(c.dot(c))``, the float operations of
+    ``np.linalg.norm``.
+    """
+    c0 = np.array([draw[0] for draw in draws])
+    c = np.array([draw[1] for draw in draws])
+    norm = np.array([math.sqrt(draw[1].dot(draw[1])) for draw in draws])
+    with np.errstate(invalid="ignore"):  # rejected draws may be inf or NaN
+        bad = ~np.isfinite(c0 + norm)
+        bad |= (norm - 1.0 > HERM_TOL) | (np.abs(c0) - (1.0 - norm) > HERM_TOL)
+        e0 = _bloch_compose_rows(0.5 * (1.0 + c0), 0.5 * c)
+        e1 = _bloch_compose_rows(0.5 * (1.0 - c0), -0.5 * c)
+    return np.stack((e0, e1), axis=1).reshape(-1, 2, 2), norm, bad
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry, or the length if there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else len(mask)
+
+
+# Samples per batch of a suite.  A batch holds about 1.5 kB per sample, so
+# memory stays flat whatever ``samples`` is; batches change no bit, because
+# the draws run in order and each sample is computed on its own.
+_SUITE_BATCH = 4096
+
+
+def _bound_suite(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample ``(lhs, rhs)`` of :func:`sandwich_eigenvalue_sum_bound` on random draws.
+
+    Sample by sample the generator makes the calls of ``random_povm(rng)``
+    and then ``rng.normal(size=3) * rng.uniform(0, 2)``; the checks and
+    the eigenvalues then run on the whole batch.  The first sample, in draw
+    order, that fails a check is replayed through the scalar path, which
+    raises its error.
+    """
+    draws = [
+        (*_draw_observable(rng, True), rng.normal(size=3) * rng.uniform(0.0, 2.0))
+        for _ in range(samples)
+    ]
+    effects, _, bad = _povm_rows(draws)
+    a = np.array([draw[2] for draw in draws])
+    n = _first(bad | ~np.isfinite(a).all(axis=1))
+    rhs = np.array([math.sqrt(draw[2].dot(draw[2])) for draw in draws[:n]])
+    ops = np.repeat(_bloch_compose_rows(0.0, a[:n]), 2, axis=0)
+    pairs = _sandwich_max(effects[: 2 * n], ops).reshape(n, 2)
+    lhs = np.where(rhs == 0.0, 0.0, 0.0 + pairs[:, 0] + pairs[:, 1])
+    n = min(n, _first(lhs > rhs + 1e-9))
+    if n < samples:
+        c0_i, c_i, a_i = draws[n]
+        sandwich_eigenvalue_sum_bound(BinaryPovm.from_observable(c0_i, c_i), a_i)
+        raise RuntimeError("a batched check failed where the scalar path passed")
+    return lhs, rhs
+
+
+def _eigen_suite(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample direct and closed-form sandwich eigenvalues, shape ``(samples, 2)`` each.
+
+    Sample by sample the generator makes the calls of
+    ``random_povm(rng, allow_offset=False)`` and then
+    ``random_unit_vector(rng)``.  Column ``b`` holds outcome ``b``: the
+    eigensolve of :func:`_sandwich_max` and
+    :func:`sandwich_eigenvalue_closed_form`.  Failures are replayed as in
+    :func:`_bound_suite`.
+    """
+    draws = [(*_draw_observable(rng, False), random_unit_vector(rng)) for _ in range(samples)]
+    effects, eta, bad = _povm_rows(draws)
+    norm = np.array([math.sqrt(draw[2].dot(draw[2])) for draw in draws])
+    n = _first(bad | ~np.isfinite(norm))
+    if n < samples:
+        c0_i, c_i, u_i = draws[n]
+        povm = BinaryPovm.from_observable(c0_i, c_i)
+        op = bloch_compose(0.0, u_i)
+        _sandwich_max(np.array(povm.effects), np.array([op, op]))
+        sandwich_eigenvalue_closed_form(povm, u_i, 0)
+        raise RuntimeError("a batched check failed where the scalar path passed")
+    ops = np.repeat(_bloch_compose_rows(0.0, np.array([draw[2] for draw in draws])), 2, axis=0)
+    direct = _sandwich_max(effects, ops).reshape(samples, 2)
+    closed = np.array([
+        [_closed_form(c0_i, eta_i, float(c_i.dot(u_i)), norm_i, b) for b in (0, 1)]
+        for (c0_i, c_i, u_i), eta_i, norm_i in zip(draws, eta.tolist(), norm.tolist())
+    ])
+    return direct, closed
+
+
 def inequality_report(samples: int, grid: int, seed: int) -> dict:
     """Run the three sampling suites; raises on any violation.
 
@@ -657,6 +782,12 @@ def inequality_report(samples: int, grid: int, seed: int) -> dict:
     worst disagreement between the closed-form sandwich eigenvalue and a
     direct eigensolve.
     """
+    try:
+        samples, grid, seed = (operator.index(v) for v in (samples, grid, seed))
+    except TypeError:
+        raise DomainError(
+            f"samples, grid and seed must be integers, got {samples!r}, {grid!r} and {seed!r}"
+        ) from None
     if samples < 1 or grid < 1:
         raise DomainError(f"samples and grid must be positive, got {samples!r} and {grid!r}")
     if seed < 0:
@@ -665,27 +796,21 @@ def inequality_report(samples: int, grid: int, seed: int) -> dict:
     if trig_max > 1.0 + 1e-12:
         raise InequalityViolation(f"trig grid maximum {trig_max!r} exceeds 1")
 
+    sizes = [min(_SUITE_BATCH, samples - start) for start in range(0, samples, _SUITE_BATCH)]
     rng = np.random.default_rng([seed, 11])
-    bound_margin = -np.inf
-    for _ in range(samples):
-        povm = random_povm(rng)
-        a = rng.normal(size=3) * rng.uniform(0.0, 2.0)
-        sample = sandwich_eigenvalue_sum_bound(povm, a)
-        bound_margin = max(bound_margin, sample.lhs - sample.rhs)
+    bound_margin = -math.inf
+    for size in sizes:
+        lhs, rhs = _bound_suite(rng, size)
+        bound_margin = max(bound_margin, (lhs - rhs).max())
 
     rng = np.random.default_rng([seed, 13])
     eigen_residual = 0.0
-    for _ in range(samples):
-        povm = random_povm(rng, allow_offset=False)
-        direction = random_unit_vector(rng)
-        op = bloch_compose(0.0, direction)
-        for b in (0, 1):
-            direct = _sandwich_max(povm.effects[b], op)
-            closed = sandwich_eigenvalue_closed_form(povm, direction, b)
-            eigen_residual = max(eigen_residual, abs(direct - closed))
+    for size in sizes:
+        direct, closed = _eigen_suite(rng, size)
+        eigen_residual = max(eigen_residual, np.abs(direct - closed).max())
     if eigen_residual > 1e-10:
         raise InequalityViolation(
-            f"closed-form eigenvalue residual {eigen_residual!r} exceeds 1e-10"
+            f"closed-form eigenvalue residual {float(eigen_residual)!r} exceeds 1e-10"
         )
 
     return {
@@ -707,15 +832,21 @@ def sandwich_eigenvalue_closed_form(povm: BinaryPovm, direction, outcome: int) -
     The odd first term cancels in the sum over outcomes, leaving the
     square-root sum used by the trade-off bound.
     """
-    a = np.asarray(direction, dtype=float)
+    a = _vector3(direction, "direction")
     norm = float(np.linalg.norm(a))
-    if a.shape != (3,) or not math.isfinite(norm):
+    if not math.isfinite(norm):
         raise DomainError(f"direction must be a finite 3-vector, got {direction!r}")
+    if outcome not in (0, 1):
+        raise DomainError(f"outcome must be 0 or 1, got {outcome!r}")
+    return _closed_form(povm.c0, povm.sharpness, float(np.dot(povm.cvec, a)), norm, outcome)
+
+
+def _closed_form(c0: float, eta: float, overlap: float, norm: float, outcome: int) -> float:
+    """:func:`sandwich_eigenvalue_closed_form` from plain floats: ``overlap = c . a``, ``norm = |a|``."""
     if norm == 0.0:
         return 0.0
     sign = -1.0 if outcome else 1.0
-    eta = povm.sharpness
-    cos_beta = float(np.dot(povm.cvec, a)) / (eta * norm) if eta > 1e-15 else 0.0
-    cos_beta = float(np.clip(cos_beta, -1.0, 1.0))
-    radicand = max((1.0 + sign * povm.c0) ** 2 - eta * eta * (1.0 - cos_beta**2), 0.0)
-    return 0.5 * norm * (sign * eta * cos_beta + float(np.sqrt(radicand)))
+    cos_beta = overlap / (eta * norm) if eta > 1e-15 else 0.0
+    cos_beta = min(max(cos_beta, -1.0), 1.0)
+    radicand = max((1.0 + sign * c0) ** 2 - eta * eta * (1.0 - cos_beta**2), 0.0)
+    return 0.5 * norm * (sign * eta * cos_beta + math.sqrt(radicand))

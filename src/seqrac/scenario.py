@@ -24,6 +24,7 @@ from .linalg import (
     ID2,
     BinaryPovm,
     QubitState,
+    _vector3,
     as_matrix2,
     bloch_compose,
     bloch_decompose,
@@ -161,9 +162,12 @@ class Strategy:
         for i, st in enumerate(self.preparations.states):
             try:
                 QubitState.from_matrix(st.matrix, tol)
+                bloch = _vector3(st.bloch, "Bloch vector")
+                if not np.isfinite(bloch).all():
+                    raise DomainError(f"Bloch vector {bloch!r} is not finite")
             except Exception as exc:
                 raise InvalidStrategy(f"preparations[{i}]: {exc}") from exc
-            if np.max(np.abs(st.matrix - bloch_compose(0.5, 0.5 * st.bloch))) > tol:
+            if np.max(np.abs(st.matrix - bloch_compose(0.5, 0.5 * bloch))) > tol:
                 raise InvalidStrategy(f"preparations[{i}]: matrix/bloch views disagree")
         for y, inst in enumerate(self.instruments):
             try:

@@ -1,9 +1,13 @@
 """Strategy document parsing, canonical serialization, error paths."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqrac import canonical_strategy, canonical_witness_pair, witness_pair
 from seqrac.documents import (
@@ -33,6 +37,20 @@ class TestRoundTrip:
             first = path.read_text()
             reparsed = read_strategy_file(path)
             assert document_text(reparsed) == first
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**63 - 1), st.booleans(), st.floats(0.0, 1.0))
+    def test_write_read_write_keeps_the_bytes(self, seed, luders, eta):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "strategy.json"
+            for strategy in (
+                random_strategy(np.random.default_rng(seed), luders),
+                canonical_strategy(eta),
+            ):
+                write_strategy_file(strategy, path)
+                first = path.read_bytes()
+                write_strategy_file(read_strategy_file(path), path)
+                assert path.read_bytes() == first
 
     def test_document_is_valid_json(self):
         doc = canonical_doc()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 
 from seqrac import (
@@ -26,8 +28,9 @@ from seqrac import (
     witness_pair,
 )
 from seqrac.analytics import W_AB_MAX
-from seqrac.errors import DomainError
+from seqrac.errors import DomainError, InequalityViolation, NotPsd
 from seqrac.linalg import (
+    BinaryPovm,
     bloch_compose,
     matrix_sqrt_psd,
     max_eigenpair,
@@ -464,6 +467,11 @@ class TestEigenvalueSumBound:
         with pytest.raises(InvalidPovm):
             sandwich_eigenvalue_sum_bound((ID2, ID2), [0, 0, 1.0])
 
+    @pytest.mark.parametrize("direction", ["abc", [1.0, 0.0], [np.nan, 0.0, 0.0]])
+    def test_rejects_malformed_direction(self, direction):
+        with pytest.raises(DomainError):
+            sandwich_eigenvalue_sum_bound(projective_povm([0.0, 0.0, 1.0]), direction)
+
 
 class TestTrigInequality:
     def test_equality_locus(self):
@@ -530,9 +538,14 @@ class TestClosedFormEigenvalue:
 
     def test_rejects_non_finite_direction(self):
         povm = projective_povm([0.0, 0.0, 1.0])
-        for direction in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [1.0, 0.0]):
+        for direction in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [1.0, 0.0], "abc"):
             with pytest.raises(DomainError):
                 sandwich_eigenvalue_closed_form(povm, direction, 0)
+
+    @pytest.mark.parametrize("outcome", [2, -1, 0.5, "1"])
+    def test_rejects_outcome_outside_0_1(self, outcome):
+        with pytest.raises(DomainError, match="outcome"):
+            sandwich_eigenvalue_closed_form(projective_povm([0.0, 0.0, 1.0]), [1.0, 0.0, 0.0], outcome)
 
     def test_general_offset_matches_eigensolve(self, rng):
         for _ in range(500):
@@ -544,6 +557,137 @@ class TestClosedFormEigenvalue:
                 direct = max_eigenpair(root @ op @ root).value
                 closed = sandwich_eigenvalue_closed_form(povm, direction, b)
                 assert direct == pytest.approx(closed, abs=1e-10)
+
+
+def _scalar_sandwich_max(effect, op) -> float:
+    root = matrix_sqrt_psd(effect, tol=np.inf)
+    return max_eigenpair(root @ op @ root, tol=np.inf).value
+
+
+def _generic_effect(c0, c, shrink):
+    """PSD ``c0 I + c.sigma`` with ``|c| <= c0``."""
+    c = np.asarray(c)
+    return bloch_compose(c0, shrink * c0 * c / max(float(np.linalg.norm(c)), 1.0))
+
+
+def _projective_effect(c):
+    """``|c| I + c.sigma``: determinant 0."""
+    return bloch_compose(float(np.linalg.norm(c)), np.asarray(c))
+
+
+_UNIT = st.floats(-1.0, 1.0)
+_VECTOR = st.tuples(_UNIT, _UNIT, _UNIT)
+# Generic and projective effects, and the zero effect (the ``denom_sq <= 0``
+# branch of the square root).
+_EFFECTS = st.one_of(
+    st.builds(_generic_effect, st.floats(0.0, 1.0), _VECTOR, st.floats(0.0, 1.0)),
+    st.builds(_projective_effect, _VECTOR),
+    st.just(np.zeros((2, 2), dtype=complex)),
+    # traceless, so not PSD: with tol=inf the square root takes that
+    # branch for a nonzero matrix too
+    st.builds(lambda c: bloch_compose(0.0, np.asarray(c)), _VECTOR),
+)
+_OPS = st.builds(
+    lambda c0, c, scale: bloch_compose(scale * c0, scale * np.asarray(c)),
+    _UNIT, _VECTOR, st.floats(0.0, 10.0),
+)
+
+
+class TestInequalityReport:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_EFFECTS, _OPS), min_size=1, max_size=6))
+    def test_stacked_sandwich_equals_scalar_oracle(self, pairs):
+        effects = np.array([e for e, _ in pairs])
+        ops = np.array([op for _, op in pairs])
+        stacked = optimizer._sandwich_max(effects, ops)
+        assert stacked.tolist() == [_scalar_sandwich_max(e, op) for e, op in pairs]
+
+    def test_draws_and_values_match_the_scalar_suites(self):
+        # the batched suites against the per-sample loops they replace
+        rng = np.random.default_rng([4, 11])
+        lhs, rhs = optimizer._bound_suite(rng, 300)
+        oracle = np.random.default_rng([4, 11])
+        for got_lhs, got_rhs in zip(lhs.tolist(), rhs.tolist()):
+            sample = sandwich_eigenvalue_sum_bound(
+                random_povm(oracle), oracle.normal(size=3) * oracle.uniform(0.0, 2.0)
+            )
+            assert (got_lhs, got_rhs) == (sample.lhs, sample.rhs)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+        rng = np.random.default_rng([4, 13])
+        direct, closed = optimizer._eigen_suite(rng, 300)
+        oracle = np.random.default_rng([4, 13])
+        for row_direct, row_closed in zip(direct.tolist(), closed.tolist()):
+            povm = random_povm(oracle, allow_offset=False)
+            u = random_unit_vector(oracle)
+            op = bloch_compose(0.0, u)
+            assert row_direct == [_scalar_sandwich_max(e, op) for e in povm.effects]
+            assert row_closed == [sandwich_eigenvalue_closed_form(povm, u, b) for b in (0, 1)]
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_batches_leave_the_report_unchanged(self, monkeypatch):
+        whole = optimizer.inequality_report(50, 3, 2)
+        monkeypatch.setattr(optimizer, "_SUITE_BATCH", 7)
+        assert optimizer.inequality_report(50, 3, 2) == whole
+
+    @pytest.mark.parametrize("args", [(1.5, 3, 0), (3, 2.0, 0), (3, 2, 0.5), ("3", 2, 0)])
+    def test_rejects_non_integer_arguments(self, args):
+        with pytest.raises(DomainError, match="integers"):
+            optimizer.inequality_report(*args)
+
+    @pytest.mark.parametrize(
+        "bad_draw, excess, error",
+        [
+            (0, 1.0, NotPsd),
+            (2, 1.0, InequalityViolation),
+            (2, 0.0, NotPsd),
+            (None, 1.2e-9, InequalityViolation),
+            (None, 0.8e-9, None),
+        ],
+    )
+    def test_first_failing_sample_raises_the_scalar_error(
+        self, monkeypatch, bad_draw, excess, error
+    ):
+        # every eigenvalue sum is set to |a| + excess (the bound allows 1e-9),
+        # and one draw may break positivity: the earliest failing sample
+        # wins, and within a sample the measurement check runs first
+        real_draw = optimizer._draw_observable
+        draws = []
+
+        def draw(rng, allow_offset):
+            draws.append(real_draw(rng, allow_offset))
+            if len(draws) - 1 == bad_draw:
+                return 0.5, np.array([0.9, 0.0, 0.0])
+            return draws[-1]
+
+        def sums_to_norm_plus_excess(effects, ops):
+            return 0.5 * np.sqrt(-np.linalg.det(ops).real) + 0.5 * excess
+
+        monkeypatch.setattr(optimizer, "_draw_observable", draw)
+        monkeypatch.setattr(optimizer, "_sandwich_max", sums_to_norm_plus_excess)
+        if error is None:
+            lhs, rhs = optimizer._bound_suite(np.random.default_rng([0, 11]), 5)
+            assert 0.0 < (lhs - rhs).max() < 1e-9
+            return
+        rng = np.random.default_rng([0, 11])
+        real_draw(rng, True)
+        a = rng.normal(size=3) * rng.uniform(0.0, 2.0)
+        lhs = 0.0
+        for value in sums_to_norm_plus_excess(None, np.array([bloch_compose(0.0, a)] * 2)):
+            lhs += float(value)
+        message = {
+            NotPsd: "offset 0.5 with |c| = 0.9 breaks positivity",
+            InequalityViolation: f"eigenvalue sum {lhs!r} exceeds |a| = {float(np.linalg.norm(a))!r}",
+        }[error]
+        with pytest.raises(error) as caught:
+            optimizer.inequality_report(5, 2, 0)
+        assert str(caught.value) == message
+
+    def test_residual_check_runs_on_the_batch(self, monkeypatch):
+        real = optimizer._closed_form
+        monkeypatch.setattr(optimizer, "_closed_form", lambda *args: real(*args) + 1e-9)
+        with pytest.raises(InequalityViolation, match="closed-form eigenvalue residual"):
+            optimizer.inequality_report(5, 2, 0)
 
 
 class TestWitnessBlochForm:

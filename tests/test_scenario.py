@@ -286,3 +286,22 @@ class TestValidation:
                           strategy.measurements)
         with pytest.raises(InvalidStrategy, match=r"preparations\[2\]: matrix/bloch views disagree"):
             broken.validate()
+
+    @pytest.mark.parametrize(
+        "bloch, message",
+        [
+            (lambda b: b[:2], "must have 3 components"),
+            (lambda b: np.array([np.nan, 0.0, 0.0]), "not finite"),
+        ],
+    )
+    def test_validate_rejects_malformed_bloch_view(self, bloch, message):
+        from seqrac.errors import InvalidStrategy
+        from seqrac.linalg import QubitState
+
+        strategy = canonical_strategy(1.0)
+        states = list(strategy.preparations.states)
+        states[1] = QubitState(states[1].matrix, bloch(states[1].bloch))
+        broken = Strategy(PreparationEnsemble(tuple(states)), strategy.instruments,
+                          strategy.measurements)
+        with pytest.raises(InvalidStrategy, match=rf"preparations\[1\]: .*{message}"):
+            broken.validate()
