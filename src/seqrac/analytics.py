@@ -26,8 +26,8 @@ CLASSICAL_BOUND = 0.75
 FEASIBILITY_TOL = 1e-7
 
 
-def round_reported(value: float, digits: int = 4, guard: int = 8) -> float:
-    """Decimal half-up rounding as used for reported witness values.
+def round_reported(value: float) -> float:
+    """Decimal half-up rounding to the 4 decimals of reported witness values.
 
     A guard quantization absorbs numerical dust first, so a value that is
     mathematically ...x5 (like 0.71375) rounds up even when the computed
@@ -37,10 +37,8 @@ def round_reported(value: float, digits: int = 4, guard: int = 8) -> float:
     """
     if not math.isfinite(value):
         raise DomainError(f"cannot round {value!r}")
-    d = Decimal(repr(float(value)))
-    d = d.quantize(Decimal(1).scaleb(-guard), rounding=ROUND_HALF_UP)
-    d = d.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_UP)
-    return float(d)
+    d = Decimal(repr(float(value))).quantize(Decimal("1e-8"), rounding=ROUND_HALF_UP)
+    return float(d.quantize(Decimal("1e-4"), rounding=ROUND_HALF_UP))
 
 
 def witness_level(name: str, value: float, tol: float, lower: float = 0.5) -> float:
@@ -54,13 +52,13 @@ def witness_level(name: str, value: float, tol: float, lower: float = 0.5) -> fl
     return float(min(max(value, lower), W_AB_MAX))
 
 
-def boundary_wac(alpha: float, tol: float = 1e-9) -> float:
+def boundary_wac(alpha: float) -> float:
     """Largest Alice-Charlie witness compatible with ``w_ab = alpha``.
 
     ``(4 + sqrt(2) + sqrt(16 a - 16 a^2 - 2)) / 8`` on
     ``alpha in [1/2, (2 + sqrt(2))/4]``.
     """
-    witness_level("alpha", alpha, tol)
+    witness_level("alpha", alpha, 1e-9)
     radicand = max(16.0 * alpha - 16.0 * alpha * alpha - 2.0, 0.0)
     return float(0.125 * (4.0 + SQRT2 + np.sqrt(radicand)))
 
@@ -106,8 +104,8 @@ class SharpnessInterval:
     lower: float
     upper: float
 
-    def rounded(self, digits: int = 4) -> tuple[float, float]:
-        return round_reported(self.lower, digits), round_reported(self.upper, digits)
+    def rounded(self) -> tuple[float, float]:
+        return round_reported(self.lower), round_reported(self.upper)
 
     @property
     def width(self) -> float:
@@ -151,10 +149,9 @@ def _symmetrize(w: WitnessPair) -> tuple[float, float]:
     return max(w.w_ab, 1.0 - w.w_ab), max(w.w_ac, 1.0 - w.w_ac)
 
 
-def in_classical_set(w: WitnessPair, tol: float = 1e-12) -> bool:
-    """Whether both symmetrized witnesses respect the classical bound 3/4."""
-    a, c = _symmetrize(w)
-    return a <= CLASSICAL_BOUND + tol and c <= CLASSICAL_BOUND + tol
+def in_classical_set(w: WitnessPair) -> bool:
+    """Whether both symmetrized witnesses respect the classical bound 3/4 (to 1e-12)."""
+    return max(_symmetrize(w)) <= CLASSICAL_BOUND + 1e-12
 
 
 def in_quantum_set(w: WitnessPair, tol: float = FEASIBILITY_TOL) -> bool:

@@ -55,6 +55,10 @@ EXIT_CONVERGENCE = 4
 EXIT_INFEASIBLE = 5
 EXIT_INEQUALITY = 6
 
+# Largest --points: a level keeps its alpha and CSV row, about 0.5 kB, so
+# the largest grid holds about 50 MB (a level takes 30-150 ms to trace).
+BOUNDARY_POINTS_MAX = 100_000
+
 
 def _g17(x: float) -> str:
     return format(float(x), ".17g")
@@ -105,8 +109,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    if args.points < 2:
-        raise DomainError("--points must be at least 2")
+    if not 2 <= args.points <= BOUNDARY_POINTS_MAX:
+        raise DomainError(f"--points = {args.points} outside [2, {BOUNDARY_POINTS_MAX}]")
     # Uniform grid plus the 3/4 reference level (not representable on any
     # uniform grid over this interval).
     alphas = sorted(set(np.linspace(0.5, W_AB_MAX, args.points).tolist()) | {0.75})

@@ -36,7 +36,10 @@ def _require(condition: bool, path: str, message: str):
 def _parse_real(value, path: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool), path,
              f"expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        raise DocumentError(path, "integer out of the float range") from None
     _require(np.isfinite(out), path, f"non-finite number {value!r}")
     return out
 
@@ -113,41 +116,29 @@ def parse_strategy_document(doc: dict) -> Strategy:
             raise DocumentInvariantError(path, str(exc)) from exc
         states.append(state)
 
-    instruments_raw = doc.get("instruments")
-    _require(isinstance(instruments_raw, list) and len(instruments_raw) == 2,
-             "instruments", "expected two entries")
-    instruments = []
-    for y, entry in enumerate(instruments_raw):
-        path = f"instruments[{y}]"
+    instruments = _parse_devices(doc, "instruments", "kraus", "Kraus", BinaryInstrument.from_kraus)
+    measurements = _parse_devices(doc, "measurements", "effects", "effect", validate_povm)
+    return Strategy(PreparationEnsemble(tuple(states)), instruments, measurements)
+
+
+def _parse_devices(doc: dict, key: str, field: str, noun: str, build) -> tuple:
+    """The two devices listed under ``key``, each built by ``build`` from the
+    two ``noun`` matrices under its ``field``."""
+    entries = doc.get(key)
+    _require(isinstance(entries, list) and len(entries) == 2, key, "expected two entries")
+    devices = []
+    for i, entry in enumerate(entries):
+        path = f"{key}[{i}]"
         _require(isinstance(entry, dict), path, "expected an object")
-        kraus = entry.get("kraus")
-        _require(isinstance(kraus, list) and len(kraus) == 2, f"{path}.kraus",
-                 "expected two Kraus matrices")
-        mats = [_parse_matrix(k, f"{path}.kraus[{b}]") for b, k in enumerate(kraus)]
+        mats = entry.get(field)
+        _require(isinstance(mats, list) and len(mats) == 2, f"{path}.{field}",
+                 f"expected two {noun} matrices")
+        parsed = [_parse_matrix(m, f"{path}.{field}[{b}]") for b, m in enumerate(mats)]
         try:
-            instruments.append(BinaryInstrument.from_kraus(*mats))
+            devices.append(build(*parsed))
         except Exception as exc:
             raise DocumentInvariantError(path, str(exc)) from exc
-
-    measurements_raw = doc.get("measurements")
-    _require(isinstance(measurements_raw, list) and len(measurements_raw) == 2,
-             "measurements", "expected two entries")
-    measurements = []
-    for z, entry in enumerate(measurements_raw):
-        path = f"measurements[{z}]"
-        _require(isinstance(entry, dict), path, "expected an object")
-        effects = entry.get("effects")
-        _require(isinstance(effects, list) and len(effects) == 2, f"{path}.effects",
-                 "expected two effect matrices")
-        mats = [_parse_matrix(e, f"{path}.effects[{c}]") for c, e in enumerate(effects)]
-        try:
-            measurements.append(validate_povm(*mats))
-        except Exception as exc:
-            raise DocumentInvariantError(path, str(exc)) from exc
-
-    return Strategy(
-        PreparationEnsemble(tuple(states)), tuple(instruments), tuple(measurements)
-    )
+    return tuple(devices)
 
 
 def _document_payload(s: Strategy) -> dict:
@@ -200,10 +191,10 @@ def write_strategy_file(s: Strategy, path) -> None:
 def read_strategy_file(path) -> Strategy:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError("$", f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also int()'s digit limit, deep nesting
         raise DocumentError("$", f"not valid JSON: {exc}") from exc
     return parse_strategy_document(doc)

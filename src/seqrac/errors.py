@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all seqrac modules."""
 
+import operator
+
 
 class SeqracError(Exception):
     """Base class for all errors raised by this package."""
@@ -23,6 +25,14 @@ class BlochNormExceeded(SeqracError):
 
 class DomainError(SeqracError):
     """A scalar argument lies outside its documented domain."""
+
+
+def require_integer(value, what: str) -> int:
+    """``value`` through ``operator.index``; :class:`DomainError` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 class InvalidStrategy(SeqracError):

@@ -30,8 +30,8 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
-# Default slack of the validity checks (hermiticity, trace, positivity,
-# completeness, Bloch norm); each check takes its own ``tol=`` argument.
+# Slack of the validity checks of every qubit object (hermiticity, trace,
+# positivity, completeness, Bloch norm).
 HERM_TOL = 1e-9
 
 
@@ -232,12 +232,12 @@ class QubitState:
     bloch: np.ndarray
 
     @classmethod
-    def from_matrix(cls, m, tol: float = HERM_TOL) -> "QubitState":
-        h = require_hermitian(m, tol)
+    def from_matrix(cls, m) -> "QubitState":
+        h = require_hermitian(m)
         tr = h[0, 0].real + h[1, 1].real
-        if abs(tr - 1.0) > tol:
+        if abs(tr - 1.0) > HERM_TOL:
             raise NotPsd(f"trace {tr!r} != 1")
-        if eigvals_hermitian(h)[1] < -tol:
+        if eigvals_hermitian(h)[1] < -HERM_TOL:
             raise NotPsd("density matrix has a negative eigenvalue")
         return cls(h, bloch_from_matrix(h))
 
@@ -256,13 +256,13 @@ def _vector3(v, what: str) -> np.ndarray:
     return a
 
 
-def state_from_bloch(n, tol: float = HERM_TOL) -> QubitState:
+def state_from_bloch(n) -> QubitState:
     """Qubit state ``(I + n . sigma)/2`` from a Bloch vector in the unit ball."""
     vec = _vector3(n, "Bloch vector")
     norm = float(np.linalg.norm(vec))
     if not math.isfinite(norm):
         raise DomainError(f"Bloch vector {vec!r} is not finite")
-    if norm > 1.0 + tol:
+    if norm > 1.0 + HERM_TOL:
         raise BlochNormExceeded(f"|n| = {norm!r} exceeds 1")
     return QubitState(bloch_compose(0.5, 0.5 * vec), vec.copy())
 
@@ -294,30 +294,30 @@ class BinaryPovm:
         return self.effects[0] - self.effects[1]
 
     @classmethod
-    def from_observable(cls, c0: float, cvec, tol: float = HERM_TOL) -> "BinaryPovm":
+    def from_observable(cls, c0: float, cvec) -> "BinaryPovm":
         """Build ``E_b = ((1 + (-1)^b c0) I + (-1)^b cvec . sigma)/2``."""
         c = _vector3(cvec, "observable vector")
         norm = float(np.linalg.norm(c))
         if not math.isfinite(c0 + norm):
             raise DomainError(f"offset {c0!r} or observable vector {c!r} is not finite")
-        if norm - 1.0 > tol or abs(c0) - (1.0 - norm) > tol:
+        if norm - 1.0 > HERM_TOL or abs(c0) - (1.0 - norm) > HERM_TOL:
             raise NotPsd(f"offset {c0!r} with |c| = {norm!r} breaks positivity")
         e0 = bloch_compose(0.5 * (1.0 + c0), 0.5 * c)
         e1 = bloch_compose(0.5 * (1.0 - c0), -0.5 * c)
         return cls((e0, e1), float(c0), c.copy())
 
 
-def validate_povm(e0, e1, tol: float = HERM_TOL) -> BinaryPovm:
+def validate_povm(e0, e1) -> BinaryPovm:
     """Check a two-effect measurement and return it with Bloch data filled in."""
     effects = []
     for name, e in (("E0", e0), ("E1", e1)):
-        h = require_hermitian(e, tol)
+        h = require_hermitian(e)
         lo = eigvals_hermitian(h)[1]
-        if lo < -tol:
+        if lo < -HERM_TOL:
             raise NotPsd(f"{name} has negative eigenvalue {lo:.3e}")
         effects.append(h)
     dev = float(np.max(np.abs(effects[0] + effects[1] - ID2)))
-    if dev > tol:
+    if dev > HERM_TOL:
         raise CompletenessViolated(f"effects sum to identity + {dev:.3e}")
     c0, cvec = bloch_decompose(effects[0] - effects[1])
     return BinaryPovm((effects[0], effects[1]), c0, cvec)

@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     InequalityViolation,
     InvalidPovm,
+    require_integer,
 )
 from .linalg import (
     HERM_TOL,
@@ -53,22 +54,23 @@ from .strategies import X_AXIS, Z_AXIS, axis_instruments
 HALF_PI = 0.5 * np.pi
 # Cap on the sweeps of coordinate ascent over (theta, phi1).
 REFINEMENT_ITERATIONS = 40
+# Restarts of one see-saw call, and the gain below which a restart stops.
+SEESAW_RESTARTS = 32
+CONVERGENCE_EPSILON = 1e-8
+# Slack of the eigenvalue-sum bound and of its alignment test.
+BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     grid_resolution: int = 512
-    seesaw_restarts: int = 32
-    convergence_epsilon: float = 1e-8
     rng_seed: int = 20250809
 
     def __post_init__(self):
-        if min(self.grid_resolution, self.seesaw_restarts) < 1:
-            raise DomainError("grid and restart counts must be positive")
-        if self.rng_seed < 0:
+        if require_integer(self.grid_resolution, "grid_resolution") < 1:
+            raise DomainError(f"grid_resolution must be positive, got {self.grid_resolution!r}")
+        if require_integer(self.rng_seed, "rng_seed") < 0:
             raise DomainError(f"rng_seed must be non-negative, got {self.rng_seed!r}")
-        if not 0.0 < self.convergence_epsilon < 1e-3:
-            raise DomainError("convergence_epsilon must lie in (0, 1e-3)")
 
 
 @dataclass(frozen=True)
@@ -470,7 +472,7 @@ def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
     # keyed by the exact bits of its floats.  It lives for this call only.
     rounds: dict = {}
     best = None
-    for restart in range(cfg.seesaw_restarts):
+    for restart in range(SEESAW_RESTARTS):
         rng = np.random.default_rng([cfg.rng_seed, restart])
         if restart == 0:
             start = None
@@ -491,7 +493,7 @@ def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
             params, before, charlie, after = rounds[key]
             theta, phi1 = params.theta, params.phi1
             run.charlie_steps.append((before, after))
-            converged = after - value < cfg.convergence_epsilon
+            converged = after - value < CONVERGENCE_EPSILON
             value = after
             if converged:
                 break
@@ -605,12 +607,12 @@ def _sandwich_max(effects: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.hypot(m[:, 0, 1].real, m[:, 0, 1].imag))
 
 
-def sandwich_eigenvalue_sum_bound(povm, direction, tol: float = 1e-9) -> BoundSample:
+def sandwich_eigenvalue_sum_bound(povm, direction) -> BoundSample:
     """Check ``sum_b lambda_max[sqrt(M_b) (a.sigma) sqrt(M_b)] <= |a|``.
 
     Equality holds exactly when the direction is (anti)parallel to the
     measurement's Bloch axis, or the axis vanishes.  Raises
-    :class:`InequalityViolation` if the bound fails beyond ``tol``.
+    :class:`InequalityViolation` if the bound fails beyond ``BOUND_SLACK``.
     """
     if not isinstance(povm, BinaryPovm):
         try:
@@ -627,15 +629,15 @@ def sandwich_eigenvalue_sum_bound(povm, direction, tol: float = 1e-9) -> BoundSa
     lhs = 0.0
     for value in _sandwich_max(np.array(povm.effects, dtype=complex), np.array([op, op])).tolist():
         lhs += value
-    if lhs > rhs + tol:
+    if lhs > rhs + BOUND_SLACK:
         raise InequalityViolation(
             f"eigenvalue sum {lhs!r} exceeds |a| = {rhs!r}"
         )
     sharp = povm.sharpness
-    if sharp <= tol:
+    if sharp <= BOUND_SLACK:
         aligned = True
     else:
-        aligned = abs(abs(float(np.dot(povm.cvec, a))) / (sharp * rhs) - 1.0) <= tol
+        aligned = abs(abs(float(np.dot(povm.cvec, a))) / (sharp * rhs) - 1.0) <= BOUND_SLACK
     return BoundSample(float(lhs), rhs, aligned)
 
 
@@ -736,7 +738,7 @@ def _bound_suite(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np
     ops = np.repeat(_bloch_compose_rows(0.0, a[:n]), 2, axis=0)
     pairs = _sandwich_max(effects[: 2 * n], ops).reshape(n, 2)
     lhs = np.where(rhs == 0.0, 0.0, 0.0 + pairs[:, 0] + pairs[:, 1])
-    n = min(n, _first(lhs > rhs + 1e-9))
+    n = min(n, _first(lhs > rhs + BOUND_SLACK))
     if n < samples:
         c0_i, c_i, a_i = draws[n]
         sandwich_eigenvalue_sum_bound(BinaryPovm.from_observable(c0_i, c_i), a_i)
@@ -796,17 +798,17 @@ def inequality_report(samples: int, grid: int, seed: int) -> dict:
     if trig_max > 1.0 + 1e-12:
         raise InequalityViolation(f"trig grid maximum {trig_max!r} exceeds 1")
 
-    sizes = [min(_SUITE_BATCH, samples - start) for start in range(0, samples, _SUITE_BATCH)]
+    starts = range(0, samples, _SUITE_BATCH)  # a range: flat memory for any count
     rng = np.random.default_rng([seed, 11])
     bound_margin = -math.inf
-    for size in sizes:
-        lhs, rhs = _bound_suite(rng, size)
+    for start in starts:
+        lhs, rhs = _bound_suite(rng, min(_SUITE_BATCH, samples - start))
         bound_margin = max(bound_margin, (lhs - rhs).max())
 
     rng = np.random.default_rng([seed, 13])
     eigen_residual = 0.0
-    for size in sizes:
-        direct, closed = _eigen_suite(rng, size)
+    for start in starts:
+        direct, closed = _eigen_suite(rng, min(_SUITE_BATCH, samples - start))
         eigen_residual = max(eigen_residual, np.abs(direct - closed).max())
     if eigen_residual > 1e-10:
         raise InequalityViolation(

@@ -72,7 +72,7 @@ class BinaryInstrument:
     unitaries: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
 
     @classmethod
-    def from_branches(cls, branch0, branch1, tol: float = HERM_TOL) -> "BinaryInstrument":
+    def from_branches(cls, branch0, branch1) -> "BinaryInstrument":
         branches = tuple(
             tuple(as_matrix2(k) for k in branch) for branch in (branch0, branch1)
         )
@@ -83,18 +83,18 @@ class BinaryInstrument:
                 m += k.conj().T @ k
             effects.append(0.5 * (m + m.conj().T))
         dev = float(np.max(np.abs(effects[0] + effects[1] - ID2)))
-        if dev > tol:
+        if dev > HERM_TOL:
             raise CompletenessViolated(f"Kraus operators sum to I + {dev:.3e}")
-        povm = validate_povm(effects[0], effects[1], tol)
+        povm = validate_povm(effects[0], effects[1])
         unitaries = tuple(
             tuple(polar_decompose(k)[0] for k in branch) for branch in branches
         )
         return cls(branches, povm, unitaries)
 
     @classmethod
-    def from_kraus(cls, k0, k1, tol: float = HERM_TOL) -> "BinaryInstrument":
+    def from_kraus(cls, k0, k1) -> "BinaryInstrument":
         """Validate an extremal instrument (one Kraus operator per outcome)."""
-        return cls.from_branches((k0,), (k1,), tol)
+        return cls.from_branches((k0,), (k1,))
 
     @classmethod
     def from_polar(cls, unitaries, povm: BinaryPovm) -> "BinaryInstrument":
@@ -157,31 +157,31 @@ class Strategy:
     instruments: tuple[BinaryInstrument, BinaryInstrument]
     measurements: tuple[BinaryPovm, BinaryPovm]
 
-    def validate(self, tol: float = HERM_TOL) -> "Strategy":
+    def validate(self) -> "Strategy":
         """Re-validate every component; raises InvalidStrategy naming it."""
         for i, st in enumerate(self.preparations.states):
             try:
-                QubitState.from_matrix(st.matrix, tol)
+                QubitState.from_matrix(st.matrix)
                 bloch = _vector3(st.bloch, "Bloch vector")
                 if not np.isfinite(bloch).all():
                     raise DomainError(f"Bloch vector {bloch!r} is not finite")
             except Exception as exc:
                 raise InvalidStrategy(f"preparations[{i}]: {exc}") from exc
-            if np.max(np.abs(st.matrix - bloch_compose(0.5, 0.5 * bloch))) > tol:
+            if np.max(np.abs(st.matrix - bloch_compose(0.5, 0.5 * bloch))) > HERM_TOL:
                 raise InvalidStrategy(f"preparations[{i}]: matrix/bloch views disagree")
         for y, inst in enumerate(self.instruments):
             try:
-                rebuilt = BinaryInstrument.from_branches(*inst.kraus, tol=tol)
+                rebuilt = BinaryInstrument.from_branches(*inst.kraus)
             except Exception as exc:
                 raise InvalidStrategy(f"instruments[{y}]: {exc}") from exc
             for own, derived in zip(inst.povm.effects, rebuilt.povm.effects):
-                if np.max(np.abs(own - derived)) > tol:
+                if np.max(np.abs(own - derived)) > HERM_TOL:
                     raise InvalidStrategy(
                         f"instruments[{y}]: stored POVM disagrees with Kraus operators"
                     )
         for z, povm in enumerate(self.measurements):
             try:
-                validate_povm(*povm.effects, tol=tol)
+                validate_povm(*povm.effects)
             except Exception as exc:
                 raise InvalidStrategy(f"measurements[{z}]: {exc}") from exc
         return self

@@ -9,15 +9,19 @@ party ``k`` scores ``(1 + sqrt(2)/2^k) / 2``.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_integer
 from .scenario import WitnessPair, average_instrument_channel, rac_success
 from .strategies import axis_instruments, canonical_witness_pair, square_preparations
+
+
+# Largest chain: a party keeps its row and CSV line, about 0.5 kB, so the
+# longest chain holds about 50 MB (and runs for about 25 s).
+CHAIN_PARTIES_MAX = 100_000
 
 
 @dataclass(frozen=True)
@@ -28,13 +32,17 @@ class ChainConfig:
     sharpness_profile: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.parties < 1:
-            raise DomainError(f"need at least one party, got {self.parties!r}")
+        parties = require_integer(self.parties, "parties")
+        if not 1 <= parties <= CHAIN_PARTIES_MAX:
+            raise DomainError(f"parties = {parties!r} outside [1, {CHAIN_PARTIES_MAX}]")
         profile = self.sharpness_profile
         if profile is None:
-            object.__setattr__(self, "sharpness_profile", (1.0,) * self.parties)
+            object.__setattr__(self, "sharpness_profile", (1.0,) * parties)
             return
-        profile = tuple(float(v) for v in profile)
+        try:
+            profile = tuple(float(v) for v in profile)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"sharpnesses must be numbers: {exc}") from None
         if len(profile) != self.parties:
             raise DomainError(
                 f"profile has {len(profile)} entries for {self.parties} parties"
@@ -52,10 +60,7 @@ class ChainStep(NamedTuple):
 
 def party_witness_closed_form(k: int) -> float:
     """Witness of the k-th sharp party, ``(1 + sqrt(2)/2^k) / 2``."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise DomainError(f"party index must be an integer, got {k!r}") from None
+    k = require_integer(k, "party index")
     if k < 1:
         raise DomainError(f"party index must be >= 1, got {k!r}")
     # 2.0**-k underflows to 0 for huge k, where 2.0**k would overflow.

@@ -29,15 +29,15 @@ X_AXIS = np.array([1.0, 0.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
-def square_preparations(radius: float = 1.0) -> PreparationEnsemble:
-    """Four states at ``((-1)^x0, 0, (-1)^x1) * radius / sqrt(2)``.
+def square_preparations() -> PreparationEnsemble:
+    """Four pure states at ``((-1)^x0, 0, (-1)^x1) / sqrt(2)``.
 
     The Bloch vectors form a square in the xz-disk whose diagonals are the
     pairs with flipped input bits.
     """
     states = []
     for x0, x1 in INPUT_PAIRS:
-        n = radius * INV_SQRT2 * np.array([(-1.0) ** x0, 0.0, (-1.0) ** x1])
+        n = INV_SQRT2 * np.array([(-1.0) ** x0, 0.0, (-1.0) ** x1])
         states.append(state_from_bloch(n))
     return PreparationEnsemble(tuple(states))
 

@@ -104,7 +104,7 @@ def test_criterion_04_seesaw_attainability():
         result = seesaw(alpha, cfg)
         result.strategy.validate()
         bound = boundary_wac(alpha)
-        assert abs(result.pair.w_ab - alpha) <= cfg.convergence_epsilon
+        assert abs(result.pair.w_ab - alpha) <= 1e-8
         assert result.pair.w_ac >= bound - 1e-3
         assert result.pair.w_ac <= bound + 1e-7
         gaps.append(bound - result.pair.w_ac)

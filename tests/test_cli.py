@@ -1,18 +1,24 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import seqrac
 from seqrac import canonical_strategy
-from seqrac.cli import main
+from seqrac.cli import BOUNDARY_POINTS_MAX, main
 from seqrac.documents import document_text, write_strategy_file
+from seqrac.sequence import CHAIN_PARTIES_MAX
 
 
 def test_module_entry_point_runs():
@@ -142,6 +148,14 @@ class TestBoundary:
         assert first.read_bytes() == second.read_bytes()
 
 
+    @pytest.mark.parametrize("points", [BOUNDARY_POINTS_MAX + 1, 10**12])
+    def test_points_above_maximum_maps_to_2(self, capsys, points):
+        assert main(["boundary", "--points", str(points)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--points = {points}" in captured.err
+
+
 class TestCertify:
     def test_published_interval(self, capsys):
         assert main(["certify", "--wab", "0.7138", "--wac", "0.7826"]) == 0
@@ -208,6 +222,14 @@ class TestSequence:
         last = out.read_text().splitlines()[-1].split(",")
         assert last[0] == "1100"
         assert float(last[3]) == 0.5
+
+
+    @pytest.mark.parametrize("parties", [CHAIN_PARTIES_MAX + 1, 10**12])
+    def test_parties_above_maximum_maps_to_2(self, capsys, parties):
+        assert main(["sequence", "--parties", str(parties)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"parties = {parties}" in captured.err
 
 
 class TestClassicalCommand:
@@ -298,3 +320,86 @@ class TestErrorExitCodes:
 
         monkeypatch.setattr(cli, "inequality_report", violate)
         assert main(["checks", "--samples", "10", "--grid", "5"]) == 6
+
+
+DOCUMENT = Path(__file__).parent / "data" / "noisy_canonical.json"
+
+
+def _numeric_leaves(node, path=()):
+    """Paths to the numbers of a parsed JSON document."""
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+    elif isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _numeric_leaves(child, path + (key,))
+
+
+# Invalid extremes of a flag value.  No valid --samples, --points or
+# --parties above a small value is drawn, and neither --samples nor --points
+# is left to its default: a valid ``checks --samples 10**12`` runs for days,
+# which is not an exit-code defect.  Every other flag may also take HUGE.
+EXTREMES = ["-1", "0", "nan", "inf", "-inf", "1e400", "abc", ""]
+HUGE = str(10**12)
+
+
+def _flag(name, valid, required=False, extremes=EXTREMES):
+    """``["--name=value"]`` with a small valid value or an extreme; ``[]`` when absent."""
+    value = st.sampled_from(valid + extremes).map(lambda v: [f"--{name}={v}"])
+    return value if required else st.just([]) | value
+
+
+def _command(name, *flags):
+    return st.tuples(*flags).map(lambda parts: [name] + [arg for part in parts for arg in part])
+
+
+WITNESS = ["0.5", "0.7138", "0.7826", "0.85", "1", HUGE]
+# --out takes no extreme but the empty value (stdout), so that every file an
+# example writes lies in its temporary directory.
+OUT_FLAG = _flag("out", ["{dir}/out.csv", "{dir}", "{dir}/missing/out.csv", "{dir}/nan"], extremes=[""])
+ARGV = st.one_of(
+    _command("boundary", _flag("points", ["2", HUGE], True), _flag("seed", ["0", "3", HUGE]),
+             OUT_FLAG, st.sampled_from([[], ["--with-seesaw"]])),
+    _command("certify", _flag("wab", WITNESS, True), _flag("wac", WITNESS, True)),
+    _command("noise", *(_flag(v, ["0.7", "0.95", "1", HUGE], True) for v in ("eta", "va", "vb", "vc"))),
+    _command("sequence", _flag("parties", ["1", "2", "3", HUGE], True),
+             _flag("eta-profile", ["1,0.5", "0.8", "1,,1", "2,1", "nan,1"]), OUT_FLAG),
+    _command("classical"),
+    _command("checks", _flag("samples", ["1", "3"], True), _flag("grid", ["1", "5", "3501", HUGE]),
+             _flag("seed", ["0", "7", HUGE])),
+    st.just(["evaluate", "{dir}/missing.json"]),
+)
+MUTATION = st.tuples(
+    st.sampled_from(list(_numeric_leaves(json.loads(DOCUMENT.read_text())))),
+    st.sampled_from([10**400, -(10**400), float("nan"), float("inf"), "0.5", [], [1, 2], None, {}]),
+)
+CASES = ARGV.map(lambda argv: (argv, [])) | st.tuples(
+    st.just(["evaluate", "{dir}/doc.json"]), st.lists(MUTATION, min_size=1, max_size=3)
+)
+
+
+class TestExitCodes:
+    """Whatever the flags or the document, the CLI exits with a documented code."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(CASES)
+    @example((["evaluate", "{dir}/doc.json"], [(("preparations", 0, "bloch", 1), 10**400)]))
+    @example((["evaluate", "{dir}/doc.json"], [(("instruments", 1, "kraus", 0, 1, 0, 1), -(10**400))]))
+    @example((["boundary", f"--points={10**12}"], []))
+    @example((["sequence", f"--parties={10**12}"], []))
+    def test_exit_code_is_documented(self, case):
+        argv, mutations = case
+        doc = json.loads(DOCUMENT.read_text())
+        for path, value in mutations:
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            Path(tmp, "doc.json").write_text(json.dumps(doc))
+            argv = [arg.replace("{dir}", tmp) for arg in argv]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the flags
+                    code = exc.code
+        assert code in {0, 2, 3, 4, 5, 6}

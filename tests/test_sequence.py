@@ -11,7 +11,7 @@ from seqrac import (
     witness_pair,
 )
 from seqrac.errors import DomainError
-from seqrac.sequence import ChainConfig
+from seqrac.sequence import CHAIN_PARTIES_MAX, ChainConfig
 from seqrac.strategies import canonical_strategy
 
 SQRT2 = np.sqrt(2.0)
@@ -92,12 +92,20 @@ class TestSimulateChain:
             radius *= (1 + np.sqrt(1 - eta**2)) / 2
 
     def test_rejects_bad_profile(self):
-        with pytest.raises(DomainError):
-            ChainConfig(2, (1.0,))
-        with pytest.raises(DomainError):
-            ChainConfig(1, (1.5,))
-        with pytest.raises(DomainError):
-            ChainConfig(0)
+        for args in (
+            (2, (1.0,)),
+            (1, (1.5,)),
+            (0,),
+            (2.5,),  # not an integer
+            (np.nan,),
+            (CHAIN_PARTIES_MAX + 1,),
+            (10**12,),
+            (2, (1.0, "abc")),  # an entry that is not a number
+            (2, (1.0, None)),
+            (2, 1.0),  # a profile that is not a sequence
+        ):
+            with pytest.raises(DomainError):
+                ChainConfig(*args)
 
 
 class TestDoubleViolation:
