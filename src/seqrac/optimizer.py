@@ -160,17 +160,6 @@ def charlie_best_response(
     return (povms[0], povms[1]), float(value)
 
 
-def _invert_constraint(alpha: float, c, s, cos_phi1):
-    """Solve ``reduced_constraint = alpha`` for ``cos(phi0)``, elementwise.
-
-    Takes ``c, s = cos(theta/2), sin(theta/2)`` and ``cos(phi1)`` as floats
-    or arrays.  Returns ``(required, feasible)``: the unclipped requirement
-    and whether it lies within 1e-9 of [0, 1].
-    """
-    required = (8.0 * alpha - 4.0 - 2.0 * s * cos_phi1) / (2.0 * c)
-    return required, (required >= -1e-9) & (required <= 1.0 + 1e-9)
-
-
 def solve_reduced_phi0(alpha: float, theta: float, phi1: float) -> float | None:
     """Eliminate ``phi0`` from the witness constraint at level ``alpha``.
 
@@ -184,12 +173,19 @@ def solve_reduced_phi0(alpha: float, theta: float, phi1: float) -> float | None:
 
 
 def _grid_argmax(alpha: float, resolution: int) -> tuple[float, float, float]:
-    xs, cos_half, sin_half, cos_x, sin_x = _axis_table(resolution)
-    # Theta runs down the rows, phi1 along the columns.  Unit Charlie
-    # overlaps turn the fixed-measurement value into the boundary objective.
-    obj = _fixed_charlie_values(alpha, cos_half[:, None], sin_half[:, None], cos_x, sin_x, 1.0, 1.0)
-    i, j = np.unravel_index(int(np.argmax(obj)), obj.shape)
-    return float(obj[i, j]), float(xs[i]), float(xs[j])
+    xs, c2, s2, cos_x, sin1_x = _axis_table(resolution)
+    # Theta runs down the rows, phi1 along the columns, in slabs of about 32k
+    # cells; a slab wins only on a strictly larger maximum, as np.argmax keeps
+    # the first.  Unit Charlie overlaps make the value the boundary objective.
+    rows = max(1, 32768 // resolution)
+    best = (-np.inf, 0, 0)
+    for i in range(0, resolution, rows):
+        slab = slice(i, i + rows)
+        obj = _charlie_values(alpha, c2[slab, None], s2[slab, None], cos_x, sin1_x, 1.0, 1.0)
+        j = int(np.argmax(obj))
+        if obj.flat[j] > best[0]:
+            best = (float(obj.flat[j]), i + j // resolution, j % resolution)
+    return best[0], float(xs[best[1]]), float(xs[best[2]])
 
 
 class BoundaryPoint(NamedTuple):
@@ -259,8 +255,9 @@ def _fixed_charlie_value(
     that call stays numpy.  ``tests/test_seesaw_trajectory.py`` pins the bits.
     """
     c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    required, feasible = _invert_constraint(alpha, c, s, math.cos(phi1))
-    if not feasible:
+    # Solve reduced_constraint = alpha for cos(phi0); feasible within 1e-9 of [0, 1].
+    required = (8.0 * alpha - 4.0 - 2.0 * s * math.cos(phi1)) / (2.0 * c)
+    if not -1e-9 <= required <= 1.0 + 1e-9:
         return -1.0, None
     phi0 = float(np.arccos(min(max(required, 0.0), 1.0)))
     # Keep sin(arccos r): sqrt(1 - r^2) here changes 11 rows of the boundary CSV.
@@ -268,26 +265,38 @@ def _fixed_charlie_value(
     return value, phi0
 
 
-def _fixed_charlie_values(alpha: float, c, s, cos_phi1, sin_phi1, q0: float, q1: float) -> np.ndarray:
-    """Vectorised :func:`_fixed_charlie_value` on ``c, s = cos(theta/2), sin(theta/2)``
-    and ``cos(phi1)``, ``sin(phi1)``, which broadcast; ``-inf`` where infeasible."""
-    required, feasible = _invert_constraint(alpha, c, s, cos_phi1)
-    cos_phi0 = np.clip(required, 0.0, 1.0)
+def _charlie_values(alpha: float, c2, s2, cos_phi1, sin1_phi1, q0: float, q1: float) -> np.ndarray:
+    """Vectorised :func:`_fixed_charlie_value`, ``-inf`` where infeasible, on the
+    broadcasting factors ``c2, s2 = 2 cos(theta/2), 2 sin(theta/2)``,
+    ``cos(phi1)`` and ``1 + sin(phi1)``.  Products and sums group as in the
+    scalar formula and run in place; a unit overlap skips its product, which
+    is exact."""
+    r = s2 * cos_phi1
+    np.divide(np.subtract(8.0 * alpha - 4.0, r, out=r), c2, out=r)
+    infeasible = ~((r >= -1e-9) & (r <= 1.0 + 1e-9))
+    np.minimum(np.maximum(r, 0.0, out=r), 1.0, out=r)
     # Keep sqrt(1 - r^2): sin(arccos r) here changes a row of the boundary CSV.
-    sin_phi0 = np.sqrt(1.0 - cos_phi0**2)
-    values = 0.5 + (
-        2.0 * c * (1.0 + sin_phi1) * q0 + 2.0 * s * (1.0 + sin_phi0) * q1
-    ) / 16.0
-    return np.where(feasible, values, -np.inf)
+    np.sqrt(np.subtract(1.0, np.square(r, out=r), out=r), out=r)
+    r += 1.0
+    r *= s2
+    if q1 != 1.0:
+        r *= q1
+    values = c2 * sin1_phi1 if q0 == 1.0 else c2 * sin1_phi1 * q0
+    values += r
+    values /= 16.0
+    values += 0.5
+    np.copyto(values, -np.inf, where=infeasible)
+    return values
 
 
 @functools.lru_cache(maxsize=4)
 def _axis_table(resolution: int) -> tuple[np.ndarray, ...]:
-    """Read-only ``xs = linspace(0, pi/2, resolution)``, ``cos(xs/2)``,
-    ``sin(xs/2)``, ``cos(xs)`` and ``sin(xs)``: the trigonometry of every scan."""
+    """Read-only ``xs = linspace(0, pi/2, resolution)``, ``2 cos(xs/2)``,
+    ``2 sin(xs/2)``, ``cos(xs)`` and ``1 + sin(xs)``: the trigonometry of
+    every row.  Doubling is exact, so the factors carry no new rounding."""
     xs = np.linspace(0.0, HALF_PI, resolution)
     half = 0.5 * xs
-    table = (xs, np.cos(half), np.sin(half), np.cos(xs), np.sin(xs))
+    table = (xs, 2.0 * np.cos(half), 2.0 * np.sin(half), np.cos(xs), 1.0 + np.sin(xs))
     for a in table:
         a.flags.writeable = False
     return table
@@ -374,11 +383,43 @@ def minimize_scalar(func, lo: float, hi: float, xatol: float) -> tuple[float, fl
     return xf, fx
 
 
+def _theta_objective(alpha: float, phi1: float, q0: float, q1: float):
+    """``t -> -_fixed_charlie_value(alpha, t, phi1, q0, q1)[0]``, bit for bit,
+    with ``phi1``'s factors taken once."""
+    k, cos_phi1, sin1_phi1 = 8.0 * alpha - 4.0, math.cos(phi1), 1.0 + math.sin(phi1)
+
+    def objective(t: float) -> float:
+        c2, s2 = 2.0 * math.cos(0.5 * t), 2.0 * math.sin(0.5 * t)
+        required = (k - s2 * cos_phi1) / c2
+        if not -1e-9 <= required <= 1.0 + 1e-9:
+            return 1.0
+        sin_phi0 = math.sin(np.arccos(min(max(required, 0.0), 1.0)))
+        return -(0.5 + (c2 * sin1_phi1 * q0 + s2 * (1.0 + sin_phi0) * q1) / 16.0)
+
+    return objective
+
+
+def _phi1_objective(alpha: float, theta: float, q0: float, q1: float):
+    """``t -> -_fixed_charlie_value(alpha, theta, t, q0, q1)[0]``, bit for bit,
+    with ``theta``'s factors taken once."""
+    k, c2, s2 = 8.0 * alpha - 4.0, 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
+
+    def objective(t: float) -> float:
+        required = (k - s2 * math.cos(t)) / c2
+        if not -1e-9 <= required <= 1.0 + 1e-9:
+            return 1.0
+        sin_phi0 = math.sin(np.arccos(min(max(required, 0.0), 1.0)))
+        return -(0.5 + (c2 * (1.0 + math.sin(t)) * q0 + s2 * (1.0 + sin_phi0) * q1) / 16.0)
+
+    return objective
+
+
 def _scan_coordinate(
-    xs: np.ndarray, row: np.ndarray, func, x: float, here: float
+    xs: np.ndarray, row: np.ndarray, objective, x: float, here: float
 ) -> tuple[float, float]:
-    """Line search of one angle: ``row`` holds ``func`` on the grid ``xs``,
-    ``here = func(x)``.  Returns the best angle and value, ``(x, here)`` if
+    """Line search of one angle: ``row`` holds the value on the grid ``xs``,
+    ``objective`` its negation (``1.0`` where infeasible) and ``here`` the
+    value at ``x``.  Returns the best angle and value, ``(x, here)`` if
     nothing beats ``here``.
 
     The feasible region can be a narrow window inside [0, pi/2], so a
@@ -389,9 +430,8 @@ def _scan_coordinate(
     if not np.isfinite(row[i]):
         return x, here
     best_x, best_v = float(xs[i]), float(row[i])
-    t, ft = minimize_scalar(
-        lambda t: -func(t), float(xs[max(0, i - 1)]), float(xs[min(len(xs) - 1, i + 1)]), 1e-14
-    )
+    lo, hi = float(xs[max(0, i - 1)]), float(xs[min(len(xs) - 1, i + 1)])
+    t, ft = minimize_scalar(objective, lo, hi, 1e-14)
     if -ft > best_v:
         best_x, best_v = t, -ft
     if best_v > here:
@@ -409,20 +449,18 @@ def _ascend(
     the final value, ``theta``, ``phi0`` and ``phi1``.  Unit overlaps
     ``q0 = q1 = 1`` make the value the boundary objective.
     """
-    xs, cos_half, sin_half, cos_x, sin_x = _axis_table(resolution)
+    xs, c2_x, s2_x, cos_x, sin1_x = _axis_table(resolution)
     for _ in range(REFINEMENT_ITERATIONS):
-        here = _fixed_charlie_value(alpha, theta, phi1, q0, q1)[0]
-        row = _fixed_charlie_values(alpha, cos_half, sin_half, np.cos(phi1), np.sin(phi1), q0, q1)
-        moved, _ = _scan_coordinate(
-            xs, row, lambda t: _fixed_charlie_value(alpha, t, phi1, q0, q1)[0], theta, here
-        )
-        start = here if moved == theta else _fixed_charlie_value(alpha, moved, phi1, q0, q1)[0]
+        objective = _theta_objective(alpha, phi1, q0, q1)
+        here = -objective(theta)
+        row = _charlie_values(alpha, c2_x, s2_x, np.cos(phi1), 1.0 + np.sin(phi1), q0, q1)
+        moved, _ = _scan_coordinate(xs, row, objective, theta, here)
+        start = here if moved == theta else -objective(moved)
         theta = moved
         half = 0.5 * theta
-        row = _fixed_charlie_values(alpha, np.cos(half), np.sin(half), cos_x, sin_x, q0, q1)
-        phi1, value = _scan_coordinate(
-            xs, row, lambda t: _fixed_charlie_value(alpha, theta, t, q0, q1)[0], phi1, start
-        )
+        row = _charlie_values(alpha, 2.0 * np.cos(half), 2.0 * np.sin(half), cos_x, sin1_x, q0, q1)
+        objective = _phi1_objective(alpha, theta, q0, q1)
+        phi1, value = _scan_coordinate(xs, row, objective, phi1, start)
         if value <= here + 1e-15:
             break
     value, phi0 = _fixed_charlie_value(alpha, theta, phi1, q0, q1)
@@ -536,9 +574,10 @@ def classical_bruteforce() -> ClassicalBruteforce:
     """
     ab, ac = _classical_hits()
     # One integer key per (2 * ab, ac) point over all (e, b, r, c); both
-    # coordinates lie in [0, 16], so base 17 keeps the sort order.
+    # coordinates lie in [0, 16], so base 17 keeps the sort order, and the
+    # nonzero bins of the key counts are the sorted distinct keys.
     keys = 17 * (2 * ab)[:, :, None, None] + ac[:, None, :, :]
-    points = [divmod(int(k), 17) for k in np.unique(keys)]  # common denominator 16
+    points = [divmod(int(k), 17) for k in np.flatnonzero(np.bincount(keys.ravel()))]
     extremes = tuple(WitnessPair(p / 16.0, q / 16.0) for p, q in _integer_hull(points))
     return ClassicalBruteforce(int(ab.max()) / 8.0, int(ac.max()) / 16.0, extremes)
 

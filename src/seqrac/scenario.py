@@ -192,8 +192,8 @@ class WitnessPair(NamedTuple):
     w_ac: float
 
 
-def _clamp_prob(p: float, tol: float) -> float:
-    if p < -tol or p > 1.0 + tol:
+def _clamp_prob(p: float) -> float:
+    if p < -HERM_TOL or p > 1.0 + HERM_TOL:
         raise InvalidStrategy(f"probability {p!r} outside [0, 1] beyond tolerance")
     return min(max(p, 0.0), 1.0)
 
@@ -204,7 +204,7 @@ def joint_prob(s: Strategy, x: tuple[int, int], y: int, z: int, b: int, c: int) 
     effect = s.measurements[z].effects[c]
     branch = s.instruments[y].apply_branch(rho, b)
     p = float(np.trace(branch @ effect).real)
-    return _clamp_prob(p, HERM_TOL)
+    return _clamp_prob(p)
 
 
 def _matrices(states: Iterable[QubitState]) -> np.ndarray:
@@ -248,7 +248,7 @@ def rac_success(states: Iterable[QubitState], povms: tuple[BinaryPovm, BinaryPov
 def witness_ab(s: Strategy) -> float:
     """Alice-Bob witness ``(1/8) sum_{x,y} tr(rho_x M_{x_y|y})``."""
     value = rac_success(s.preparations.states, tuple(i.povm for i in s.instruments))
-    return _clamp_prob(value, HERM_TOL)
+    return _clamp_prob(value)
 
 
 def average_instrument_channel(
@@ -271,7 +271,7 @@ def effective_ensemble(s: Strategy) -> PreparationEnsemble:
 def witness_ac(s: Strategy) -> float:
     """Alice-Charlie witness ``(1/16) sum_{x,y,b,z} tr(K rho K^dag C_{x_z|z})``."""
     acc = _channel_sum(s.instruments, _matrices(s.preparations.states))
-    return _clamp_prob(_guess_score(acc, s.measurements) / 16.0, HERM_TOL)
+    return _clamp_prob(_guess_score(acc, s.measurements) / 16.0)
 
 
 def witness_pair(s: Strategy) -> WitnessPair:

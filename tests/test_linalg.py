@@ -275,8 +275,8 @@ class TestRotationBridge:
             assert gap <= 1e-12
 
 
-class TestExplicitTolerance:
-    def test_validity_checks_follow_the_tol_argument(self):
+class TestHermTol:
+    def test_validity_checks_read_herm_tol(self):
         """The validity checks take no ``tol``; each reads ``HERM_TOL = 1e-9``."""
         def povm(d):  # E0 = (I + (1 + d) Z)/2 has eigenvalue -d/2
             e0 = 0.5 * (ID2 + (1.0 + d) * SIGMA_Z)

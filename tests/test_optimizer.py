@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 
@@ -41,11 +41,13 @@ from seqrac import optimizer
 from seqrac.optimizer import (
     TRIG_GRID_MAX,
     _axis_table,
+    _charlie_values,
     _classical_hits,
     _fixed_charlie_value,
-    _fixed_charlie_values,
     _grid_argmax,
     _integer_hull,
+    _phi1_objective,
+    _theta_objective,
     minimize_scalar,
     solve_reduced_phi0,
     trig_grid_max,
@@ -253,23 +255,30 @@ class TestAxisTable:
 
     LEVELS = np.linspace(0.5, W_AB_MAX, 10)
 
-    @pytest.mark.parametrize("resolution", [1, 2, 64, 512])
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 64, 511, 512, 1024])
     def test_grid_argmax_matches_meshgrid(self, resolution):
+        # 3, 511 and 1024 do not divide the 32768-cell slabs of _grid_argmax.
         for alpha in self.LEVELS:
             assert _grid_argmax(float(alpha), resolution) == _meshgrid_argmax(float(alpha), resolution)
 
+    def test_grid_argmax_without_a_feasible_cell(self):
+        # alpha = 0.9 lies beyond the curve's domain, so every cell is infeasible.
+        assert _grid_argmax(0.9, 512) == _meshgrid_argmax(0.9, 512) == (-np.inf, 0.0, 0.0)
+
     @pytest.mark.parametrize("resolution", [513, 1025])
     def test_scan_rows_match_per_call_trigonometry(self, resolution, rng):
-        xs, cos_half, sin_half, cos_x, sin_x = _axis_table(resolution)
-        for _ in range(200):
+        xs, c2, s2, cos_x, sin1_x = _axis_table(resolution)
+        for n in range(200):
             alpha = float(rng.uniform(0.5, W_AB_MAX))
             theta, phi1 = (float(v) for v in rng.uniform(0.0, HALF_PI, 2))
             q0, q1 = (float(q) for q in rng.uniform(-1.0, 1.0, 2))
-            half = 0.5 * theta
+            if n % 4 == 0:
+                q0, q1 = 1.0, 1.0  # unit overlaps skip their products
+            c2_t, s2_t = 2.0 * np.cos(0.5 * theta), 2.0 * np.sin(0.5 * theta)
             rows = (
-                (_fixed_charlie_values(alpha, cos_half, sin_half, np.cos(phi1), np.sin(phi1), q0, q1),
+                (_charlie_values(alpha, c2, s2, np.cos(phi1), 1.0 + np.sin(phi1), q0, q1),
                  _meshgrid_charlie_values(alpha, xs, phi1, q0, q1)),
-                (_fixed_charlie_values(alpha, np.cos(half), np.sin(half), cos_x, sin_x, q0, q1),
+                (_charlie_values(alpha, c2_t, s2_t, cos_x, sin1_x, q0, q1),
                  _meshgrid_charlie_values(alpha, theta, xs, q0, q1)),
             )
             for new, old in rows:
@@ -277,11 +286,39 @@ class TestAxisTable:
 
     def test_arrays_are_read_only(self):
         table = _axis_table(513)
-        assert table[0].tobytes() == np.linspace(0.0, HALF_PI, 513).tobytes()
+        xs = np.linspace(0.0, HALF_PI, 513)
+        half = 0.5 * xs
+        expected = (xs, 2.0 * np.cos(half), 2.0 * np.sin(half), np.cos(xs), 1.0 + np.sin(xs))
+        assert [a.tobytes() for a in table] == [e.tobytes() for e in expected]
         for a in table:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1.0
+
+
+_OVERLAPS = st.one_of(st.just(1.0), st.floats(-1.0, 1.0))
+
+
+class TestScanObjectives:
+    """The per-coordinate Brent objectives against ``-_fixed_charlie_value``, by ``float.hex``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.floats(0.4, 0.9), st.floats(0.0, HALF_PI), st.floats(0.0, HALF_PI), _OVERLAPS, _OVERLAPS,
+        st.sampled_from([None, -1e-9, 0.0, 1.0, 1.0 + 1e-9]), st.floats(-1e-9, 1e-9),
+    )
+    @example(0.75, 0.3, 0.4, 1.0, 1.0, None, 0.0)  # inside the window
+    @example(0.75, 0.3, 0.4, 1.0, 1.0, 1.0 + 1e-9, 1e-10)  # just outside it
+    @example(0.75, 0.3, 0.4, 0.5, -0.25, -1e-9, -1e-10)
+    def test_equal_scalar_formula(self, alpha, theta, phi1, q0, q1, edge, offset):
+        if edge is not None:
+            # Move alpha so that the requirement on cos(phi0) lands near an edge
+            # of the feasible window [-1e-9, 1 + 1e-9] or of the clip to [0, 1].
+            c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+            alpha = ((edge + offset) * 2.0 * c + 4.0 + 2.0 * s * math.cos(phi1)) / 8.0
+        expected = (-_fixed_charlie_value(alpha, theta, phi1, q0, q1)[0]).hex()
+        assert _theta_objective(alpha, phi1, q0, q1)(theta).hex() == expected
+        assert _phi1_objective(alpha, theta, q0, q1)(phi1).hex() == expected
 
 
 def _memo_free_seesaw(alpha, cfg):
@@ -429,6 +466,11 @@ class TestClassicalBruteforce:
         assert result.max_w_ab == max(p.w_ab for p in pairs)
         assert result.max_w_ac == max(p.w_ac for p in pairs)
         assert list(result.extremes) == hull
+
+    def test_key_counts_give_the_sorted_distinct_keys(self):
+        ab, ac = _classical_hits()
+        keys = 17 * (2 * ab)[:, :, None, None] + ac[:, None, :, :]
+        assert np.flatnonzero(np.bincount(keys.ravel())).tolist() == np.unique(keys).tolist()
 
 
 class TestEigenvalueSumBound:

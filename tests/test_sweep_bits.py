@@ -84,7 +84,7 @@ def oracle_witness_ab(s) -> float:
         for y in (0, 1):
             effect = s.instruments[y].povm.effects[x[y]]
             total += float(np.trace(st.matrix @ effect).real)
-    return _clamp_prob(total / 8.0, 1e-9)
+    return _clamp_prob(total / 8.0)
 
 
 def _oracle_branch(inst, rho, b):
@@ -104,7 +104,7 @@ def oracle_witness_ac(s) -> float:
         for z in (0, 1):
             effect = s.measurements[z].effects[x[z]]
             total += float(np.trace(acc @ effect).real)
-    return _clamp_prob(total / 16.0, 1e-9)
+    return _clamp_prob(total / 16.0)
 
 
 def _oracle_strategies():
