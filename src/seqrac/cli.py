@@ -9,6 +9,7 @@ and --seed; the environment variable SEQRAC_SEED is the fallback seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -98,13 +99,9 @@ def cmd_evaluate(args) -> int:
     print()
     print("distribution p(b,c|x,y,z):")
     print("  x0 x1  y  z  b  c  p")
-    for x in INPUT_PAIRS:
-        for y in (0, 1):
-            for z in (0, 1):
-                for b in (0, 1):
-                    for c in (0, 1):
-                        p = joint_prob(strategy, x, y, z, b, c)
-                        print(f"  {x[0]}  {x[1]}  {y}  {z}  {b}  {c}  {p:.6f}")
+    for x, y, z, b, c in itertools.product(INPUT_PAIRS, *[(0, 1)] * 4):
+        p = joint_prob(strategy, x, y, z, b, c)
+        print(f"  {x[0]}  {x[1]}  {y}  {z}  {b}  {c}  {p:.6f}")
     return EXIT_OK
 
 
@@ -191,17 +188,8 @@ def cmd_sequence(args) -> int:
     lines = ["k,witness,radius,closed_form,diff"]
     for step in rows:
         closed = party_witness_closed_form(step.party)
-        lines.append(
-            ",".join(
-                [
-                    str(step.party),
-                    _g17(step.witness),
-                    _g17(step.entering_radius),
-                    _g17(closed),
-                    _g17(step.witness - closed),
-                ]
-            )
-        )
+        values = (step.witness, step.entering_radius, closed, step.witness - closed)
+        lines.append(",".join([str(step.party), *map(_g17, values)]))
     _emit(lines, args.out)
     return EXIT_OK
 

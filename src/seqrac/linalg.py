@@ -146,6 +146,31 @@ def matrix_sqrt_psd(m, tol: float = HERM_TOL) -> np.ndarray:
     return (h + root_det * ID2) / math.sqrt(denom_sq)
 
 
+def _sqrt_psd_rows(effects: np.ndarray) -> np.ndarray:
+    """``matrix_sqrt_psd(E, tol=inf)`` of each matrix of a C-contiguous ``(n, 2, 2)`` stack,
+    bit for bit: the squared off-diagonal modulus is a numpy scalar ``** 2``
+    of ``np.hypot`` (libm's ``pow`` and ``hypot``, as in the scalar path; an
+    array ``** 2`` multiplies, and numpy's vectorised complex ``abs`` may
+    differ in the last bit).  :class:`DomainError` on a non-finite entry.
+    """
+    if not np.isfinite(effects).all():
+        raise DomainError("matrix has non-finite entries")
+    h = 0.5 * (effects + effects.conj().transpose(0, 2, 1))
+    h00 = h[:, 0, 0].real
+    h11 = h[:, 1, 1].real
+    t = h00 + h11
+    t = np.where(0.0 > t, 0.0, t)
+    off_sq = np.array([x**2 for x in np.hypot(h[:, 0, 1].real, h[:, 0, 1].imag)])
+    det = h00 * h11 - off_sq
+    root_det = np.sqrt(np.where(0.0 > det, 0.0, det))
+    denom_sq = t + 2.0 * root_det
+    zero = denom_sq <= 0.0
+    scale = np.sqrt(np.where(zero, 1.0, denom_sq))
+    roots = (h + root_det[:, None, None] * ID2) / scale[:, None, None]
+    roots[zero] = 0.0
+    return roots
+
+
 def perp_vector(v: np.ndarray) -> np.ndarray:
     """Canonical unit vector orthogonal to a unit 2-vector."""
     return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)

@@ -27,9 +27,9 @@ from .errors import (
 )
 from .linalg import (
     HERM_TOL,
-    ID2,
     BinaryPovm,
     _bloch_compose_rows,
+    _sqrt_psd_rows,
     _vector3,
     bloch_compose,
     bloch_decompose,
@@ -147,17 +147,36 @@ def charlie_best_response(
     readout.
     """
     gammas = np.array([bloch_compose(0.0, 0.5 * m) for m in difference_vectors(preparations)])
-    povms = []
-    value = 0.5
-    for total in _channel_sum(instruments, gammas):
-        total = 0.5 * (total + total.conj().T)
-        lam, vec = max_eigenpair(total, tol=np.inf)
-        proj = np.outer(vec, vec.conj())
-        proj = 0.5 * (proj + proj.conj().T)
-        c0, cvec = bloch_decompose(2.0 * proj - np.eye(2))
-        povms.append(BinaryPovm((proj, np.eye(2, dtype=complex) - proj), c0, cvec))
-        value += lam / 16.0
-    return (povms[0], povms[1]), float(value)
+    projectors, value = _best_projectors(_channel_sum(instruments, gammas))
+    eye = np.eye(2)
+    povms = [BinaryPovm((p, eye - p), *bloch_decompose(2.0 * p - eye)) for p in projectors]
+    return (povms[0], povms[1]), value
+
+
+def _best_projectors(totals: np.ndarray) -> tuple[np.ndarray, float]:
+    """Projectors onto the largest eigenvectors of the two channel sums, and
+    the witness ``1/2 + sum_z lambda_z / 16`` they achieve."""
+    totals = 0.5 * (totals + totals.conj().transpose(0, 2, 1))
+    (lam0, vec0), (lam1, vec1) = (max_eigenpair(total, tol=np.inf) for total in totals)
+    vecs = np.array([vec0, vec1])
+    proj = vecs[:, :, None] * vecs.conj()[:, None, :]  # np.outer of each vector
+    return 0.5 * (proj + proj.conj().transpose(0, 2, 1)), 0.5 + lam0 / 16.0 + lam1 / 16.0
+
+
+def _reduced_best_response(theta: float, phi0: float, phi1: float) -> tuple[np.ndarray, float]:
+    """``charlie_best_response`` on ``strategy_from_reduced(theta, phi0, phi1)``
+    as projectors and witness, on plain arrays with the same float operations.
+
+    The signed Bloch sums of ``u, w, -w, -u`` are exact, ``(4c, 0, 0)`` and
+    ``(0, 0, 4s)``, so ``gamma_z`` is written out as ``bloch_compose`` adds it
+    (``0.0 - 2s`` is ``+0.0`` at ``theta = 0``).  The Lüders effects take one
+    stacked root; each branch is ``0 + K g K^dag``, added as ``_channel_sum``."""
+    c2, s2 = 2.0 * np.cos(0.5 * theta), 2.0 * np.sin(0.5 * theta)
+    gammas = np.array([[[0.0, c2], [c2, 0.0]], [[0.0 + s2, 0.0], [0.0, 0.0 - s2]]], dtype=complex)
+    half = 0.5 * np.array([float(np.cos(phi0)) * X_AXIS, float(np.cos(phi1)) * Z_AXIS])
+    kraus = _sqrt_psd_rows(_bloch_compose_rows(0.5, np.array([half[0], -half[0], half[1], -half[1]])))
+    branches = kraus[:, None] @ gammas @ kraus.conj().transpose(0, 2, 1)[:, None] + 0.0
+    return _best_projectors((branches[0] + branches[1]) + (branches[2] + branches[3]))
 
 
 def solve_reduced_phi0(alpha: float, theta: float, phi1: float) -> float | None:
@@ -467,19 +486,15 @@ def _ascend(
     return value, theta, phi0, phi1
 
 
-def _seesaw_round(
-    alpha: float, theta: float, phi1: float, charlie: tuple[BinaryPovm, BinaryPovm]
-) -> tuple[ReducedParameters, float, tuple[BinaryPovm, BinaryPovm], float]:
-    """One see-saw round: refine ``(theta, phi1)`` against Charlie's
-    measurements, then best-respond.  Returns the refined parameters, the
-    witness before and after the best response, and the new measurements."""
-    q0 = float(charlie[0].cvec[0])
-    q1 = float(charlie[1].cvec[2])
+def _seesaw_round(alpha: float, theta: float, phi1: float, q0: float, q1: float):
+    """One see-saw round: refine ``(theta, phi1)`` against Charlie's overlaps,
+    then best-respond.  Returns ``(theta, phi0, phi1)``, the witness before,
+    the overlaps of Charlie's new measurements, and the witness after."""
     before, theta, phi0, phi1 = _ascend(alpha, theta, phi1, q0, q1, 513)
-    params = ReducedParameters(theta, phi0, phi1)
-    partial = strategy_from_reduced(params, charlie)
-    charlie, after = charlie_best_response(partial.preparations, partial.instruments)
-    return params, before, charlie, after
+    projectors, after = _reduced_best_response(theta, phi0, phi1)
+    h = 2.0 * projectors - np.eye(2)  # cvec[0], cvec[2] as bloch_decompose reads them
+    q = (float(h[0, 1, 0].real), float(0.5 * (h[1, 0, 0].real - h[1, 1, 1].real)))
+    return (theta, phi0, phi1), before, q, after
 
 
 def _random_feasible_start(alpha: float, rng: np.random.Generator):
@@ -512,24 +527,21 @@ def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
     best = None
     for restart in range(SEESAW_RESTARTS):
         rng = np.random.default_rng([cfg.rng_seed, restart])
-        if restart == 0:
-            start = None
-            charlie = (projective_povm(X_AXIS), projective_povm(Z_AXIS))
-        else:
+        start, q = None, (1.0, 1.0)  # Charlie's x and z readouts
+        if restart:
             start = _random_feasible_start(alpha, rng)
-            charlie = (
-                projective_povm(random_unit_vector(rng)),
-                projective_povm(random_unit_vector(rng)),
-            )
+            # The x and z components of projective_povm's unit axes.
+            a0, a1 = random_unit_vector(rng), random_unit_vector(rng)
+            q = (float(a0[0] / np.linalg.norm(a0)), float(a1[2] / np.linalg.norm(a1)))
         theta, phi1 = start if start is not None else (grid_theta, grid_phi1)
         run = SeesawRun()
         value = -np.inf
         for _ in range(200):
-            key = tuple(map(float.hex, (theta, phi1, charlie[0].cvec[0], charlie[1].cvec[2])))
+            key = tuple(map(float.hex, (theta, phi1, *q)))
             if key not in rounds:
-                rounds[key] = _seesaw_round(alpha, theta, phi1, charlie)
-            params, before, charlie, after = rounds[key]
-            theta, phi1 = params.theta, params.phi1
+                rounds[key] = _seesaw_round(alpha, theta, phi1, *q)
+            angles, before, q, after = rounds[key]
+            theta, _, phi1 = angles
             run.charlie_steps.append((before, after))
             converged = after - value < CONVERGENCE_EPSILON
             value = after
@@ -538,11 +550,16 @@ def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
         run.final_wac = value
         runs.append(run)
         if best is None or value > best[0]:
-            best = (value, params, charlie)
+            best = (value, angles)
     if best is None or not np.isfinite(best[0]):
         raise ConvergenceFailure(f"all restarts failed at alpha = {alpha!r}")
-    strategy = strategy_from_reduced(best[1], best[2])
-    return SeesawResult(strategy, witness_pair(strategy), runs, best[1])
+    # The winner's measurements come from the object path, whose bits the
+    # round's projectors share (tests/test_round_bits.py).
+    params = ReducedParameters(*best[1])
+    partial = strategy_from_reduced(params)
+    charlie, _ = charlie_best_response(partial.preparations, partial.instruments)
+    strategy = Strategy(partial.preparations, partial.instruments, charlie)
+    return SeesawResult(strategy, witness_pair(strategy), runs, params)
 
 
 class ClassicalBruteforce(NamedTuple):
@@ -612,31 +629,14 @@ class BoundSample(NamedTuple):
 def _sandwich_max(effects: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """``lambda_max[sqrt(E) op sqrt(E)]`` for each pair of two C-contiguous ``(n, 2, 2)`` stacks.
 
-    Entry by entry this does the float operations of
-    ``matrix_sqrt_psd(E, tol=inf)``, then ``root @ op @ root``, then
-    ``max_eigenpair(..., tol=inf).value``, so each value has the bits of
-    that scalar path.  Complex moduli are ``np.hypot`` of the parts (libm's
-    ``hypot``, as the scalar ``abs``; numpy's vectorised complex ``abs``
-    may differ in the last bit), the squared modulus is one numpy scalar
-    ``** 2`` per entry (libm's ``pow``; an array ``** 2`` multiplies), and
-    ``@`` on C-contiguous stacks makes one BLAS product per matrix.
-    Raises :class:`DomainError` on a non-finite entry, as the scalar path does.
+    The float operations of ``matrix_sqrt_psd(E, tol=inf)`` (through
+    ``linalg._sqrt_psd_rows``), ``root @ op @ root`` (one BLAS product per
+    matrix of the C-contiguous stacks) and ``max_eigenpair(...).value``
+    (complex moduli as ``np.hypot`` of the parts, libm's ``hypot``), entry by
+    entry, so each value has that scalar path's bits.  Raises
+    :class:`DomainError` on a non-finite entry, as the scalar path does.
     """
-    if not np.isfinite(effects).all():
-        raise DomainError("matrix has non-finite entries")
-    h = 0.5 * (effects + effects.conj().transpose(0, 2, 1))
-    h00 = h[:, 0, 0].real
-    h11 = h[:, 1, 1].real
-    t = h00 + h11
-    t = np.where(0.0 > t, 0.0, t)
-    off_sq = np.array([x**2 for x in np.hypot(h[:, 0, 1].real, h[:, 0, 1].imag)])
-    det = h00 * h11 - off_sq
-    root_det = np.sqrt(np.where(0.0 > det, 0.0, det))
-    denom_sq = t + 2.0 * root_det
-    zero = denom_sq <= 0.0
-    scale = np.sqrt(np.where(zero, 1.0, denom_sq))
-    roots = (h + root_det[:, None, None] * ID2) / scale[:, None, None]
-    roots[zero] = 0.0
+    roots = _sqrt_psd_rows(effects)
     m = roots @ ops @ roots
     if not np.isfinite(m).all():
         raise DomainError("matrix has non-finite entries")

@@ -36,11 +36,6 @@ from .linalg import (
 INPUT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def input_index(x: tuple[int, int]) -> int:
-    """Serialize the input pair as ``2*x0 + x1``."""
-    return 2 * x[0] + x[1]
-
-
 @dataclass(frozen=True)
 class PreparationEnsemble:
     """Alice's four preparations, indexed by the input pair ``(x0, x1)``."""
@@ -48,7 +43,7 @@ class PreparationEnsemble:
     states: tuple[QubitState, QubitState, QubitState, QubitState]
 
     def state(self, x: tuple[int, int]) -> QubitState:
-        return self.states[input_index(x)]
+        return self.states[2 * x[0] + x[1]]
 
     def bloch_vectors(self) -> np.ndarray:
         return np.array([s.bloch for s in self.states])
@@ -198,8 +193,19 @@ def _clamp_prob(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+# The types of joint_prob's six indices: 1.0 and True are not valid bits.
+_INTS = (int,) * 6
+
+
 def joint_prob(s: Strategy, x: tuple[int, int], y: int, z: int, b: int, c: int) -> float:
-    """Outcome probability ``p(b, c | x, y, z) = tr[K rho K^dag C]``."""
+    """Outcome probability ``p(b, c | x, y, z) = tr[K rho K^dag C]``; the
+    indices are ints 0 or 1, else :class:`DomainError`."""
+    types = (type(x[0]), type(x[1])) if type(x) is tuple and len(x) == 2 else ()
+    if types + (type(y), type(z), type(b), type(c)) != _INTS or not (
+        x in INPUT_PAIRS and y in (0, 1) and z in (0, 1) and b in (0, 1) and c in (0, 1)
+    ):
+        raise DomainError(f"joint_prob needs x in {INPUT_PAIRS} and y, z, b, c in (0, 1), "
+                          f"as ints; got {x!r}, {y!r}, {z!r}, {b!r}, {c!r}")
     rho = s.preparations.state(x).matrix
     effect = s.measurements[z].effects[c]
     branch = s.instruments[y].apply_branch(rho, b)

@@ -1,7 +1,16 @@
+import platform
+
 import numpy as np
 import pytest
 
 from seqrac import canonical_strategy
+
+# Named by every bit-pin failure.  The pins were recorded with one libm and
+# numpy, so a drift there must read differently from a code defect.
+PLATFORM = (
+    f"bit pin differs on numpy {np.__version__}, {platform.machine()}, "
+    f"Python {platform.python_version()}"
+)
 
 
 @pytest.fixture

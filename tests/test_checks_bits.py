@@ -23,6 +23,7 @@ import pytest
 from seqrac import optimizer
 from seqrac.linalg import bloch_compose, matrix_sqrt_psd, max_eigenpair
 from seqrac.sampling import random_povm, random_unit_vector
+from conftest import PLATFORM
 
 DATA = Path(__file__).parent / "data" / "checks_bits.json"
 SEEDS = (0, 1, 9301, 20250809)
@@ -79,14 +80,14 @@ def test_suites_are_bit_identical(seed, reference):
     want = reference[str(seed)]
     rng = np.random.default_rng([seed, 11])
     lhs, rhs = optimizer._bound_suite(rng, SAMPLES)
-    assert digest(np.stack([lhs, rhs], axis=1).ravel().tolist()) == want["bound"]
-    assert rng.bit_generator.state == want["bound_state"]
+    assert digest(np.stack([lhs, rhs], axis=1).ravel().tolist()) == want["bound"], PLATFORM
+    assert rng.bit_generator.state == want["bound_state"], PLATFORM
 
     rng = np.random.default_rng([seed, 13])
     direct, closed = optimizer._eigen_suite(rng, SAMPLES)
     assert direct.shape == closed.shape == (SAMPLES, 2)
-    assert digest(np.stack([direct, closed], axis=2).ravel().tolist()) == want["eigen"]
-    assert rng.bit_generator.state == want["eigen_state"]
+    assert digest(np.stack([direct, closed], axis=2).ravel().tolist()) == want["eigen"], PLATFORM
+    assert rng.bit_generator.state == want["eigen_state"], PLATFORM
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from seqrac.cli import main
+from conftest import PLATFORM
 
 DATA = Path(__file__).parent / "data"
 
@@ -34,4 +35,4 @@ DATA = Path(__file__).parent / "data"
 )
 def test_stdout_matches_recorded_bytes(argv, golden, capsys):
     assert main(argv) == 0
-    assert capsys.readouterr().out == (DATA / golden).read_bytes().decode("utf-8")
+    assert capsys.readouterr().out == (DATA / golden).read_bytes().decode("utf-8"), PLATFORM

@@ -1,0 +1,122 @@
+"""Bit identity of the see-saw round on plain arrays against the object path.
+
+``optimizer._reduced_best_response`` repeats the float operations of
+``charlie_best_response(strategy_from_reduced(...))`` without building a
+validated strategy, and ``linalg._sqrt_psd_rows`` those of
+``matrix_sqrt_psd(tol=inf)`` on a stack.  Both are compared with their
+oracle by ``tobytes()`` and ``float.hex``, never by tolerance.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from seqrac import optimizer
+from seqrac.errors import DomainError
+from seqrac.linalg import _bloch_compose_rows, _sqrt_psd_rows, bloch_decompose, matrix_sqrt_psd
+from seqrac.optimizer import (
+    HALF_PI,
+    OptimizerConfig,
+    ReducedParameters,
+    _reduced_best_response,
+    _seesaw_round,
+    charlie_best_response,
+    seesaw,
+    strategy_from_reduced,
+)
+from conftest import PLATFORM
+
+EDGES = (0.0, HALF_PI)
+
+
+def _points() -> list[tuple[float, float, float]]:
+    """2000 seeded reduced points, then every corner of the ``[0, pi/2]^3``
+    box and each edge value on one axis with the others random: sharp
+    (``phi = 0``) and near-trivial (``phi = pi/2``) Lüders roots, ``theta``
+    at 0 and pi/2."""
+    rng = np.random.default_rng(4101)
+    points = [tuple(map(float, rng.uniform(0.0, HALF_PI, 3))) for _ in range(2000)]
+    points += list(itertools.product(EDGES, repeat=3))
+    for axis, edge in itertools.product(range(3), EDGES):
+        p = list(map(float, rng.uniform(0.0, HALF_PI, 3)))
+        p[axis] = edge
+        points.append(tuple(p))
+    return points
+
+
+def _oracle(theta, phi0, phi1):
+    partial = strategy_from_reduced(ReducedParameters(theta, phi0, phi1))
+    return charlie_best_response(partial.preparations, partial.instruments)
+
+
+def test_reduced_best_response_equals_object_path():
+    mismatched = []
+    for point in _points():
+        povms, value = _oracle(*point)
+        projectors, got = _reduced_best_response(*point)
+        same = got.hex() == value.hex() and all(
+            p.tobytes() == povm.effects[0].tobytes()
+            and bloch_decompose(2.0 * p - np.eye(2))[1].tobytes() == povm.cvec.tobytes()
+            for p, povm in zip(projectors, povms)
+        )
+        if not same:
+            mismatched.append(point)
+    assert mismatched == [], PLATFORM
+
+
+def test_round_reads_charlie_overlaps_as_bloch_decompose():
+    rng = np.random.default_rng(4102)
+    for _ in range(40):
+        alpha = float(rng.uniform(0.5, 0.85))
+        start = optimizer._random_feasible_start(alpha, rng)
+        if start is None:
+            continue
+        q = tuple(map(float, rng.uniform(-1.0, 1.0, 2)))
+        angles, _, (q0, q1), after = _seesaw_round(alpha, *start, *q)
+        povms, value = _oracle(*angles)
+        assert after.hex() == value.hex(), PLATFORM
+        assert (q0.hex(), q1.hex()) == (povms[0].cvec[0].hex(), povms[1].cvec[2].hex()), PLATFORM
+
+
+def _effects() -> np.ndarray:
+    """Random PSD, rank-one, zero and Lüders effects as one C-contiguous stack."""
+    rng = np.random.default_rng(4103)
+    rows = []
+    for _ in range(500):
+        c = rng.normal(size=3)
+        c /= np.linalg.norm(c)
+        eta = rng.uniform(0.0, 1.0)
+        rows.append((0.5 * (1.0 + rng.uniform(-1.0, 1.0) * (1.0 - eta)), 0.5 * eta * c))
+        rows.append((0.5, 0.5 * c))  # rank one
+    rows += [(0.0, np.zeros(3)), (0.5, np.zeros(3)), (0.5, 0.5 * np.array([0.0, 0.0, -1.0]))]
+    return _bloch_compose_rows(np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
+
+
+def test_sqrt_psd_rows_equals_scalar_root():
+    effects = _effects()
+    roots = _sqrt_psd_rows(effects)
+    assert roots.shape == effects.shape
+    for e, root in zip(effects, roots):
+        assert root.tobytes() == matrix_sqrt_psd(e, tol=np.inf).tobytes(), PLATFORM
+
+
+def test_sqrt_psd_rows_rejects_non_finite():
+    effects = _effects()[:3].copy()
+    effects[1, 0, 1] = np.nan
+    with pytest.raises(DomainError):
+        _sqrt_psd_rows(effects)
+
+
+def test_seesaw_builds_the_winner_only(monkeypatch):
+    calls = {"strategy_from_reduced": 0, "charlie_best_response": 0}
+    for name in calls:
+        original = getattr(optimizer, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(optimizer, name, counted)
+    seesaw(0.75, OptimizerConfig(rng_seed=5))
+    assert calls == {"strategy_from_reduced": 1, "charlie_best_response": 1}

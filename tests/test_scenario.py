@@ -66,6 +66,41 @@ class TestJointProb:
                     )
                     assert abs(total - 1.0) <= 1e-9
 
+    # (x, y, z, b, c) outside the domain: out-of-range bits, which once wrapped
+    # around or indexed past the end, malformed x, and indices that are not
+    # Python ints (floats, bools, numpy scalars, arrays).
+    BAD_INDICES = [
+        ((0, 2), 0, 0, 0, 0),
+        ((-1, 0), 0, 0, 0, 0),
+        ((1.0, 0), 0, 0, 0, 0),
+        ((True, 0), 0, 0, 0, 0),
+        ([1, 0], 0, 0, 0, 0),
+        (np.array([1, 0]), 0, 0, 0, 0),
+        ((0,), 0, 0, 0, 0),
+        ((0, 0, 0), 0, 0, 0, 0),
+        (2, 0, 0, 0, 0),
+        ("ab", 0, 0, 0, 0),
+        ((0, 0), -1, 0, 0, 0),
+        ((0, 0), 2, 0, 0, 0),
+        ((0, 0), 0, 1.0, 0, 0),
+        ((0, 0), 0, np.int64(1), 0, 0),
+        ((0, 0), 0, 0, 5, 0),
+        ((0, 0), 0, 0, True, 0),
+        ((0, 0), 0, 0, 0, -1),
+        ((0, 0), 0, 0, 0, None),
+        ((0, 0), 0, 0, 0, np.array([0])),
+    ]
+
+    @pytest.mark.parametrize("x, y, z, b, c", BAD_INDICES)
+    def test_rejects_indices_outside_domain(self, x, y, z, b, c):
+        with pytest.raises(DomainError, match="joint_prob needs"):
+            joint_prob(canonical_strategy(0.8), x, y, z, b, c)
+
+    def test_accepts_every_valid_index(self):
+        strategy = canonical_strategy(0.8)
+        for x, y, z, b, c in itertools.product(INPUT_PAIRS, *[(0, 1)] * 4):
+            assert 0.0 <= joint_prob(strategy, x, y, z, b, c) <= 1.0
+
 
 class TestWitnessAB:
     def test_optimal_value(self, canonical_sharp):

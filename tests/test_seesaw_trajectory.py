@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from seqrac import seesaw, trace_boundary
+from conftest import PLATFORM
 
 DATA = Path(__file__).parent / "data" / "seesaw_trajectory.json"
 LEVELS = (0.6, 0.75, 0.84)
@@ -54,7 +55,7 @@ def reference() -> dict:
 
 @pytest.mark.parametrize("alpha", LEVELS)
 def test_trajectory_is_bit_identical(alpha, reference):
-    assert record(alpha) == reference[repr(alpha)]
+    assert record(alpha) == reference[repr(alpha)], PLATFORM
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from seqrac.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from seqrac.sampling import random_strategy, random_su2
 from seqrac.scenario import INPUT_PAIRS, _clamp_prob
 from seqrac.strategies import ClassicalStrategy, classical_to_strategy
+from conftest import PLATFORM
 
 DATA = Path(__file__).parent / "data" / "sweep_bits.json"
 SEEDS = range(8)
@@ -74,7 +75,7 @@ def test_draws_and_witnesses_are_bit_identical(luders, reference):
         for (s, i), want in zip(((s, i) for s in SEEDS for i in ITEMS), expected)
         if record(s, i, luders) != want
     ]
-    assert mismatched == []
+    assert mismatched == [], PLATFORM
 
 
 def oracle_witness_ab(s) -> float:
@@ -124,7 +125,7 @@ def _oracle_strategies():
 def test_witnesses_equal_per_matrix_oracle():
     checked = multi = 0
     for s in _oracle_strategies():
-        assert witness_pair(s) == (oracle_witness_ab(s), oracle_witness_ac(s))
+        assert witness_pair(s) == (oracle_witness_ab(s), oracle_witness_ac(s)), PLATFORM
         checked += 1
         multi += not all(inst.is_extremal() for inst in s.instruments)
     assert checked > 600 and multi > 0
@@ -152,7 +153,7 @@ def test_su2_entries_equal_pauli_sum():
         w, x, y, z = q / np.linalg.norm(q)
         oracle = w * ID2 - 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
         u = random_su2(_NextNormal(q))
-        assert u.dtype == oracle.dtype and u.tobytes() == oracle.tobytes()
+        assert u.dtype == oracle.dtype and u.tobytes() == oracle.tobytes(), PLATFORM
 
 
 if __name__ == "__main__":
