@@ -17,11 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DocumentError, DocumentInvariantError
-from .linalg import QubitState, bloch_from_matrix, state_from_bloch, validate_povm
+from .linalg import HERM_TOL, QubitState, bloch_from_matrix, state_from_bloch, validate_povm
 from .scenario import BinaryInstrument, PreparationEnsemble, Strategy
 
 SCHEMA_VERSION = 1
-BLOCH_MATRIX_AGREEMENT = 1e-9
 
 
 def _fmt(x: float) -> str:
@@ -104,7 +103,7 @@ def parse_strategy_document(doc: dict) -> Strategy:
                 state = QubitState.from_matrix(parsed_matrix)
                 if parsed_bloch is not None:
                     gap = float(np.max(np.abs(state.bloch - parsed_bloch)))
-                    if gap > BLOCH_MATRIX_AGREEMENT:
+                    if gap > HERM_TOL:
                         raise DocumentInvariantError(
                             path, f"bloch and matrix views disagree by {gap:.3e}"
                         )

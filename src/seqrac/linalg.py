@@ -33,6 +33,9 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # Slack of the validity checks of every qubit object (hermiticity, trace,
 # positivity, completeness, Bloch norm).
 HERM_TOL = 1e-9
+# Largest real or imaginary part of a matrix entry: squares and sums of a few
+# squares of such entries stay far below the float maximum of about 1.8e308.
+MAX_ENTRY = 1e150
 
 
 class EigenPair(NamedTuple):
@@ -41,15 +44,20 @@ class EigenPair(NamedTuple):
 
 
 def as_matrix2(m) -> np.ndarray:
-    """Coerce input to a finite complex 2x2 array; :class:`DomainError` otherwise."""
+    """Coerce input to a complex 2x2 array with parts in ``[-MAX_ENTRY, MAX_ENTRY]``;
+    :class:`DomainError` otherwise."""
     try:
         a = np.asarray(m, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"expected a 2x2 matrix: {exc}") from None
     if a.shape != (2, 2):
         raise DomainError(f"expected a 2x2 matrix, got shape {a.shape}")
-    if not all(map(cmath.isfinite, a.ravel().tolist())):
-        raise DomainError("matrix has non-finite entries")
+    entries = a.ravel().tolist()
+    # NaN fails both comparisons, so this one pass screens NaN and inf too.
+    if not all(abs(z.real) <= MAX_ENTRY >= abs(z.imag) for z in entries):
+        if not all(map(cmath.isfinite, entries)):
+            raise DomainError("matrix has non-finite entries")
+        raise DomainError(f"matrix has entries beyond {MAX_ENTRY:g}, too large to square")
     return a
 
 

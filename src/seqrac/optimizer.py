@@ -154,9 +154,8 @@ def charlie_best_response(
 
 
 def _best_projectors(totals: np.ndarray) -> tuple[np.ndarray, float]:
-    """Projectors onto the largest eigenvectors of the two channel sums, and
-    the witness ``1/2 + sum_z lambda_z / 16`` they achieve."""
-    totals = 0.5 * (totals + totals.conj().transpose(0, 2, 1))
+    """Projectors onto the largest eigenvectors of the two channel sums (which
+    ``max_eigenpair`` symmetrises), and the witness ``1/2 + sum_z lambda_z / 16``."""
     (lam0, vec0), (lam1, vec1) = (max_eigenpair(total, tol=np.inf) for total in totals)
     vecs = np.array([vec0, vec1])
     proj = vecs[:, :, None] * vecs.conj()[:, None, :]  # np.outer of each vector
@@ -268,28 +267,35 @@ def _fixed_charlie_value(
 
     ``q0``/``q1`` are the x and z components of Charlie's two observable
     Bloch vectors; the signed preparation sums stay on those axes for the
-    whole reduced family.  Runs on plain floats: ``math.cos``/``math.sin``
-    matched ``np.cos``/``np.sin`` bit for bit on [0, pi/2] (x86-64, glibc
-    2.36, numpy 2.4), but ``math.acos`` does not match ``np.arccos``, so
-    that call stays numpy.  ``tests/test_seesaw_trajectory.py`` pins the bits.
+    whole reduced family.  Returns ``(-1.0, None)`` where infeasible.
     """
-    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    c2, s2 = 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
+    return _charlie_value(8.0 * alpha - 4.0, c2, s2, math.cos(phi1), 1.0 + math.sin(phi1), q0, q1)
+
+
+def _charlie_value(k, c2, s2, cos_phi1, sin1_phi1, q0, q1) -> tuple[float, float | None]:
+    """:func:`_fixed_charlie_value` on the factors ``k = 8 alpha - 4``,
+    ``c2, s2 = 2 cos(theta/2), 2 sin(theta/2)``, ``cos(phi1)`` and ``1 + sin(phi1)``.
+
+    Runs on plain floats: ``math.cos``/``math.sin`` matched
+    ``np.cos``/``np.sin`` bit for bit on [0, pi/2] (x86-64, glibc 2.36,
+    numpy 2.4), but ``math.acos`` does not match ``np.arccos``, so that call
+    stays numpy.  ``tests/test_seesaw_trajectory.py`` pins the bits.
+    """
     # Solve reduced_constraint = alpha for cos(phi0); feasible within 1e-9 of [0, 1].
-    required = (8.0 * alpha - 4.0 - 2.0 * s * math.cos(phi1)) / (2.0 * c)
+    required = (k - s2 * cos_phi1) / c2
     if not -1e-9 <= required <= 1.0 + 1e-9:
         return -1.0, None
     phi0 = float(np.arccos(min(max(required, 0.0), 1.0)))
     # Keep sin(arccos r): sqrt(1 - r^2) here changes 11 rows of the boundary CSV.
-    value = 0.5 + (2.0 * c * (1.0 + math.sin(phi1)) * q0 + 2.0 * s * (1.0 + math.sin(phi0)) * q1) / 16.0
+    value = 0.5 + (c2 * sin1_phi1 * q0 + s2 * (1.0 + math.sin(phi0)) * q1) / 16.0
     return value, phi0
 
 
 def _charlie_values(alpha: float, c2, s2, cos_phi1, sin1_phi1, q0: float, q1: float) -> np.ndarray:
-    """Vectorised :func:`_fixed_charlie_value`, ``-inf`` where infeasible, on the
-    broadcasting factors ``c2, s2 = 2 cos(theta/2), 2 sin(theta/2)``,
-    ``cos(phi1)`` and ``1 + sin(phi1)``.  Products and sums group as in the
-    scalar formula and run in place; a unit overlap skips its product, which
-    is exact."""
+    """Vectorised :func:`_charlie_value`, ``-inf`` where infeasible, on
+    broadcasting factors.  Products and sums group as in the scalar formula
+    and run in place; a unit overlap skips its product, which is exact."""
     r = s2 * cos_phi1
     np.divide(np.subtract(8.0 * alpha - 4.0, r, out=r), c2, out=r)
     infeasible = ~((r >= -1e-9) & (r <= 1.0 + 1e-9))
@@ -402,37 +408,6 @@ def minimize_scalar(func, lo: float, hi: float, xatol: float) -> tuple[float, fl
     return xf, fx
 
 
-def _theta_objective(alpha: float, phi1: float, q0: float, q1: float):
-    """``t -> -_fixed_charlie_value(alpha, t, phi1, q0, q1)[0]``, bit for bit,
-    with ``phi1``'s factors taken once."""
-    k, cos_phi1, sin1_phi1 = 8.0 * alpha - 4.0, math.cos(phi1), 1.0 + math.sin(phi1)
-
-    def objective(t: float) -> float:
-        c2, s2 = 2.0 * math.cos(0.5 * t), 2.0 * math.sin(0.5 * t)
-        required = (k - s2 * cos_phi1) / c2
-        if not -1e-9 <= required <= 1.0 + 1e-9:
-            return 1.0
-        sin_phi0 = math.sin(np.arccos(min(max(required, 0.0), 1.0)))
-        return -(0.5 + (c2 * sin1_phi1 * q0 + s2 * (1.0 + sin_phi0) * q1) / 16.0)
-
-    return objective
-
-
-def _phi1_objective(alpha: float, theta: float, q0: float, q1: float):
-    """``t -> -_fixed_charlie_value(alpha, theta, t, q0, q1)[0]``, bit for bit,
-    with ``theta``'s factors taken once."""
-    k, c2, s2 = 8.0 * alpha - 4.0, 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
-
-    def objective(t: float) -> float:
-        required = (k - s2 * math.cos(t)) / c2
-        if not -1e-9 <= required <= 1.0 + 1e-9:
-            return 1.0
-        sin_phi0 = math.sin(np.arccos(min(max(required, 0.0), 1.0)))
-        return -(0.5 + (c2 * (1.0 + math.sin(t)) * q0 + s2 * (1.0 + sin_phi0) * q1) / 16.0)
-
-    return objective
-
-
 def _scan_coordinate(
     xs: np.ndarray, row: np.ndarray, objective, x: float, here: float
 ) -> tuple[float, float]:
@@ -469,17 +444,27 @@ def _ascend(
     ``q0 = q1 = 1`` make the value the boundary objective.
     """
     xs, c2_x, s2_x, cos_x, sin1_x = _axis_table(resolution)
+    k = 8.0 * alpha - 4.0
     for _ in range(REFINEMENT_ITERATIONS):
-        objective = _theta_objective(alpha, phi1, q0, q1)
-        here = -objective(theta)
-        row = _charlie_values(alpha, c2_x, s2_x, np.cos(phi1), 1.0 + np.sin(phi1), q0, q1)
-        moved, _ = _scan_coordinate(xs, row, objective, theta, here)
-        start = here if moved == theta else -objective(moved)
+        # The fixed angle's factors, once per scan, feed its row and Brent.
+        cos_phi1, sin1_phi1 = math.cos(phi1), 1.0 + math.sin(phi1)
+        row = _charlie_values(alpha, c2_x, s2_x, cos_phi1, sin1_phi1, q0, q1)
+
+        def along_theta(t: float) -> float:
+            c2, s2 = 2.0 * math.cos(0.5 * t), 2.0 * math.sin(0.5 * t)
+            return -_charlie_value(k, c2, s2, cos_phi1, sin1_phi1, q0, q1)[0]
+
+        here = -along_theta(theta)
+        moved, _ = _scan_coordinate(xs, row, along_theta, theta, here)
+        start = here if moved == theta else -along_theta(moved)
         theta = moved
-        half = 0.5 * theta
-        row = _charlie_values(alpha, 2.0 * np.cos(half), 2.0 * np.sin(half), cos_x, sin1_x, q0, q1)
-        objective = _phi1_objective(alpha, theta, q0, q1)
-        phi1, value = _scan_coordinate(xs, row, objective, phi1, start)
+        c2, s2 = 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
+        row = _charlie_values(alpha, c2, s2, cos_x, sin1_x, q0, q1)
+
+        def along_phi1(t: float) -> float:
+            return -_charlie_value(k, c2, s2, math.cos(t), 1.0 + math.sin(t), q0, q1)[0]
+
+        phi1, value = _scan_coordinate(xs, row, along_phi1, phi1, start)
         if value <= here + 1e-15:
             break
     value, phi0 = _fixed_charlie_value(alpha, theta, phi1, q0, q1)

@@ -15,6 +15,7 @@ from seqrac.errors import (
 )
 from seqrac.linalg import (
     ID2,
+    MAX_ENTRY,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -39,6 +40,13 @@ NON_FINITE = (
     [[1.0, np.nan], [np.nan, 0.0]],
     [[np.inf, 0.0], [0.0, 1.0]],
     [[1.0, 0.0], [complex(0.0, -np.inf), 1.0]],
+)
+# Finite, but their squares overflow.
+TOO_LARGE = (
+    np.full((2, 2), 1e308),
+    [[1.0, 1e308], [1e308, 1.0]],
+    np.diag([1e308, -1e308]),
+    [[1.0, complex(0.0, 2.0 * MAX_ENTRY)], [complex(0.0, -2.0 * MAX_ENTRY), 1.0]],
 )
 
 
@@ -73,7 +81,7 @@ class TestStateFromBloch:
             np.testing.assert_allclose(bloch_from_matrix(st.matrix), n, atol=1e-12)
 
     def test_bloch_from_matrix_rejects_non_finite(self):
-        for bad in NON_FINITE:
+        for bad in (*NON_FINITE, *TOO_LARGE):
             with pytest.raises(DomainError):
                 bloch_from_matrix(np.asarray(bad, dtype=complex))
 
@@ -119,7 +127,7 @@ class TestMaxEigenpair:
             max_eigenpair(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_finite_and_non_matrix(self):
-        for bad in (*NON_FINITE, np.eye(3), [[1.0, 0.0], [0.0]], "ab"):
+        for bad in (*NON_FINITE, *TOO_LARGE, np.eye(3), [[1.0, 0.0], [0.0]], "ab"):
             with pytest.raises(DomainError):
                 max_eigenpair(bad)
         assert issubclass(DomainError, SeqracError)
@@ -157,6 +165,31 @@ class TestMatrixSqrt:
         with pytest.raises(NotPsd):
             matrix_sqrt_psd(SIGMA_Z)
 
+    def test_rejects_non_finite(self):
+        for bad in NON_FINITE:
+            with pytest.raises(DomainError, match="non-finite"):
+                matrix_sqrt_psd(bad)
+        for bad in TOO_LARGE:
+            with pytest.raises(DomainError, match="too large to square"):
+                matrix_sqrt_psd(bad)
+
+
+class TestEntryBound:
+    """Entries up to ``MAX_ENTRY`` run the kernels to finite values, without a
+    RuntimeWarning (pytest turns one into an error)."""
+
+    @pytest.mark.parametrize("m", [
+        MAX_ENTRY * ID2,
+        MAX_ENTRY * np.ones((2, 2)),
+        MAX_ENTRY * (SIGMA_Z + SIGMA_X - SIGMA_Y),
+        MAX_ENTRY * np.array([[1.0, 1.0 + 1.0j], [1.0 - 1.0j, -1.0]]),
+    ])
+    def test_kernels_stay_finite(self, m):
+        pair = max_eigenpair(m)
+        assert np.isfinite(pair.value) and np.isfinite(pair.vector).all()
+        assert np.isfinite(bloch_from_matrix(m)).all()
+        assert np.isfinite(matrix_sqrt_psd(m, tol=np.inf)).all()
+
 
 class TestPolarDecompose:
     def test_psd_input_gives_identity_unitary(self):
@@ -189,7 +222,7 @@ class TestPolarDecompose:
             np.testing.assert_allclose(u.conj().T @ u, ID2, atol=1e-10)
 
     def test_rejects_non_finite(self):
-        for bad in (*NON_FINITE, np.eye(3)):
+        for bad in (*NON_FINITE, *TOO_LARGE, np.eye(3)):
             with pytest.raises(DomainError):
                 polar_decompose(bad)
 

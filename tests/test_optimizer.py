@@ -46,8 +46,6 @@ from seqrac.optimizer import (
     _fixed_charlie_value,
     _grid_argmax,
     _integer_hull,
-    _phi1_objective,
-    _theta_objective,
     minimize_scalar,
     solve_reduced_phi0,
     trig_grid_max,
@@ -60,6 +58,7 @@ from seqrac.strategies import (
     enumerate_classical_strategies,
     witness_pair_classical,
 )
+from conftest import PLATFORM
 
 SQRT2 = np.sqrt(2.0)
 HALF_PI = np.pi / 2
@@ -274,15 +273,16 @@ class TestAxisTable:
             q0, q1 = (float(q) for q in rng.uniform(-1.0, 1.0, 2))
             if n % 4 == 0:
                 q0, q1 = 1.0, 1.0  # unit overlaps skip their products
-            c2_t, s2_t = 2.0 * np.cos(0.5 * theta), 2.0 * np.sin(0.5 * theta)
+            # The fixed angle's factors as _ascend takes them, with math.
+            c2_t, s2_t = 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
             rows = (
-                (_charlie_values(alpha, c2, s2, np.cos(phi1), 1.0 + np.sin(phi1), q0, q1),
+                (_charlie_values(alpha, c2, s2, math.cos(phi1), 1.0 + math.sin(phi1), q0, q1),
                  _meshgrid_charlie_values(alpha, xs, phi1, q0, q1)),
                 (_charlie_values(alpha, c2_t, s2_t, cos_x, sin1_x, q0, q1),
                  _meshgrid_charlie_values(alpha, theta, xs, q0, q1)),
             )
             for new, old in rows:
-                assert new.tobytes() == old.tobytes()
+                assert new.tobytes() == old.tobytes(), PLATFORM
 
     def test_arrays_are_read_only(self):
         table = _axis_table(513)
@@ -299,8 +299,24 @@ class TestAxisTable:
 _OVERLAPS = st.one_of(st.just(1.0), st.floats(-1.0, 1.0))
 
 
-class TestScanObjectives:
-    """The per-coordinate Brent objectives against ``-_fixed_charlie_value``, by ``float.hex``."""
+def _frozen_fixed_charlie_value(alpha, theta, phi1, q0, q1):
+    """``_fixed_charlie_value`` as written before it took its factors through
+    ``_charlie_value``: the bit oracle of the scalar formula."""
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    required = (8.0 * alpha - 4.0 - 2.0 * s * math.cos(phi1)) / (2.0 * c)
+    if not -1e-9 <= required <= 1.0 + 1e-9:
+        return -1.0, None
+    phi0 = float(np.arccos(min(max(required, 0.0), 1.0)))
+    value = 0.5 + (2.0 * c * (1.0 + math.sin(phi1)) * q0 + 2.0 * s * (1.0 + math.sin(phi0)) * q1) / 16.0
+    return value, phi0
+
+
+def _hex_or_none(x):
+    return None if x is None else x.hex()
+
+
+class TestScalarFormulaOracle:
+    """``_fixed_charlie_value`` and ``solve_reduced_phi0`` against the frozen scalar formula, by ``float.hex``."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -310,15 +326,17 @@ class TestScanObjectives:
     @example(0.75, 0.3, 0.4, 1.0, 1.0, None, 0.0)  # inside the window
     @example(0.75, 0.3, 0.4, 1.0, 1.0, 1.0 + 1e-9, 1e-10)  # just outside it
     @example(0.75, 0.3, 0.4, 0.5, -0.25, -1e-9, -1e-10)
-    def test_equal_scalar_formula(self, alpha, theta, phi1, q0, q1, edge, offset):
+    def test_equal_frozen_formula(self, alpha, theta, phi1, q0, q1, edge, offset):
         if edge is not None:
             # Move alpha so that the requirement on cos(phi0) lands near an edge
             # of the feasible window [-1e-9, 1 + 1e-9] or of the clip to [0, 1].
             c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
             alpha = ((edge + offset) * 2.0 * c + 4.0 + 2.0 * s * math.cos(phi1)) / 8.0
-        expected = (-_fixed_charlie_value(alpha, theta, phi1, q0, q1)[0]).hex()
-        assert _theta_objective(alpha, phi1, q0, q1)(theta).hex() == expected
-        assert _phi1_objective(alpha, theta, q0, q1)(phi1).hex() == expected
+        value, phi0 = _frozen_fixed_charlie_value(alpha, theta, phi1, q0, q1)
+        got_value, got_phi0 = _fixed_charlie_value(alpha, theta, phi1, q0, q1)
+        assert got_value.hex() == value.hex()
+        assert _hex_or_none(got_phi0) == _hex_or_none(phi0)
+        assert _hex_or_none(solve_reduced_phi0(alpha, theta, phi1)) == _hex_or_none(phi0)
 
 
 def _memo_free_seesaw(alpha, cfg):
