@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .errors import DomainError, InfeasiblePair
+from .errors import InfeasiblePair, require_real
 from .linalg import (
     ID2,
     SIGMA_X,
@@ -33,22 +32,17 @@ def round_reported(value: float) -> float:
     mathematically ...x5 (like 0.71375) rounds up even when the computed
     float sits a hair below it.  The 8-digit guard matches the precision
     of typical inputs (for example a sharpness given as 0.70710678).
-    NaN and infinities raise :class:`DomainError`.
+    NaN, infinities and values beyond 1e19 raise :class:`DomainError`.
     """
-    if not math.isfinite(value):
-        raise DomainError(f"cannot round {value!r}")
-    d = Decimal(repr(float(value))).quantize(Decimal("1e-8"), rounding=ROUND_HALF_UP)
+    value = require_real(value, "reported value", -1e19, 1e19)  # 8 decimals in 28 digits
+    d = Decimal(repr(value)).quantize(Decimal("1e-8"), rounding=ROUND_HALF_UP)
     return float(d.quantize(Decimal("1e-4"), rounding=ROUND_HALF_UP))
 
 
 def witness_level(name: str, value: float, tol: float, lower: float = 0.5) -> float:
-    """``value`` clamped to ``[lower, (2 + sqrt(2))/4]``.
-
-    Raises :class:`DomainError` for NaN, infinities, and values outside
-    that range by more than ``tol``.
-    """
-    if not (math.isfinite(value) and lower - tol <= value <= W_AB_MAX + tol):
-        raise DomainError(f"{name} = {value!r} outside [{lower:g}, (2+sqrt(2))/4]")
+    """``value`` clamped to ``[lower, (2 + sqrt(2))/4]``; :class:`DomainError` if it
+    is not a finite real number or leaves that range by more than ``tol``."""
+    value = require_real(value, name, lower - tol, W_AB_MAX + tol)
     return float(min(max(value, lower), W_AB_MAX))
 
 
@@ -119,9 +113,8 @@ def certify_interval(w: WitnessPair, tol: float = FEASIBILITY_TOL) -> SharpnessI
     pair (a lower bound above 1, a ``w_ac`` beyond the quantum maximum, or
     crossed bounds beyond ``tol``).
     """
-    for name, value in (("w_ab", w.w_ab), ("w_ac", w.w_ac)):
-        if not np.isfinite(value) or value < -tol or value > 1.0 + tol:
-            raise DomainError(f"{name} = {value!r} outside [0, 1]")
+    for name, value in zip(w._fields, w):
+        require_real(value, name, -tol, 1.0 + tol)
     lower = sharpness_lower(w.w_ab, tol=np.inf)
     if lower > 1.0 + tol:
         raise InfeasiblePair(
@@ -140,13 +133,10 @@ def certify_interval(w: WitnessPair, tol: float = FEASIBILITY_TOL) -> SharpnessI
 
 
 def _symmetrize(w: WitnessPair) -> tuple[float, float]:
-    """Map both witnesses to their bit-flip representatives in [1/2, 1].
-
-    Raises :class:`DomainError` for NaN and infinities.
-    """
-    if not (math.isfinite(w.w_ab) and math.isfinite(w.w_ac)):
-        raise DomainError(f"witness pair {tuple(w)!r} is not finite")
-    return max(w.w_ab, 1.0 - w.w_ab), max(w.w_ac, 1.0 - w.w_ac)
+    """Both witnesses as bit-flip representatives in [1/2, 1]; :class:`DomainError`
+    unless both are finite real numbers."""
+    a, c = require_real(w.w_ab, "w_ab"), require_real(w.w_ac, "w_ac")
+    return max(a, 1.0 - a), max(c, 1.0 - c)
 
 
 def in_classical_set(w: WitnessPair) -> bool:

@@ -31,6 +31,8 @@ from .errors import (
     DomainError,
     InequalityViolation,
     InfeasiblePair,
+    require_integer,
+    require_real,
 )
 from .optimizer import (
     OptimizerConfig,
@@ -106,8 +108,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    if not 2 <= args.points <= BOUNDARY_POINTS_MAX:
-        raise DomainError(f"--points = {args.points} outside [2, {BOUNDARY_POINTS_MAX}]")
+    require_integer(args.points, "--points", 2, BOUNDARY_POINTS_MAX)
     # Uniform grid plus the 3/4 reference level (not representable on any
     # uniform grid over this interval).
     alphas = sorted(set(np.linspace(0.5, W_AB_MAX, args.points).tolist()) | {0.75})
@@ -142,10 +143,8 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    pair = WitnessPair(args.wab, args.wac)
-    for name, v in (("--wab", pair.w_ab), ("--wac", pair.w_ac)):
-        if not 0.0 <= v <= 1.0:
-            raise DomainError(f"{name} = {v!r} outside [0, 1]")
+    pair = WitnessPair(require_real(args.wab, "--wab", 0.0, 1.0),
+                       require_real(args.wac, "--wac", 0.0, 1.0))
     interval = certify_interval(pair)
     lo4, hi4 = interval.rounded()
     print(f"witness pair: ({_g17(pair.w_ab)}, {_g17(pair.w_ac)})")

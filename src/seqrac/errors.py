@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all seqrac modules."""
 
+import math
+import numbers
 import operator
 
 
@@ -24,15 +26,36 @@ class BlochNormExceeded(SeqracError):
 
 
 class DomainError(SeqracError):
-    """A scalar argument lies outside its documented domain."""
+    """A numeric argument is not a number, not finite, or outside its documented domain."""
 
 
-def require_integer(value, what: str) -> int:
-    """``value`` through ``operator.index``; :class:`DomainError` if it is not an integer."""
+def require_integer(value, what: str, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """``value`` through ``operator.index``, within ``[lo, hi]``; :class:`DomainError`
+    if it is not an integer (``bool`` is not) or out of range."""
     try:
-        return operator.index(value)
+        value = operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if not lo <= value <= hi:
+        raise DomainError(f"{what} = {value!r} outside [{lo}, {hi}]")
+    return value
+
+
+def require_real(value, what: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """``value`` as a float within ``[lo, hi]``; :class:`DomainError` if it is not a
+    real number (``bool`` is not), not finite, or out of range."""
+    try:
+        # A float (numpy's too) skips the ABC check, which costs about a microsecond.
+        if not (isinstance(value, float) or isinstance(value, numbers.Real) and type(value) is not bool):
+            raise TypeError
+        value = float(value)  # OverflowError for an int beyond the float range
+    except (TypeError, OverflowError):
+        raise DomainError(f"{what} must be a finite real number, got {value!r}") from None
+    if not lo <= value <= hi:
+        raise DomainError(f"{what} = {value!r} outside [{lo:g}, {hi:g}]")
+    if not math.isfinite(value):
+        raise DomainError(f"{what} = {value!r} is not finite")
+    return value
 
 
 class InvalidStrategy(SeqracError):

@@ -21,6 +21,7 @@ from .errors import (
     DomainError,
     NotHermitian,
     NotPsd,
+    require_real,
 )
 
 ID2 = np.eye(2, dtype=complex)
@@ -36,6 +37,8 @@ HERM_TOL = 1e-9
 # Largest real or imaginary part of a matrix entry: squares and sums of a few
 # squares of such entries stay far below the float maximum of about 1.8e308.
 MAX_ENTRY = 1e150
+# polar_decompose's bound on K: a part of a K^dag K entry sums four products of parts.
+POLAR_MAX_ENTRY = math.sqrt(MAX_ENTRY / 8.0)
 
 
 class EigenPair(NamedTuple):
@@ -48,16 +51,21 @@ def as_matrix2(m) -> np.ndarray:
     :class:`DomainError` otherwise."""
     try:
         a = np.asarray(m, dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"expected a 2x2 matrix: {exc}") from None
     if a.shape != (2, 2):
         raise DomainError(f"expected a 2x2 matrix, got shape {a.shape}")
+    return _bounded(a, "matrix", MAX_ENTRY)
+
+
+def _bounded(a: np.ndarray, what: str, bound: float) -> np.ndarray:
+    """``a`` if every real and imaginary part is within ``bound``, else :class:`DomainError`."""
     entries = a.ravel().tolist()
     # NaN fails both comparisons, so this one pass screens NaN and inf too.
-    if not all(abs(z.real) <= MAX_ENTRY >= abs(z.imag) for z in entries):
+    if not all(abs(z.real) <= bound >= abs(z.imag) for z in entries):
         if not all(map(cmath.isfinite, entries)):
-            raise DomainError("matrix has non-finite entries")
-        raise DomainError(f"matrix has entries beyond {MAX_ENTRY:g}, too large to square")
+            raise DomainError(f"{what} has entries that are not finite")
+        raise DomainError(f"{what} has entries beyond {bound:g}, too large to square")
     return a
 
 
@@ -162,7 +170,7 @@ def _sqrt_psd_rows(effects: np.ndarray) -> np.ndarray:
     differ in the last bit).  :class:`DomainError` on a non-finite entry.
     """
     if not np.isfinite(effects).all():
-        raise DomainError("matrix has non-finite entries")
+        raise DomainError("matrix has entries that are not finite")
     h = 0.5 * (effects + effects.conj().transpose(0, 2, 1))
     h00 = h[:, 0, 0].real
     h11 = h[:, 1, 1].real
@@ -179,6 +187,17 @@ def _sqrt_psd_rows(effects: np.ndarray) -> np.ndarray:
     return roots
 
 
+def _max_eigvalue_rows(m: np.ndarray) -> np.ndarray:
+    """``max_eigenpair(M, tol=inf).value`` of each matrix of an ``(n, 2, 2)`` stack, bit for
+    bit (moduli by ``np.hypot``, libm's ``hypot``); :class:`DomainError` if not finite."""
+    if not np.isfinite(m).all():
+        raise DomainError("matrix has entries that are not finite")
+    m = 0.5 * (m + m.conj().transpose(0, 2, 1))
+    a = m[:, 0, 0].real
+    d = m[:, 1, 1].real
+    return 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.hypot(m[:, 0, 1].real, m[:, 0, 1].imag))
+
+
 def perp_vector(v: np.ndarray) -> np.ndarray:
     """Canonical unit vector orthogonal to a unit 2-vector."""
     return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
@@ -192,10 +211,15 @@ def polar_decompose(k) -> tuple[np.ndarray, np.ndarray]:
     orthonormal complement of the image, with +1 phase.  ``K = 0`` yields
     ``U = I``.
     """
-    kk = as_matrix2(k)
+    kk = _bounded(as_matrix2(k), "matrix", POLAR_MAX_ENTRY)
     gram = kk.conj().T @ kk
     gram = 0.5 * (gram + gram.conj().T)
     p = matrix_sqrt_psd(gram, tol=np.inf)  # gram is PSD by construction
+    top = float(np.abs(kk).max())
+    if 0.0 < top < 2.0**-10:
+        # U of K scaled exactly to moduli <= 1: max_eigenpair's degeneracy tests are absolute.
+        shift = -math.frexp(top)[1]
+        return polar_decompose(kk * 2.0 ** (shift // 2) * 2.0 ** (shift - shift // 2))[0], p
     lam0, lam1 = eigvals_hermitian(gram)
     sigma0 = np.sqrt(max(lam0, 0.0))
     sigma1 = np.sqrt(max(lam1, 0.0))
@@ -205,8 +229,9 @@ def polar_decompose(k) -> tuple[np.ndarray, np.ndarray]:
     v1 = perp_vector(v0)
     u0 = kk @ v0 / sigma0
     u0 /= np.linalg.norm(u0)
-    if sigma1 > 1e-13 * sigma0:
-        u1 = kk @ v1 / sigma1
+    w1 = kk @ v1  # |K v1| carries K's rounding only, sigma1 that of K^dag K (~1e-8 sigma0)
+    if sigma1 > 1e-13 * sigma0 and np.linalg.norm(w1) > 1e-13 * sigma0:
+        u1 = w1 / sigma1
         u1 /= np.linalg.norm(u1)
     else:
         u1 = perp_vector(u0)
@@ -279,22 +304,24 @@ class QubitState:
 
 
 def _vector3(v, what: str) -> np.ndarray:
-    """``v`` as a float array of shape ``(3,)``; :class:`DomainError` otherwise."""
+    """``v`` as a float array of shape ``(3,)`` within ``MAX_ENTRY``, else :class:`DomainError`."""
     try:
-        a = np.asarray(v, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{what} is not numeric: {exc}") from None
-    if a.shape != (3,):
-        raise DomainError(f"{what} must have 3 components, got shape {a.shape}")
-    return a
+        a = np.asarray(v)
+        valid = a.dtype.kind in "iuf" and a.shape == (3,)
+    except ValueError:  # ragged nesting
+        valid = False
+    if not valid:
+        raise DomainError(f"{what} must have 3 components that are real numbers, got {v!r}")
+    x, y, z = a.tolist()
+    if not (abs(x) <= MAX_ENTRY and abs(y) <= MAX_ENTRY and abs(z) <= MAX_ENTRY):
+        _bounded(a, what, MAX_ENTRY)  # the same test, run again to raise its error
+    return a.astype(float, copy=False)
 
 
 def state_from_bloch(n) -> QubitState:
     """Qubit state ``(I + n . sigma)/2`` from a Bloch vector in the unit ball."""
     vec = _vector3(n, "Bloch vector")
     norm = float(np.linalg.norm(vec))
-    if not math.isfinite(norm):
-        raise DomainError(f"Bloch vector {vec!r} is not finite")
     if norm > 1.0 + HERM_TOL:
         raise BlochNormExceeded(f"|n| = {norm!r} exceeds 1")
     return QubitState(bloch_compose(0.5, 0.5 * vec), vec.copy())
@@ -330,14 +357,13 @@ class BinaryPovm:
     def from_observable(cls, c0: float, cvec) -> "BinaryPovm":
         """Build ``E_b = ((1 + (-1)^b c0) I + (-1)^b cvec . sigma)/2``."""
         c = _vector3(cvec, "observable vector")
-        norm = float(np.linalg.norm(c))
-        if not math.isfinite(c0 + norm):
-            raise DomainError(f"offset {c0!r} or observable vector {c!r} is not finite")
+        c0 = require_real(c0, "offset")
+        norm = math.sqrt(c.dot(c))  # np.linalg.norm's operations, without its overhead
         if norm - 1.0 > HERM_TOL or abs(c0) - (1.0 - norm) > HERM_TOL:
             raise NotPsd(f"offset {c0!r} with |c| = {norm!r} breaks positivity")
         e0 = bloch_compose(0.5 * (1.0 + c0), 0.5 * c)
         e1 = bloch_compose(0.5 * (1.0 - c0), -0.5 * c)
-        return cls((e0, e1), float(c0), c.copy())
+        return cls((e0, e1), c0, c.copy())
 
 
 def validate_povm(e0, e1) -> BinaryPovm:
@@ -360,8 +386,8 @@ def projective_povm(axis) -> BinaryPovm:
     """Sharp measurement along a unit Bloch axis."""
     a = _vector3(axis, "measurement axis")
     norm = np.linalg.norm(a)
-    if not 0.0 < norm < math.inf:
-        raise DomainError(f"measurement axis {a!r} is zero or not finite")
+    if norm == 0.0:
+        raise DomainError(f"measurement axis {a!r} is zero")
     return BinaryPovm.from_observable(0.0, a / norm)
 
 

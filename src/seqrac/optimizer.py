@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -20,15 +19,16 @@ import numpy as np
 from .analytics import boundary_wac, witness_level
 from .errors import (
     ConvergenceFailure,
-    DomainError,
     InequalityViolation,
     InvalidPovm,
     require_integer,
+    require_real,
 )
 from .linalg import (
     HERM_TOL,
     BinaryPovm,
     _bloch_compose_rows,
+    _max_eigvalue_rows,
     _sqrt_psd_rows,
     _vector3,
     bloch_compose,
@@ -52,6 +52,8 @@ from .scenario import (
 from .strategies import X_AXIS, Z_AXIS, axis_instruments
 
 HALF_PI = 0.5 * np.pi
+# Points per axis of the (theta, phi1) grid that seeds each boundary level.
+GRID_RESOLUTION = 512
 # Cap on the sweeps of coordinate ascent over (theta, phi1).
 REFINEMENT_ITERATIONS = 40
 # Restarts of one see-saw call, and the gain below which a restart stops.
@@ -63,14 +65,10 @@ BOUND_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    grid_resolution: int = 512
     rng_seed: int = 20250809
 
     def __post_init__(self):
-        if require_integer(self.grid_resolution, "grid_resolution") < 1:
-            raise DomainError(f"grid_resolution must be positive, got {self.grid_resolution!r}")
-        if require_integer(self.rng_seed, "rng_seed") < 0:
-            raise DomainError(f"rng_seed must be non-negative, got {self.rng_seed!r}")
+        require_integer(self.rng_seed, "rng_seed", 0)
 
 
 @dataclass(frozen=True)
@@ -87,9 +85,8 @@ class ReducedParameters:
     phi1: float
 
     def __post_init__(self):
-        for name, v in (("theta", self.theta), ("phi0", self.phi0), ("phi1", self.phi1)):
-            if not -1e-12 <= v <= HALF_PI + 1e-12:
-                raise DomainError(f"{name} = {v!r} outside [0, pi/2]")
+        for name in ("theta", "phi0", "phi1"):
+            require_real(getattr(self, name), name, -1e-12, HALF_PI + 1e-12)
 
 
 def reduced_objective(r: ReducedParameters) -> float:
@@ -185,8 +182,7 @@ def solve_reduced_phi0(alpha: float, theta: float, phi1: float) -> float | None:
     ``reduced_constraint = alpha`` exactly, or None when the requirement
     leaves [0, 1] by more than 1e-9.
     """
-    if not math.isfinite(alpha + theta + phi1):
-        raise DomainError(f"non-finite input: alpha={alpha!r}, theta={theta!r}, phi1={phi1!r}")
+    alpha, theta, phi1 = map(require_real, (alpha, theta, phi1), ("alpha", "theta", "phi1"))
     return _fixed_charlie_value(alpha, theta, phi1, 1.0, 1.0)[1]
 
 
@@ -218,16 +214,15 @@ def trace_boundary(
     """Numerically maximize the reduced objective at each witness level.
 
     Grid search over ``(theta, phi1)`` with ``phi0`` eliminated exactly,
-    followed by bounded coordinate ascent.  Raises
-    :class:`ConvergenceFailure` when the numerical maximum strays more
+    followed by bounded coordinate ascent; no setting of ``cfg`` applies.
+    Raises :class:`ConvergenceFailure` when the numerical maximum strays more
     than 1e-6 from the closed-form boundary; the closed form is never
     substituted for the search result.
     """
-    cfg = cfg or OptimizerConfig()
     out = []
     for alpha in alphas:
         alpha = witness_level("alpha", alpha, tol=1e-12)
-        value, theta, phi1 = _grid_argmax(alpha, cfg.grid_resolution)
+        value, theta, phi1 = _grid_argmax(alpha, GRID_RESOLUTION)
         if not np.isfinite(value):
             raise ConvergenceFailure(f"no feasible grid point at alpha = {alpha!r}")
         _, theta, phi0, phi1 = _ascend(alpha, theta, phi1, 1.0, 1.0, 1025)
@@ -336,8 +331,8 @@ def minimize_scalar(func, lo: float, hi: float, xatol: float) -> tuple[float, fl
     so ``x`` and ``f(x)`` equal scipy's bit for bit, on plain floats and
     without scipy's per-call overhead.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise DomainError(f"bounds must be finite with lo <= hi, got ({lo!r}, {hi!r})")
+    lo = require_real(lo, "lo")
+    hi = require_real(hi, "hi", lo)
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     a, b = lo, hi
@@ -486,7 +481,7 @@ def _random_feasible_start(alpha: float, rng: np.random.Generator):
     for _ in range(256):
         theta = rng.uniform(0.0, HALF_PI)
         phi1 = rng.uniform(0.0, HALF_PI)
-        if solve_reduced_phi0(alpha, theta, phi1) is not None:
+        if _fixed_charlie_value(alpha, theta, phi1, 1.0, 1.0)[1] is not None:
             return theta, phi1
     return None
 
@@ -614,21 +609,12 @@ class BoundSample(NamedTuple):
 def _sandwich_max(effects: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """``lambda_max[sqrt(E) op sqrt(E)]`` for each pair of two C-contiguous ``(n, 2, 2)`` stacks.
 
-    The float operations of ``matrix_sqrt_psd(E, tol=inf)`` (through
-    ``linalg._sqrt_psd_rows``), ``root @ op @ root`` (one BLAS product per
-    matrix of the C-contiguous stacks) and ``max_eigenpair(...).value``
-    (complex moduli as ``np.hypot`` of the parts, libm's ``hypot``), entry by
-    entry, so each value has that scalar path's bits.  Raises
-    :class:`DomainError` on a non-finite entry, as the scalar path does.
-    """
+    The bits of ``max_eigenpair(root @ op @ root, tol=inf).value`` with
+    ``root = matrix_sqrt_psd(E, tol=inf)``: both kernels run stacked in ``linalg``,
+    and ``@`` makes one BLAS product per matrix.  :class:`DomainError` on a
+    non-finite entry, as the scalar path raises."""
     roots = _sqrt_psd_rows(effects)
-    m = roots @ ops @ roots
-    if not np.isfinite(m).all():
-        raise DomainError("matrix has non-finite entries")
-    m = 0.5 * (m + m.conj().transpose(0, 2, 1))
-    a = m[:, 0, 0].real
-    d = m[:, 1, 1].real
-    return 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.hypot(m[:, 0, 1].real, m[:, 0, 1].imag))
+    return _max_eigvalue_rows(roots @ ops @ roots)
 
 
 def sandwich_eigenvalue_sum_bound(povm, direction) -> BoundSample:
@@ -644,8 +630,6 @@ def sandwich_eigenvalue_sum_bound(povm, direction) -> BoundSample:
         except Exception as exc:
             raise InvalidPovm(str(exc)) from exc
     a = _vector3(direction, "direction")
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"direction must be a finite 3-vector, got {direction!r}")
     rhs = float(np.linalg.norm(a))
     if rhs == 0.0:
         return BoundSample(0.0, 0.0, True)
@@ -672,11 +656,9 @@ def trig_inequality_value(theta: float, phi0: float, phi1: float) -> float:
     ``p0, p1 in [0, pi/2]``; exceeding 1 beyond 1e-12 raises
     :class:`InequalityViolation`.
     """
-    if not -1e-12 <= theta <= np.pi + 1e-12:
-        raise DomainError(f"theta = {theta!r} outside [0, pi]")
-    for name, p in (("phi0", phi0), ("phi1", phi1)):
-        if not -1e-12 <= p <= HALF_PI + 1e-12:
-            raise DomainError(f"{name} = {p!r} outside [0, pi/2]")
+    theta = require_real(theta, "theta", -1e-12, np.pi + 1e-12)
+    phi0 = require_real(phi0, "phi0", -1e-12, HALF_PI + 1e-12)
+    phi1 = require_real(phi1, "phi1", -1e-12, HALF_PI + 1e-12)
     value = float(
         np.cos(theta) * (np.cos(phi0) ** 2 - np.cos(phi1) ** 2)
         + np.sin(theta) * np.cos(phi0 - phi1)
@@ -698,8 +680,7 @@ def trig_grid_max(resolution: int) -> float:
     memory grows with ``resolution**2``; ``resolution`` must lie in
     ``[1, TRIG_GRID_MAX]``.
     """
-    if not 1 <= resolution <= TRIG_GRID_MAX:
-        raise DomainError(f"grid = {resolution!r} outside [1, {TRIG_GRID_MAX}]")
+    resolution = require_integer(resolution, "grid", 1, TRIG_GRID_MAX)
     theta = np.linspace(0.0, np.pi, resolution)
     phi0 = np.linspace(0.0, HALF_PI, resolution)[:, None]
     phi1 = np.linspace(0.0, HALF_PI, resolution)[None, :]
@@ -808,16 +789,7 @@ def inequality_report(samples: int, grid: int, seed: int) -> dict:
     worst disagreement between the closed-form sandwich eigenvalue and a
     direct eigensolve.
     """
-    try:
-        samples, grid, seed = (operator.index(v) for v in (samples, grid, seed))
-    except TypeError:
-        raise DomainError(
-            f"samples, grid and seed must be integers, got {samples!r}, {grid!r} and {seed!r}"
-        ) from None
-    if samples < 1 or grid < 1:
-        raise DomainError(f"samples and grid must be positive, got {samples!r} and {grid!r}")
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed!r}")
+    samples, seed = require_integer(samples, "samples", 1), require_integer(seed, "seed", 0)
     trig_max = trig_grid_max(grid)
     if trig_max > 1.0 + 1e-12:
         raise InequalityViolation(f"trig grid maximum {trig_max!r} exceeds 1")
@@ -859,11 +831,7 @@ def sandwich_eigenvalue_closed_form(povm: BinaryPovm, direction, outcome: int) -
     square-root sum used by the trade-off bound.
     """
     a = _vector3(direction, "direction")
-    norm = float(np.linalg.norm(a))
-    if not math.isfinite(norm):
-        raise DomainError(f"direction must be a finite 3-vector, got {direction!r}")
-    if outcome not in (0, 1):
-        raise DomainError(f"outcome must be 0 or 1, got {outcome!r}")
+    norm, outcome = float(np.linalg.norm(a)), require_integer(outcome, "outcome", 0, 1)
     return _closed_form(povm.c0, povm.sharpness, float(np.dot(povm.cvec, a)), norm, outcome)
 
 

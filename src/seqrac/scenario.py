@@ -158,8 +158,6 @@ class Strategy:
             try:
                 QubitState.from_matrix(st.matrix)
                 bloch = _vector3(st.bloch, "Bloch vector")
-                if not np.isfinite(bloch).all():
-                    raise DomainError(f"Bloch vector {bloch!r} is not finite")
             except Exception as exc:
                 raise InvalidStrategy(f"preparations[{i}]: {exc}") from exc
             if np.max(np.abs(st.matrix - bloch_compose(0.5, 0.5 * bloch))) > HERM_TOL:

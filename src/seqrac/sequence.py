@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, require_integer
+from .errors import DomainError, require_integer, require_real
 from .scenario import WitnessPair, average_instrument_channel, rac_success
 from .strategies import axis_instruments, canonical_witness_pair, square_preparations
 
@@ -32,23 +32,12 @@ class ChainConfig:
     sharpness_profile: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        parties = require_integer(self.parties, "parties")
-        if not 1 <= parties <= CHAIN_PARTIES_MAX:
-            raise DomainError(f"parties = {parties!r} outside [1, {CHAIN_PARTIES_MAX}]")
-        profile = self.sharpness_profile
-        if profile is None:
-            object.__setattr__(self, "sharpness_profile", (1.0,) * parties)
-            return
-        try:
-            profile = tuple(float(v) for v in profile)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"sharpnesses must be numbers: {exc}") from None
-        if len(profile) != self.parties:
-            raise DomainError(
-                f"profile has {len(profile)} entries for {self.parties} parties"
-            )
-        if any(not 0.0 <= v <= 1.0 for v in profile):
-            raise DomainError(f"sharpnesses must lie in [0, 1]: {profile!r}")
+        parties = require_integer(self.parties, "parties", 1, CHAIN_PARTIES_MAX)
+        profile = (1.0,) * parties if self.sharpness_profile is None else self.sharpness_profile
+        profile = np.array(profile, dtype=object, ndmin=1)  # a bare number: one entry
+        profile = tuple(require_real(v, "sharpness", 0.0, 1.0) for v in profile)
+        if len(profile) != parties:
+            raise DomainError(f"profile has {len(profile)} entries for {parties} parties")
         object.__setattr__(self, "sharpness_profile", profile)
 
 
@@ -60,9 +49,7 @@ class ChainStep(NamedTuple):
 
 def party_witness_closed_form(k: int) -> float:
     """Witness of the k-th sharp party, ``(1 + sqrt(2)/2^k) / 2``."""
-    k = require_integer(k, "party index")
-    if k < 1:
-        raise DomainError(f"party index must be >= 1, got {k!r}")
+    k = require_integer(k, "party index", 1, CHAIN_PARTIES_MAX)
     # 2.0**-k underflows to 0 for huge k, where 2.0**k would overflow.
     return float(0.5 * (1.0 + np.sqrt(2.0) * 2.0**-k))
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, InvalidStrategy
+from .errors import InvalidStrategy, require_integer, require_real
 from .linalg import (
     BinaryPovm,
     QubitState,
@@ -62,8 +62,7 @@ def canonical_strategy(eta: float) -> Strategy:
     of the sharpness-``eta`` observables along x (``y = 0``) and z
     (``y = 1``); Charlie measures the same axes projectively.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"sharpness {eta!r} outside [0, 1]")
+    eta = require_real(eta, "sharpness", 0.0, 1.0)
     measurements = (projective_povm(X_AXIS), projective_povm(Z_AXIS))
     return Strategy(square_preparations(), axis_instruments(eta, eta), measurements)
 
@@ -74,8 +73,7 @@ def canonical_witness_pair(eta: float) -> WitnessPair:
     ``w_ab = (2 + eta sqrt(2))/4`` and
     ``w_ac = (4 + sqrt(2) + sqrt(2 - 2 eta^2))/8``.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"sharpness {eta!r} outside [0, 1]")
+    eta = require_real(eta, "sharpness", 0.0, 1.0)
     w_ab = 0.25 * (2.0 + eta * np.sqrt(2.0))
     w_ac = 0.125 * (4.0 + np.sqrt(2.0) + np.sqrt(max(2.0 - 2.0 * eta * eta, 0.0)))
     return WitnessPair(float(w_ab), float(w_ac))
@@ -90,9 +88,8 @@ class VisibilityTriple:
     v_c: float
 
     def __post_init__(self):
-        for name, v in (("v_a", self.v_a), ("v_b", self.v_b), ("v_c", self.v_c)):
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} = {v!r} outside [0, 1]")
+        for name in ("v_a", "v_b", "v_c"):
+            require_real(getattr(self, name), name, 0.0, 1.0)
 
 
 def apply_visibility(s: Strategy, v: VisibilityTriple) -> Strategy:
@@ -150,7 +147,7 @@ class ClassicalStrategy:
     def from_codes(cls, e: int, b: int, r: int, c: int) -> "ClassicalStrategy":
         """Build from four 4-bit codes; bit ``i`` of a code is table entry ``i``."""
         unpack = lambda n: tuple((n >> i) & 1 for i in range(4))
-        return cls(unpack(e), unpack(b), unpack(r), unpack(c))
+        return cls(*(unpack(require_integer(n, "code", 0, 15)) for n in (e, b, r, c)))
 
     @staticmethod
     def relay_first_bit() -> "ClassicalStrategy":

@@ -258,7 +258,7 @@ class TestChecks:
         assert main(["checks", *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "must be positive" in captured.err
+        assert f"{flags[0][2:]} = {flags[1]} outside [1, " in captured.err
 
     def test_grid_above_maximum_maps_to_2(self, capsys):
         assert main(["checks", "--samples", "1", "--grid", "2000000"]) == 2

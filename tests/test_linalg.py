@@ -1,5 +1,6 @@
 """Closed-form 2x2 kernels against independent numpy.linalg oracles."""
 
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from seqrac.errors import (
 from seqrac.linalg import (
     ID2,
     MAX_ENTRY,
+    POLAR_MAX_ENTRY,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -167,7 +169,7 @@ class TestMatrixSqrt:
 
     def test_rejects_non_finite(self):
         for bad in NON_FINITE:
-            with pytest.raises(DomainError, match="non-finite"):
+            with pytest.raises(DomainError, match="not finite"):
                 matrix_sqrt_psd(bad)
         for bad in TOO_LARGE:
             with pytest.raises(DomainError, match="too large to square"):
@@ -225,6 +227,44 @@ class TestPolarDecompose:
         for bad in (*NON_FINITE, *TOO_LARGE, np.eye(3)):
             with pytest.raises(DomainError):
                 polar_decompose(bad)
+
+    def test_rejects_input_whose_gram_matrix_is_too_large(self):
+        # every entry is within MAX_ENTRY, but K^dag K is not: the message
+        # names the bound on K itself
+        for bad in (np.full((2, 2), 1e100), [[0.0, 1.01 * POLAR_MAX_ENTRY], [0.0, 0.0]]):
+            with pytest.raises(DomainError, match=re.escape(f"beyond {POLAR_MAX_ENTRY:g}")):
+                polar_decompose(bad)
+
+    @pytest.mark.parametrize("k", [
+        POLAR_MAX_ENTRY * np.ones((2, 2)),
+        POLAR_MAX_ENTRY * np.array([[1.0 + 1.0j, -1.0 + 1.0j], [1.0 - 1.0j, 1.0 + 1.0j]]),
+        POLAR_MAX_ENTRY * np.array([[1.0, 0.0], [0.0, -1.0j]]),
+    ])
+    def test_entries_at_the_bound_give_finite_factors(self, k):
+        u, p = polar_decompose(k)
+        assert np.isfinite(u).all() and np.isfinite(p).all()
+        np.testing.assert_allclose(u.conj().T @ u, ID2, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-8, 1e-15, 1e-160, 5e-324])
+    def test_small_input_keeps_a_unitary_factor(self, scale):
+        # max_eigenpair's degeneracy tests are absolute below 1, so a small K
+        # once made u0 = 0/0 or a non-unitary U
+        for k in (np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 1.0], [0.0, 1.0j]])):
+            u, _ = polar_decompose(scale * k)
+            assert np.isfinite(u).all()
+            np.testing.assert_allclose(u.conj().T @ u, ID2, atol=1e-12)
+            if scale >= 1e-15:
+                np.testing.assert_allclose(u, polar_decompose(k)[0], atol=1e-9)
+
+    def test_rank_one_input_keeps_a_unitary_factor(self, rng):
+        # sigma1 of a rank-one K comes out near 1e-8 sigma0 from K^dag K, which
+        # once sent K v1 (pure rounding) into U as its second column
+        for _ in range(2000):
+            a, b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            k = np.outer(a, b)
+            u, p = polar_decompose(k)
+            np.testing.assert_allclose(u.conj().T @ u, ID2, atol=1e-12)
+            np.testing.assert_allclose(u @ p, k, atol=1e-6 * np.abs(k).max())
 
     def test_rank_one_shift_operator(self):
         # |0><1| is rank-deficient with a nontrivial unitary part

@@ -206,19 +206,17 @@ class TestMinimizeScalar:
 
 class TestTraceBoundary:
     def test_reference_levels(self):
-        cfg = OptimizerConfig(grid_resolution=256)
         for alpha, expected in [
             (0.75, (5 + SQRT2) / 8),
             (0.5, (2 + SQRT2) / 4),
             (W_AB_MAX, (4 + SQRT2) / 8),
         ]:
-            point = trace_boundary([alpha], cfg)[0]
+            point = trace_boundary([alpha])[0]
             assert point.wac == pytest.approx(expected, abs=1e-6)
 
     def test_argmax_has_lemma_structure(self):
-        cfg = OptimizerConfig(grid_resolution=256)
         for alpha in (0.55, 0.7, 0.8, W_AB_MAX):
-            point = trace_boundary([alpha], cfg)[0]
+            point = trace_boundary([alpha])[0]
             assert abs(point.params.theta - HALF_PI) <= 1e-4
             assert abs(point.params.phi0 - point.params.phi1) <= 1e-4
 
@@ -687,7 +685,7 @@ class TestInequalityReport:
 
     @pytest.mark.parametrize("args", [(1.5, 3, 0), (3, 2.0, 0), (3, 2, 0.5), ("3", 2, 0)])
     def test_rejects_non_integer_arguments(self, args):
-        with pytest.raises(DomainError, match="integers"):
+        with pytest.raises(DomainError, match="must be an integer"):
             optimizer.inequality_report(*args)
 
     @pytest.mark.parametrize(
@@ -767,7 +765,7 @@ class TestSelfTestClosure:
         # strategies realizing the optimal curve pass the self-test
         from seqrac import selftest_report
 
-        for point in trace_boundary([0.6, 0.75, 0.82], OptimizerConfig(grid_resolution=256)):
+        for point in trace_boundary([0.6, 0.75, 0.82]):
             strategy = strategy_from_reduced(point.params)
             assert selftest_report(strategy).max_defect() <= 1e-6
 
@@ -780,14 +778,12 @@ class TestSelfTestClosure:
 
 class TestOptimizerConfig:
     def test_rejects_nonpositive_counts(self):
-        """Counts and seeds must be integers (``operator.index``) in range."""
+        """The seed must be a non-negative integer (``operator.index``; not ``bool``)."""
         for kwargs in (
-            {"grid_resolution": 0},
-            {"grid_resolution": 2.5},
-            {"grid_resolution": np.nan},
             {"rng_seed": -1},
             {"rng_seed": 1.5},
             {"rng_seed": np.nan},
+            {"rng_seed": True},
         ):
             with pytest.raises(DomainError):
                 OptimizerConfig(**kwargs)

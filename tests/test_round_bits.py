@@ -2,8 +2,9 @@
 
 ``optimizer._reduced_best_response`` repeats the float operations of
 ``charlie_best_response(strategy_from_reduced(...))`` without building a
-validated strategy, and ``linalg._sqrt_psd_rows`` those of
-``matrix_sqrt_psd(tol=inf)`` on a stack.  Both are compared with their
+validated strategy, ``linalg._sqrt_psd_rows`` those of
+``matrix_sqrt_psd(tol=inf)`` on a stack, and ``linalg._max_eigvalue_rows``
+those of ``max_eigenpair(tol=inf).value``.  Each is compared with its
 oracle by ``tobytes()`` and ``float.hex``, never by tolerance.
 """
 
@@ -14,7 +15,14 @@ import pytest
 
 from seqrac import optimizer
 from seqrac.errors import DomainError
-from seqrac.linalg import _bloch_compose_rows, _sqrt_psd_rows, bloch_decompose, matrix_sqrt_psd
+from seqrac.linalg import (
+    _bloch_compose_rows,
+    _max_eigvalue_rows,
+    _sqrt_psd_rows,
+    bloch_decompose,
+    matrix_sqrt_psd,
+    max_eigenpair,
+)
 from seqrac.optimizer import (
     HALF_PI,
     OptimizerConfig,
@@ -101,11 +109,29 @@ def test_sqrt_psd_rows_equals_scalar_root():
         assert root.tobytes() == matrix_sqrt_psd(e, tol=np.inf).tobytes(), PLATFORM
 
 
+def test_max_eigvalue_rows_equals_scalar_eigenvalue():
+    # on the effects, and on sandwiches root @ op @ root as the checks suites build them
+    effects = _effects()
+    ops = _bloch_compose_rows(0.0, np.random.default_rng(4104).normal(size=(len(effects), 3)))
+    for stack in (effects, _sqrt_psd_rows(effects) @ ops @ _sqrt_psd_rows(effects)):
+        values = _max_eigvalue_rows(stack)
+        assert values.shape == (len(stack),)
+        for m, value in zip(stack, values):
+            assert value.tobytes() == np.float64(max_eigenpair(m, tol=np.inf).value).tobytes(), PLATFORM
+
+
 def test_sqrt_psd_rows_rejects_non_finite():
     effects = _effects()[:3].copy()
     effects[1, 0, 1] = np.nan
     with pytest.raises(DomainError):
         _sqrt_psd_rows(effects)
+
+
+def test_max_eigvalue_rows_rejects_non_finite():
+    effects = _effects()[:3].copy()
+    effects[2, 1, 1] = np.inf
+    with pytest.raises(DomainError):
+        _max_eigvalue_rows(effects)
 
 
 def test_seesaw_builds_the_winner_only(monkeypatch):
