@@ -9,6 +9,7 @@ and --seed; the environment variable SEQRAC_SEED is the fallback seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -224,44 +225,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="evaluate a strategy document")
     p.add_argument("strategy_file")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("boundary", help="trace the quantum trade-off curve to CSV")
     p.add_argument("--points", type=int, default=21)
     p.add_argument("--out", default=None)
     p.add_argument("--with-seesaw", action="store_true")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_boundary)
 
     p = sub.add_parser("certify", help="certify a sharpness interval from witnesses")
     p.add_argument("--wab", type=float, required=True)
     p.add_argument("--wac", type=float, required=True)
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("noise", help="evaluate the canonical strategy under visibilities")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--va", type=float, required=True)
     p.add_argument("--vb", type=float, required=True)
     p.add_argument("--vc", type=float, required=True)
-    p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("sequence", help="simulate a chain of measuring parties to CSV")
     p.add_argument("--parties", type=int, required=True)
     p.add_argument("--eta-profile", default=None, help="comma-separated sharpnesses")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sequence)
 
-    p = sub.add_parser("classical", help="exhaustive classical enumeration")
-    p.set_defaults(func=cmd_classical)
+    sub.add_parser("classical", help="exhaustive classical enumeration")
 
     p = sub.add_parser("checks", help="run the operator-inequality sampling suites")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--grid", type=int, default=100, help="per-axis trig grid size")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_checks)
 
     return parser
 
+
+_parser = functools.cache(build_parser)  # one per process, shared by repeated in-process main calls
 
 # Exit code of each error a command may raise.
 _EXIT_CODES = {
@@ -276,9 +272,10 @@ _EXIT_CODES = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up at call time, so a rebound cmd_* (a test stub, a tracer) runs.
+        return globals()[f"cmd_{args.command}"](args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

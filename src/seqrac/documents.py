@@ -12,6 +12,7 @@ and re-writing reproduces the bytes exactly.  Only single-Kraus
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +34,14 @@ def _require(condition: bool, path: str, message: str):
 
 
 def _parse_real(value, path: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), path,
-             f"expected a number, got {value!r}")
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise DocumentError(path, f"expected a number, got {value!r}")
     try:
         out = float(value)
     except OverflowError:
         raise DocumentError(path, "integer out of the float range") from None
-    _require(np.isfinite(out), path, f"non-finite number {value!r}")
+    if not math.isfinite(out):
+        raise DocumentError(path, f"non-finite number {value!r}")
     return out
 
 

@@ -140,7 +140,7 @@ class ClassicalStrategy:
             ("relay", self.relay),
             ("charlie_out", self.charlie_out),
         ):
-            if len(table) != 4 or any(bit not in (0, 1) for bit in table):
+            if len(table) != 4 or any(type(bit) is not int or bit not in (0, 1) for bit in table):
                 raise InvalidStrategy(f"{name} must be four bits, got {table!r}")
 
     @classmethod

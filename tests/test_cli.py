@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import seqrac
 from seqrac import canonical_strategy
-from seqrac.cli import BOUNDARY_POINTS_MAX, main
+from seqrac.cli import BOUNDARY_POINTS_MAX, build_parser, main
 from seqrac.documents import document_text, write_strategy_file
 from seqrac.sequence import CHAIN_PARTIES_MAX
 
@@ -320,6 +320,68 @@ class TestErrorExitCodes:
 
         monkeypatch.setattr(cli, "inequality_report", violate)
         assert main(["checks", "--samples", "10", "--grid", "5"]) == 6
+
+
+def _run(argv, call=main) -> tuple:
+    """``(exit code, stdout, stderr)`` of one in-process call, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh(argv):
+    """Parse with a newly built parser, the reference for ``main``'s shared one."""
+    return build_parser().parse_args(argv)
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process and dispatches at call time."""
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_rebound_command_runs(self, capsys, monkeypatch):
+        from seqrac import cli
+
+        assert main(["classical"]) == 0
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_classical", lambda args: calls.append(args.command) or 7)
+        assert main(["classical"]) == 7
+        assert calls == ["classical"]
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--wab", "x"],
+        ["certify", "--wab", "0.7"],
+        ["boundary", "--points", "1.5"],
+        ["nope"],
+        [],
+    ])
+    def test_parse_errors_repeat_byte_for_byte(self, argv):
+        first, second = _run(argv), _run(argv)
+        assert first == second == _run(argv, _fresh)
+        assert first[0] == 2 and first[1] == "" and first[2].startswith("usage: seqrac")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["evaluate", "--help"], ["checks", "-h"]])
+    def test_help_repeats_byte_for_byte(self, argv):
+        first, second = _run(argv), _run(argv)
+        assert first == second == _run(argv, _fresh)
+        assert first[0] == 0 and first[1].startswith("usage: seqrac") and first[2] == ""
+
+    def test_usage_width_follows_columns_on_each_call(self, monkeypatch):
+        outputs = []
+        for columns in ("40", "200", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            outputs.append(_run(["--help"]))
+            assert outputs[-1] == _run(["--help"], _fresh)
+        assert outputs[0] == outputs[2] != outputs[1]
+        # The description wraps at 40 columns and fits on one line at 200.
+        assert "codes: evaluate" in outputs[1][1] and "codes: evaluate" not in outputs[0][1]
 
 
 DOCUMENT = Path(__file__).parent / "data" / "noisy_canonical.json"

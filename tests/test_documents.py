@@ -117,6 +117,30 @@ class TestParsing:
         with pytest.raises(DocumentError, match=r"instruments\[0\]\.kraus\[1\]\[0\]\[1\]"):
             parse_strategy_document(doc)
 
+    @pytest.mark.parametrize("raw, message", [
+        ("true", "expected a number, got True"),
+        ("false", "expected a number, got False"),
+        ("NaN", "non-finite number nan"),
+        ("Infinity", "non-finite number inf"),
+        ("-Infinity", "non-finite number -inf"),
+        ("1e400", "non-finite number inf"),
+        ("1" + "0" * 400, "integer out of the float range"),
+    ])
+    def test_entry_messages(self, raw, message):
+        # JSON text, as a file holds it: json reads NaN and Infinity as floats.
+        for key, path in (("bloch", "preparations[3].bloch[0]"),
+                          ("matrix", "preparations[3].matrix[1][0]")):
+            doc = canonical_doc()
+            if key == "bloch":
+                doc["preparations"][3]["bloch"][0] = "@"
+            else:
+                doc["preparations"][3]["matrix"][1][0][0] = "@"
+            doc = json.loads(json.dumps(doc).replace('"@"', raw))
+            with pytest.raises(DocumentError) as info:
+                parse_strategy_document(doc)
+            assert info.value.path == path
+            assert str(info.value) == f"{path}: {message}"
+
     def test_incomplete_instrument_flagged(self):
         doc = canonical_doc()
         zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]

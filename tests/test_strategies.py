@@ -15,7 +15,7 @@ from seqrac import (
     witness_pair,
     witness_pair_classical,
 )
-from seqrac.errors import DomainError
+from seqrac.errors import DomainError, InvalidStrategy
 from seqrac.scenario import INPUT_PAIRS
 from seqrac.strategies import ClassicalStrategy
 
@@ -172,3 +172,19 @@ class TestClassicalModel:
                 ClassicalStrategy.from_codes(*[int(v) for v in codes])
             )
             assert pair.w_ab <= 0.75 and pair.w_ac <= 0.75
+
+    @pytest.mark.parametrize("bit", [True, False, 1.0, 0.0, 2, -1, np.int64(1), "1", None])
+    def test_table_bits_are_ints_0_or_1(self, bit):
+        tables = dict(encode=(0, 0, 1, 1), bob_out=(0, 0, 1, 1), relay=(0, 0, 1, 1),
+                      charlie_out=(0, 0, 1, 1))
+        for name in tables:
+            table = (bit,) + tables[name][1:]
+            with pytest.raises(InvalidStrategy) as info:
+                ClassicalStrategy(**{**tables, name: table})
+            assert str(info.value) == f"{name} must be four bits, got {table!r}"
+
+    def test_all_codes_build(self):
+        for code in range(16):
+            cs = ClassicalStrategy.from_codes(code, code, code, code)
+            assert cs.encode == tuple((code >> i) & 1 for i in range(4))
+            assert all(type(bit) is int for bit in cs.encode + cs.relay)
