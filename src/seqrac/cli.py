@@ -32,6 +32,7 @@ from .errors import (
     DomainError,
     InequalityViolation,
     InfeasiblePair,
+    InvalidStrategy,
     require_integer,
     require_real,
 )
@@ -265,6 +266,7 @@ _EXIT_CODES = {
     DomainError: EXIT_PARSE,
     OSError: EXIT_PARSE,
     DocumentInvariantError: EXIT_INVARIANT,
+    InvalidStrategy: EXIT_INVARIANT,
     ConvergenceFailure: EXIT_CONVERGENCE,
     InfeasiblePair: EXIT_INFEASIBLE,
     InequalityViolation: EXIT_INEQUALITY,

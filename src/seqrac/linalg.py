@@ -69,28 +69,22 @@ def _bounded(a: np.ndarray, what: str, bound: float) -> np.ndarray:
     return a
 
 
-def herm_deviation(m: np.ndarray) -> float:
-    """Largest entrywise deviation of a finite 2x2 ``m`` from its own adjoint.
+def _hermitian_part(m, tol: float) -> np.ndarray:
+    """Entries of ``0.5 * (a + a^dag)`` for ``a = as_matrix2(m)``, as a flat array.
 
-    Computed on the four entries as Python complex numbers, each modulus
-    by libm's ``hypot`` (numpy's vectorised complex ``abs`` may differ in
-    the last bit).
-    """
-    a00, a01, a10, a11 = m.ravel().tolist()
-    return max(
-        abs(a00 - a00.conjugate()),
-        abs(a01 - a10.conjugate()),
-        abs(a10 - a01.conjugate()),
-        abs(a11 - a11.conjugate()),
-    )
+    :class:`NotHermitian` if an entry of ``a - a^dag`` has a modulus (libm's ``hypot``
+    on Python complex numbers) above ``tol``.  The halving stays a numpy product:
+    numpy fuses multiply-adds on CPUs with FMA, which can set the sign of a zero."""
+    a00, a01, a10, a11 = as_matrix2(m).ravel().tolist()
+    c00, c01, c10, c11 = a00.conjugate(), a01.conjugate(), a10.conjugate(), a11.conjugate()
+    dev = max(abs(a00 - c00), abs(a01 - c10), abs(a10 - c01), abs(a11 - c11))
+    if dev > tol:
+        raise NotHermitian(f"hermiticity deviation {dev:.3e}")
+    return 0.5 * np.array([a00 + c00, a01 + c10, a10 + c01, a11 + c11])
 
 
 def require_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
-    a = as_matrix2(m)
-    dev = herm_deviation(a)
-    if dev > tol:
-        raise NotHermitian(f"hermiticity deviation {dev:.3e}")
-    return 0.5 * (a + a.conj().T)
+    return _hermitian_part(m, tol).reshape(2, 2)
 
 
 def eigvals_hermitian(h: np.ndarray) -> tuple[float, float]:
@@ -147,11 +141,12 @@ def matrix_sqrt_psd(m, tol: float = HERM_TOL) -> np.ndarray:
     For PSD ``M`` with trace t and determinant D,
     ``sqrt(M) = (M + sqrt(D) I) / sqrt(t + 2 sqrt(D))``.
     """
-    h = require_hermitian(m, tol)
-    lo = eigvals_hermitian(h)[1]
+    h = _hermitian_part(m, tol)
+    h00, h01, _, h11 = h.tolist()
+    # eigvals_hermitian(h)[1]; a complex modulus is libm's hypot, as np.hypot is.
+    lo = 0.5 * (h00.real + h11.real) - abs(complex(0.5 * (h00.real - h11.real), abs(h01)))
     if lo < -tol:
         raise NotPsd(f"negative eigenvalue {lo:.3e}")
-    h00, h01, _, h11 = h.ravel().tolist()
     t = max(h00.real + h11.real, 0.0)
     # A numpy square: it overflows to inf where a Python float ** 2 raises.
     det = max(h00.real * h11.real - np.float64(abs(h01)) ** 2, 0.0)
@@ -159,7 +154,7 @@ def matrix_sqrt_psd(m, tol: float = HERM_TOL) -> np.ndarray:
     denom_sq = t + 2.0 * root_det
     if denom_sq <= 0.0:
         return np.zeros((2, 2), dtype=complex)
-    return (h + root_det * ID2) / math.sqrt(denom_sq)
+    return (h.reshape(2, 2) + root_det * ID2) / math.sqrt(denom_sq)
 
 
 def _sqrt_psd_rows(effects: np.ndarray) -> np.ndarray:
@@ -249,7 +244,7 @@ def bloch_decompose(h: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def bloch_compose(c0: float, c: np.ndarray) -> np.ndarray:
-    """Hermitian matrix ``c0 I + c . sigma`` from Bloch data."""
+    """Hermitian matrix ``c0 I + c . sigma`` from Bloch data (an array or a sequence)."""
     cx, cy, cz = float(c[0]), float(c[1]), float(c[2])
     return np.array(
         [[c0 + cz, cx - 1j * cy], [cx + 1j * cy, c0 - cz]], dtype=complex
@@ -361,8 +356,9 @@ class BinaryPovm:
         norm = math.sqrt(c.dot(c))  # np.linalg.norm's operations, without its overhead
         if norm - 1.0 > HERM_TOL or abs(c0) - (1.0 - norm) > HERM_TOL:
             raise NotPsd(f"offset {c0!r} with |c| = {norm!r} breaks positivity")
-        e0 = bloch_compose(0.5 * (1.0 + c0), 0.5 * c)
-        e1 = bloch_compose(0.5 * (1.0 - c0), -0.5 * c)
+        entries = c.tolist()
+        e0 = bloch_compose(0.5 * (1.0 + c0), [0.5 * v for v in entries])
+        e1 = bloch_compose(0.5 * (1.0 - c0), [-0.5 * v for v in entries])
         return cls((e0, e1), c0, c.copy())
 
 

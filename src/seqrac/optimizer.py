@@ -479,8 +479,8 @@ def _seesaw_round(alpha: float, theta: float, phi1: float, q0: float, q1: float)
 
 def _random_feasible_start(alpha: float, rng: np.random.Generator):
     for _ in range(256):
-        theta = rng.uniform(0.0, HALF_PI)
-        phi1 = rng.uniform(0.0, HALF_PI)
+        theta = HALF_PI * rng.random()  # rng.uniform(0, HALF_PI), bit for bit
+        phi1 = HALF_PI * rng.random()
         if _fixed_charlie_value(alpha, theta, phi1, 1.0, 1.0)[1] is not None:
             return theta, phi1
     return None
@@ -726,14 +726,14 @@ _SUITE_BATCH = 4096
 def _bound_suite(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample ``(lhs, rhs)`` of :func:`sandwich_eigenvalue_sum_bound` on random draws.
 
-    Sample by sample the generator makes the calls of ``random_povm(rng)``
-    and then ``rng.normal(size=3) * rng.uniform(0, 2)``; the checks and
+    Sample by sample the draws are those of ``random_povm(rng)`` and then
+    ``rng.normal(size=3) * rng.uniform(0, 2)``, bit for bit; the checks and
     the eigenvalues then run on the whole batch.  The first sample, in draw
     order, that fails a check is replayed through the scalar path, which
     raises its error.
     """
     draws = [
-        (*_draw_observable(rng, True), rng.normal(size=3) * rng.uniform(0.0, 2.0))
+        (*_draw_observable(rng, True), rng.standard_normal(3) * (2.0 * rng.random()))
         for _ in range(samples)
     ]
     effects, _, bad = _povm_rows(draws)

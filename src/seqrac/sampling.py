@@ -10,18 +10,19 @@ from .linalg import BinaryPovm, QubitState, bloch_compose
 from .scenario import BinaryInstrument, PreparationEnsemble, Strategy
 
 
+# rng.random() and rng.standard_normal(k): the bits of uniform() and normal(size=k), cheaper.
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=3)
+    v = rng.standard_normal(3)
     return v / math.sqrt(v.dot(v))
 
 
 def random_bloch_in_ball(rng: np.random.Generator) -> np.ndarray:
-    return random_unit_vector(rng) * rng.uniform() ** (1.0 / 3.0)
+    return random_unit_vector(rng) * rng.random() ** (1.0 / 3.0)
 
 
 def random_su2(rng: np.random.Generator) -> np.ndarray:
     """Haar-random SU(2) element via a uniform quaternion."""
-    q = rng.normal(size=4)
+    q = rng.standard_normal(4)
     w, x, y, z = (q / math.sqrt(q.dot(q))).tolist()
     # w I - i (x X + y Y + z Z), entry by entry.
     return np.array([[complex(w, -z), complex(-y, -x)], [complex(y, -x), complex(w, z)]])
@@ -29,13 +30,13 @@ def random_su2(rng: np.random.Generator) -> np.ndarray:
 
 def random_state(rng: np.random.Generator) -> QubitState:
     n = random_bloch_in_ball(rng)
-    return QubitState(bloch_compose(0.5, 0.5 * n), n)
+    return QubitState(bloch_compose(0.5, [0.5 * v for v in n.tolist()]), n)
 
 
 def _draw_observable(rng: np.random.Generator, allow_offset: bool) -> tuple[float, np.ndarray]:
     """The draws of :func:`random_povm`: offset ``c0`` and observable vector."""
-    eta = rng.uniform()
-    c0 = rng.uniform(-1.0, 1.0) * (1.0 - eta) if allow_offset else 0.0
+    eta = rng.random()
+    c0 = (-1.0 + 2.0 * rng.random()) * (1.0 - eta) if allow_offset else 0.0
     return c0, eta * random_unit_vector(rng)
 
 

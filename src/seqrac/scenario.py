@@ -131,10 +131,6 @@ class BinaryInstrument:
             out += k @ rho @ k.conj().T
         return out
 
-    def apply_channel(self, rho: np.ndarray) -> np.ndarray:
-        """Outcome-averaged output ``sum_b sum_j K_bj rho K_bj^dag``."""
-        return self.apply_branch(rho, 0) + self.apply_branch(rho, 1)
-
     def all_kraus(self):
         for branch in self.kraus:
             yield from branch
@@ -219,10 +215,20 @@ def _matrices(states: Iterable[QubitState]) -> np.ndarray:
 def _channel_sum(
     instruments: tuple[BinaryInstrument, BinaryInstrument], rhos: np.ndarray
 ) -> np.ndarray:
-    """``sum_{y,b,j} K rho K^dag`` on a stack, added as ``apply_channel`` adds."""
-    acc = instruments[0].apply_channel(rhos)
-    acc += instruments[1].apply_channel(rhos)
-    return acc
+    """``sum_{y,b,j} K rho K^dag`` on a stack, every product from one stacked matmul, added
+    as a per-operator loop adds: ``0 + K rho K^dag`` per operator (zeros for an empty
+    branch), branch 0 plus branch 1, then instrument 0 plus instrument 1."""
+    branches = [branch for inst in instruments for branch in inst.kraus]
+    ops = np.array([k for branch in branches for k in branch])
+    # Every term gets the loop's "0 +"; past a first term that changes no bit (never -0).
+    terms = iter(0.0 + ops[:, None] @ rhos @ ops.conj().transpose(0, 2, 1)[:, None])
+    s = []
+    for branch in branches:
+        acc = next(terms) if branch else np.zeros(rhos.shape, dtype=complex)
+        for _ in branch[1:]:
+            acc = acc + next(terms)
+        s.append(acc)
+    return (s[0] + s[1]) + (s[2] + s[3])
 
 
 def _guess_score(ops: np.ndarray, povms: tuple[BinaryPovm, BinaryPovm]) -> float:
@@ -251,8 +257,11 @@ def rac_success(states: Iterable[QubitState], povms: tuple[BinaryPovm, BinaryPov
 
 def witness_ab(s: Strategy) -> float:
     """Alice-Bob witness ``(1/8) sum_{x,y} tr(rho_x M_{x_y|y})``."""
-    value = rac_success(s.preparations.states, tuple(i.povm for i in s.instruments))
-    return _clamp_prob(value)
+    return _witness_ab(s, _matrices(s.preparations.states))
+
+
+def _witness_ab(s: Strategy, rhos: np.ndarray) -> float:
+    return _clamp_prob(_guess_score(rhos, tuple(i.povm for i in s.instruments)) / 8.0)
 
 
 def average_instrument_channel(
@@ -274,12 +283,16 @@ def effective_ensemble(s: Strategy) -> PreparationEnsemble:
 
 def witness_ac(s: Strategy) -> float:
     """Alice-Charlie witness ``(1/16) sum_{x,y,b,z} tr(K rho K^dag C_{x_z|z})``."""
-    acc = _channel_sum(s.instruments, _matrices(s.preparations.states))
-    return _clamp_prob(_guess_score(acc, s.measurements) / 16.0)
+    return _witness_ac(s, _matrices(s.preparations.states))
+
+
+def _witness_ac(s: Strategy, rhos: np.ndarray) -> float:
+    return _clamp_prob(_guess_score(_channel_sum(s.instruments, rhos), s.measurements) / 16.0)
 
 
 def witness_pair(s: Strategy) -> WitnessPair:
-    return WitnessPair(witness_ab(s), witness_ac(s))
+    rhos = _matrices(s.preparations.states)  # one preparation stack for both witnesses
+    return WitnessPair(_witness_ab(s, rhos), _witness_ac(s, rhos))
 
 
 def conjugate_strategy(s: Strategy, u) -> Strategy:

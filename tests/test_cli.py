@@ -88,6 +88,26 @@ class TestEvaluate:
         assert main(["evaluate", str(path)]) == 3
         assert "preparations[0]" in capsys.readouterr().err
 
+    def test_probability_beyond_tolerance_exits_3(self, tmp_path, capsys):
+        # Every entry passes its own 1e-9 check, but a probability leaves [0, 1]
+        # by about 1.8e-9 once preparation and effect tolerances add up.
+        tip = [[[1 + 0.9e-9, 0], [0, 0]], [[0, 0], [-0.9e-9, 0]]]
+        doc = {
+            "schema_version": 1,
+            "preparations": [{"matrix": tip} for _ in range(4)],
+            "instruments": [
+                {"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]]}
+            ] * 2,
+            "measurements": [{"effects": [tip, [[[-0.9e-9, 0], [0, 0]], [[0, 0], [1 + 0.9e-9, 0]]]]}] * 2,
+        }
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["evaluate", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: probability ")
+        assert err.rstrip().endswith("outside [0, 1] beyond tolerance")
+        assert "Traceback" not in err
+
     def test_classical_relay_document(self, tmp_path, capsys):
         from seqrac.strategies import ClassicalStrategy, classical_to_strategy
 

@@ -137,7 +137,7 @@ class _NextNormal:
     def __init__(self, q):
         self.q = np.asarray(q, dtype=float)
 
-    def normal(self, size):
+    def standard_normal(self, size):
         assert size == self.q.shape[0]
         return self.q.copy()
 
