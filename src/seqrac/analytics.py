@@ -12,7 +12,6 @@ from .linalg import (
     ID2,
     SIGMA_X,
     SIGMA_Z,
-    matrix_sqrt_psd,
     polar_decompose,
     unitary_from_rotation,
 )
@@ -232,8 +231,10 @@ def _common_unitary_defect(instruments) -> tuple[float, np.ndarray]:
     roots = []
     for inst in instruments:
         for k in inst.all_kraus():
-            gram = k.conj().T @ k
-            root = matrix_sqrt_psd(0.5 * (gram + gram.conj().T), tol=np.inf)
+            # sqrt(K^dag K) = V S V^dag from K = W S V^dag: a root of K^dag K (or U^dag K,
+            # U polar) is off by up to sqrt(eps) (or eps / s_min) near rank one.
+            _, sv, vh = np.linalg.svd(k)
+            root = (vh.conj().T * sv) @ vh
             roots.append((k, root))
             cross += k @ root  # root is Hermitian
     u_fit = polar_decompose(cross)[0]

@@ -272,16 +272,17 @@ def _charlie_value(k, c2, s2, cos_phi1, sin1_phi1, q0, q1) -> tuple[float, float
     """:func:`_fixed_charlie_value` on the factors ``k = 8 alpha - 4``,
     ``c2, s2 = 2 cos(theta/2), 2 sin(theta/2)``, ``cos(phi1)`` and ``1 + sin(phi1)``.
 
-    Runs on plain floats: ``math.cos``/``math.sin`` matched
-    ``np.cos``/``np.sin`` bit for bit on [0, pi/2] (x86-64, glibc 2.36,
-    numpy 2.4), but ``math.acos`` does not match ``np.arccos``, so that call
-    stays numpy.  ``tests/test_seesaw_trajectory.py`` pins the bits.
+    Runs on plain floats: ``math.cos``/``math.sin`` matched ``np.cos``/``np.sin``
+    bit for bit on [0, pi/2] (x86-64, glibc 2.36, numpy 2.4).  ``math.acos``
+    differs from ``np.arccos`` only where numpy runs its AVX-512 (X86_V4) routine, as
+    the pins did, so that call stays numpy (ROADMAP item 2; ``test_seesaw_trajectory``).
     """
     # Solve reduced_constraint = alpha for cos(phi0); feasible within 1e-9 of [0, 1].
     required = (k - s2 * cos_phi1) / c2
     if not -1e-9 <= required <= 1.0 + 1e-9:
         return -1.0, None
-    phi0 = float(np.arccos(min(max(required, 0.0), 1.0)))
+    # The clip to [0, 1] is min(max(required, 0.0), 1.0), -0.0 kept.
+    phi0 = float(np.arccos(0.0 if 0.0 > required else 1.0 if required > 1.0 else required))
     # Keep sin(arccos r): sqrt(1 - r^2) here changes 11 rows of the boundary CSV.
     value = 0.5 + (c2 * sin1_phi1 * q0 + s2 * (1.0 + math.sin(phi0)) * q1) / 16.0
     return value, phi0
@@ -371,8 +372,8 @@ def minimize_scalar(func, lo: float, hi: float, xatol: float) -> tuple[float, fl
             e = (a - xf) if xf >= xm else (b - xf)
             rat = golden_mean * e
 
-        step = max(abs(rat), tol1)
-        x = xf + (step if rat >= 0.0 else -step)
+        # xf + (step if rat >= 0.0 else -step), step = max(abs(rat), tol1), NaN kept.
+        x = xf + ((tol1 if tol1 > rat else rat) if rat >= 0.0 else (-tol1 if -tol1 < rat else rat))
         fu = func(x)
         num += 1
 
@@ -403,29 +404,21 @@ def minimize_scalar(func, lo: float, hi: float, xatol: float) -> tuple[float, fl
     return xf, fx
 
 
-def _scan_coordinate(
-    xs: np.ndarray, row: np.ndarray, objective, x: float, here: float
-) -> tuple[float, float]:
-    """Line search of one angle: ``row`` holds the value on the grid ``xs``,
-    ``objective`` its negation (``1.0`` where infeasible) and ``here`` the
-    value at ``x``.  Returns the best angle and value, ``(x, here)`` if
-    nothing beats ``here``.
+def _search_coordinate(xs: np.ndarray, row: np.ndarray, objective) -> tuple[float, float]:
+    """Line search of one angle: ``row`` holds the value on the grid ``xs``
+    and ``objective`` its negation (``1.0`` where infeasible).  Returns the
+    best angle and value found, ``(0.0, -inf)`` if no grid point is feasible.
 
     The feasible region can be a narrow window inside [0, pi/2], so a
     dense feasibility-aware scan picks the basin and a bounded search
     polishes inside the bracketing cells.
     """
-    i = int(np.argmax(row))
-    if not np.isfinite(row[i]):
-        return x, here
-    best_x, best_v = float(xs[i]), float(row[i])
+    i = int(row.argmax())
+    if not math.isfinite(row[i]):
+        return 0.0, -math.inf
     lo, hi = float(xs[max(0, i - 1)]), float(xs[min(len(xs) - 1, i + 1)])
     t, ft = minimize_scalar(objective, lo, hi, 1e-14)
-    if -ft > best_v:
-        best_x, best_v = t, -ft
-    if best_v > here:
-        return best_x, best_v
-    return x, here
+    return (t, -ft) if -ft > row[i] else (float(xs[i]), float(row[i]))
 
 
 def _ascend(
@@ -440,26 +433,34 @@ def _ascend(
     """
     xs, c2_x, s2_x, cos_x, sin1_x = _axis_table(resolution)
     k = 8.0 * alpha - 4.0
+    value_at = _charlie_value
+    # A line search depends only on the fixed angle, so each angle keeps its last
+    # search, keyed by the fixed angle's bits; a result is taken if it beats ``here``.
+    theta_search = phi1_search = (None, None)
     for _ in range(REFINEMENT_ITERATIONS):
         # The fixed angle's factors, once per scan, feed its row and Brent.
         cos_phi1, sin1_phi1 = math.cos(phi1), 1.0 + math.sin(phi1)
-        row = _charlie_values(alpha, c2_x, s2_x, cos_phi1, sin1_phi1, q0, q1)
 
         def along_theta(t: float) -> float:
             c2, s2 = 2.0 * math.cos(0.5 * t), 2.0 * math.sin(0.5 * t)
-            return -_charlie_value(k, c2, s2, cos_phi1, sin1_phi1, q0, q1)[0]
+            return -value_at(k, c2, s2, cos_phi1, sin1_phi1, q0, q1)[0]
 
         here = -along_theta(theta)
-        moved, _ = _scan_coordinate(xs, row, along_theta, theta, here)
+        if theta_search[0] != phi1.hex():
+            row = _charlie_values(alpha, c2_x, s2_x, cos_phi1, sin1_phi1, q0, q1)
+            theta_search = (phi1.hex(), _search_coordinate(xs, row, along_theta))
+        moved = theta_search[1][0] if theta_search[1][1] > here else theta
         start = here if moved == theta else -along_theta(moved)
         theta = moved
-        c2, s2 = 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
-        row = _charlie_values(alpha, c2, s2, cos_x, sin1_x, q0, q1)
+        if phi1_search[0] != theta.hex():
+            c2, s2 = 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
+            row = _charlie_values(alpha, c2, s2, cos_x, sin1_x, q0, q1)
 
-        def along_phi1(t: float) -> float:
-            return -_charlie_value(k, c2, s2, math.cos(t), 1.0 + math.sin(t), q0, q1)[0]
+            def along_phi1(t: float) -> float:
+                return -value_at(k, c2, s2, math.cos(t), 1.0 + math.sin(t), q0, q1)[0]
 
-        phi1, value = _scan_coordinate(xs, row, along_phi1, phi1, start)
+            phi1_search = (theta.hex(), _search_coordinate(xs, row, along_phi1))
+        phi1, value = phi1_search[1] if phi1_search[1][1] > start else (phi1, start)
         if value <= here + 1e-15:
             break
     value, phi0 = _fixed_charlie_value(alpha, theta, phi1, q0, q1)

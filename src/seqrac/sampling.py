@@ -50,7 +50,7 @@ def random_instrument(rng: np.random.Generator, luders: bool = False) -> BinaryI
     if luders:
         return BinaryInstrument.luders(povm)
     unitaries = ((random_su2(rng),), (random_su2(rng),))
-    return BinaryInstrument.from_polar(unitaries, povm)
+    return BinaryInstrument._from_unitaries(unitaries, povm)
 
 
 def random_preparations(rng: np.random.Generator) -> PreparationEnsemble:

@@ -96,12 +96,20 @@ class BinaryInstrument:
         """Extremal instrument ``K_b = U_b sqrt(M_b)``.
 
         ``unitaries`` holds one polar unitary per outcome in the branch
-        layout of :attr:`unitaries`, ``((U_0,), (U_1,))``.
+        layout of :attr:`unitaries`, ``((U_0,), (U_1,))``.  :class:`DomainError`
+        if one is not a finite 2x2 matrix, :class:`CompletenessViolated` if an
+        entry of ``U^dag U - I`` exceeds ``HERM_TOL`` in modulus.
         """
-        unitaries = tuple(tuple(branch) for branch in unitaries)
-        kraus = tuple(
-            (u[0] @ matrix_sqrt_psd(e),) for u, e in zip(unitaries, povm.effects)
-        )
+        unitaries = tuple(tuple(map(as_matrix2, branch)) for branch in unitaries)
+        dev = max((float(np.abs(u.conj().T @ u - ID2).max()) for b in unitaries for u in b), default=0.0)
+        if dev > HERM_TOL:
+            raise CompletenessViolated(f"polar unitaries have U^dag U = I + {dev:.3e}")
+        return cls._from_unitaries(unitaries, povm)
+
+    @classmethod
+    def _from_unitaries(cls, unitaries, povm: BinaryPovm) -> "BinaryInstrument":
+        """:meth:`from_polar` unchecked, for unitaries that are unitary by construction."""
+        kraus = tuple((u[0] @ matrix_sqrt_psd(e),) for u, e in zip(unitaries, povm.effects))
         return cls(kraus, povm, unitaries)
 
     @classmethod

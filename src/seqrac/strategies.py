@@ -110,7 +110,7 @@ def apply_visibility(s: Strategy, v: VisibilityTriple) -> Strategy:
                 "visibility is only defined for single-Kraus instruments"
             )
         noisy = BinaryPovm.from_observable(inst.povm.c0, v.v_b * inst.povm.cvec)
-        instruments.append(BinaryInstrument.from_polar(inst.unitaries, noisy))
+        instruments.append(BinaryInstrument._from_unitaries(inst.unitaries, noisy))
     measurements = tuple(
         BinaryPovm.from_observable(p.c0, v.v_c * p.cvec) for p in s.measurements
     )

@@ -1,15 +1,46 @@
+import ctypes
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seqrac import canonical_strategy
 
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+
+def _openblas_core() -> str | None:
+    """Kernel set of the OpenBLAS bundled with numpy (``SkylakeX``, ``Haswell``, ...),
+    or None where no bundled OpenBLAS answers."""
+    root = Path(np.__file__).parent
+    for lib in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
+            corename = getattr(handle, name, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
+# What decides the recorded bits below seqrac: the BLAS kernels of complex
+# ``@`` on 2x2 stacks and the SIMD routine numpy dispatches for ``np.arccos``.
+OPENBLAS_CORE = _openblas_core()
+SIMD_TARGETS = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+
 # Named by every bit-pin failure.  The pins were recorded with one libm and
 # numpy, so a drift there must read differently from a code defect.
 PLATFORM = (
     f"bit pin differs on numpy {np.__version__}, {platform.machine()}, "
-    f"Python {platform.python_version()}"
+    f"Python {platform.python_version()}, OpenBLAS core {OPENBLAS_CORE}, "
+    f"numpy SIMD dispatch {SIMD_TARGETS} of {list(__cpu_dispatch__)}"
 )
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -190,6 +190,15 @@ class TestSelfTest:
             rotated = conjugate_strategy(base, random_su2(rng))
             report = selftest_report(rotated)
             assert abs(report.max_defect() - reference.max_defect()) <= 1e-9
+
+    # Sharp instruments have rank-one Kraus operators, whose Gram-matrix root
+    # was off by about sqrt(eps) (up to 1.05e-8 at eta = 1).
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.just(1.0), st.floats(0.05, 1.0)), st.integers(0, 2**63 - 1))
+    @example(1.0, 0)
+    def test_conjugated_canonical_to_machine_precision(self, eta, frame_seed):
+        u = random_su2(np.random.default_rng(frame_seed))
+        assert selftest_report(conjugate_strategy(canonical_strategy(eta), u)).max_defect() <= 1e-12
 
     # Random strategies have sharpness > 0 almost surely: a sharpness-0
     # instrument has no axis, and its frame falls back to coordinate axes.

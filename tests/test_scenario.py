@@ -19,12 +19,13 @@ from seqrac import (
     witness_ac,
     witness_pair,
 )
-from seqrac.errors import DomainError
-from seqrac.linalg import maximally_mixed
-from seqrac.sampling import random_strategy, random_su2
-from seqrac.scenario import INPUT_PAIRS, PreparationEnsemble, difference_vectors
+from seqrac.errors import CompletenessViolated, DomainError
+from seqrac.linalg import maximally_mixed, projective_povm
+from seqrac.sampling import random_povm, random_strategy, random_su2
+from seqrac.scenario import INPUT_PAIRS, BinaryInstrument, PreparationEnsemble, difference_vectors
 
 SQRT2 = np.sqrt(2.0)
+SHARP_Z = projective_povm([0.0, 0.0, 1.0])
 
 
 def all_mixed(strategy: Strategy) -> Strategy:
@@ -219,6 +220,33 @@ class TestFrameInvariance:
     def test_rejects_non_unitary_and_non_finite(self, canonical_sharp, u):
         with pytest.raises(DomainError, match="^conjugation matrix"):
             conjugate_strategy(canonical_sharp, u)
+
+
+class TestFromPolar:
+    def test_unitaries_give_the_unchecked_bits(self, rng):
+        for _ in range(50):
+            povm = random_povm(rng)
+            unitaries = ((random_su2(rng),), (random_su2(rng),))
+            checked = BinaryInstrument.from_polar(unitaries, povm)
+            trusted = BinaryInstrument._from_unitaries(unitaries, povm)
+            for a, b in zip(checked.kraus_pair, trusted.kraus_pair):
+                assert a.tobytes() == b.tobytes()
+
+    def test_accepts_rounding_within_herm_tol(self):
+        inst = BinaryInstrument.from_polar(((np.eye(2) * (1.0 + 4e-10),), (np.eye(2),)), SHARP_Z)
+        assert inst.kraus_pair[0][0, 0] == 1.0 + 4e-10
+
+    @pytest.mark.parametrize("u", [2.0 * np.eye(2), [[1.0, 1.0], [0.0, 1.0]], np.eye(2) + 2e-9])
+    def test_rejects_non_unitary(self, u):
+        with pytest.raises(CompletenessViolated, match="^polar unitaries have"):
+            BinaryInstrument.from_polar(((u,), (np.eye(2),)), SHARP_Z)
+
+    @pytest.mark.parametrize(
+        "u", ["abc", [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.inf]], np.eye(3), [[1.0, 0.0], [0.0]]]
+    )
+    def test_rejects_non_numeric_and_non_finite(self, u):
+        with pytest.raises(DomainError):
+            BinaryInstrument.from_polar(((np.eye(2),), (u,)), SHARP_Z)
 
 
 def _drawn_strategy(seed: int, luders: bool) -> Strategy:
