@@ -223,18 +223,16 @@ def _common_unitary_defect(instruments) -> tuple[float, np.ndarray]:
     """Best single unitary explaining all Kraus operators, and its residual.
 
     Minimizes ``sum_yb || K_yb - U sqrt(M_yb) ||_F^2`` over unitary ``U``
-    (orthogonal Procrustes); returns the worst per-operator residual.  This
-    stays well defined for rank-deficient Kraus operators, where the polar
-    unitary itself is not unique.
+    (orthogonal Procrustes) with ``sqrt(M_yb)`` the polar factor ``P`` of
+    ``K_yb``; returns the worst per-operator residual.  This stays well
+    defined for rank-deficient Kraus operators, where the polar unitary
+    itself is not unique.
     """
     cross = np.zeros((2, 2), dtype=complex)
     roots = []
     for inst in instruments:
         for k in inst.all_kraus():
-            # sqrt(K^dag K) = V S V^dag from K = W S V^dag: a root of K^dag K (or U^dag K,
-            # U polar) is off by up to sqrt(eps) (or eps / s_min) near rank one.
-            _, sv, vh = np.linalg.svd(k)
-            root = (vh.conj().T * sv) @ vh
+            root = polar_decompose(k)[1]
             roots.append((k, root))
             cross += k @ root  # root is Hermitian
     u_fit = polar_decompose(cross)[0]

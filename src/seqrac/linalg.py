@@ -1,9 +1,10 @@
-"""Closed-form 2x2 complex linear algebra for qubit objects.
+"""2x2 complex linear algebra for qubit objects.
 
-Everything here is deterministic and loop-free: eigenvalues, square roots
-and polar factors of 2x2 matrices are computed from the characteristic
-polynomial rather than iterative routines, so repeated runs give identical
-bits and errors stay at machine precision.
+Everything here is deterministic: eigenvalues and square roots of 2x2
+matrices are computed from the characteristic polynomial rather than
+iterative routines, so repeated runs give identical bits and errors stay at
+machine precision.  Polar factors come from LAPACK's SVD, which keeps them
+at machine precision near rank one, where a root of ``K^dag K`` does not.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ HERM_TOL = 1e-9
 # Largest real or imaginary part of a matrix entry: squares and sums of a few
 # squares of such entries stay far below the float maximum of about 1.8e308.
 MAX_ENTRY = 1e150
-# polar_decompose's bound on K: a part of a K^dag K entry sums four products of parts.
-POLAR_MAX_ENTRY = math.sqrt(MAX_ENTRY / 8.0)
 
 
 class EigenPair(NamedTuple):
@@ -55,17 +54,17 @@ def as_matrix2(m) -> np.ndarray:
         raise DomainError(f"expected a 2x2 matrix: {exc}") from None
     if a.shape != (2, 2):
         raise DomainError(f"expected a 2x2 matrix, got shape {a.shape}")
-    return _bounded(a, "matrix", MAX_ENTRY)
+    return _bounded(a, "matrix")
 
 
-def _bounded(a: np.ndarray, what: str, bound: float) -> np.ndarray:
-    """``a`` if every real and imaginary part is within ``bound``, else :class:`DomainError`."""
+def _bounded(a: np.ndarray, what: str) -> np.ndarray:
+    """``a`` if every real and imaginary part is within ``MAX_ENTRY``, else :class:`DomainError`."""
     entries = a.ravel().tolist()
     # NaN fails both comparisons, so this one pass screens NaN and inf too.
-    if not all(abs(z.real) <= bound >= abs(z.imag) for z in entries):
+    if not all(abs(z.real) <= MAX_ENTRY >= abs(z.imag) for z in entries):
         if not all(map(cmath.isfinite, entries)):
             raise DomainError(f"{what} has entries that are not finite")
-        raise DomainError(f"{what} has entries beyond {bound:g}, too large to square")
+        raise DomainError(f"{what} has entries beyond {MAX_ENTRY:g}, too large to square")
     return a
 
 
@@ -199,39 +198,21 @@ def perp_vector(v: np.ndarray) -> np.ndarray:
 
 
 def polar_decompose(k) -> tuple[np.ndarray, np.ndarray]:
-    """Polar factors ``(U, P)`` with ``K = U P``, ``P = sqrt(K^dag K)``.
+    """Polar factors ``(U, P)`` with ``K = U P``, ``P = sqrt(K^dag K)``, from the SVD.
 
-    On (near-)rank-deficient input the unitary is completed canonically:
+    With ``K = W S V^dag``, ``P = V S V^dag`` and ``U = W V^dag``.  On
+    (near-)rank-deficient input the unitary is completed canonically:
     the remaining orthonormal input direction maps to the canonical
     orthonormal complement of the image, with +1 phase.  ``K = 0`` yields
     ``U = I``.
     """
-    kk = _bounded(as_matrix2(k), "matrix", POLAR_MAX_ENTRY)
-    gram = kk.conj().T @ kk
-    gram = 0.5 * (gram + gram.conj().T)
-    p = matrix_sqrt_psd(gram, tol=np.inf)  # gram is PSD by construction
-    top = float(np.abs(kk).max())
-    if 0.0 < top < 2.0**-10:
-        # U of K scaled exactly to moduli <= 1: max_eigenpair's degeneracy tests are absolute.
-        shift = -math.frexp(top)[1]
-        return polar_decompose(kk * 2.0 ** (shift // 2) * 2.0 ** (shift - shift // 2))[0], p
-    lam0, lam1 = eigvals_hermitian(gram)
-    sigma0 = np.sqrt(max(lam0, 0.0))
-    sigma1 = np.sqrt(max(lam1, 0.0))
-    if sigma0 <= 0.0:
-        return ID2.copy(), np.zeros((2, 2), dtype=complex)
-    v0 = max_eigenpair(gram, tol=np.inf).vector
-    v1 = perp_vector(v0)
-    u0 = kk @ v0 / sigma0
-    u0 /= np.linalg.norm(u0)
-    w1 = kk @ v1  # |K v1| carries K's rounding only, sigma1 that of K^dag K (~1e-8 sigma0)
-    if sigma1 > 1e-13 * sigma0 and np.linalg.norm(w1) > 1e-13 * sigma0:
-        u1 = w1 / sigma1
-        u1 /= np.linalg.norm(u1)
-    else:
-        u1 = perp_vector(u0)
-    u = np.outer(u0, v0.conj()) + np.outer(u1, v1.conj())
-    return u, p
+    w, s, vh = np.linalg.svd(as_matrix2(k))
+    p = (vh.conj().T * s) @ vh
+    if s[1] > 1e-13 * s[0]:
+        return w @ vh, p
+    u0 = w[:, 0]
+    v0 = vh[0].conj()
+    return np.outer(u0, v0.conj()) + np.outer(perp_vector(u0), perp_vector(v0).conj()), p
 
 
 def bloch_decompose(h: np.ndarray) -> tuple[float, np.ndarray]:
@@ -309,7 +290,7 @@ def _vector3(v, what: str) -> np.ndarray:
         raise DomainError(f"{what} must have 3 components that are real numbers, got {v!r}")
     x, y, z = a.tolist()
     if not (abs(x) <= MAX_ENTRY and abs(y) <= MAX_ENTRY and abs(z) <= MAX_ENTRY):
-        _bounded(a, what, MAX_ENTRY)  # the same test, run again to raise its error
+        _bounded(a, what)  # the same test, run again to raise its error
     return a.astype(float, copy=False)
 
 

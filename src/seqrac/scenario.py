@@ -310,7 +310,7 @@ def conjugate_strategy(s: Strategy, u) -> Strategy:
     except DomainError as exc:
         raise DomainError(f"conjugation matrix: {exc}") from exc
     dev = float(np.max(np.abs(v @ v.conj().T - ID2)))
-    if not dev <= 1e-9:
+    if not dev <= HERM_TOL:
         raise DomainError(f"conjugation matrix is not unitary (|V V^dag - I| = {dev:.3e})")
     vh = v.conj().T
 

@@ -1,10 +1,11 @@
 """Closed-form 2x2 kernels against independent numpy.linalg oracles."""
 
-import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqrac.errors import (
     BlochNormExceeded,
@@ -17,7 +18,6 @@ from seqrac.errors import (
 from seqrac.linalg import (
     ID2,
     MAX_ENTRY,
-    POLAR_MAX_ENTRY,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -35,6 +35,8 @@ from seqrac.linalg import (
     validate_povm,
 )
 from seqrac.sampling import random_su2
+from seqrac.scenario import conjugate_strategy
+from seqrac.strategies import canonical_strategy
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 NON_FINITE = (
@@ -228,27 +230,28 @@ class TestPolarDecompose:
             with pytest.raises(DomainError):
                 polar_decompose(bad)
 
-    def test_rejects_input_whose_gram_matrix_is_too_large(self):
-        # every entry is within MAX_ENTRY, but K^dag K is not: the message
-        # names the bound on K itself
-        for bad in (np.full((2, 2), 1e100), [[0.0, 1.01 * POLAR_MAX_ENTRY], [0.0, 0.0]]):
-            with pytest.raises(DomainError, match=re.escape(f"beyond {POLAR_MAX_ENTRY:g}")):
-                polar_decompose(bad)
-
     @pytest.mark.parametrize("k", [
-        POLAR_MAX_ENTRY * np.ones((2, 2)),
-        POLAR_MAX_ENTRY * np.array([[1.0 + 1.0j, -1.0 + 1.0j], [1.0 - 1.0j, 1.0 + 1.0j]]),
-        POLAR_MAX_ENTRY * np.array([[1.0, 0.0], [0.0, -1.0j]]),
+        MAX_ENTRY * np.ones((2, 2)),
+        MAX_ENTRY * np.array([[1.0 + 1.0j, -1.0 + 1.0j], [1.0 - 1.0j, 1.0 + 1.0j]]),
+        MAX_ENTRY * np.array([[1.0, 0.0], [0.0, -1.0j]]),
+        MAX_ENTRY * np.array([[1.0, 1.0], [0.0, 1.0j]]),
+        # entries of K^dag K beyond MAX_ENTRY
+        pytest.param(np.full((2, 2), 1e100), id="gram-overflow-1e100"),
+        pytest.param([[0.0, 1.01 * np.sqrt(MAX_ENTRY / 8.0)], [0.0, 0.0]],
+                     id="gram-overflow-off-diagonal"),
     ])
     def test_entries_at_the_bound_give_finite_factors(self, k):
+        # the SVD never squares K, so every entry within MAX_ENTRY is accepted
+        k = np.asarray(k, dtype=complex)
         u, p = polar_decompose(k)
         assert np.isfinite(u).all() and np.isfinite(p).all()
         np.testing.assert_allclose(u.conj().T @ u, ID2, atol=1e-12)
+        np.testing.assert_allclose(u @ p, k, atol=1e-13 * np.abs(k).max())
 
     @pytest.mark.parametrize("scale", [1e-4, 1e-8, 1e-15, 1e-160, 5e-324])
     def test_small_input_keeps_a_unitary_factor(self, scale):
-        # max_eigenpair's degeneracy tests are absolute below 1, so a small K
-        # once made u0 = 0/0 or a non-unitary U
+        # LAPACK rescales an SVD input this small, so U keeps its columns
+        # orthonormal down to subnormal entries
         for k in (np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 1.0], [0.0, 1.0j]])):
             u, _ = polar_decompose(scale * k)
             assert np.isfinite(u).all()
@@ -257,14 +260,29 @@ class TestPolarDecompose:
                 np.testing.assert_allclose(u, polar_decompose(k)[0], atol=1e-9)
 
     def test_rank_one_input_keeps_a_unitary_factor(self, rng):
-        # sigma1 of a rank-one K comes out near 1e-8 sigma0 from K^dag K, which
-        # once sent K v1 (pure rounding) into U as its second column
+        # the second singular value of a rank-one K is rounding only; U must
+        # not take K v1 as its second column
         for _ in range(2000):
             a, b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             k = np.outer(a, b)
             u, p = polar_decompose(k)
             np.testing.assert_allclose(u.conj().T @ u, ID2, atol=1e-12)
-            np.testing.assert_allclose(u @ p, k, atol=1e-6 * np.abs(k).max())
+            np.testing.assert_allclose(u @ p, k, atol=1e-13 * np.abs(k).max())
+
+    # A root of K^dag K put U off by about eps / s_min near rank one (3e-8).
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from([1.0 - 2.0**-53, 1.0]), st.floats(0.99, 1.0)),
+           st.integers(0, 2**63 - 1))
+    @example(1.0 - 2.0**-53, 0)
+    @example(1.0, 0)
+    def test_near_sharp_kraus_operators_to_machine_precision(self, eta, frame_seed):
+        u_frame = random_su2(np.random.default_rng(frame_seed))
+        rotated = conjugate_strategy(canonical_strategy(eta), u_frame)
+        for inst in rotated.instruments:
+            for k in inst.all_kraus():
+                u, p = polar_decompose(k)
+                assert np.abs(u @ p - k).max() <= 1e-13
+                assert np.abs(u.conj().T @ u - ID2).max() <= 1e-13
 
     def test_rank_one_shift_operator(self):
         # |0><1| is rank-deficient with a nontrivial unitary part
