@@ -8,14 +8,8 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .errors import InfeasiblePair, require_real
-from .linalg import (
-    ID2,
-    SIGMA_X,
-    SIGMA_Z,
-    polar_decompose,
-    unitary_from_rotation,
-)
-from .scenario import Strategy, WitnessPair, conjugate_strategy, witness_ab
+from .linalg import bloch_compose, polar_decompose
+from .scenario import Strategy, WitnessPair, witness_ab
 
 SQRT2 = np.sqrt(2.0)
 W_AB_MAX = 0.25 * (2.0 + SQRT2)          # optimal single-step witness
@@ -155,13 +149,15 @@ def in_quantum_set(w: WitnessPair, tol: float = FEASIBILITY_TOL) -> bool:
 class SelfTestReport:
     """Deviation of a strategy from the unique optimal form.
 
-    All metrics are measured after aligning Bob's fitted measurement axes
-    with the x and z reference axes, so they are invariant under a
-    collective unitary change of frame.  Every field is >= 0 and all
-    vanish (to ~1e-9) exactly when the strategy has square pure
-    antipodal preparations, equal-sharpness zero-offset instruments along
-    the square's diagonals with one common unitary, and sharp measurements
-    aligned with that unitary's image of the diagonals.
+    Every field is measured in the strategy's own frame and is invariant
+    under a collective unitary change of frame.  Charlie's targets are
+    ``u_fit``'s image of Bob's own axes, with ``u_fit`` the one unitary
+    that best explains Bob's Kraus operators.  Every field is >= 0 and all
+    vanish exactly when the strategy has square pure antipodal
+    preparations, equal-sharpness zero-offset instruments along the
+    square's diagonals with one common unitary, and sharp measurements
+    aligned with that unitary's image of the diagonals; canonical forms,
+    in any frame, reach about 1e-15.
     """
 
     purity_defects: tuple[float, float, float, float]
@@ -184,17 +180,6 @@ class SelfTestReport:
         )
 
 
-def _orthonormal_frame(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """Rotation sending ``a0 -> x`` and (Gram-Schmidt of) ``a1 -> z``."""
-    e1 = a0 / np.linalg.norm(a0)
-    raw = a1 - np.dot(a1, e1) * e1
-    norm = np.linalg.norm(raw)
-    # a1 parallel to a0 completes the frame from the least-aligned axis
-    e3 = raw / norm if norm >= 1e-12 else _least_aligned_perp(e1)
-    e2 = np.cross(e3, e1)
-    return np.vstack([e1, e2, e3])
-
-
 def _least_aligned_perp(v: np.ndarray) -> np.ndarray:
     """Unit vector orthogonal to ``v``, from the least-aligned coordinate axis."""
     pick = int(np.argmin(np.abs(v)))
@@ -202,21 +187,25 @@ def _least_aligned_perp(v: np.ndarray) -> np.ndarray:
     return raw / np.linalg.norm(raw)
 
 
-def _fit_alignment_unitary(s: Strategy) -> np.ndarray:
-    """SU(2) element whose conjugation maps Bob's axes onto x and z."""
+def _bob_frame(s: Strategy) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's first unit axis and the Gram-Schmidt part of his second, which play x and z.
+    A missing axis (sharpness <= 1e-12) or a parallel second one is completed by
+    :func:`_least_aligned_perp`; with no axis at all the frame is ``(x, z)``."""
     axes = []
     for inst in s.instruments:
         c = inst.povm.cvec
         norm = np.linalg.norm(c)
         axes.append(c / norm if norm > 1e-12 else None)
-    if axes[0] is None and axes[1] is None:
-        return ID2.copy()
-    if axes[0] is None:
-        axes[0] = _least_aligned_perp(axes[1])
-    if axes[1] is None:
-        axes[1] = _least_aligned_perp(axes[0])
-    rotation = _orthonormal_frame(axes[0], axes[1])
-    return unitary_from_rotation(rotation)
+    e_x, a_z = axes
+    if e_x is None and a_z is None:
+        return np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    if e_x is None:
+        e_x = _least_aligned_perp(a_z)
+    if a_z is None:
+        a_z = _least_aligned_perp(e_x)
+    raw = a_z - np.dot(a_z, e_x) * e_x
+    norm = np.linalg.norm(raw)
+    return e_x, raw / norm if norm >= 1e-12 else _least_aligned_perp(e_x)
 
 
 def _common_unitary_defect(instruments) -> tuple[float, np.ndarray]:
@@ -241,10 +230,10 @@ def _common_unitary_defect(instruments) -> tuple[float, np.ndarray]:
 
 
 def selftest_report(s: Strategy) -> SelfTestReport:
-    """Measure how far a strategy sits from the optimal-pair form."""
-    aligned = conjugate_strategy(s, _fit_alignment_unitary(s))
-
-    blochs = aligned.preparations.bloch_vectors()
+    """Measure how far a strategy sits from the optimal-pair form;
+    :class:`InvalidStrategy` naming the component if ``s`` is not valid."""
+    s.validate()
+    blochs = s.preparations.bloch_vectors()
     purity = tuple(max(0.0, 1.0 - float(np.linalg.norm(n))) for n in blochs)
     antipodality = (
         float(np.linalg.norm(blochs[0] + blochs[3])),
@@ -259,18 +248,16 @@ def selftest_report(s: Strategy) -> SelfTestReport:
         cosang = float(np.clip(np.dot(d0, d1) / (n0 * n1), -1.0, 1.0))
         square_angle = abs(np.arccos(cosang) - np.pi / 2.0)
 
-    offsets = tuple(abs(float(inst.povm.c0)) for inst in aligned.instruments)
-    eta_pred = _required_sharpness(witness_ab(aligned))
+    offsets = tuple(abs(float(inst.povm.c0)) for inst in s.instruments)
+    eta_pred = _required_sharpness(witness_ab(s))
     sharpness_defect = max(
-        abs(inst.povm.sharpness - eta_pred) for inst in aligned.instruments
+        abs(inst.povm.sharpness - eta_pred) for inst in s.instruments
     )
 
-    spread, u_fit = _common_unitary_defect(aligned.instruments)
-
-    targets = (u_fit @ SIGMA_X @ u_fit.conj().T, u_fit @ SIGMA_Z @ u_fit.conj().T)
+    spread, u_fit = _common_unitary_defect(s.instruments)
     charlie = tuple(
-        float(np.linalg.norm(povm.observable() - target))
-        for povm, target in zip(aligned.measurements, targets)
+        float(np.linalg.norm(povm.observable() - u_fit @ bloch_compose(0.0, e) @ u_fit.conj().T))
+        for povm, e in zip(s.measurements, _bob_frame(s))
     )
 
     return SelfTestReport(

@@ -29,7 +29,6 @@ ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 # Slack of the validity checks of every qubit object (hermiticity, trace,
@@ -72,8 +71,11 @@ def _hermitian_part(m, tol: float) -> np.ndarray:
     """Entries of ``0.5 * (a + a^dag)`` for ``a = as_matrix2(m)``, as a flat array.
 
     :class:`NotHermitian` if an entry of ``a - a^dag`` has a modulus (libm's ``hypot``
-    on Python complex numbers) above ``tol``.  The halving stays a numpy product:
-    numpy fuses multiply-adds on CPUs with FMA, which can set the sign of a zero."""
+    on Python complex numbers) above ``tol``, a number >= 0 (``inf`` skips the test).
+    The halving stays a numpy product: numpy fuses multiply-adds on CPUs with FMA,
+    which can set the sign of a zero."""
+    if not (isinstance(tol, float) and tol >= 0.0):
+        require_real(tol, "tol", 0.0)  # NaN, negative or not a number
     a00, a01, a10, a11 = as_matrix2(m).ravel().tolist()
     c00, c01, c10, c11 = a00.conjugate(), a01.conjugate(), a10.conjugate(), a11.conjugate()
     dev = max(abs(a00 - c00), abs(a01 - c10), abs(a10 - c01), abs(a11 - c11))
@@ -366,43 +368,3 @@ def projective_povm(axis) -> BinaryPovm:
     if norm == 0.0:
         raise DomainError(f"measurement axis {a!r} is zero")
     return BinaryPovm.from_observable(0.0, a / norm)
-
-
-def rotation_from_unitary(u: np.ndarray) -> np.ndarray:
-    """SO(3) rotation R with ``U (v.sigma) U^dag = (R v).sigma``."""
-    r = np.empty((3, 3))
-    for j, pj in enumerate(PAULIS):
-        img = u @ pj @ u.conj().T
-        _, col = bloch_decompose(img)
-        r[:, j] = col
-    return r
-
-
-def unitary_from_rotation(r: np.ndarray) -> np.ndarray:
-    """SU(2) element realizing an SO(3) rotation (Shepperd quaternion)."""
-    t = r[0, 0] + r[1, 1] + r[2, 2]
-    if t > max(r[0, 0], r[1, 1], r[2, 2]):
-        s = 2.0 * np.sqrt(max(t + 1.0, 0.0))
-        w = 0.25 * s
-        x = (r[2, 1] - r[1, 2]) / s
-        y = (r[0, 2] - r[2, 0]) / s
-        z = (r[1, 0] - r[0, 1]) / s
-    elif r[0, 0] >= r[1, 1] and r[0, 0] >= r[2, 2]:
-        s = 2.0 * np.sqrt(max(1.0 + r[0, 0] - r[1, 1] - r[2, 2], 0.0))
-        w = (r[2, 1] - r[1, 2]) / s
-        x = 0.25 * s
-        y = (r[0, 1] + r[1, 0]) / s
-        z = (r[0, 2] + r[2, 0]) / s
-    elif r[1, 1] >= r[2, 2]:
-        s = 2.0 * np.sqrt(max(1.0 + r[1, 1] - r[0, 0] - r[2, 2], 0.0))
-        w = (r[0, 2] - r[2, 0]) / s
-        x = (r[0, 1] + r[1, 0]) / s
-        y = 0.25 * s
-        z = (r[1, 2] + r[2, 1]) / s
-    else:
-        s = 2.0 * np.sqrt(max(1.0 + r[2, 2] - r[0, 0] - r[1, 1], 0.0))
-        w = (r[1, 0] - r[0, 1]) / s
-        x = (r[0, 2] + r[2, 0]) / s
-        y = (r[1, 2] + r[2, 1]) / s
-        z = 0.25 * s
-    return w * ID2 - 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)

@@ -1,5 +1,7 @@
 """Boundary curve, sharpness certification, set membership, self-testing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,10 +26,11 @@ from seqrac import (
     witness_pair,
 )
 from seqrac.analytics import W_AB_MAX, W_AC_TRIVIAL, round_reported
-from seqrac.errors import DomainError, InfeasiblePair
-from seqrac.linalg import BinaryPovm, state_from_bloch
+from seqrac.errors import DomainError, InfeasiblePair, InvalidStrategy
+from seqrac.linalg import BinaryPovm, QubitState, state_from_bloch
 from seqrac.sampling import random_strategy, random_su2
 from seqrac.scenario import BinaryInstrument, PreparationEnsemble
+from seqrac.strategies import axis_instruments
 
 SQRT2 = np.sqrt(2.0)
 
@@ -173,9 +176,45 @@ class TestRoundReported:
 
 class TestSelfTest:
     def test_canonical_passes(self):
-        for eta in (0.05, 0.4, 1 / SQRT2, 0.99, 1.0):
+        for eta in (0.0, 0.05, 0.4, 1 / SQRT2, 0.99, 1.0):
             report = selftest_report(canonical_strategy(eta))
             assert report.max_defect() <= 1e-9
+
+    def test_instrument_without_axis_takes_the_perpendicular_frame(self):
+        # Bob's first axis is missing: the frame completes it from his z axis as x.
+        base = canonical_strategy(0.8)
+        trivial = axis_instruments(0.0, 0.0)[0]
+        s = Strategy(base.preparations, (trivial, base.instruments[1]), base.measurements)
+        np.testing.assert_allclose(selftest_report(s).charlie_alignment_defects, (0.0, 0.0),
+                                   rtol=0, atol=1e-12)
+
+    def test_no_axis_at_all_takes_the_coordinate_frame(self):
+        # Both instruments trivial: this is canonical_strategy(0), so every field vanishes.
+        base = canonical_strategy(0.8)
+        s = Strategy(base.preparations, axis_instruments(0.0, 0.0), base.measurements)
+        assert selftest_report(s).max_defect() <= 1e-12
+
+    def test_invalid_strategies_raise_invalid_strategy(self):
+        base = canonical_strategy(0.8)
+        states = list(base.preparations.states)
+        nan_matrix = states[0].matrix.copy()
+        nan_matrix[0, 1] = np.nan  # outside the entries that the Bloch view reads
+        states[0] = QubitState(nan_matrix, states[0].bloch)
+        k0, k1 = base.instruments[0].kraus_pair
+        incomplete = dataclasses.replace(base.instruments[0], kraus=((0.5 * k0,), (k1,)))
+        e0, e1 = base.measurements[0].effects
+        nan_effect = dataclasses.replace(base.measurements[0], effects=(e0 + np.nan, e1))
+        broken = {
+            "preparations": Strategy(PreparationEnsemble(tuple(states)), base.instruments,
+                                     base.measurements),
+            "instruments": Strategy(base.preparations, (incomplete, base.instruments[1]),
+                                    base.measurements),
+            "measurements": Strategy(base.preparations, base.instruments,
+                                     (nan_effect, base.measurements[1])),
+        }
+        for component, s in broken.items():
+            with pytest.raises(InvalidStrategy, match=rf"{component}\[0\]"):
+                selftest_report(s)
 
     def test_conjugated_canonical_passes(self, rng):
         for _ in range(25):

@@ -123,6 +123,8 @@ TABLE = {
     "bloch_from_matrix": (bloch_from_matrix, "m"),
     "matrix_sqrt_psd": (matrix_sqrt_psd, "m"),
     "max_eigenpair": (max_eigenpair, "m"),
+    "matrix_sqrt_psd tol": (lambda m, tol: matrix_sqrt_psd(m, tol=tol), "mr"),
+    "max_eigenpair tol": (lambda m, tol: max_eigenpair(m, tol=tol), "mr"),
     "polar_decompose": (polar_decompose, "m"),
     "validate_povm": (validate_povm, "mm"),
     "QubitState.from_matrix": (QubitState.from_matrix, "m"),

@@ -29,9 +29,8 @@ from seqrac.linalg import (
     max_eigenpair,
     polar_decompose,
     projective_povm,
-    rotation_from_unitary,
+    require_hermitian,
     state_from_bloch,
-    unitary_from_rotation,
     validate_povm,
 )
 from seqrac.sampling import random_su2
@@ -334,38 +333,6 @@ class TestValidatePovm:
             validate_povm(skew, ID2 - skew)
 
 
-class TestRotationBridge:
-    def test_conjugation_matches_rotation(self, rng):
-        for _ in range(200):
-            u = random_su2(rng)
-            r = rotation_from_unitary(u)
-            assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-10)
-            v = rng.normal(size=3)
-            op = v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
-            rotated = u @ op @ u.conj().T
-            rv = r @ v
-            expected = rv[0] * SIGMA_X + rv[1] * SIGMA_Y + rv[2] * SIGMA_Z
-            np.testing.assert_allclose(rotated, expected, atol=1e-10)
-
-    def test_round_trip_rotation(self, rng):
-        for _ in range(200):
-            u = random_su2(rng)
-            r = rotation_from_unitary(u)
-            u2 = unitary_from_rotation(r)
-            # equal up to a global sign
-            gap = min(np.max(np.abs(u - u2)), np.max(np.abs(u + u2)))
-            assert gap <= 1e-9
-
-    def test_half_turn_rotations(self):
-        # trace-negative branch of the quaternion extraction
-        for axis in (SIGMA_X, SIGMA_Y, SIGMA_Z):
-            u = -1j * axis  # exp(-i pi axis/2)
-            r = rotation_from_unitary(u)
-            u2 = unitary_from_rotation(r)
-            gap = min(np.max(np.abs(u - u2)), np.max(np.abs(u + u2)))
-            assert gap <= 1e-12
-
-
 class TestHermTol:
     def test_validity_checks_read_herm_tol(self):
         """The validity checks take no ``tol``; each reads ``HERM_TOL = 1e-9``."""
@@ -376,6 +343,18 @@ class TestHermTol:
         validate_povm(*povm(1e-9))  # inside HERM_TOL
         with pytest.raises(NotPsd):
             validate_povm(*povm(1e-7))
+
+    @pytest.mark.parametrize("func", [require_hermitian, matrix_sqrt_psd, max_eigenpair])
+    @pytest.mark.parametrize("tol", [np.nan, -1e-9, -np.inf, "x", None, True, 1j])
+    def test_tol_must_be_a_number_at_least_zero(self, func, tol):
+        # NaN fails every comparison, so as a tol it would switch each check off.
+        with pytest.raises(DomainError):
+            func([[1.0, 5.0], [0.0, -3.0]], tol=tol)
+
+    @pytest.mark.parametrize("func", [require_hermitian, matrix_sqrt_psd, max_eigenpair])
+    def test_infinite_or_zero_tol_is_accepted(self, func):
+        func([[1.0, 5.0], [0.0, -3.0]], tol=np.inf)  # no check at all
+        func(np.diag([1.0, 0.0]), tol=0)
 
 
 class TestQubitState:
