@@ -7,7 +7,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .errors import InfeasiblePair, require_real
+from .errors import InfeasiblePair, require_real, require_tol
 from .linalg import bloch_compose, polar_decompose
 from .scenario import Strategy, WitnessPair, witness_ab
 
@@ -35,6 +35,7 @@ def round_reported(value: float) -> float:
 def witness_level(name: str, value: float, tol: float, lower: float = 0.5) -> float:
     """``value`` clamped to ``[lower, (2 + sqrt(2))/4]``; :class:`DomainError` if it
     is not a finite real number or leaves that range by more than ``tol``."""
+    tol = require_tol(tol)
     value = require_real(value, name, lower - tol, W_AB_MAX + tol)
     return float(min(max(value, lower), W_AB_MAX))
 
@@ -106,6 +107,7 @@ def certify_interval(w: WitnessPair, tol: float = FEASIBILITY_TOL) -> SharpnessI
     pair (a lower bound above 1, a ``w_ac`` beyond the quantum maximum, or
     crossed bounds beyond ``tol``).
     """
+    tol = require_tol(tol)
     for name, value in zip(w._fields, w):
         require_real(value, name, -tol, 1.0 + tol)
     lower = sharpness_lower(w.w_ab, tol=np.inf)
@@ -139,6 +141,7 @@ def in_classical_set(w: WitnessPair) -> bool:
 
 def in_quantum_set(w: WitnessPair, tol: float = FEASIBILITY_TOL) -> bool:
     """Whether the symmetrized pair lies under the quantum trade-off curve."""
+    tol = require_tol(tol)
     a, c = _symmetrize(w)
     if a > W_AB_MAX + tol or c > W_AB_MAX + tol:
         return False

@@ -58,6 +58,12 @@ def require_real(value, what: str, lo: float = -math.inf, hi: float = math.inf) 
     return value
 
 
+def require_tol(tol) -> float:
+    """A tolerance: a float >= 0 passes at once (``inf`` switches a check off); anything else goes
+    through ``require_real(tol, "tol", 0.0)``, so NaN, negatives and non-numbers raise."""
+    return tol if isinstance(tol, float) and tol >= 0.0 else require_real(tol, "tol", 0.0)
+
+
 class InvalidStrategy(SeqracError):
     """A strategy component fails validation."""
 

@@ -23,6 +23,7 @@ from .errors import (
     NotHermitian,
     NotPsd,
     require_real,
+    require_tol,
 )
 
 ID2 = np.eye(2, dtype=complex)
@@ -74,8 +75,7 @@ def _hermitian_part(m, tol: float) -> np.ndarray:
     on Python complex numbers) above ``tol``, a number >= 0 (``inf`` skips the test).
     The halving stays a numpy product: numpy fuses multiply-adds on CPUs with FMA,
     which can set the sign of a zero."""
-    if not (isinstance(tol, float) and tol >= 0.0):
-        require_real(tol, "tol", 0.0)  # NaN, negative or not a number
+    tol = require_tol(tol)
     a00, a01, a10, a11 = as_matrix2(m).ravel().tolist()
     c00, c01, c10, c11 = a00.conjugate(), a01.conjugate(), a10.conjugate(), a11.conjugate()
     dev = max(abs(a00 - c00), abs(a01 - c10), abs(a10 - c01), abs(a11 - c11))
@@ -88,14 +88,22 @@ def require_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
     return _hermitian_part(m, tol).reshape(2, 2)
 
 
-def eigvals_hermitian(h: np.ndarray) -> tuple[float, float]:
-    """Eigenvalues (descending) of a Hermitian 2x2 matrix, closed form."""
-    h00, h01, _, h11 = h.ravel().tolist()
-    a = h00.real
-    d = h11.real
-    half_gap = np.hypot(0.5 * (a - d), abs(h01))
-    mid = 0.5 * (a + d)
-    return mid + half_gap, mid - half_gap
+def _spectrum(h00: complex, h01: complex, h11: complex) -> tuple[float, float]:
+    """Eigenvalue mean and half-gap of the Hermitian 2x2 matrix with entries ``h00``, ``h01``,
+    ``h11`` (Python scalars); ``abs`` of a Python complex is libm's ``hypot``, as ``np.hypot`` is."""
+    a, d = h00.real, h11.real
+    return 0.5 * (a + d), abs(complex(0.5 * (a - d), abs(h01)))
+
+
+def _psd_part(m, tol: float, what: str = "") -> tuple[np.ndarray, list]:
+    """:func:`_hermitian_part` of ``m`` and its four entries as Python complex numbers;
+    :class:`NotPsd` if the smaller eigenvalue is below ``-tol`` (``what`` starts the message)."""
+    h = _hermitian_part(m, tol)
+    entries = h.tolist()
+    mid, half_gap = _spectrum(entries[0], entries[1], entries[3])
+    if mid - half_gap < -tol:
+        raise NotPsd(f"{what}negative eigenvalue {mid - half_gap:.3e}")
+    return h, entries
 
 
 def _phase_fix(v: np.ndarray) -> np.ndarray:
@@ -114,12 +122,10 @@ def max_eigenpair(h, tol: float = HERM_TOL) -> EigenPair:
     the eigenvector is phase-fixed so its first significant component is
     real positive.
     """
-    m = require_hermitian(h, tol)
-    a = m[0, 0].real
-    d = m[1, 1].real
-    b = m[0, 1]
-    half_gap = np.hypot(0.5 * (a - d), abs(b))
-    lam = 0.5 * (a + d) + half_gap
+    h00, b, _, h11 = _hermitian_part(h, tol).tolist()
+    a, d = h00.real, h11.real
+    mid, half_gap = _spectrum(h00, b, h11)
+    lam = mid + half_gap
     scale = max(abs(a), abs(d), abs(b), 1.0)
     if 2.0 * half_gap <= 1e-14 * scale:
         # Fully degenerate: every direction is an eigenvector.
@@ -129,7 +135,7 @@ def max_eigenpair(h, tol: float = HERM_TOL) -> EigenPair:
         return EigenPair(float(lam), vec)
     # Pick the algebraically larger residual column for stability.
     if a >= d:
-        vec = np.array([lam - d, np.conj(b)], dtype=complex)
+        vec = np.array([lam - d, b.conjugate()], dtype=complex)
     else:
         vec = np.array([b, lam - a], dtype=complex)
     vec /= np.linalg.norm(vec)
@@ -142,12 +148,7 @@ def matrix_sqrt_psd(m, tol: float = HERM_TOL) -> np.ndarray:
     For PSD ``M`` with trace t and determinant D,
     ``sqrt(M) = (M + sqrt(D) I) / sqrt(t + 2 sqrt(D))``.
     """
-    h = _hermitian_part(m, tol)
-    h00, h01, _, h11 = h.tolist()
-    # eigvals_hermitian(h)[1]; a complex modulus is libm's hypot, as np.hypot is.
-    lo = 0.5 * (h00.real + h11.real) - abs(complex(0.5 * (h00.real - h11.real), abs(h01)))
-    if lo < -tol:
-        raise NotPsd(f"negative eigenvalue {lo:.3e}")
+    h, (h00, h01, _, h11) = _psd_part(m, tol)
     t = max(h00.real + h11.real, 0.0)
     # A numpy square: it overflows to inf where a Python float ** 2 raises.
     det = max(h00.real * h11.real - np.float64(abs(h01)) ** 2, 0.0)
@@ -269,13 +270,11 @@ class QubitState:
 
     @classmethod
     def from_matrix(cls, m) -> "QubitState":
-        h = require_hermitian(m)
+        h = _psd_part(m, HERM_TOL, "density matrix has ")[0].reshape(2, 2)
         tr = h[0, 0].real + h[1, 1].real
         if abs(tr - 1.0) > HERM_TOL:
             raise NotPsd(f"trace {tr!r} != 1")
-        if eigvals_hermitian(h)[1] < -HERM_TOL:
-            raise NotPsd("density matrix has a negative eigenvalue")
-        return cls(h, bloch_from_matrix(h))
+        return cls(h, 2.0 * bloch_decompose(h)[1])
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
@@ -347,13 +346,8 @@ class BinaryPovm:
 
 def validate_povm(e0, e1) -> BinaryPovm:
     """Check a two-effect measurement and return it with Bloch data filled in."""
-    effects = []
-    for name, e in (("E0", e0), ("E1", e1)):
-        h = require_hermitian(e)
-        lo = eigvals_hermitian(h)[1]
-        if lo < -HERM_TOL:
-            raise NotPsd(f"{name} has negative eigenvalue {lo:.3e}")
-        effects.append(h)
+    effects = [_psd_part(e, HERM_TOL, what)[0].reshape(2, 2)
+               for what, e in (("E0 has ", e0), ("E1 has ", e1))]
     dev = float(np.max(np.abs(effects[0] + effects[1] - ID2)))
     if dev > HERM_TOL:
         raise CompletenessViolated(f"effects sum to identity + {dev:.3e}")

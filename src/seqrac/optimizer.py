@@ -109,15 +109,12 @@ def reduced_constraint(r: ReducedParameters) -> float:
     return float((4.0 + 2.0 * c * np.cos(r.phi0) + 2.0 * s * np.cos(r.phi1)) / 8.0)
 
 
-def strategy_from_reduced(
-    r: ReducedParameters,
-    measurements: tuple[BinaryPovm, BinaryPovm] | None = None,
-) -> Strategy:
+def strategy_from_reduced(r: ReducedParameters) -> Strategy:
     """Explicit strategy realizing the reduced parameters.
 
     The preparation pairs sit in the xz-plane symmetric about the x axis,
     so their signed Bloch sums point along x and z; the instruments are
-    minimally disturbing along those axes.  Default measurements are the
+    minimally disturbing along those axes.  The measurements are the
     sharp x and z readouts (the best response on this family).
     """
     c, s = np.cos(0.5 * r.theta), np.sin(0.5 * r.theta)
@@ -125,8 +122,7 @@ def strategy_from_reduced(
     w = np.array([c, 0.0, -s])
     states = tuple(state_from_bloch(n) for n in (u, w, -w, -u))
     instruments = axis_instruments(float(np.cos(r.phi0)), float(np.cos(r.phi1)))
-    if measurements is None:
-        measurements = (projective_povm(X_AXIS), projective_povm(Z_AXIS))
+    measurements = (projective_povm(X_AXIS), projective_povm(Z_AXIS))
     return Strategy(PreparationEnsemble(states), instruments, measurements)
 
 

@@ -128,17 +128,6 @@ class BinaryInstrument:
             raise InvalidStrategy("instrument has multi-operator branches")
         return self.kraus[0][0], self.kraus[1][0]
 
-    def apply_branch(self, rho: np.ndarray, b: int) -> np.ndarray:
-        """Unnormalized branch output ``sum_j K_bj rho K_bj^dag``.
-
-        ``rho`` is one 2x2 matrix or a stack of them, shape ``(n, 2, 2)``;
-        each matrix of a stack gets the bits it would get on its own.
-        """
-        out = np.zeros(rho.shape, dtype=complex)
-        for k in self.kraus[b]:
-            out += k @ rho @ k.conj().T
-        return out
-
     def all_kraus(self):
         for branch in self.kraus:
             yield from branch
@@ -209,10 +198,10 @@ def joint_prob(s: Strategy, x: tuple[int, int], y: int, z: int, b: int, c: int) 
         raise DomainError(f"joint_prob needs x in {INPUT_PAIRS} and y, z, b, c in (0, 1), "
                           f"as ints; got {x!r}, {y!r}, {z!r}, {b!r}, {c!r}")
     rho = s.preparations.state(x).matrix
-    effect = s.measurements[z].effects[c]
-    branch = s.instruments[y].apply_branch(rho, b)
-    p = float(np.trace(branch @ effect).real)
-    return _clamp_prob(p)
+    branch = np.zeros((2, 2), dtype=complex)  # the unnormalized output sum_j K_bj rho K_bj^dag
+    for k in s.instruments[y].kraus[b]:
+        branch += k @ rho @ k.conj().T
+    return _clamp_prob(float(np.trace(branch @ s.measurements[z].effects[c]).real))
 
 
 def _matrices(states: Iterable[QubitState]) -> np.ndarray:

@@ -162,6 +162,29 @@ class TestSetMembership:
                 in_quantum_set(pair)
 
 
+# The four analytics functions with a tol argument, each on a feasible witness level.
+TOL_CALLS = {
+    "in_quantum_set": lambda tol: in_quantum_set(WitnessPair(0.75, 0.75), tol=tol),
+    "certify_interval": lambda tol: certify_interval(WitnessPair(0.75, 0.75), tol=tol),
+    "sharpness_lower": lambda tol: sharpness_lower(0.75, tol=tol),
+    "sharpness_upper": lambda tol: sharpness_upper(0.75, tol=tol),
+}
+
+
+class TestTol:
+    @pytest.mark.parametrize("name", TOL_CALLS)
+    @pytest.mark.parametrize("tol", [np.nan, -1e-3, -np.inf, "x", None, True, 1j])
+    def test_tol_must_be_a_number_at_least_zero(self, name, tol):
+        # NaN fails every comparison, so as a tol it would switch each check off.
+        with pytest.raises(DomainError):
+            TOL_CALLS[name](tol)
+
+    @pytest.mark.parametrize("name", TOL_CALLS)
+    def test_infinite_or_zero_tol_is_accepted(self, name):
+        TOL_CALLS[name](np.inf)  # no check at all
+        TOL_CALLS[name](0)
+
+
 class TestRoundReported:
     def test_half_up_with_guard(self):
         assert round_reported(0.71375) == 0.7138

@@ -24,7 +24,6 @@ from seqrac.linalg import (
     BinaryPovm,
     QubitState,
     bloch_from_matrix,
-    eigvals_hermitian,
     matrix_sqrt_psd,
     max_eigenpair,
     polar_decompose,
@@ -92,7 +91,7 @@ class TestStateFromBloch:
         for _ in range(1000):
             n = rng.normal(size=3)
             n *= rng.uniform() / np.linalg.norm(n)
-            hi, lo = eigvals_hermitian(state_from_bloch(n).matrix)
+            lo, hi = np.linalg.eigvalsh(state_from_bloch(n).matrix)
             assert -1e-9 <= lo and hi <= 1 + 1e-9
             assert abs(hi + lo - 1.0) < 1e-9
 
@@ -335,14 +334,18 @@ class TestValidatePovm:
 
 class TestHermTol:
     def test_validity_checks_read_herm_tol(self):
-        """The validity checks take no ``tol``; each reads ``HERM_TOL = 1e-9``."""
+        """The validity checks take no ``tol``; each reads ``HERM_TOL = 1e-9``, and so
+        does ``matrix_sqrt_psd`` by default: one positivity gate."""
         def povm(d):  # E0 = (I + (1 + d) Z)/2 has eigenvalue -d/2
             e0 = 0.5 * (ID2 + (1.0 + d) * SIGMA_Z)
             return e0, ID2 - e0
 
-        validate_povm(*povm(1e-9))  # inside HERM_TOL
-        with pytest.raises(NotPsd):
-            validate_povm(*povm(1e-7))
+        for check in (lambda d: validate_povm(*povm(d)),
+                      lambda d: QubitState.from_matrix(povm(d)[0]),
+                      lambda d: matrix_sqrt_psd(povm(d)[0])):
+            check(1e-9)  # eigenvalue -0.5e-9, inside HERM_TOL
+            with pytest.raises(NotPsd):
+                check(1e-7)  # eigenvalue -0.5e-7
 
     @pytest.mark.parametrize("func", [require_hermitian, matrix_sqrt_psd, max_eigenpair])
     @pytest.mark.parametrize("tol", [np.nan, -1e-9, -np.inf, "x", None, True, 1j])

@@ -359,7 +359,7 @@ def _memo_free_seesaw(alpha, cfg):
             q1 = float(charlie[1].cvec[2])
             before, theta, phi0, phi1 = optimizer._ascend(alpha, theta, phi1, q0, q1, 513)
             params = ReducedParameters(theta, phi0, phi1)
-            partial = strategy_from_reduced(params, charlie)
+            partial = strategy_from_reduced(params)
             charlie, after = charlie_best_response(partial.preparations, partial.instruments)
             steps.append((before, after))
             converged = after - value < optimizer.CONVERGENCE_EPSILON
@@ -369,7 +369,8 @@ def _memo_free_seesaw(alpha, cfg):
         runs.append((steps, value))
         if best is None or value > best[0]:
             best = (value, params, charlie)
-    strategy = strategy_from_reduced(best[1], best[2])
+    partial = strategy_from_reduced(best[1])
+    strategy = Strategy(partial.preparations, partial.instruments, best[2])
     return runs, best[1], witness_pair(strategy)
 
 
