@@ -108,16 +108,13 @@ def certify_interval(w: WitnessPair, tol: float = FEASIBILITY_TOL) -> SharpnessI
     crossed bounds beyond ``tol``).
     """
     tol = require_tol(tol)
-    for name, value in zip(w._fields, w):
-        require_real(value, name, -tol, 1.0 + tol)
-    lower = sharpness_lower(w.w_ab, tol=np.inf)
+    w_ab, w_ac = (require_real(value, name, -tol, 1.0 + tol) for name, value in zip(w._fields, w))
+    lower = sharpness_lower(w_ab, tol=np.inf)
     if lower > 1.0 + tol:
-        raise InfeasiblePair(
-            f"w_ab = {w.w_ab!r} requires sharpness {lower:.4f} > 1"
-        )
-    if w.w_ac > W_AB_MAX + tol:
-        raise InfeasiblePair(f"w_ac = {w.w_ac!r} exceeds the quantum maximum")
-    upper = sharpness_upper(w.w_ac, tol=np.inf)
+        raise InfeasiblePair(f"w_ab = {w_ab!r} requires sharpness {lower:.4f} > 1")
+    if w_ac > W_AB_MAX + tol:
+        raise InfeasiblePair(f"w_ac = {w_ac!r} exceeds the quantum maximum")
+    upper = sharpness_upper(w_ac, tol=np.inf)
     lower = min(lower, 1.0)
     if lower > upper + tol:
         raise InfeasiblePair(

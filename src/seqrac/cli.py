@@ -123,7 +123,7 @@ def cmd_boundary(args) -> int:
     for alpha in alphas:
         closed = boundary_wac(alpha)
         try:
-            point = trace_boundary([alpha], cfg)[0]
+            point = trace_boundary([alpha])[0]
             numeric, theta, phi = point.wac, point.params.theta, point.params.phi0
             gap = abs(numeric - closed)
         except ConvergenceFailure as exc:

@@ -273,7 +273,7 @@ class QubitState:
         h = _psd_part(m, HERM_TOL, "density matrix has ")[0].reshape(2, 2)
         tr = h[0, 0].real + h[1, 1].real
         if abs(tr - 1.0) > HERM_TOL:
-            raise NotPsd(f"trace {tr!r} != 1")
+            raise NotPsd(f"trace {float(tr)!r} != 1")
         return cls(h, 2.0 * bloch_decompose(h)[1])
 
     def purity(self) -> float:

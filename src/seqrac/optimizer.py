@@ -26,6 +26,7 @@ from .errors import (
 )
 from .linalg import (
     HERM_TOL,
+    MAX_ENTRY,
     BinaryPovm,
     _bloch_compose_rows,
     _max_eigvalue_rows,
@@ -627,23 +628,27 @@ def sandwich_eigenvalue_sum_bound(povm, direction) -> BoundSample:
         except Exception as exc:
             raise InvalidPovm(str(exc)) from exc
     a = _vector3(direction, "direction")
-    rhs = float(np.linalg.norm(a))
+    rhs = math.sqrt(a.dot(a))  # np.linalg.norm's operations
     if rhs == 0.0:
         return BoundSample(0.0, 0.0, True)
-    op = bloch_compose(0.0, a)
-    lhs = 0.0
-    for value in _sandwich_max(np.array(povm.effects, dtype=complex), np.array([op, op])).tolist():
-        lhs += value
-    if lhs > rhs + BOUND_SLACK:
-        raise InequalityViolation(
-            f"eigenvalue sum {lhs!r} exceeds |a| = {rhs!r}"
-        )
-    sharp = povm.sharpness
-    if sharp <= BOUND_SLACK:
-        aligned = True
-    else:
-        aligned = abs(abs(float(np.dot(povm.cvec, a))) / (sharp * rhs) - 1.0) <= BOUND_SLACK
+    lhs = _sum_bound_rows(np.array(povm.effects, dtype=complex), a[None], np.array([rhs]))[0]
+    sharp, overlap = povm.sharpness, abs(float(np.dot(povm.cvec, a)))
+    aligned = sharp <= BOUND_SLACK or abs(overlap / (sharp * rhs) - 1.0) <= BOUND_SLACK
     return BoundSample(float(lhs), rhs, aligned)
+
+
+def _sum_bound_rows(effects: np.ndarray, a: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """The eigenvalue sum of :func:`sandwich_eigenvalue_sum_bound` per row ``i``: effects
+    ``effects[2i : 2i + 2]``, direction ``a[i]``, ``norm[i] = |a[i]|``, sum 0 where ``|a| = 0``.
+    Raises :class:`InequalityViolation` at the first row above ``|a| + BOUND_SLACK``."""
+    pairs = _sandwich_max(effects, np.repeat(_bloch_compose_rows(0.0, a), 2, axis=0))
+    lhs = np.where(norm == 0.0, 0.0, 0.0 + pairs[0::2] + pairs[1::2])
+    i = _first(lhs > norm + BOUND_SLACK)
+    if i < len(lhs):
+        raise InequalityViolation(
+            f"eigenvalue sum {float(lhs[i])!r} exceeds |a| = {float(norm[i])!r}"
+        )
+    return lhs
 
 
 def trig_inequality_value(theta: float, phi0: float, phi1: float) -> float:
@@ -688,24 +693,29 @@ def trig_grid_max(resolution: int) -> float:
     )
 
 
-def _povm_rows(draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The measurements of ``(c0, c, ...)`` draws of ``sampling._draw_observable``.
-
-    Returns the effects ``(E0, E1)`` of every draw as one ``(2n, 2, 2)``
-    stack, built as ``BinaryPovm.from_observable`` builds them, ``|c|``, and
-    the mask of the draws that ``from_observable`` rejects.  ``|c|`` is
-    taken per draw as ``sqrt(c.dot(c))``, the float operations of
-    ``np.linalg.norm``.
-    """
-    c0 = np.array([draw[0] for draw in draws])
-    c = np.array([draw[1] for draw in draws])
-    norm = np.array([math.sqrt(draw[1].dot(draw[1])) for draw in draws])
+def _suite_draws(rng: np.random.Generator, samples: int, allow_offset: bool, direction):
+    """Draws ``(c0, c, a)``: per sample, the calls of ``random_povm(rng, allow_offset)``,
+    then ``direction(rng)``.  Returns the draws, the effects ``(E0, E1)`` of each as
+    ``from_observable`` builds them in one ``(2n, 2, 2)`` stack, ``|c|``, the ``(n, 3)``
+    directions, ``|a|`` (each ``sqrt(v.dot(v))``, the operations of ``np.linalg.norm``)
+    and the index of the first draw that :func:`_replay` rejects (``n`` if none)."""
+    draws = [(*_draw_observable(rng, allow_offset), direction(rng)) for _ in range(samples)]
+    c0, c, a = zip(*draws)
+    eta, norm = (np.array([math.sqrt(v.dot(v)) for v in vs]) for vs in (c, a))
+    c0, c, a = np.array(c0), np.array(c), np.array(a)
     with np.errstate(invalid="ignore"):  # rejected draws may be inf or NaN
-        bad = ~np.isfinite(c0 + norm)
-        bad |= (norm - 1.0 > HERM_TOL) | (np.abs(c0) - (1.0 - norm) > HERM_TOL)
+        bad = ~np.isfinite(c0 + eta) | ~(np.abs(a) <= MAX_ENTRY).all(axis=1)
+        bad |= (eta - 1.0 > HERM_TOL) | (np.abs(c0) - (1.0 - eta) > HERM_TOL)
         e0 = _bloch_compose_rows(0.5 * (1.0 + c0), 0.5 * c)
         e1 = _bloch_compose_rows(0.5 * (1.0 - c0), -0.5 * c)
-    return np.stack((e0, e1), axis=1).reshape(-1, 2, 2), norm, bad
+    return draws, np.stack((e0, e1), axis=1).reshape(-1, 2, 2), eta, a, norm, _first(bad)
+
+
+def _replay(draw) -> None:
+    """Raise what ``from_observable(c0, c)`` or ``_vector3(a, "direction")`` raises on a draw."""
+    BinaryPovm.from_observable(draw[0], draw[1])
+    _vector3(draw[2], "direction")
+    raise RuntimeError("a batched check failed where the constructors passed")
 
 
 def _first(mask: np.ndarray) -> int:
@@ -724,58 +734,36 @@ def _bound_suite(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np
     """Per-sample ``(lhs, rhs)`` of :func:`sandwich_eigenvalue_sum_bound` on random draws.
 
     Sample by sample the draws are those of ``random_povm(rng)`` and then
-    ``rng.normal(size=3) * rng.uniform(0, 2)``, bit for bit; the checks and
-    the eigenvalues then run on the whole batch.  The first sample, in draw
-    order, that fails a check is replayed through the scalar path, which
-    raises its error.
+    ``rng.normal(size=3) * rng.uniform(0, 2)``, bit for bit.  The first
+    failing sample in draw order raises the scalar path's error: a violation
+    from :func:`_sum_bound_rows`, a rejected draw from :func:`_replay`.
     """
-    draws = [
-        (*_draw_observable(rng, True), rng.standard_normal(3) * (2.0 * rng.random()))
-        for _ in range(samples)
-    ]
-    effects, _, bad = _povm_rows(draws)
-    a = np.array([draw[2] for draw in draws])
-    n = _first(bad | ~np.isfinite(a).all(axis=1))
-    rhs = np.array([math.sqrt(draw[2].dot(draw[2])) for draw in draws[:n]])
-    ops = np.repeat(_bloch_compose_rows(0.0, a[:n]), 2, axis=0)
-    pairs = _sandwich_max(effects[: 2 * n], ops).reshape(n, 2)
-    lhs = np.where(rhs == 0.0, 0.0, 0.0 + pairs[:, 0] + pairs[:, 1])
-    n = min(n, _first(lhs > rhs + BOUND_SLACK))
+    draws, effects, _, a, rhs, n = _suite_draws(
+        rng, samples, True, lambda g: g.standard_normal(3) * (2.0 * g.random())
+    )
+    lhs = _sum_bound_rows(effects[: 2 * n], a[:n], rhs[:n])
     if n < samples:
-        c0_i, c_i, a_i = draws[n]
-        sandwich_eigenvalue_sum_bound(BinaryPovm.from_observable(c0_i, c_i), a_i)
-        raise RuntimeError("a batched check failed where the scalar path passed")
+        _replay(draws[n])
     return lhs, rhs
 
 
 def _eigen_suite(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample direct and closed-form sandwich eigenvalues, shape ``(samples, 2)`` each.
 
-    Sample by sample the generator makes the calls of
-    ``random_povm(rng, allow_offset=False)`` and then
-    ``random_unit_vector(rng)``.  Column ``b`` holds outcome ``b``: the
-    eigensolve of :func:`_sandwich_max` and
-    :func:`sandwich_eigenvalue_closed_form`.  Failures are replayed as in
-    :func:`_bound_suite`.
+    Sample by sample the draws are those of ``random_povm(rng, allow_offset=False)`` and
+    then ``random_unit_vector(rng)``.  Column ``b`` holds outcome ``b``: the eigensolve of
+    :func:`_sandwich_max` and :func:`sandwich_eigenvalue_closed_form`.  The first rejected
+    draw is replayed as in :func:`_bound_suite`.
     """
-    draws = [(*_draw_observable(rng, False), random_unit_vector(rng)) for _ in range(samples)]
-    effects, eta, bad = _povm_rows(draws)
-    norm = np.array([math.sqrt(draw[2].dot(draw[2])) for draw in draws])
-    n = _first(bad | ~np.isfinite(norm))
+    draws, effects, eta, u, norm, n = _suite_draws(rng, samples, False, random_unit_vector)
     if n < samples:
-        c0_i, c_i, u_i = draws[n]
-        povm = BinaryPovm.from_observable(c0_i, c_i)
-        op = bloch_compose(0.0, u_i)
-        _sandwich_max(np.array(povm.effects), np.array([op, op]))
-        sandwich_eigenvalue_closed_form(povm, u_i, 0)
-        raise RuntimeError("a batched check failed where the scalar path passed")
-    ops = np.repeat(_bloch_compose_rows(0.0, np.array([draw[2] for draw in draws])), 2, axis=0)
-    direct = _sandwich_max(effects, ops).reshape(samples, 2)
+        _replay(draws[n])
+    direct = _sandwich_max(effects, np.repeat(_bloch_compose_rows(0.0, u), 2, axis=0))
     closed = np.array([
         [_closed_form(c0_i, eta_i, float(c_i.dot(u_i)), norm_i, b) for b in (0, 1)]
         for (c0_i, c_i, u_i), eta_i, norm_i in zip(draws, eta.tolist(), norm.tolist())
     ])
-    return direct, closed
+    return direct.reshape(samples, 2), closed
 
 
 def inequality_report(samples: int, grid: int, seed: int) -> dict:
@@ -793,16 +781,12 @@ def inequality_report(samples: int, grid: int, seed: int) -> dict:
 
     starts = range(0, samples, _SUITE_BATCH)  # a range: flat memory for any count
     rng = np.random.default_rng([seed, 11])
-    bound_margin = -math.inf
-    for start in starts:
-        lhs, rhs = _bound_suite(rng, min(_SUITE_BATCH, samples - start))
-        bound_margin = max(bound_margin, (lhs - rhs).max())
+    suite = (_bound_suite(rng, min(_SUITE_BATCH, samples - start)) for start in starts)
+    bound_margin = max((lhs - rhs).max() for lhs, rhs in suite)
 
     rng = np.random.default_rng([seed, 13])
-    eigen_residual = 0.0
-    for start in starts:
-        direct, closed = _eigen_suite(rng, min(_SUITE_BATCH, samples - start))
-        eigen_residual = max(eigen_residual, np.abs(direct - closed).max())
+    suite = (_eigen_suite(rng, min(_SUITE_BATCH, samples - start)) for start in starts)
+    eigen_residual = max(np.abs(direct - closed).max() for direct, closed in suite)
     if eigen_residual > 1e-10:
         raise InequalityViolation(
             f"closed-form eigenvalue residual {float(eigen_residual)!r} exceeds 1e-10"

@@ -136,6 +136,20 @@ class TestCertifyInterval:
         with pytest.raises(DomainError):
             certify_interval(WitnessPair(1.4, 0.5))
 
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            (WitnessPair(np.float64(0.99), np.float64(0.8)),
+             "w_ab = 0.99 requires sharpness 1.3859 > 1"),
+            (WitnessPair(np.float64(0.5), np.float64(0.9)),
+             "w_ac = 0.9 exceeds the quantum maximum"),
+        ],
+    )
+    def test_infeasible_messages_print_python_floats(self, w, message):
+        with pytest.raises(InfeasiblePair) as caught:
+            certify_interval(w)
+        assert str(caught.value) == message
+
 
 class TestSetMembership:
     def test_classical_corner(self):

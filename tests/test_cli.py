@@ -88,6 +88,15 @@ class TestEvaluate:
         assert main(["evaluate", str(path)]) == 3
         assert "preparations[0]" in capsys.readouterr().err
 
+    def test_trace_error_prints_a_python_float(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        doc = json.loads(document_text(canonical_strategy(0.5)))
+        del doc["preparations"][0]["bloch"]
+        doc["preparations"][0]["matrix"] = [[[0.6, 0], [0, 0]], [[0, 0], [0.5, 0]]]
+        path.write_text(json.dumps(doc))
+        assert main(["evaluate", str(path)]) == 3
+        assert capsys.readouterr().err == "error: preparations[0]: trace 1.1 != 1\n"
+
     def test_probability_beyond_tolerance_exits_3(self, tmp_path, capsys):
         # Every entry passes its own 1e-9 check, but a probability leaves [0, 1]
         # by about 1.8e-9 once preparation and effect tolerances add up.
@@ -322,7 +331,7 @@ class TestErrorExitCodes:
         from seqrac import cli
         from seqrac.errors import ConvergenceFailure
 
-        def stall(alphas, cfg):
+        def stall(alphas, cfg=None):  # trace_boundary's signature
             raise ConvergenceFailure("stalled")
 
         monkeypatch.setattr(cli, "trace_boundary", stall)

@@ -36,6 +36,7 @@ from seqrac.linalg import (
     max_eigenpair,
     maximally_mixed,
     projective_povm,
+    validate_povm,
 )
 from seqrac import optimizer
 from seqrac.optimizer import (
@@ -647,6 +648,39 @@ _OPS = st.builds(
 )
 
 
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    norm = float(np.linalg.norm(v))
+    return v / norm if norm > 1e-3 else np.array([0.0, 0.0, 1.0])
+
+
+# Measurements from_observable builds: generic, projective (sharpness 1) and trivial.
+_POVMS = st.builds(
+    lambda eta, t, axis: BinaryPovm.from_observable(t * (1.0 - eta), eta * _unit(axis)),
+    st.one_of(st.floats(0.0, 1.0), st.just(1.0), st.just(0.0)), _UNIT, _VECTOR,
+)
+# The zero direction, and directions of norm 1e-5 to 1e5.
+_DIRECTIONS = st.one_of(
+    st.just(np.zeros(3)),
+    st.builds(lambda v, e: _unit(v) * 10.0**e, _VECTOR, st.floats(-5.0, 5.0)),
+)
+
+
+def _frozen_sum_bound(povm, a) -> tuple[float, float, bool]:
+    """The eigenvalue-sum bound one effect at a time: ``(lhs, rhs, equality)``."""
+    rhs = float(np.linalg.norm(a))
+    if rhs == 0.0:
+        return 0.0, 0.0, True
+    op = bloch_compose(0.0, a)
+    lhs = 0.0
+    for effect in povm.effects:
+        lhs += _scalar_sandwich_max(effect, op)
+    sharp = povm.sharpness
+    if sharp <= 1e-9:
+        return lhs, rhs, True
+    return lhs, rhs, abs(abs(float(np.dot(povm.cvec, a))) / (sharp * rhs) - 1.0) <= 1e-9
+
+
 class TestInequalityReport:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(_EFFECTS, _OPS), min_size=1, max_size=6))
@@ -655,6 +689,18 @@ class TestInequalityReport:
         ops = np.array([op for _, op in pairs])
         stacked = optimizer._sandwich_max(effects, ops)
         assert stacked.tolist() == [_scalar_sandwich_max(e, op) for e, op in pairs]
+
+    @settings(max_examples=400, deadline=None)
+    @given(_POVMS, _DIRECTIONS, st.booleans())
+    @example(BinaryPovm.from_observable(0.0, np.array([0.0, 0.0, 1.0])), np.zeros(3), False)
+    @example(BinaryPovm.from_observable(0.0, np.array([0.6, 0.0, 0.8])),
+             np.array([3e4, 0.0, 4e4]), True)
+    def test_scalar_bound_equals_the_per_effect_loop(self, povm, a, raw):
+        # raw input is the effect pair, which validate_povm turns into a BinaryPovm
+        got = sandwich_eigenvalue_sum_bound(tuple(povm.effects) if raw else povm, a)
+        want = _frozen_sum_bound(validate_povm(*povm.effects) if raw else povm, a)
+        assert (got.lhs.hex(), got.rhs.hex()) == (want[0].hex(), want[1].hex())
+        assert got.equality == want[2]
 
     def test_draws_and_values_match_the_scalar_suites(self):
         # the batched suites against the per-sample loops they replace
@@ -735,6 +781,36 @@ class TestInequalityReport:
         }[error]
         with pytest.raises(error) as caught:
             optimizer.inequality_report(5, 2, 0)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "bad_povm, bad_direction, error",
+        [(2, None, NotPsd), (None, 2, DomainError), (2, 2, NotPsd), (3, 1, DomainError)],
+    )
+    def test_first_rejected_eigen_draw_raises_the_constructor_error(
+        self, monkeypatch, bad_povm, bad_direction, error
+    ):
+        # a measurement that breaks positivity or a NaN direction: the earliest
+        # rejected sample wins, and within a sample the measurement runs first
+        real_draw, real_unit = optimizer._draw_observable, optimizer.random_unit_vector
+        samples = []
+
+        def draw(rng, allow_offset):
+            samples.append(real_draw(rng, allow_offset))
+            return (0.5, np.array([0.9, 0.0, 0.0])) if len(samples) - 1 == bad_povm else samples[-1]
+
+        def unit(rng):
+            u = real_unit(rng)
+            return np.array([np.nan, 0.0, 0.0]) if len(samples) - 1 == bad_direction else u
+
+        monkeypatch.setattr(optimizer, "_draw_observable", draw)
+        monkeypatch.setattr(optimizer, "random_unit_vector", unit)
+        message = {
+            NotPsd: "offset 0.5 with |c| = 0.9 breaks positivity",
+            DomainError: "direction has entries that are not finite",
+        }[error]
+        with pytest.raises(error) as caught:
+            optimizer._eigen_suite(np.random.default_rng([0, 13]), 5)
         assert str(caught.value) == message
 
     def test_residual_check_runs_on_the_batch(self, monkeypatch):
