@@ -47,14 +47,12 @@ from .optimizer import (
     SeesawResult,
     charlie_best_response,
     classical_bruteforce,
-    reduced_constraint,
     reduced_objective,
     sandwich_eigenvalue_closed_form,
     sandwich_eigenvalue_sum_bound,
     seesaw,
     strategy_from_reduced,
     trace_boundary,
-    trig_inequality_value,
 )
 from .scenario import (
     BinaryInstrument,

@@ -84,10 +84,6 @@ def _hermitian_part(m, tol: float) -> np.ndarray:
     return 0.5 * np.array([a00 + c00, a01 + c10, a10 + c01, a11 + c11])
 
 
-def require_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
-    return _hermitian_part(m, tol).reshape(2, 2)
-
-
 def _spectrum(h00: complex, h01: complex, h11: complex) -> tuple[float, float]:
     """Eigenvalue mean and half-gap of the Hermitian 2x2 matrix with entries ``h00``, ``h01``,
     ``h11`` (Python scalars); ``abs`` of a Python complex is libm's ``hypot``, as ``np.hypot`` is."""
@@ -302,10 +298,6 @@ def state_from_bloch(n) -> QubitState:
     if norm > 1.0 + HERM_TOL:
         raise BlochNormExceeded(f"|n| = {norm!r} exceeds 1")
     return QubitState(bloch_compose(0.5, 0.5 * vec), vec.copy())
-
-
-def maximally_mixed() -> QubitState:
-    return QubitState(0.5 * ID2, np.zeros(3))
 
 
 @dataclass(frozen=True)

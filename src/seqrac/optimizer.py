@@ -19,6 +19,7 @@ import numpy as np
 from .analytics import boundary_wac, witness_level
 from .errors import (
     ConvergenceFailure,
+    DomainError,
     InequalityViolation,
     InvalidPovm,
     require_integer,
@@ -99,17 +100,6 @@ def reduced_objective(r: ReducedParameters) -> float:
     return float(0.5 + (c + s + c * np.sin(r.phi1) + s * np.sin(r.phi0)) / 8.0)
 
 
-def reduced_constraint(r: ReducedParameters) -> float:
-    """Alice-Bob witness of the reduced strategy family.
-
-    ``(4 + 2 cos(t/2) cos(phi0) + 2 sin(t/2) cos(phi1)) / 8``; the factor 2
-    carries the full length of the signed Bloch sums for pure antipodal
-    pairs.
-    """
-    c, s = np.cos(0.5 * r.theta), np.sin(0.5 * r.theta)
-    return float((4.0 + 2.0 * c * np.cos(r.phi0) + 2.0 * s * np.cos(r.phi1)) / 8.0)
-
-
 def strategy_from_reduced(r: ReducedParameters) -> Strategy:
     """Explicit strategy realizing the reduced parameters.
 
@@ -172,17 +162,6 @@ def _reduced_best_response(theta: float, phi0: float, phi1: float) -> tuple[np.n
     return _best_projectors((branches[0] + branches[1]) + (branches[2] + branches[3]))
 
 
-def solve_reduced_phi0(alpha: float, theta: float, phi1: float) -> float | None:
-    """Eliminate ``phi0`` from the witness constraint at level ``alpha``.
-
-    Returns the angle whose cosine solves
-    ``reduced_constraint = alpha`` exactly, or None when the requirement
-    leaves [0, 1] by more than 1e-9.
-    """
-    alpha, theta, phi1 = map(require_real, (alpha, theta, phi1), ("alpha", "theta", "phi1"))
-    return _fixed_charlie_value(alpha, theta, phi1, 1.0, 1.0)[1]
-
-
 def _grid_argmax(alpha: float, resolution: int) -> tuple[float, float, float]:
     xs, c2, s2, cos_x, sin1_x = _axis_table(resolution)
     # Theta runs down the rows, phi1 along the columns, in slabs of about 32k
@@ -214,10 +193,15 @@ def trace_boundary(
     followed by bounded coordinate ascent; no setting of ``cfg`` applies.
     Raises :class:`ConvergenceFailure` when the numerical maximum strays more
     than 1e-6 from the closed-form boundary; the closed form is never
-    substituted for the search result.
+    substituted for the search result.  :class:`DomainError` if ``alphas`` is
+    not iterable or a level is out of range.
     """
+    try:
+        levels = iter(alphas)
+    except TypeError:
+        raise DomainError(f"alphas must be a sequence of levels, got {alphas!r}") from None
     out = []
-    for alpha in alphas:
+    for alpha in levels:
         alpha = witness_level("alpha", alpha, tol=1e-12)
         value, theta, phi1 = _grid_argmax(alpha, GRID_RESOLUTION)
         if not np.isfinite(value):
@@ -226,7 +210,7 @@ def trace_boundary(
         if phi0 is None:
             raise ConvergenceFailure(f"refinement left the feasible set at alpha = {alpha!r}")
         params = ReducedParameters(theta, phi0, phi1)
-        # Keep reduced_objective's grouping: _fixed_charlie_value(q=1) changes 6 CSV rows.
+        # Keep reduced_objective's grouping: _charlie_value at unit overlaps changes 6 CSV rows.
         obj = reduced_objective(params)
         if abs(obj - boundary_wac(alpha)) > 1e-6:
             raise ConvergenceFailure(
@@ -252,29 +236,20 @@ class SeesawResult:
     params: ReducedParameters
 
 
-def _fixed_charlie_value(
-    alpha: float, theta: float, phi1: float, q0: float, q1: float
-) -> tuple[float, float | None]:
-    """Witness against a fixed final measurement, ``phi0`` eliminated.
-
-    ``q0``/``q1`` are the x and z components of Charlie's two observable
-    Bloch vectors; the signed preparation sums stay on those axes for the
-    whole reduced family.  Returns ``(-1.0, None)`` where infeasible.
-    """
-    c2, s2 = 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
-    return _charlie_value(8.0 * alpha - 4.0, c2, s2, math.cos(phi1), 1.0 + math.sin(phi1), q0, q1)
-
-
 def _charlie_value(k, c2, s2, cos_phi1, sin1_phi1, q0, q1) -> tuple[float, float | None]:
-    """:func:`_fixed_charlie_value` on the factors ``k = 8 alpha - 4``,
-    ``c2, s2 = 2 cos(theta/2), 2 sin(theta/2)``, ``cos(phi1)`` and ``1 + sin(phi1)``.
+    """Witness against a fixed final measurement, and ``phi0`` solved from the Alice-Bob
+    witness ``(4 + c2 cos(phi0) + s2 cos(phi1)) / 8 = alpha``; ``(-1.0, None)`` if infeasible.
 
-    Runs on plain floats: ``math.cos``/``math.sin`` matched ``np.cos``/``np.sin``
-    bit for bit on [0, pi/2] (x86-64, glibc 2.36, numpy 2.4).  ``math.acos``
-    differs from ``np.arccos`` only where numpy runs its AVX-512 (X86_V4) routine, as
-    the pins did, so that call stays numpy (ROADMAP item 2; ``test_seesaw_trajectory``).
+    The factors are ``k = 8 alpha - 4``, ``c2, s2 = 2 cos(theta/2), 2 sin(theta/2)``,
+    ``cos(phi1)`` and ``1 + sin(phi1)``.  ``q0``/``q1`` are the x and z components of
+    Charlie's observable Bloch vectors, on whose axes the signed preparation sums stay.
+
+    Runs on plain floats: ``math.cos``/``math.sin`` matched ``np.cos``/``np.sin`` bit for
+    bit on [0, pi/2] (x86-64, glibc 2.36, numpy 2.4).  ``math.acos`` differs from
+    ``np.arccos`` only where numpy runs its AVX-512 (X86_V4) routine, as the pins did, so
+    that call stays numpy (README, on the bit pins' platform; ``test_seesaw_trajectory``).
     """
-    # Solve reduced_constraint = alpha for cos(phi0); feasible within 1e-9 of [0, 1].
+    # Solve that witness = alpha for cos(phi0); feasible within 1e-9 of [0, 1].
     required = (k - s2 * cos_phi1) / c2
     if not -1e-9 <= required <= 1.0 + 1e-9:
         return -1.0, None
@@ -421,7 +396,7 @@ def _search_coordinate(xs: np.ndarray, row: np.ndarray, objective) -> tuple[floa
 def _ascend(
     alpha: float, theta: float, phi1: float, q0: float, q1: float, resolution: int
 ) -> tuple[float, float, float | None, float]:
-    """Coordinate ascent of :func:`_fixed_charlie_value` over ``(theta, phi1)``.
+    """Coordinate ascent of :func:`_charlie_value` over ``(theta, phi1)``.
 
     Each sweep scans theta, then phi1, on ``resolution``-point rows and
     stops once it gains at most 1e-15 over its starting value.  Returns
@@ -460,7 +435,8 @@ def _ascend(
         phi1, value = phi1_search[1] if phi1_search[1][1] > start else (phi1, start)
         if value <= here + 1e-15:
             break
-    value, phi0 = _fixed_charlie_value(alpha, theta, phi1, q0, q1)
+    c2, s2 = 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
+    value, phi0 = value_at(k, c2, s2, math.cos(phi1), 1.0 + math.sin(phi1), q0, q1)
     return value, theta, phi0, phi1
 
 
@@ -476,10 +452,12 @@ def _seesaw_round(alpha: float, theta: float, phi1: float, q0: float, q1: float)
 
 
 def _random_feasible_start(alpha: float, rng: np.random.Generator):
+    k = 8.0 * alpha - 4.0
     for _ in range(256):
         theta = HALF_PI * rng.random()  # rng.uniform(0, HALF_PI), bit for bit
         phi1 = HALF_PI * rng.random()
-        if _fixed_charlie_value(alpha, theta, phi1, 1.0, 1.0)[1] is not None:
+        c2, s2 = 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
+        if _charlie_value(k, c2, s2, math.cos(phi1), 1.0 + math.sin(phi1), 1.0, 1.0)[1] is not None:
             return theta, phi1
     return None
 
@@ -494,7 +472,9 @@ def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
     a coarse grid, the rest from the seeded generator; the best restart
     wins, ties broken by lower restart index.
     """
-    cfg = cfg or OptimizerConfig()
+    cfg = OptimizerConfig() if cfg is None else cfg
+    if not isinstance(cfg, OptimizerConfig):
+        raise DomainError(f"cfg must be an OptimizerConfig or None, got {cfg!r}")
     alpha = witness_level("alpha", alpha, tol=1e-12)
     _, grid_theta, grid_phi1 = _grid_argmax(alpha, 64)
     runs: list[SeesawRun] = []
@@ -649,25 +629,6 @@ def _sum_bound_rows(effects: np.ndarray, a: np.ndarray, norm: np.ndarray) -> np.
             f"eigenvalue sum {float(lhs[i])!r} exceeds |a| = {float(norm[i])!r}"
         )
     return lhs
-
-
-def trig_inequality_value(theta: float, phi0: float, phi1: float) -> float:
-    """Evaluate ``cos(t)(cos^2 p0 - cos^2 p1) + sin(t) cos(p0 - p1)``.
-
-    The expression is at most 1 on ``t in [0, pi]``,
-    ``p0, p1 in [0, pi/2]``; exceeding 1 beyond 1e-12 raises
-    :class:`InequalityViolation`.
-    """
-    theta = require_real(theta, "theta", -1e-12, np.pi + 1e-12)
-    phi0 = require_real(phi0, "phi0", -1e-12, HALF_PI + 1e-12)
-    phi1 = require_real(phi1, "phi1", -1e-12, HALF_PI + 1e-12)
-    value = float(
-        np.cos(theta) * (np.cos(phi0) ** 2 - np.cos(phi1) ** 2)
-        + np.sin(theta) * np.cos(phi0 - phi1)
-    )
-    if value > 1.0 + 1e-12:
-        raise InequalityViolation(f"trigonometric bound exceeded: {value!r}")
-    return value
 
 
 # Largest per-axis resolution of ``trig_grid_max``: one theta slab holds

@@ -1,4 +1,5 @@
 import ctypes
+import math
 import platform
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from seqrac import canonical_strategy
+from seqrac.linalg import HERM_TOL, _hermitian_part
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -42,6 +44,26 @@ PLATFORM = (
     f"Python {platform.python_version()}, OpenBLAS core {OPENBLAS_CORE}, "
     f"numpy SIMD dispatch {SIMD_TARGETS} of {list(__cpu_dispatch__)}"
 )
+
+
+def require_hermitian(m, tol=HERM_TOL):
+    """``linalg._hermitian_part`` as a 2x2 matrix: the hermiticity gate that
+    ``matrix_sqrt_psd`` and ``max_eigenpair`` run first, under the name of the
+    public wrapper it once had, which the test ids keep."""
+    return _hermitian_part(m, tol).reshape(2, 2)
+
+
+def frozen_fixed_charlie_value(alpha, theta, phi1, q0, q1):
+    """Witness against fixed Charlie overlaps ``q0``/``q1`` with ``phi0`` eliminated,
+    and ``phi0`` (``(-1.0, None)`` where infeasible), as written before the optimizer
+    took its factors through ``_charlie_value``: the bit oracle of the scalar formula."""
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    required = (8.0 * alpha - 4.0 - 2.0 * s * math.cos(phi1)) / (2.0 * c)
+    if not -1e-9 <= required <= 1.0 + 1e-9:
+        return -1.0, None
+    phi0 = float(np.arccos(min(max(required, 0.0), 1.0)))
+    value = 0.5 + (2.0 * c * (1.0 + math.sin(phi1)) * q0 + 2.0 * s * (1.0 + math.sin(phi0)) * q1) / 16.0
+    return value, phi0
 
 
 @pytest.fixture

@@ -45,7 +45,6 @@ from seqrac import (
     party_witness_closed_form,
     polar_decompose,
     projective_povm,
-    reduced_constraint,
     reduced_objective,
     sandwich_eigenvalue_closed_form,
     sandwich_eigenvalue_sum_bound,
@@ -55,11 +54,9 @@ from seqrac import (
     state_from_bloch,
     strategy_from_reduced,
     trace_boundary,
-    trig_inequality_value,
     validate_povm,
 )
 from seqrac.linalg import ID2, MAX_ENTRY, SIGMA_X
-from seqrac.optimizer import solve_reduced_phi0
 
 NAN, INF = float("nan"), float("inf")
 HOSTILE_SCALARS = [
@@ -134,11 +131,9 @@ TABLE = {
     "OptimizerConfig": (lambda seed: OptimizerConfig(rng_seed=seed), "i"),
     "ReducedParameters": (ReducedParameters, "rrr"),
     "reduced_objective": (lambda *angles: reduced_objective(ReducedParameters(*angles)), "rrr"),
-    "reduced_constraint": (lambda *angles: reduced_constraint(ReducedParameters(*angles)), "rrr"),
     "strategy_from_reduced": (lambda *angles: strategy_from_reduced(ReducedParameters(*angles)), "rrr"),
-    "solve_reduced_phi0": (solve_reduced_phi0, "rrr"),
-    "trig_inequality_value": (trig_inequality_value, "rrr"),
     "trace_boundary": (lambda alpha: trace_boundary([alpha]), "r"),
+    "trace_boundary alphas": (trace_boundary, "r"),  # the level list itself, unwrapped
     "seesaw": (seesaw, "r"),
     "sandwich_eigenvalue_sum_bound": (lambda a: sandwich_eigenvalue_sum_bound(SHARP_Z, a), "v"),
     "sandwich_eigenvalue_closed_form": (

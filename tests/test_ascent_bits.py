@@ -7,7 +7,8 @@ so the ascent is compared with the loop as it was before, which scanned on
 every sweep, by ``float.hex``.  The frozen copy calls the live
 ``_charlie_value``, ``_charlie_values`` and ``minimize_scalar``: those have
 their own pins (``TestScalarFormulaOracle``, ``TestAxisTable``,
-``TestMinimizeScalar``).
+``TestMinimizeScalar``).  Its final value and ``phi0`` come from the frozen
+scalar formula, ``conftest.frozen_fixed_charlie_value``.
 """
 
 import math
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from seqrac import optimizer
 from seqrac.analytics import W_AB_MAX
 from seqrac.optimizer import HALF_PI, REFINEMENT_ITERATIONS, _axis_table, _charlie_values
-from conftest import PLATFORM
+from conftest import PLATFORM, frozen_fixed_charlie_value
 
 
 def _frozen_scan_coordinate(xs, row, objective, x, here):
@@ -61,7 +62,7 @@ def _frozen_ascend(alpha, theta, phi1, q0, q1, resolution):
         phi1, value = _frozen_scan_coordinate(xs, row, along_phi1, phi1, start)
         if value <= here + 1e-15:
             break
-    value, phi0 = optimizer._fixed_charlie_value(alpha, theta, phi1, q0, q1)
+    value, phi0 = frozen_fixed_charlie_value(alpha, theta, phi1, q0, q1)
     return value, theta, phi0, phi1
 
 

@@ -20,7 +20,7 @@ from seqrac import optimizer, sampling
 from seqrac.analytics import W_AB_MAX
 from seqrac.linalg import BinaryPovm
 from seqrac.optimizer import HALF_PI
-from conftest import PLATFORM
+from conftest import PLATFORM, frozen_fixed_charlie_value
 
 DRAWS = 3000
 
@@ -54,7 +54,7 @@ def old_feasible_start(alpha, rng):
     for _ in range(256):
         theta = rng.uniform(0.0, HALF_PI)
         phi1 = rng.uniform(0.0, HALF_PI)
-        if optimizer._fixed_charlie_value(alpha, theta, phi1, 1.0, 1.0)[1] is not None:
+        if frozen_fixed_charlie_value(alpha, theta, phi1, 1.0, 1.0)[1] is not None:
             return theta, phi1
     return None
 

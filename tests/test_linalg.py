@@ -28,13 +28,13 @@ from seqrac.linalg import (
     max_eigenpair,
     polar_decompose,
     projective_povm,
-    require_hermitian,
     state_from_bloch,
     validate_povm,
 )
 from seqrac.sampling import random_su2
 from seqrac.scenario import conjugate_strategy
 from seqrac.strategies import canonical_strategy
+from conftest import require_hermitian
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 NON_FINITE = (

@@ -16,14 +16,13 @@ from seqrac import (
     charlie_best_response,
     classical_bruteforce,
     in_quantum_set,
-    reduced_constraint,
     reduced_objective,
     sandwich_eigenvalue_closed_form,
     sandwich_eigenvalue_sum_bound,
     seesaw,
     strategy_from_reduced,
     trace_boundary,
-    trig_inequality_value,
+    witness_ab,
     witness_ac,
     witness_pair,
 )
@@ -34,21 +33,20 @@ from seqrac.linalg import (
     bloch_compose,
     matrix_sqrt_psd,
     max_eigenpair,
-    maximally_mixed,
     projective_povm,
+    state_from_bloch,
     validate_povm,
 )
 from seqrac import optimizer
 from seqrac.optimizer import (
     TRIG_GRID_MAX,
     _axis_table,
+    _charlie_value,
     _charlie_values,
     _classical_hits,
-    _fixed_charlie_value,
     _grid_argmax,
     _integer_hull,
     minimize_scalar,
-    solve_reduced_phi0,
     trig_grid_max,
 )
 from seqrac.sampling import random_povm, random_strategy, random_unit_vector
@@ -59,10 +57,16 @@ from seqrac.strategies import (
     enumerate_classical_strategies,
     witness_pair_classical,
 )
-from conftest import PLATFORM
+from conftest import PLATFORM, frozen_fixed_charlie_value
 
 SQRT2 = np.sqrt(2.0)
 HALF_PI = np.pi / 2
+
+
+def _charlie_value_at(alpha, theta, phi1, q0=1.0, q1=1.0):
+    """``_charlie_value`` on the factors its callers compute from the angles."""
+    c2, s2 = 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
+    return _charlie_value(8.0 * alpha - 4.0, c2, s2, math.cos(phi1), 1.0 + math.sin(phi1), q0, q1)
 
 
 class TestCharlieBestResponse:
@@ -77,7 +81,7 @@ class TestCharlieBestResponse:
 
     def test_tie_break_on_mixed_preparations(self, rng):
         strategy = random_strategy(rng)
-        mixed = PreparationEnsemble(tuple(maximally_mixed() for _ in range(4)))
+        mixed = PreparationEnsemble(tuple(state_from_bloch([0, 0, 0]) for _ in range(4)))
         povms, value = charlie_best_response(mixed, strategy.instruments)
         assert value == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(povms[0].cvec, [0.0, 0.0, 1.0], atol=1e-12)
@@ -101,24 +105,25 @@ class TestCharlieBestResponse:
 
 
 class TestReducedForms:
+    """The reduced family's witnesses and the ``phi0`` elimination against the
+    2x2 density-matrix path, ``witness_ab(strategy_from_reduced(r))``."""
+
     def test_sharp_corner(self):
         r = ReducedParameters(HALF_PI, 0.0, 0.0)
         assert reduced_objective(r) == pytest.approx(0.5 + SQRT2 / 8, abs=1e-12)
-        assert reduced_constraint(r) == pytest.approx((2 + SQRT2) / 4, abs=1e-12)
+        assert witness_ab(strategy_from_reduced(r)) == pytest.approx((2 + SQRT2) / 4, abs=1e-12)
 
     def test_noninteracting_corner(self):
         r = ReducedParameters(HALF_PI, HALF_PI, HALF_PI)
         assert reduced_objective(r) == pytest.approx((2 + SQRT2) / 4, abs=1e-12)
-        assert reduced_constraint(r) == pytest.approx(0.5, abs=1e-12)
+        assert witness_ab(strategy_from_reduced(r)) == pytest.approx(0.5, abs=1e-12)
 
     def test_degenerate_square(self):
-        # collapsed preparations: constraint is (2 + cos(phi))/4, at most 3/4
+        # collapsed preparations: w_ab is (2 + cos(phi))/4, at most 3/4
         for phi in np.linspace(0.0, HALF_PI, 11):
-            r = ReducedParameters(0.0, phi, phi)
-            assert reduced_constraint(r) == pytest.approx(
-                (2 + np.cos(phi)) / 4, abs=1e-12
-            )
-            assert reduced_constraint(r) <= 0.75 + 1e-12
+            w_ab = witness_ab(strategy_from_reduced(ReducedParameters(0.0, phi, phi)))
+            assert w_ab == pytest.approx((2 + np.cos(phi)) / 4, abs=1e-12)
+            assert w_ab <= 0.75 + 1e-12
 
     def test_explicit_strategy_realizes_both_functionals(self, rng):
         for _ in range(50):
@@ -127,7 +132,9 @@ class TestReducedForms:
             )
             strategy = strategy_from_reduced(r)
             pair = witness_pair(strategy)
-            assert pair.w_ab == pytest.approx(reduced_constraint(r), abs=1e-12)
+            # The elimination at the strategy's own level gives back its phi0.
+            _, phi0 = _charlie_value_at(pair.w_ab, r.theta, r.phi1)
+            assert math.cos(phi0) == pytest.approx(math.cos(r.phi0), abs=1e-12)
             _, best = charlie_best_response(strategy.preparations, strategy.instruments)
             assert best == pytest.approx(reduced_objective(r), abs=1e-12)
 
@@ -136,16 +143,11 @@ class TestReducedForms:
             theta = rng.uniform(0, HALF_PI)
             phi1 = rng.uniform(0, HALF_PI)
             alpha = rng.uniform(0.5, W_AB_MAX)
-            phi0 = solve_reduced_phi0(alpha, theta, phi1)
+            _, phi0 = _charlie_value_at(alpha, theta, phi1)
             if phi0 is None:
                 continue
             r = ReducedParameters(theta, phi0, phi1)
-            assert reduced_constraint(r) == pytest.approx(alpha, abs=1e-12)
-
-    def test_phi0_elimination_rejects_non_finite(self):
-        for args in ((np.nan, 1.0, 1.0), (0.7, np.inf, 1.0), (0.7, 1.0, -np.inf)):
-            with pytest.raises(DomainError):
-                solve_reduced_phi0(*args)
+            assert witness_ab(strategy_from_reduced(r)) == pytest.approx(alpha, abs=1e-12)
 
 
 class TestMinimizeScalar:
@@ -178,7 +180,7 @@ class TestMinimizeScalar:
             q0, q1 = (float(q) for q in rng.uniform(-1.0, 1.0, 2))
 
             def f(t):
-                return -_fixed_charlie_value(alpha, theta, t, q0, q1)[0]
+                return -_charlie_value_at(alpha, theta, t, q0, q1)[0]
 
             lo = float(rng.uniform(0.0, HALF_PI - 0.01))
             hi = lo + HALF_PI / 512
@@ -225,6 +227,11 @@ class TestTraceBoundary:
         for alpha in (0.4, 0.9, np.nan, np.inf, -np.inf):
             with pytest.raises(DomainError):
                 trace_boundary([alpha])
+
+    @pytest.mark.parametrize("alphas", [0.75, None, np.float64(0.75), np.array(0.75)])
+    def test_rejects_levels_that_are_not_iterable(self, alphas):
+        with pytest.raises(DomainError):
+            trace_boundary(alphas)
 
 
 def _meshgrid_charlie_values(alpha, theta, phi1, q0, q1):
@@ -298,24 +305,13 @@ class TestAxisTable:
 _OVERLAPS = st.one_of(st.just(1.0), st.floats(-1.0, 1.0))
 
 
-def _frozen_fixed_charlie_value(alpha, theta, phi1, q0, q1):
-    """``_fixed_charlie_value`` as written before it took its factors through
-    ``_charlie_value``: the bit oracle of the scalar formula."""
-    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    required = (8.0 * alpha - 4.0 - 2.0 * s * math.cos(phi1)) / (2.0 * c)
-    if not -1e-9 <= required <= 1.0 + 1e-9:
-        return -1.0, None
-    phi0 = float(np.arccos(min(max(required, 0.0), 1.0)))
-    value = 0.5 + (2.0 * c * (1.0 + math.sin(phi1)) * q0 + 2.0 * s * (1.0 + math.sin(phi0)) * q1) / 16.0
-    return value, phi0
-
-
 def _hex_or_none(x):
     return None if x is None else x.hex()
 
 
 class TestScalarFormulaOracle:
-    """``_fixed_charlie_value`` and ``solve_reduced_phi0`` against the frozen scalar formula, by ``float.hex``."""
+    """``_charlie_value``, on the factors its callers compute, against the frozen
+    scalar formula, by ``float.hex``."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -331,11 +327,10 @@ class TestScalarFormulaOracle:
             # of the feasible window [-1e-9, 1 + 1e-9] or of the clip to [0, 1].
             c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
             alpha = ((edge + offset) * 2.0 * c + 4.0 + 2.0 * s * math.cos(phi1)) / 8.0
-        value, phi0 = _frozen_fixed_charlie_value(alpha, theta, phi1, q0, q1)
-        got_value, got_phi0 = _fixed_charlie_value(alpha, theta, phi1, q0, q1)
+        value, phi0 = frozen_fixed_charlie_value(alpha, theta, phi1, q0, q1)
+        got_value, got_phi0 = _charlie_value_at(alpha, theta, phi1, q0, q1)
         assert got_value.hex() == value.hex()
         assert _hex_or_none(got_phi0) == _hex_or_none(phi0)
-        assert _hex_or_none(solve_reduced_phi0(alpha, theta, phi1)) == _hex_or_none(phi0)
 
 
 def _memo_free_seesaw(alpha, cfg):
@@ -420,6 +415,12 @@ class TestSeesaw:
         for alpha in (0.4, 0.9, np.nan, np.inf):
             with pytest.raises(DomainError):
                 seesaw(alpha)
+
+    @pytest.mark.parametrize("cfg", [0, 5, 0.0, False, "", {"rng_seed": 5}])
+    def test_rejects_a_cfg_that_is_not_an_optimizer_config(self, cfg):
+        # 0, False and "" are falsy: none may stand for the default seed.
+        with pytest.raises(DomainError):
+            seesaw(0.75, cfg)
 
     def test_reaches_boundary_at_reference_level(self):
         result = seesaw(0.75)
@@ -530,13 +531,14 @@ class TestEigenvalueSumBound:
 
 class TestTrigInequality:
     def test_equality_locus(self):
-        for phi in np.linspace(0, HALF_PI, 9):
-            assert trig_inequality_value(HALF_PI, phi, phi) == pytest.approx(
-                1.0, abs=1e-12
-            )
+        # An odd grid holds theta = pi/2, where phi0 = phi1 gives 1.
+        for resolution in (3, 5, 9, 17, 101):
+            assert trig_grid_max(resolution) == pytest.approx(1.0, abs=1e-12)
 
     def test_corner_case(self):
-        assert trig_inequality_value(0.0, 0.0, HALF_PI) == pytest.approx(1.0, abs=1e-12)
+        # theta runs over {0, pi} only, so the corners (0, 0, pi/2) and
+        # (pi, pi/2, 0) alone give the maximum 1.
+        assert trig_grid_max(2) == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_maximum(self):
         assert trig_grid_max(100) <= 1.0 + 1e-12
@@ -555,12 +557,6 @@ class TestTrigInequality:
     def test_grid_size_outside_domain_rejected(self, resolution):
         with pytest.raises(DomainError):
             trig_grid_max(resolution)
-
-    def test_domain_checks(self):
-        with pytest.raises(DomainError):
-            trig_inequality_value(-0.5, 0.0, 0.0)
-        with pytest.raises(DomainError):
-            trig_inequality_value(1.0, 2.0, 0.0)
 
 
 class TestClosedFormEigenvalue:

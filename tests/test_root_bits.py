@@ -1,5 +1,6 @@
-"""Bit-exact ``matrix_sqrt_psd``, ``require_hermitian`` and ``BinaryPovm.from_observable``
-against frozen numpy-array bodies.
+"""Bit-exact ``matrix_sqrt_psd``, the Hermitian part (``linalg._hermitian_part``, as
+``conftest.require_hermitian``) and ``BinaryPovm.from_observable`` against frozen
+numpy-array bodies.
 
 The two kernels read the four entries once as Python complex numbers for the
 hermiticity check, the PSD test and the determinant; the halving and the root
@@ -27,10 +28,9 @@ from seqrac.linalg import (
     as_matrix2,
     bloch_compose,
     matrix_sqrt_psd,
-    require_hermitian,
 )
 from seqrac.sampling import random_povm, random_strategy
-from conftest import PLATFORM
+from conftest import PLATFORM, require_hermitian
 
 
 def frozen_from_observable(c0, cvec):

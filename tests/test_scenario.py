@@ -20,7 +20,7 @@ from seqrac import (
     witness_pair,
 )
 from seqrac.errors import CompletenessViolated, DomainError
-from seqrac.linalg import maximally_mixed, projective_povm
+from seqrac.linalg import projective_povm, state_from_bloch
 from seqrac.sampling import random_povm, random_strategy, random_su2
 from seqrac.scenario import INPUT_PAIRS, BinaryInstrument, PreparationEnsemble, difference_vectors
 
@@ -29,7 +29,7 @@ SHARP_Z = projective_povm([0.0, 0.0, 1.0])
 
 
 def all_mixed(strategy: Strategy) -> Strategy:
-    mixed = PreparationEnsemble(tuple(maximally_mixed() for _ in range(4)))
+    mixed = PreparationEnsemble(tuple(state_from_bloch([0, 0, 0]) for _ in range(4)))
     return Strategy(mixed, strategy.instruments, strategy.measurements)
 
 
