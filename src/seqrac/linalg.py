@@ -119,23 +119,24 @@ def max_eigenpair(h, tol: float = HERM_TOL) -> EigenPair:
     real positive.
     """
     h00, b, _, h11 = _hermitian_part(h, tol).tolist()
+    lam, vec = _top_eigenvector(h00, b, h11)
+    vec = np.array(vec, dtype=complex)
+    vec /= np.linalg.norm(vec)  # as _phase_fix, no change to a unit basis vector
+    return EigenPair(lam, _phase_fix(vec))
+
+
+def _top_eigenvector(h00: complex, b: complex, h11: complex) -> tuple[float, list]:
+    """Largest eigenvalue of the Hermitian 2x2 matrix with entries ``h00``, ``h01 = b``, ``h11``
+    (Python scalars) and a nonzero eigenvector, as two Python numbers, before normalisation."""
     a, d = h00.real, h11.real
     mid, half_gap = _spectrum(h00, b, h11)
     lam = mid + half_gap
     scale = max(abs(a), abs(d), abs(b), 1.0)
-    if 2.0 * half_gap <= 1e-14 * scale:
-        # Fully degenerate: every direction is an eigenvector.
-        return EigenPair(float(lam), np.array([1.0, 0.0], dtype=complex))
-    if abs(b) <= 1e-16 * scale:
-        vec = np.array([1.0, 0.0] if a >= d else [0.0, 1.0], dtype=complex)
-        return EigenPair(float(lam), vec)
+    degenerate = 2.0 * half_gap <= 1e-14 * scale  # every direction is an eigenvector
+    if degenerate or abs(b) <= 1e-16 * scale:
+        return lam, [1.0, 0.0] if degenerate or a >= d else [0.0, 1.0]
     # Pick the algebraically larger residual column for stability.
-    if a >= d:
-        vec = np.array([lam - d, b.conjugate()], dtype=complex)
-    else:
-        vec = np.array([b, lam - a], dtype=complex)
-    vec /= np.linalg.norm(vec)
-    return EigenPair(float(lam), _phase_fix(vec))
+    return lam, [lam - d, b.conjugate()] if a >= d else [b, lam - a]
 
 
 def matrix_sqrt_psd(m, tol: float = HERM_TOL) -> np.ndarray:

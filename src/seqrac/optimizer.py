@@ -32,6 +32,7 @@ from .linalg import (
     _bloch_compose_rows,
     _max_eigvalue_rows,
     _sqrt_psd_rows,
+    _top_eigenvector,
     _vector3,
     bloch_compose,
     bloch_decompose,
@@ -147,19 +148,44 @@ def _best_projectors(totals: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _reduced_best_response(theta: float, phi0: float, phi1: float) -> tuple[np.ndarray, float]:
-    """``charlie_best_response`` on ``strategy_from_reduced(theta, phi0, phi1)``
-    as projectors and witness, on plain arrays with the same float operations.
-
-    The signed Bloch sums of ``u, w, -w, -u`` are exact, ``(4c, 0, 0)`` and
-    ``(0, 0, 4s)``, so ``gamma_z`` is written out as ``bloch_compose`` adds it
-    (``0.0 - 2s`` is ``+0.0`` at ``theta = 0``).  The Lüders effects take one
-    stacked root; each branch is ``0 + K g K^dag``, added as ``_channel_sum``."""
-    c2, s2 = 2.0 * np.cos(0.5 * theta), 2.0 * np.sin(0.5 * theta)
-    gammas = np.array([[[0.0, c2], [c2, 0.0]], [[0.0 + s2, 0.0], [0.0, 0.0 - s2]]], dtype=complex)
-    half = 0.5 * np.array([float(np.cos(phi0)) * X_AXIS, float(np.cos(phi1)) * Z_AXIS])
-    kraus = _sqrt_psd_rows(_bloch_compose_rows(0.5, np.array([half[0], -half[0], half[1], -half[1]])))
-    branches = kraus[:, None] @ gammas @ kraus.conj().transpose(0, 2, 1)[:, None] + 0.0
-    return _best_projectors((branches[0] + branches[1]) + (branches[2] + branches[3]))
+    """``charlie_best_response`` on ``strategy_from_reduced(theta, phi0, phi1)`` as projectors
+    and witness, by its float operations on Python scalars around the stacked ``@`` (OpenBLAS).
+    ``gamma_z`` comes from the exact signed Bloch sums ``(4c, 0, 0)``, ``(0, 0, 4s)`` as
+    ``bloch_compose`` adds it (``0.0 - 2s`` is ``+0.0`` at ``theta = 0``).  The roots, branches
+    ``0 + K g K^dag`` and sums are real (imaginary parts ``±0``), so a complex product has one
+    nonzero term and rounds as numpy's; numpy divides by a real as a product with its reciprocal."""
+    c2, s2 = 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
+    gammas = np.array([0.0, c2, c2, 0.0, 0.0 + s2, 0.0, 0.0, 0.0 - s2], dtype=complex).reshape(2, 2, 2)
+    hx, hz = 0.5 * math.cos(phi0), 0.5 * math.cos(phi1)
+    roots = []
+    for a, b, d in ((0.5, hx, 0.5), (0.5, -hx, 0.5), (0.5 + hz, 0.0, 0.5 - hz), (0.5 - hz, 0.0, 0.5 + hz)):
+        # matrix_sqrt_psd, whose numpy scalar ** 2 is libm's pow, as abs(b) ** 2 is.
+        root_det = math.sqrt(max(a * d - abs(b) ** 2, 0.0))
+        scale = 1.0 / math.sqrt(max(a + d, 0.0) + 2.0 * root_det)
+        roots += [(a + root_det) * scale, (b + 0.0) * scale, (b + 0.0) * scale, (d + root_det) * scale]
+    kraus = np.array(roots, dtype=complex).reshape(4, 2, 2)
+    branches = (kraus[:, None] @ gammas @ kraus.conj().transpose(0, 2, 1)[:, None]).reshape(4, 8)
+    sums = [((w + 0j) + (x + 0j)) + ((y + 0j) + (z + 0j)) for w, x, y, z in zip(*branches.tolist())]
+    # Entry (i, j) plus the conjugate of entry (j, i), halved: _hermitian_part, then P + P^dag.
+    transpose = (0, 2, 1, 3, 4, 6, 5, 7)
+    h = (0.5 * np.array([s + sums[j].conjugate() for s, j in zip(sums, transpose)])).tolist()
+    value, outer = 0.5, []
+    for h00, b, _, h11 in (h[:4], h[4:]):
+        lam, vec = _top_eigenvector(h00, b, h11)
+        # vec /= np.linalg.norm(vec): one ddot of the real parts (the imaginary one is +0.0).
+        re = np.array(vec, dtype=complex).real
+        scl = 1.0 / math.sqrt(re.dot(re))
+        v0, v1 = (complex((v.real + v.imag * 0.0) * scl, (v.imag - v.real * 0.0) * scl) for v in vec)
+        # _phase_fix: v * (mag / pivot), with numpy's division by the (nonzero, real) pivot.
+        pivot = v0 if abs(v0) > 1e-12 else v1
+        rat = pivot.imag / pivot.real
+        scl = 1.0 / (pivot.real + pivot.imag * rat)
+        f = complex((abs(pivot) + 0.0 * rat) * scl, (0.0 - abs(pivot) * rat) * scl)
+        v0, v1 = v0 * f, v1 * f
+        value += lam / 16.0
+        outer += [v0 * v0.conjugate(), v0 * v1.conjugate(), v1 * v0.conjugate(), v1 * v1.conjugate()]
+    projectors = 0.5 * np.array([p + outer[j].conjugate() for p, j in zip(outer, transpose)])
+    return projectors.reshape(2, 2, 2), value
 
 
 def _grid_argmax(alpha: float, resolution: int) -> tuple[float, float, float]:
@@ -190,12 +216,14 @@ def trace_boundary(
     """Numerically maximize the reduced objective at each witness level.
 
     Grid search over ``(theta, phi1)`` with ``phi0`` eliminated exactly,
-    followed by bounded coordinate ascent; no setting of ``cfg`` applies.
+    followed by bounded coordinate ascent; ``cfg`` (``None`` or an unused config) sets nothing.
     Raises :class:`ConvergenceFailure` when the numerical maximum strays more
     than 1e-6 from the closed-form boundary; the closed form is never
     substituted for the search result.  :class:`DomainError` if ``alphas`` is
     not iterable or a level is out of range.
     """
+    if cfg is not None and not isinstance(cfg, OptimizerConfig):
+        raise DomainError(f"cfg must be an OptimizerConfig or None, got {cfg!r}")
     try:
         levels = iter(alphas)
     except TypeError:
@@ -266,20 +294,21 @@ def _charlie_values(alpha: float, c2, s2, cos_phi1, sin1_phi1, q0: float, q1: fl
     and run in place; a unit overlap skips its product, which is exact."""
     r = s2 * cos_phi1
     np.divide(np.subtract(8.0 * alpha - 4.0, r, out=r), c2, out=r)
-    infeasible = ~((r >= -1e-9) & (r <= 1.0 + 1e-9))
-    np.minimum(np.maximum(r, 0.0, out=r), 1.0, out=r)
-    # Keep sqrt(1 - r^2): sin(arccos r) here changes a row of the boundary CSV.
-    np.sqrt(np.subtract(1.0, np.square(r, out=r), out=r), out=r)
+    infeasible = r < -1e-9  # r is finite: c2 >= 2 cos(pi/4)
+    infeasible |= r > 1.0 + 1e-9
+    # Keep sqrt(1 - r^2) (sin(arccos r) changes a row of the boundary CSV); the clip of r to
+    # [0, 1] is a cap of r^2 at 1, as 1 - r^2 == 1.0 for a feasible r in [-1e-9, 0).
+    np.minimum(np.square(r, out=r), 1.0, out=r)
+    np.sqrt(np.subtract(1.0, r, out=r), out=r)
     r += 1.0
     r *= s2
     if q1 != 1.0:
         r *= q1
-    values = c2 * sin1_phi1 if q0 == 1.0 else c2 * sin1_phi1 * q0
-    values += r
-    values /= 16.0
-    values += 0.5
-    np.copyto(values, -np.inf, where=infeasible)
-    return values
+    r += c2 * sin1_phi1 if q0 == 1.0 else c2 * sin1_phi1 * q0
+    r /= 16.0
+    r += 0.5
+    np.copyto(r, -np.inf, where=infeasible)
+    return r
 
 
 @functools.lru_cache(maxsize=4)
@@ -490,7 +519,7 @@ def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
             start = _random_feasible_start(alpha, rng)
             # The x and z components of projective_povm's unit axes.
             a0, a1 = random_unit_vector(rng), random_unit_vector(rng)
-            q = (float(a0[0] / np.linalg.norm(a0)), float(a1[2] / np.linalg.norm(a1)))
+            q = (float(a0[0] / math.sqrt(a0.dot(a0))), float(a1[2] / math.sqrt(a1.dot(a1))))
         theta, phi1 = start if start is not None else (grid_theta, grid_phi1)
         run = SeesawRun()
         value = -np.inf

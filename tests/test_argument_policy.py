@@ -23,6 +23,7 @@ from seqrac import (
     BinaryPovm,
     ChainConfig,
     ClassicalStrategy,
+    DomainError,
     OptimizerConfig,
     QubitState,
     ReducedParameters,
@@ -173,3 +174,18 @@ def test_finite_result_or_seqrac_error(name, data):
     except SeqracError:
         return
     assert _finite(result), (name, args, result)
+
+
+
+SEARCHES = {
+    "trace_boundary": lambda cfg: trace_boundary([0.75], cfg),
+    "seesaw": lambda cfg: seesaw(0.75, cfg),
+}
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+@pytest.mark.parametrize("cfg", [5, "x", 0.5, NAN, True, {"rng_seed": 1}, object()])
+def test_search_config_is_none_or_an_optimizer_config(search, cfg):
+    # trace_boundary reads no setting of its cfg, but it takes only what seesaw takes.
+    with pytest.raises(DomainError, match="cfg must be an OptimizerConfig or None"):
+        SEARCHES[search](cfg)

@@ -255,6 +255,9 @@ def _meshgrid_argmax(alpha, resolution):
     return float(obj[i, j]), float(tt[i, j]), float(pp[i, j])
 
 
+_OVERLAPS = st.one_of(st.just(1.0), st.floats(-1.0, 1.0))
+
+
 class TestAxisTable:
     """The hoisted axis trigonometry against the per-call formulation, by ``==``."""
 
@@ -290,6 +293,52 @@ class TestAxisTable:
             for new, old in rows:
                 assert new.tobytes() == old.tobytes(), PLATFORM
 
+    @staticmethod
+    def _alpha_on(edge, c2, s2, cos_phi1):
+        """The smallest level whose requirement on ``cos(phi0)`` at one cell, computed as
+        the row computes it, is at least ``edge``: equal to it wherever a level reaches it."""
+        def required(alpha):
+            return (8.0 * alpha - 4.0 - s2 * cos_phi1) / c2
+
+        alpha = (edge * c2 + 4.0 + s2 * cos_phi1) / 8.0
+        while required(alpha) < edge:
+            alpha = math.nextafter(alpha, math.inf)
+        while required(math.nextafter(alpha, -math.inf)) >= edge:
+            alpha = math.nextafter(alpha, -math.inf)
+        return alpha
+
+    @pytest.mark.parametrize("edge", [-1e-9, 0.0, 1.0, 1.0 + 1e-9])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    @pytest.mark.parametrize("along", ["theta", "phi1"])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([0.0, HALF_PI]), st.floats(0.0, HALF_PI)),
+        st.integers(0, 1024), st.sampled_from([513, 1025]), _OVERLAPS, _OVERLAPS,
+    )
+    @example(0.3, 200, 513, 1.0, 1.0)
+    @example(1.2, 700, 1025, 0.5, -0.25)
+    @example(0.0, 0, 513, 1.0, 1.0)  # theta = 0 on the phi1 row, the first cell on the theta row
+    @example(HALF_PI, 1024, 1025, -1.0, 1.0)
+    def test_rows_match_at_window_and_clip_edges(self, edge, step, along, angle, cell, resolution, q0, q1):
+        # The level puts one cell's requirement on an edge of the feasible window
+        # [-1e-9, 1 + 1e-9] or of the clip to [0, 1], then one nextafter below or above.
+        xs, c2_x, s2_x, cos_x, sin1_x = _axis_table(resolution)
+        j = cell % resolution
+        if along == "theta":  # phi1 = angle fixed, theta runs along the row
+            cos_phi1, sin1_phi1 = math.cos(angle), 1.0 + math.sin(angle)
+            alpha = self._alpha_on(edge, float(c2_x[j]), float(s2_x[j]), cos_phi1)
+        else:  # theta = angle fixed
+            c2, s2 = 2.0 * math.cos(0.5 * angle), 2.0 * math.sin(0.5 * angle)
+            alpha = self._alpha_on(edge, c2, s2, float(cos_x[j]))
+        alpha = math.nextafter(alpha, step * math.inf) if step else alpha
+        if along == "theta":
+            new = _charlie_values(alpha, c2_x, s2_x, cos_phi1, sin1_phi1, q0, q1)
+            old = _meshgrid_charlie_values(alpha, xs, angle, q0, q1)
+        else:
+            new = _charlie_values(alpha, c2, s2, cos_x, sin1_x, q0, q1)
+            old = _meshgrid_charlie_values(alpha, angle, xs, q0, q1)
+        assert new.tobytes() == old.tobytes(), PLATFORM
+
     def test_arrays_are_read_only(self):
         table = _axis_table(513)
         xs = np.linspace(0.0, HALF_PI, 513)
@@ -300,9 +349,6 @@ class TestAxisTable:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1.0
-
-
-_OVERLAPS = st.one_of(st.just(1.0), st.floats(-1.0, 1.0))
 
 
 def _hex_or_none(x):

@@ -1,17 +1,24 @@
-"""Bit identity of the see-saw round on plain arrays against the object path.
+"""Bit identity of the see-saw round on Python scalars against the object path.
 
 ``optimizer._reduced_best_response`` repeats the float operations of
 ``charlie_best_response(strategy_from_reduced(...))`` without building a
-validated strategy, ``linalg._sqrt_psd_rows`` those of
-``matrix_sqrt_psd(tol=inf)`` on a stack, and ``linalg._max_eigvalue_rows``
-those of ``max_eigenpair(tol=inf).value``.  Each is compared with its
-oracle by ``tobytes()`` and ``float.hex``, never by tolerance.
+validated strategy: the Lüders roots, the channel sums, both eigenpairs and the
+projectors on Python scalars, around the stacked complex ``@`` (OpenBLAS
+``zgemm``) and the numpy calls of the norm and the halvings.
+``linalg._sqrt_psd_rows`` repeats those of ``matrix_sqrt_psd(tol=inf)`` on a
+stack, and ``linalg._max_eigvalue_rows`` those of ``max_eigenpair(tol=inf).value``.
+Each is compared with its oracle by ``tobytes()`` and ``float.hex``, never by
+tolerance: on seeded points, on the corners of the angle box, and on
+``hypothesis`` draws that reach the box's edges and one ``nextafter`` beyond.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqrac import optimizer
 from seqrac.errors import DomainError
@@ -71,6 +78,32 @@ def test_reduced_best_response_equals_object_path():
         if not same:
             mismatched.append(point)
     assert mismatched == [], PLATFORM
+
+
+def _same_as_object_path(point) -> bool:
+    """The comparison of the test above, for one point."""
+    povms, value = _oracle(*point)
+    projectors, got = _reduced_best_response(*point)
+    return got.hex() == value.hex() and all(
+        p.tobytes() == povm.effects[0].tobytes()
+        and bloch_decompose(2.0 * p - np.eye(2))[1].tobytes() == povm.cvec.tobytes()
+        for p, povm in zip(projectors, povms)
+    )
+
+
+# The edges of [0, pi/2] and one nextafter on either side; ReducedParameters
+# admits angles up to 1e-12 outside the box.
+_EDGE_ANGLES = [a for e in EDGES for a in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
+_ANGLES = st.one_of(st.sampled_from(_EDGE_ANGLES), st.floats(0.0, HALF_PI))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_ANGLES, _ANGLES, _ANGLES)
+@example(0.0, 0.0, 0.0)  # sharp Lüders roots, collapsed preparations
+@example(HALF_PI, HALF_PI, HALF_PI)  # near-trivial roots
+@example(math.nextafter(0.0, 1.0), math.nextafter(HALF_PI, math.inf), math.nextafter(0.0, -1.0))
+def test_scalar_best_response_equals_object_path(theta, phi0, phi1):
+    assert _same_as_object_path((theta, phi0, phi1)), PLATFORM
 
 
 def test_round_reads_charlie_overlaps_as_bloch_decompose():
