@@ -24,6 +24,7 @@ from .errors import (
     InvalidPovm,
     require_integer,
     require_real,
+    require_tol,
 )
 from .linalg import (
     HERM_TOL,
@@ -147,15 +148,14 @@ def _best_projectors(totals: np.ndarray) -> tuple[np.ndarray, float]:
     return 0.5 * (proj + proj.conj().transpose(0, 2, 1)), 0.5 + lam0 / 16.0 + lam1 / 16.0
 
 
-def _reduced_best_response(theta: float, phi0: float, phi1: float) -> tuple[np.ndarray, float]:
-    """``charlie_best_response`` on ``strategy_from_reduced(theta, phi0, phi1)`` as projectors
-    and witness, by its float operations on Python scalars around the stacked ``@`` (OpenBLAS).
-    ``gamma_z`` comes from the exact signed Bloch sums ``(4c, 0, 0)``, ``(0, 0, 4s)`` as
-    ``bloch_compose`` adds it (``0.0 - 2s`` is ``+0.0`` at ``theta = 0``).  The roots, branches
-    ``0 + K g K^dag`` and sums are real (imaginary parts ``±0``), so a complex product has one
-    nonzero term and rounds as numpy's; numpy divides by a real as a product with its reciprocal."""
+def _reduced_best_response(theta: float, phi0: float, phi1: float) -> tuple[float, float, float]:
+    """``charlie_best_response`` on ``strategy_from_reduced(theta, phi0, phi1)`` read as Charlie's
+    overlaps ``q0 = cvec[0]``, ``q1 = cvec[2]`` and the witness, by its float operations on real
+    Python scalars around one stacked ``@`` (OpenBLAS).  Every matrix of the family is real, the
+    sums' ``+ 0.0`` clears the sign of every zero in a branch, and numpy divides a complex number
+    by a real one as a product with its reciprocal."""
     c2, s2 = 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
-    gammas = np.array([0.0, c2, c2, 0.0, 0.0 + s2, 0.0, 0.0, 0.0 - s2], dtype=complex).reshape(2, 2, 2)
+    gammas = np.array([0.0, c2, c2, 0.0, s2, 0.0, 0.0, -s2]).reshape(2, 2, 2)
     hx, hz = 0.5 * math.cos(phi0), 0.5 * math.cos(phi1)
     roots = []
     for a, b, d in ((0.5, hx, 0.5), (0.5, -hx, 0.5), (0.5 + hz, 0.0, 0.5 - hz), (0.5 - hz, 0.0, 0.5 + hz)):
@@ -163,29 +163,21 @@ def _reduced_best_response(theta: float, phi0: float, phi1: float) -> tuple[np.n
         root_det = math.sqrt(max(a * d - abs(b) ** 2, 0.0))
         scale = 1.0 / math.sqrt(max(a + d, 0.0) + 2.0 * root_det)
         roots += [(a + root_det) * scale, (b + 0.0) * scale, (b + 0.0) * scale, (d + root_det) * scale]
-    kraus = np.array(roots, dtype=complex).reshape(4, 2, 2)
-    branches = (kraus[:, None] @ gammas @ kraus.conj().transpose(0, 2, 1)[:, None]).reshape(4, 8)
-    sums = [((w + 0j) + (x + 0j)) + ((y + 0j) + (z + 0j)) for w, x, y, z in zip(*branches.tolist())]
-    # Entry (i, j) plus the conjugate of entry (j, i), halved: _hermitian_part, then P + P^dag.
-    transpose = (0, 2, 1, 3, 4, 6, 5, 7)
-    h = (0.5 * np.array([s + sums[j].conjugate() for s, j in zip(sums, transpose)])).tolist()
-    value, outer = 0.5, []
-    for h00, b, _, h11 in (h[:4], h[4:]):
-        lam, vec = _top_eigenvector(h00, b, h11)
-        # vec /= np.linalg.norm(vec): one ddot of the real parts (the imaginary one is +0.0).
-        re = np.array(vec, dtype=complex).real
-        scl = 1.0 / math.sqrt(re.dot(re))
-        v0, v1 = (complex((v.real + v.imag * 0.0) * scl, (v.imag - v.real * 0.0) * scl) for v in vec)
-        # _phase_fix: v * (mag / pivot), with numpy's division by the (nonzero, real) pivot.
+    kraus = np.array(roots).reshape(4, 2, 2)
+    branches = (kraus[:, None] @ gammas @ kraus.transpose(0, 2, 1)[:, None]).reshape(4, 8)
+    sums = [((w + 0.0) + (x + 0.0)) + ((y + 0.0) + (z + 0.0)) for w, x, y, z in zip(*branches.tolist())]
+    vecs = []
+    for h00, h01, h10, h11 in (sums[:4], sums[4:]):
+        # _hermitian_part: 0.5 * (x + x) == x leaves the diagonal as it is.
+        lam, vec = _top_eigenvector(h00, 0.5 * (h01 + h10), h11)
+        scl = 1.0 / math.sqrt(np.dot(vec, vec))  # vec /= np.linalg.norm(vec), a ddot
+        v0, v1 = vec[0] * scl, vec[1] * scl
         pivot = v0 if abs(v0) > 1e-12 else v1
-        rat = pivot.imag / pivot.real
-        scl = 1.0 / (pivot.real + pivot.imag * rat)
-        f = complex((abs(pivot) + 0.0 * rat) * scl, (0.0 - abs(pivot) * rat) * scl)
-        v0, v1 = v0 * f, v1 * f
-        value += lam / 16.0
-        outer += [v0 * v0.conjugate(), v0 * v1.conjugate(), v1 * v0.conjugate(), v1 * v1.conjugate()]
-    projectors = 0.5 * np.array([p + outer[j].conjugate() for p, j in zip(outer, transpose)])
-    return projectors.reshape(2, 2, 2), value
+        f = abs(pivot) * (1.0 / pivot)  # _phase_fix
+        vecs += [v0 * f, v1 * f, lam]
+    x0, x1, lam0, z0, z1, lam1 = vecs  # bloch_decompose(2 v v^T - I) reads cvec[0] and cvec[2]
+    q1 = 0.5 * ((2.0 * (z0 * z0) - 1.0) - (2.0 * (z1 * z1) - 1.0))
+    return 2.0 * (x1 * x0), q1, 0.5 + lam0 / 16.0 + lam1 / 16.0
 
 
 def _grid_argmax(alpha: float, resolution: int) -> tuple[float, float, float]:
@@ -334,7 +326,7 @@ def minimize_scalar(func, lo: float, hi: float, xatol: float) -> tuple[float, fl
     without scipy's per-call overhead.
     """
     lo = require_real(lo, "lo")
-    hi = require_real(hi, "hi", lo)
+    hi, xatol = require_real(hi, "hi", lo), require_tol(xatol)
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     a, b = lo, hi
@@ -474,10 +466,8 @@ def _seesaw_round(alpha: float, theta: float, phi1: float, q0: float, q1: float)
     then best-respond.  Returns ``(theta, phi0, phi1)``, the witness before,
     the overlaps of Charlie's new measurements, and the witness after."""
     before, theta, phi0, phi1 = _ascend(alpha, theta, phi1, q0, q1, 513)
-    projectors, after = _reduced_best_response(theta, phi0, phi1)
-    h = 2.0 * projectors - np.eye(2)  # cvec[0], cvec[2] as bloch_decompose reads them
-    q = (float(h[0, 1, 0].real), float(0.5 * (h[1, 0, 0].real - h[1, 1, 1].real)))
-    return (theta, phi0, phi1), before, q, after
+    q0, q1, after = _reduced_best_response(theta, phi0, phi1)
+    return (theta, phi0, phi1), before, (q0, q1), after
 
 
 def _random_feasible_start(alpha: float, rng: np.random.Generator):
@@ -540,8 +530,7 @@ def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
             best = (value, angles)
     if best is None or not np.isfinite(best[0]):
         raise ConvergenceFailure(f"all restarts failed at alpha = {alpha!r}")
-    # The winner's measurements come from the object path, whose bits the
-    # round's projectors share (tests/test_round_bits.py).
+    # The winner's measurements come from the object path; the round equals its overlaps and witness.
     params = ReducedParameters(*best[1])
     partial = strategy_from_reduced(params)
     charlie, _ = charlie_best_response(partial.preparations, partial.instruments)
@@ -631,12 +620,7 @@ def sandwich_eigenvalue_sum_bound(povm, direction) -> BoundSample:
     measurement's Bloch axis, or the axis vanishes.  Raises
     :class:`InequalityViolation` if the bound fails beyond ``BOUND_SLACK``.
     """
-    if not isinstance(povm, BinaryPovm):
-        try:
-            povm = validate_povm(povm[0], povm[1])
-        except Exception as exc:
-            raise InvalidPovm(str(exc)) from exc
-    a = _vector3(direction, "direction")
+    povm, a = _binary_povm(povm), _vector3(direction, "direction")
     rhs = math.sqrt(a.dot(a))  # np.linalg.norm's operations
     if rhs == 0.0:
         return BoundSample(0.0, 0.0, True)
@@ -644,6 +628,14 @@ def sandwich_eigenvalue_sum_bound(povm, direction) -> BoundSample:
     sharp, overlap = povm.sharpness, abs(float(np.dot(povm.cvec, a)))
     aligned = sharp <= BOUND_SLACK or abs(overlap / (sharp * rhs) - 1.0) <= BOUND_SLACK
     return BoundSample(float(lhs), rhs, aligned)
+
+
+def _binary_povm(povm) -> BinaryPovm:
+    """``povm``, or its effect pair validated; :class:`InvalidPovm` if it is neither."""
+    try:
+        return povm if isinstance(povm, BinaryPovm) else validate_povm(povm[0], povm[1])
+    except Exception as exc:
+        raise InvalidPovm(str(exc)) from exc
 
 
 def _sum_bound_rows(effects: np.ndarray, a: np.ndarray, norm: np.ndarray) -> np.ndarray:
@@ -789,7 +781,7 @@ def inequality_report(samples: int, grid: int, seed: int) -> dict:
     }
 
 
-def sandwich_eigenvalue_closed_form(povm: BinaryPovm, direction, outcome: int) -> float:
+def sandwich_eigenvalue_closed_form(povm, direction, outcome: int) -> float:
     """Closed-form ``lambda_max[sqrt(M_b) (a.sigma) sqrt(M_b)]``.
 
     With sharpness ``eta``, offset ``c0`` and ``cos(beta)`` the unit-vector
@@ -801,7 +793,7 @@ def sandwich_eigenvalue_closed_form(povm: BinaryPovm, direction, outcome: int) -
     The odd first term cancels in the sum over outcomes, leaving the
     square-root sum used by the trade-off bound.
     """
-    a = _vector3(direction, "direction")
+    povm, a = _binary_povm(povm), _vector3(direction, "direction")
     norm, outcome = float(np.linalg.norm(a)), require_integer(outcome, "outcome", 0, 1)
     return _closed_form(povm.c0, povm.sharpness, float(np.dot(povm.cvec, a)), norm, outcome)
 

@@ -27,8 +27,9 @@ from seqrac import (
     witness_pair,
 )
 from seqrac.analytics import W_AB_MAX
-from seqrac.errors import DomainError, InequalityViolation, NotPsd
+from seqrac.errors import DomainError, InequalityViolation, InvalidPovm, NotPsd
 from seqrac.linalg import (
+    ID2,
     BinaryPovm,
     bloch_compose,
     matrix_sqrt_psd,
@@ -194,6 +195,7 @@ class TestMinimizeScalar:
         (lambda x: x * x, -1.0, 2.0, 0.0),
         (lambda x: float(x > 0.3), 0.0, 1.0, 1e-14),  # a step, not smooth
         (math.cos, 2.0, 2.0, 1e-8),  # empty bracket
+        (math.cos, 0.0, 1.0, math.inf),  # no tolerance: stops at the first golden-section point
     ])
     def test_matches_scipy_on_edge_cases(self, f, lo, hi, xatol):
         expected = scipy_minimize_scalar(
@@ -205,6 +207,12 @@ class TestMinimizeScalar:
         for lo, hi in ((1.0, 0.0), (np.nan, 1.0), (0.0, np.inf)):
             with pytest.raises(DomainError):
                 minimize_scalar(abs, lo, hi, 1e-8)
+
+    @pytest.mark.parametrize("xatol", [np.nan, -1e-8, -np.inf, "a", None, True])
+    def test_rejects_bad_xatol(self, xatol):
+        # a NaN makes the loop test false at once, so the search would return its first point
+        with pytest.raises(DomainError):
+            minimize_scalar(lambda x: x, 0.0, 1.0, xatol)
 
 
 class TestTraceBoundary:
@@ -638,6 +646,21 @@ class TestClosedFormEigenvalue:
         for direction in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [1.0, 0.0], "abc"):
             with pytest.raises(DomainError):
                 sandwich_eigenvalue_closed_form(povm, direction, 0)
+
+    def test_takes_the_povm_as_the_sum_bound_does(self):
+        # a BinaryPovm or its effect pair, with the same bits; InvalidPovm on anything else
+        povm = BinaryPovm.from_observable(0.25, [0.5, 0.0, 0.25])  # dyadic: the pair round-trips
+        a = [0.6, 0.0, 0.8]
+        for b in (0, 1):
+            by_pair = sandwich_eigenvalue_closed_form(povm.effects, a, b)
+            assert by_pair.hex() == sandwich_eigenvalue_closed_form(povm, a, b).hex()
+        by_pair, by_povm = (sandwich_eigenvalue_sum_bound(p, a) for p in (povm.effects, povm))
+        assert (by_pair.lhs.hex(), by_pair.rhs.hex()) == (by_povm.lhs.hex(), by_povm.rhs.hex())
+        for junk in ((ID2, ID2), (ID2,), "ab", 3, None):
+            with pytest.raises(InvalidPovm):
+                sandwich_eigenvalue_closed_form(junk, a, 0)
+            with pytest.raises(InvalidPovm):
+                sandwich_eigenvalue_sum_bound(junk, a)
 
     @pytest.mark.parametrize("outcome", [2, -1, 0.5, "1"])
     def test_rejects_outcome_outside_0_1(self, outcome):

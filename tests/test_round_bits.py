@@ -2,14 +2,17 @@
 
 ``optimizer._reduced_best_response`` repeats the float operations of
 ``charlie_best_response(strategy_from_reduced(...))`` without building a
-validated strategy: the Lüders roots, the channel sums, both eigenpairs and the
-projectors on Python scalars, around the stacked complex ``@`` (OpenBLAS
-``zgemm``) and the numpy calls of the norm and the halvings.
-``linalg._sqrt_psd_rows`` repeats those of ``matrix_sqrt_psd(tol=inf)`` on a
-stack, and ``linalg._max_eigvalue_rows`` those of ``max_eigenpair(tol=inf).value``.
+validated strategy: the Lüders roots, the channel sums and both eigenpairs on
+real Python floats, around one stacked real ``@`` (OpenBLAS ``dgemm``) and the
+norm's ``ddot``.  It returns what the round reads: Charlie's overlaps
+``cvec[0]`` and ``cvec[2]`` and the witness; ``tests/test_channel_bits.py`` pins
+the object path's projectors.  ``linalg._sqrt_psd_rows`` repeats the float
+operations of ``matrix_sqrt_psd(tol=inf)`` on a stack, and
+``linalg._max_eigvalue_rows`` those of ``max_eigenpair(tol=inf).value``.
 Each is compared with its oracle by ``tobytes()`` and ``float.hex``, never by
 tolerance: on seeded points, on the corners of the angle box, and on
 ``hypothesis`` draws that reach the box's edges and one ``nextafter`` beyond.
+Both paths run in one process, so the comparisons hold under any BLAS kernel.
 """
 
 import itertools
@@ -26,7 +29,6 @@ from seqrac.linalg import (
     _bloch_compose_rows,
     _max_eigvalue_rows,
     _sqrt_psd_rows,
-    bloch_decompose,
     matrix_sqrt_psd,
     max_eigenpair,
 )
@@ -65,30 +67,17 @@ def _oracle(theta, phi0, phi1):
     return charlie_best_response(partial.preparations, partial.instruments)
 
 
-def test_reduced_best_response_equals_object_path():
-    mismatched = []
-    for point in _points():
-        povms, value = _oracle(*point)
-        projectors, got = _reduced_best_response(*point)
-        same = got.hex() == value.hex() and all(
-            p.tobytes() == povm.effects[0].tobytes()
-            and bloch_decompose(2.0 * p - np.eye(2))[1].tobytes() == povm.cvec.tobytes()
-            for p, povm in zip(projectors, povms)
-        )
-        if not same:
-            mismatched.append(point)
-    assert mismatched == [], PLATFORM
-
-
-def _same_as_object_path(point) -> bool:
-    """The comparison of the test above, for one point."""
+def _same_as_object_path(point, got) -> bool:
+    """``got = (q0, q1, value)`` equals, by ``float.hex``, the object path's ``cvec[0]`` of the
+    first measurement, ``cvec[2]`` of the second and its witness at ``point``."""
     povms, value = _oracle(*point)
-    projectors, got = _reduced_best_response(*point)
-    return got.hex() == value.hex() and all(
-        p.tobytes() == povm.effects[0].tobytes()
-        and bloch_decompose(2.0 * p - np.eye(2))[1].tobytes() == povm.cvec.tobytes()
-        for p, povm in zip(projectors, povms)
-    )
+    want = (povms[0].cvec[0], povms[1].cvec[2], value)
+    return tuple(map(float.hex, got)) == tuple(map(float.hex, want))
+
+
+def test_reduced_best_response_equals_object_path():
+    mismatched = [p for p in _points() if not _same_as_object_path(p, _reduced_best_response(*p))]
+    assert mismatched == [], PLATFORM
 
 
 # The edges of [0, pi/2] and one nextafter on either side; ReducedParameters
@@ -103,7 +92,8 @@ _ANGLES = st.one_of(st.sampled_from(_EDGE_ANGLES), st.floats(0.0, HALF_PI))
 @example(HALF_PI, HALF_PI, HALF_PI)  # near-trivial roots
 @example(math.nextafter(0.0, 1.0), math.nextafter(HALF_PI, math.inf), math.nextafter(0.0, -1.0))
 def test_scalar_best_response_equals_object_path(theta, phi0, phi1):
-    assert _same_as_object_path((theta, phi0, phi1)), PLATFORM
+    point = (theta, phi0, phi1)
+    assert _same_as_object_path(point, _reduced_best_response(*point)), PLATFORM
 
 
 def test_round_reads_charlie_overlaps_as_bloch_decompose():
@@ -115,9 +105,7 @@ def test_round_reads_charlie_overlaps_as_bloch_decompose():
             continue
         q = tuple(map(float, rng.uniform(-1.0, 1.0, 2)))
         angles, _, (q0, q1), after = _seesaw_round(alpha, *start, *q)
-        povms, value = _oracle(*angles)
-        assert after.hex() == value.hex(), PLATFORM
-        assert (q0.hex(), q1.hex()) == (povms[0].cvec[0].hex(), povms[1].cvec[2].hex()), PLATFORM
+        assert _same_as_object_path(angles, (q0, q1, after)), PLATFORM
 
 
 def _effects() -> np.ndarray:
