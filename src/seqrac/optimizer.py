@@ -24,7 +24,6 @@ from .errors import (
     InvalidPovm,
     require_integer,
     require_real,
-    require_tol,
 )
 from .linalg import (
     HERM_TOL,
@@ -152,8 +151,8 @@ def _reduced_best_response(theta: float, phi0: float, phi1: float) -> tuple[floa
     """``charlie_best_response`` on ``strategy_from_reduced(theta, phi0, phi1)`` read as Charlie's
     overlaps ``q0 = cvec[0]``, ``q1 = cvec[2]`` and the witness, by its float operations on real
     Python scalars around one stacked ``@`` (OpenBLAS).  Every matrix of the family is real, the
-    sums' ``+ 0.0`` clears the sign of every zero in a branch, and numpy divides a complex number
-    by a real one as a product with its reciprocal."""
+    sums' ``+ 0.0`` clears the sign of every zero in a branch, and the phase fix is left out: it
+    flips the eigenvector's sign or keeps it, and neither ``q0 = 2 x1 x0`` nor ``q1`` sees that."""
     c2, s2 = 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
     gammas = np.array([0.0, c2, c2, 0.0, s2, 0.0, 0.0, -s2]).reshape(2, 2, 2)
     hx, hz = 0.5 * math.cos(phi0), 0.5 * math.cos(phi1)
@@ -171,10 +170,7 @@ def _reduced_best_response(theta: float, phi0: float, phi1: float) -> tuple[floa
         # _hermitian_part: 0.5 * (x + x) == x leaves the diagonal as it is.
         lam, vec = _top_eigenvector(h00, 0.5 * (h01 + h10), h11)
         scl = 1.0 / math.sqrt(np.dot(vec, vec))  # vec /= np.linalg.norm(vec), a ddot
-        v0, v1 = vec[0] * scl, vec[1] * scl
-        pivot = v0 if abs(v0) > 1e-12 else v1
-        f = abs(pivot) * (1.0 / pivot)  # _phase_fix
-        vecs += [v0 * f, v1 * f, lam]
+        vecs += [vec[0] * scl, vec[1] * scl, lam]
     x0, x1, lam0, z0, z1, lam1 = vecs  # bloch_decompose(2 v v^T - I) reads cvec[0] and cvec[2]
     q1 = 0.5 * ((2.0 * (z0 * z0) - 1.0) - (2.0 * (z1 * z1) - 1.0))
     return 2.0 * (x1 * x0), q1, 0.5 + lam0 / 16.0 + lam1 / 16.0
@@ -326,7 +322,8 @@ def minimize_scalar(func, lo: float, hi: float, xatol: float) -> tuple[float, fl
     without scipy's per-call overhead.
     """
     lo = require_real(lo, "lo")
-    hi, xatol = require_real(hi, "hi", lo), require_tol(xatol)
+    hi = require_real(hi, "hi", lo)
+    xatol = xatol if isinstance(xatol, float) and xatol >= 0.0 else require_real(xatol, "xatol", 0.0)
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     a, b = lo, hi

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from seqrac import canonical_strategy
-from seqrac.linalg import HERM_TOL, _hermitian_part
+from seqrac.linalg import HERM_TOL, _hermitian_part, matrix_sqrt_psd, max_eigenpair
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -32,18 +32,16 @@ def _openblas_core() -> str | None:
     return None
 
 
-# What decides the recorded bits below seqrac: the BLAS kernels of complex
-# ``@`` on 2x2 stacks and the SIMD routine numpy dispatches for ``np.arccos``.
-OPENBLAS_CORE = _openblas_core()
-SIMD_TARGETS = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
-
-# Named by every bit-pin failure.  The pins were recorded with one libm and
-# numpy, so a drift there must read differently from a code defect.
-PLATFORM = (
-    f"bit pin differs on numpy {np.__version__}, {platform.machine()}, "
-    f"Python {platform.python_version()}, OpenBLAS core {OPENBLAS_CORE}, "
-    f"numpy SIMD dispatch {SIMD_TARGETS} of {list(__cpu_dispatch__)}"
-)
+def pytest_terminal_summary(terminalreporter):
+    """Name the platform once per run.  The tests marked ``recorded`` compare with
+    bytes recorded on one platform; below seqrac, the OpenBLAS kernels of ``@`` on
+    2x2 stacks and the SIMD routine numpy dispatches for ``np.arccos`` decide them,
+    so a drift there must read differently from a code defect."""
+    targets = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    terminalreporter.write_line(
+        f"platform: numpy {np.__version__}, {platform.machine()}, Python {platform.python_version()}, "
+        f"OpenBLAS core {_openblas_core()}, numpy SIMD dispatch {targets} of {list(__cpu_dispatch__)}"
+    )
 
 
 def require_hermitian(m, tol=HERM_TOL):
@@ -64,6 +62,33 @@ def frozen_fixed_charlie_value(alpha, theta, phi1, q0, q1):
     phi0 = float(np.arccos(min(max(required, 0.0), 1.0)))
     value = 0.5 + (2.0 * c * (1.0 + math.sin(phi1)) * q0 + 2.0 * s * (1.0 + math.sin(phi0)) * q1) / 16.0
     return value, phi0
+
+
+def frozen_branch(inst, rho, b):
+    """``sum_k K rho K^dag`` over the Kraus operators of branch ``b``, one at a time,
+    on one 2x2 ``rho`` or a stack."""
+    out = np.zeros(rho.shape, dtype=complex)
+    for k in inst.kraus[b]:
+        out += k @ rho @ k.conj().T
+    return out
+
+
+def frozen_channel_sum(instruments, rhos):
+    """Both branches of both instruments, added as the per-branch loop added them."""
+    acc = frozen_branch(instruments[0], rhos, 0) + frozen_branch(instruments[0], rhos, 1)
+    acc += frozen_branch(instruments[1], rhos, 0) + frozen_branch(instruments[1], rhos, 1)
+    return acc
+
+
+def frozen_sandwich_max(effect, op) -> float:
+    """Largest eigenvalue of ``sqrt(effect) op sqrt(effect)`` by the scalar kernels."""
+    root = matrix_sqrt_psd(effect, tol=np.inf)
+    return max_eigenpair(root @ op @ root, tol=np.inf).value
+
+
+def hexes(*values) -> list[str]:
+    """``float.hex`` of each value, the format of the recorded JSON."""
+    return [float(v).hex() for v in values]
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from seqrac import optimizer
 from seqrac.analytics import W_AB_MAX
 from seqrac.optimizer import HALF_PI, REFINEMENT_ITERATIONS, _axis_table, _charlie_values
-from conftest import PLATFORM, frozen_fixed_charlie_value
+from conftest import frozen_fixed_charlie_value
 
 
 def _frozen_scan_coordinate(xs, row, objective, x, here):
@@ -91,7 +91,7 @@ def test_ascend_equals_frozen_loop(alpha, theta, phi1, q0, q1, resolution, edge,
         alpha = ((edge + offset) * 2.0 * c + 4.0 + 2.0 * s * math.cos(phi1)) / 8.0
     expected = _frozen_ascend(alpha, theta, phi1, q0, q1, resolution)
     got = optimizer._ascend(alpha, theta, phi1, q0, q1, resolution)
-    assert _hex(got) == _hex(expected), PLATFORM
+    assert _hex(got) == _hex(expected)
 
 
 def test_an_unchanged_angle_replays_its_search(monkeypatch):

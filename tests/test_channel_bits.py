@@ -44,20 +44,7 @@ from seqrac.strategies import (
     canonical_strategy,
     classical_to_strategy,
 )
-from conftest import PLATFORM
-
-
-def frozen_branch(inst, rho, b):
-    out = np.zeros(rho.shape, dtype=complex)
-    for k in inst.kraus[b]:
-        out += k @ rho @ k.conj().T
-    return out
-
-
-def frozen_channel_sum(instruments, rhos):
-    acc = frozen_branch(instruments[0], rhos, 0) + frozen_branch(instruments[0], rhos, 1)
-    acc += frozen_branch(instruments[1], rhos, 0) + frozen_branch(instruments[1], rhos, 1)
-    return acc
+from conftest import frozen_channel_sum
 
 
 def frozen_effective_ensemble(s):
@@ -123,16 +110,16 @@ def test_channel_sum_matches_the_per_branch_loop():
         gammas = rhos[:2] - rhos[2:]  # traceless stacks reach the sum too
         for stack in (rhos, gammas, rhos[:1]):
             got, want = _channel_sum(s.instruments, stack), frozen_channel_sum(s.instruments, stack)
-            assert _bits(got) == _bits(want), (i, PLATFORM)
+            assert _bits(got) == _bits(want), i
     eigenstates = np.array([0.5 * (ID2 + sign * p) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z) for sign in (1, -1)])
     for i, instruments in enumerate(_pauli_instruments()):
         got, want = _channel_sum(instruments, eigenstates), frozen_channel_sum(instruments, eigenstates)
-        assert _bits(got) == _bits(want), (i, PLATFORM)
+        assert _bits(got) == _bits(want), i
 
 
 def test_effective_ensemble_and_best_response_match():
     for i, s in enumerate(_strategies()):
-        assert _bits(effective_ensemble(s)) == _bits(frozen_effective_ensemble(s)), (i, PLATFORM)
+        assert _bits(effective_ensemble(s)) == _bits(frozen_effective_ensemble(s)), i
         got = optimizer.charlie_best_response(s.preparations, s.instruments)
         want = frozen_charlie_best_response(s.preparations, s.instruments)
-        assert _bits(got) == _bits(want), (i, PLATFORM)
+        assert _bits(got) == _bits(want), i

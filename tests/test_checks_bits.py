@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 
 from seqrac import optimizer
-from seqrac.linalg import bloch_compose, matrix_sqrt_psd, max_eigenpair
+from seqrac.linalg import bloch_compose
 from seqrac.sampling import random_povm, random_unit_vector
-from conftest import PLATFORM
+from conftest import frozen_sandwich_max
 
 DATA = Path(__file__).parent / "data" / "checks_bits.json"
 SEEDS = (0, 1, 9301, 20250809)
@@ -32,11 +32,6 @@ SAMPLES = 2000
 
 def digest(values) -> str:
     return hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()
-
-
-def _sandwich_max(effect, op) -> float:
-    root = matrix_sqrt_psd(effect, tol=np.inf)
-    return max_eigenpair(root @ op @ root, tol=np.inf).value
 
 
 def scalar_suites(seed: int, samples: int) -> dict:
@@ -49,7 +44,7 @@ def scalar_suites(seed: int, samples: int) -> dict:
         op = bloch_compose(0.0, a)
         lhs = 0.0
         for effect in povm.effects:
-            lhs += _sandwich_max(effect, op)
+            lhs += frozen_sandwich_max(effect, op)
         bound += [lhs, float(np.linalg.norm(a))]
     bound_state = rng.bit_generator.state
 
@@ -60,7 +55,7 @@ def scalar_suites(seed: int, samples: int) -> dict:
         direction = random_unit_vector(rng)
         op = bloch_compose(0.0, direction)
         for b in (0, 1):
-            eigen.append(_sandwich_max(povm.effects[b], op))
+            eigen.append(frozen_sandwich_max(povm.effects[b], op))
             eigen.append(optimizer.sandwich_eigenvalue_closed_form(povm, direction, b))
     return {
         "bound": digest(bound),
@@ -75,19 +70,20 @@ def reference() -> dict:
     return json.loads(DATA.read_text())
 
 
+@pytest.mark.recorded
 @pytest.mark.parametrize("seed", SEEDS)
 def test_suites_are_bit_identical(seed, reference):
     want = reference[str(seed)]
     rng = np.random.default_rng([seed, 11])
     lhs, rhs = optimizer._bound_suite(rng, SAMPLES)
-    assert digest(np.stack([lhs, rhs], axis=1).ravel().tolist()) == want["bound"], PLATFORM
-    assert rng.bit_generator.state == want["bound_state"], PLATFORM
+    assert digest(np.stack([lhs, rhs], axis=1).ravel().tolist()) == want["bound"]
+    assert rng.bit_generator.state == want["bound_state"]
 
     rng = np.random.default_rng([seed, 13])
     direct, closed = optimizer._eigen_suite(rng, SAMPLES)
     assert direct.shape == closed.shape == (SAMPLES, 2)
-    assert digest(np.stack([direct, closed], axis=2).ravel().tolist()) == want["eigen"], PLATFORM
-    assert rng.bit_generator.state == want["eigen_state"], PLATFORM
+    assert digest(np.stack([direct, closed], axis=2).ravel().tolist()) == want["eigen"]
+    assert rng.bit_generator.state == want["eigen_state"]
 
 
 if __name__ == "__main__":

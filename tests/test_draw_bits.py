@@ -20,7 +20,7 @@ from seqrac import optimizer, sampling
 from seqrac.analytics import W_AB_MAX
 from seqrac.linalg import BinaryPovm
 from seqrac.optimizer import HALF_PI
-from conftest import PLATFORM, frozen_fixed_charlie_value
+from conftest import frozen_fixed_charlie_value
 
 DRAWS = 3000
 
@@ -73,8 +73,8 @@ def _bits(value) -> str:
 def _assert_same_stream(new, old, seed):
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
     for i in range(DRAWS):
-        assert _bits(new(a)) == _bits(old(b)), (i, PLATFORM)
-    assert a.bit_generator.state == b.bit_generator.state, PLATFORM
+        assert _bits(new(a)) == _bits(old(b)), i
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -114,7 +114,7 @@ def test_random_strategy_leaves_the_same_state(luders):
                 old_su2(b)
         for _ in range(2):  # Charlie's measurements
             old_draw_observable(b, True)
-    assert a.bit_generator.state == b.bit_generator.state, PLATFORM
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_bound_suite_draws_match():
@@ -126,9 +126,9 @@ def test_bound_suite_draws_match():
         optimizer.sandwich_eigenvalue_sum_bound(BinaryPovm.from_observable(c0, c), a)
         for c0, c, a in (old_bound_draw(oracle) for _ in range(samples))
     ]
-    assert _bits(tuple(lhs.tolist())) == _bits(tuple(b.lhs for b in bounds)), PLATFORM
-    assert _bits(tuple(rhs.tolist())) == _bits(tuple(b.rhs for b in bounds)), PLATFORM
-    assert rng.bit_generator.state == oracle.bit_generator.state, PLATFORM
+    assert _bits(tuple(lhs.tolist())) == _bits(tuple(b.lhs for b in bounds))
+    assert _bits(tuple(rhs.tolist())) == _bits(tuple(b.rhs for b in bounds))
+    assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 def test_feasible_start_draws_match():
@@ -139,7 +139,7 @@ def test_feasible_start_draws_match():
     outcomes = set()
     for alpha in alphas:
         new, old = optimizer._random_feasible_start(alpha, a), old_feasible_start(alpha, b)
-        assert _bits(new) == _bits(old), (alpha, PLATFORM)
+        assert _bits(new) == _bits(old), alpha
         outcomes.add(new is None)
     assert outcomes == {False, True}
-    assert a.bit_generator.state == b.bit_generator.state, PLATFORM
+    assert a.bit_generator.state == b.bit_generator.state

@@ -58,7 +58,7 @@ from seqrac.strategies import (
     enumerate_classical_strategies,
     witness_pair_classical,
 )
-from conftest import PLATFORM, frozen_fixed_charlie_value
+from conftest import frozen_fixed_charlie_value, frozen_sandwich_max, hexes
 
 SQRT2 = np.sqrt(2.0)
 HALF_PI = np.pi / 2
@@ -211,7 +211,7 @@ class TestMinimizeScalar:
     @pytest.mark.parametrize("xatol", [np.nan, -1e-8, -np.inf, "a", None, True])
     def test_rejects_bad_xatol(self, xatol):
         # a NaN makes the loop test false at once, so the search would return its first point
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="xatol"):
             minimize_scalar(lambda x: x, 0.0, 1.0, xatol)
 
 
@@ -299,7 +299,7 @@ class TestAxisTable:
                  _meshgrid_charlie_values(alpha, theta, xs, q0, q1)),
             )
             for new, old in rows:
-                assert new.tobytes() == old.tobytes(), PLATFORM
+                assert new.tobytes() == old.tobytes()
 
     @staticmethod
     def _alpha_on(edge, c2, s2, cos_phi1):
@@ -345,7 +345,7 @@ class TestAxisTable:
         else:
             new = _charlie_values(alpha, c2, s2, cos_x, sin1_x, q0, q1)
             old = _meshgrid_charlie_values(alpha, angle, xs, q0, q1)
-        assert new.tobytes() == old.tobytes(), PLATFORM
+        assert new.tobytes() == old.tobytes()
 
     def test_arrays_are_read_only(self):
         table = _axis_table(513)
@@ -424,10 +424,6 @@ def _memo_free_seesaw(alpha, cfg):
     return runs, best[1], witness_pair(strategy)
 
 
-def _hex(*values):
-    return [float(v).hex() for v in values]
-
-
 class TestSeesawRoundMemo:
     """Replaying repeated rounds within a call changes no bit of the result."""
 
@@ -452,14 +448,14 @@ class TestSeesawRoundMemo:
 
         monkeypatch.setattr(optimizer, "_seesaw_round", counted)
         result = seesaw(alpha, cfg)
-        assert [[_hex(*step) for step in run.charlie_steps] for run in result.runs] == [
-            [_hex(*step) for step in steps] for steps, _ in runs
+        assert [[hexes(*step) for step in run.charlie_steps] for run in result.runs] == [
+            [hexes(*step) for step in steps] for steps, _ in runs
         ]
-        assert [_hex(run.final_wac) for run in result.runs] == [_hex(v) for _, v in runs]
-        assert _hex(result.params.theta, result.params.phi0, result.params.phi1) == _hex(
+        assert [hexes(run.final_wac) for run in result.runs] == [hexes(v) for _, v in runs]
+        assert hexes(result.params.theta, result.params.phi0, result.params.phi1) == hexes(
             params.theta, params.phi0, params.phi1
         )
-        assert _hex(*result.pair) == _hex(*pair)
+        assert hexes(*result.pair) == hexes(*pair)
         # Restarts share rounds, so fewer rounds run than steps are recorded.
         assert len(rounds_run) < sum(len(steps) for steps, _ in runs)
 
@@ -679,11 +675,6 @@ class TestClosedFormEigenvalue:
                 assert direct == pytest.approx(closed, abs=1e-10)
 
 
-def _scalar_sandwich_max(effect, op) -> float:
-    root = matrix_sqrt_psd(effect, tol=np.inf)
-    return max_eigenpair(root @ op @ root, tol=np.inf).value
-
-
 def _generic_effect(c0, c, shrink):
     """PSD ``c0 I + c.sigma`` with ``|c| <= c0``."""
     c = np.asarray(c)
@@ -739,7 +730,7 @@ def _frozen_sum_bound(povm, a) -> tuple[float, float, bool]:
     op = bloch_compose(0.0, a)
     lhs = 0.0
     for effect in povm.effects:
-        lhs += _scalar_sandwich_max(effect, op)
+        lhs += frozen_sandwich_max(effect, op)
     sharp = povm.sharpness
     if sharp <= 1e-9:
         return lhs, rhs, True
@@ -753,7 +744,7 @@ class TestInequalityReport:
         effects = np.array([e for e, _ in pairs])
         ops = np.array([op for _, op in pairs])
         stacked = optimizer._sandwich_max(effects, ops)
-        assert stacked.tolist() == [_scalar_sandwich_max(e, op) for e, op in pairs]
+        assert stacked.tolist() == [frozen_sandwich_max(e, op) for e, op in pairs]
 
     @settings(max_examples=400, deadline=None)
     @given(_POVMS, _DIRECTIONS, st.booleans())
@@ -786,7 +777,7 @@ class TestInequalityReport:
             povm = random_povm(oracle, allow_offset=False)
             u = random_unit_vector(oracle)
             op = bloch_compose(0.0, u)
-            assert row_direct == [_scalar_sandwich_max(e, op) for e in povm.effects]
+            assert row_direct == [frozen_sandwich_max(e, op) for e in povm.effects]
             assert row_closed == [sandwich_eigenvalue_closed_form(povm, u, b) for b in (0, 1)]
         assert rng.bit_generator.state == oracle.bit_generator.state
 

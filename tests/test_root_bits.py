@@ -30,7 +30,7 @@ from seqrac.linalg import (
     matrix_sqrt_psd,
 )
 from seqrac.sampling import random_povm, random_strategy
-from conftest import PLATFORM, require_hermitian
+from conftest import require_hermitian
 
 
 def frozen_from_observable(c0, cvec):
@@ -127,7 +127,7 @@ def test_root_and_symmetrisation_match_frozen_bodies(tol):
     for i, m in enumerate(cases):
         for new, old in ((require_hermitian, frozen_require_hermitian),
                          (matrix_sqrt_psd, frozen_matrix_sqrt_psd)):
-            assert _outcome(new, m, tol) == _outcome(old, m, tol), (i, new.__name__, PLATFORM)
+            assert _outcome(new, m, tol) == _outcome(old, m, tol), (i, new.__name__)
 
 
 def test_rejections_match_frozen_bodies():
@@ -155,4 +155,4 @@ def test_from_observable_effects_match_frozen_body():
     for c0, c in draws:
         got = BinaryPovm.from_observable(c0, c).effects
         want = frozen_from_observable(c0, c)
-        assert [e.tobytes() for e in got] == [e.tobytes() for e in want], (c0, c, PLATFORM)
+        assert [e.tobytes() for e in got] == [e.tobytes() for e in want], (c0, c)

@@ -12,7 +12,7 @@ operations of ``matrix_sqrt_psd(tol=inf)`` on a stack, and
 Each is compared with its oracle by ``tobytes()`` and ``float.hex``, never by
 tolerance: on seeded points, on the corners of the angle box, and on
 ``hypothesis`` draws that reach the box's edges and one ``nextafter`` beyond.
-Both paths run in one process, so the comparisons hold under any BLAS kernel.
+Both paths run in one process, and CI checks them under Haswell kernels.
 """
 
 import itertools
@@ -42,7 +42,6 @@ from seqrac.optimizer import (
     seesaw,
     strategy_from_reduced,
 )
-from conftest import PLATFORM
 
 EDGES = (0.0, HALF_PI)
 
@@ -77,7 +76,7 @@ def _same_as_object_path(point, got) -> bool:
 
 def test_reduced_best_response_equals_object_path():
     mismatched = [p for p in _points() if not _same_as_object_path(p, _reduced_best_response(*p))]
-    assert mismatched == [], PLATFORM
+    assert mismatched == []
 
 
 # The edges of [0, pi/2] and one nextafter on either side; ReducedParameters
@@ -93,7 +92,7 @@ _ANGLES = st.one_of(st.sampled_from(_EDGE_ANGLES), st.floats(0.0, HALF_PI))
 @example(math.nextafter(0.0, 1.0), math.nextafter(HALF_PI, math.inf), math.nextafter(0.0, -1.0))
 def test_scalar_best_response_equals_object_path(theta, phi0, phi1):
     point = (theta, phi0, phi1)
-    assert _same_as_object_path(point, _reduced_best_response(*point)), PLATFORM
+    assert _same_as_object_path(point, _reduced_best_response(*point))
 
 
 def test_round_reads_charlie_overlaps_as_bloch_decompose():
@@ -105,7 +104,7 @@ def test_round_reads_charlie_overlaps_as_bloch_decompose():
             continue
         q = tuple(map(float, rng.uniform(-1.0, 1.0, 2)))
         angles, _, (q0, q1), after = _seesaw_round(alpha, *start, *q)
-        assert _same_as_object_path(angles, (q0, q1, after)), PLATFORM
+        assert _same_as_object_path(angles, (q0, q1, after))
 
 
 def _effects() -> np.ndarray:
@@ -127,7 +126,7 @@ def test_sqrt_psd_rows_equals_scalar_root():
     roots = _sqrt_psd_rows(effects)
     assert roots.shape == effects.shape
     for e, root in zip(effects, roots):
-        assert root.tobytes() == matrix_sqrt_psd(e, tol=np.inf).tobytes(), PLATFORM
+        assert root.tobytes() == matrix_sqrt_psd(e, tol=np.inf).tobytes()
 
 
 def test_max_eigvalue_rows_equals_scalar_eigenvalue():
@@ -138,7 +137,7 @@ def test_max_eigvalue_rows_equals_scalar_eigenvalue():
         values = _max_eigvalue_rows(stack)
         assert values.shape == (len(stack),)
         for m, value in zip(stack, values):
-            assert value.tobytes() == np.float64(max_eigenpair(m, tol=np.inf).value).tobytes(), PLATFORM
+            assert value.tobytes() == np.float64(max_eigenpair(m, tol=np.inf).value).tobytes()
 
 
 def test_sqrt_psd_rows_rejects_non_finite():

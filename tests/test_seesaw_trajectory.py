@@ -15,18 +15,14 @@ from pathlib import Path
 import pytest
 
 from seqrac import seesaw, trace_boundary
-from conftest import PLATFORM
+from conftest import hexes
 
 DATA = Path(__file__).parent / "data" / "seesaw_trajectory.json"
 LEVELS = (0.6, 0.75, 0.84)
 
 
-def _hex(*values) -> list[str]:
-    return [float(v).hex() for v in values]
-
-
 def _angles(p) -> list[str]:
-    return _hex(p.theta, p.phi0, p.phi1)
+    return hexes(p.theta, p.phi0, p.phi1)
 
 
 def record(alpha: float) -> dict:
@@ -36,15 +32,15 @@ def record(alpha: float) -> dict:
     return {
         "runs": [
             {
-                "charlie_steps": [_hex(*step) for step in run.charlie_steps],
-                "final_wac": _hex(run.final_wac)[0],
+                "charlie_steps": [hexes(*step) for step in run.charlie_steps],
+                "final_wac": hexes(run.final_wac)[0],
             }
             for run in result.runs
         ],
         "params": _angles(result.params),
-        "measurements": [_hex(*povm.cvec) for povm in result.strategy.measurements],
-        "pair": _hex(*result.pair),
-        "boundary": _hex(point.alpha, point.wac) + _angles(point.params),
+        "measurements": [hexes(*povm.cvec) for povm in result.strategy.measurements],
+        "pair": hexes(*result.pair),
+        "boundary": hexes(point.alpha, point.wac) + _angles(point.params),
     }
 
 
@@ -53,9 +49,10 @@ def reference() -> dict:
     return json.loads(DATA.read_text())
 
 
+@pytest.mark.recorded
 @pytest.mark.parametrize("alpha", LEVELS)
 def test_trajectory_is_bit_identical(alpha, reference):
-    assert record(alpha) == reference[repr(alpha)], PLATFORM
+    assert record(alpha) == reference[repr(alpha)]
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from seqrac.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from seqrac.sampling import random_strategy, random_su2
 from seqrac.scenario import INPUT_PAIRS, _clamp_prob
 from seqrac.strategies import ClassicalStrategy, classical_to_strategy
-from conftest import PLATFORM
+from conftest import frozen_channel_sum
 
 DATA = Path(__file__).parent / "data" / "sweep_bits.json"
 SEEDS = range(8)
@@ -66,6 +66,7 @@ def reference() -> dict:
     return json.loads(DATA.read_text())
 
 
+@pytest.mark.recorded
 @pytest.mark.parametrize("luders", [False, True])
 def test_draws_and_witnesses_are_bit_identical(luders, reference):
     expected = reference[repr(luders)]
@@ -75,7 +76,7 @@ def test_draws_and_witnesses_are_bit_identical(luders, reference):
         for (s, i), want in zip(((s, i) for s in SEEDS for i in ITEMS), expected)
         if record(s, i, luders) != want
     ]
-    assert mismatched == [], PLATFORM
+    assert mismatched == []
 
 
 def oracle_witness_ab(s) -> float:
@@ -88,20 +89,11 @@ def oracle_witness_ab(s) -> float:
     return _clamp_prob(total / 8.0)
 
 
-def _oracle_branch(inst, rho, b):
-    out = np.zeros((2, 2), dtype=complex)
-    for k in inst.kraus[b]:
-        out += k @ rho @ k.conj().T
-    return out
-
-
 def oracle_witness_ac(s) -> float:
     """``(1/16) sum_{x,y,b,z} tr(K rho K^dag C)``, one Kraus operator at a time."""
-    i0, i1 = s.instruments
     total = 0.0
     for x, st in zip(INPUT_PAIRS, s.preparations.states):
-        acc = _oracle_branch(i0, st.matrix, 0) + _oracle_branch(i0, st.matrix, 1)
-        acc += _oracle_branch(i1, st.matrix, 0) + _oracle_branch(i1, st.matrix, 1)
+        acc = frozen_channel_sum(s.instruments, st.matrix)
         for z in (0, 1):
             effect = s.measurements[z].effects[x[z]]
             total += float(np.trace(acc @ effect).real)
@@ -125,7 +117,7 @@ def _oracle_strategies():
 def test_witnesses_equal_per_matrix_oracle():
     checked = multi = 0
     for s in _oracle_strategies():
-        assert witness_pair(s) == (oracle_witness_ab(s), oracle_witness_ac(s)), PLATFORM
+        assert witness_pair(s) == (oracle_witness_ab(s), oracle_witness_ac(s))
         checked += 1
         multi += not all(inst.is_extremal() for inst in s.instruments)
     assert checked > 600 and multi > 0
@@ -153,7 +145,7 @@ def test_su2_entries_equal_pauli_sum():
         w, x, y, z = q / np.linalg.norm(q)
         oracle = w * ID2 - 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
         u = random_su2(_NextNormal(q))
-        assert u.dtype == oracle.dtype and u.tobytes() == oracle.tobytes(), PLATFORM
+        assert u.dtype == oracle.dtype and u.tobytes() == oracle.tobytes()
 
 
 if __name__ == "__main__":
