@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -169,15 +169,7 @@ class SelfTestReport:
     charlie_alignment_defects: tuple[float, float]
 
     def max_defect(self) -> float:
-        return max(
-            *self.purity_defects,
-            *self.antipodality_defects,
-            self.square_angle_defect,
-            *self.bob_offsets,
-            self.bob_sharpness_defect,
-            self.unitary_spread,
-            *self.charlie_alignment_defects,
-        )
+        return max(x for v in astuple(self) for x in (v if isinstance(v, tuple) else (v,)))
 
 
 def _least_aligned_perp(v: np.ndarray) -> np.ndarray:

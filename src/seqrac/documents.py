@@ -175,8 +175,6 @@ def _render(node, indent: int) -> str:
             return "[" + ", ".join(node) + "]"
         rows = [f"{pad}  {_render(v, indent + 1).lstrip()}" for v in node]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(node, str):
-        return node
     return json.dumps(node)
 
 

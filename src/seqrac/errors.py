@@ -51,17 +51,17 @@ def require_real(value, what: str, lo: float = -math.inf, hi: float = math.inf) 
         value = float(value)  # OverflowError for an int beyond the float range
     except (TypeError, OverflowError):
         raise DomainError(f"{what} must be a finite real number, got {value!r}") from None
-    if not lo <= value <= hi:
-        raise DomainError(f"{what} = {value!r} outside [{lo:g}, {hi:g}]")
     if not math.isfinite(value):
         raise DomainError(f"{what} = {value!r} is not finite")
+    if not lo <= value <= hi:
+        raise DomainError(f"{what} = {value!r} outside [{lo:g}, {hi:g}]")
     return value
 
 
-def require_tol(tol) -> float:
+def require_tol(tol, what: str = "tol") -> float:
     """A tolerance: a float >= 0 passes at once (``inf`` switches a check off); anything else goes
-    through ``require_real(tol, "tol", 0.0)``, so NaN, negatives and non-numbers raise."""
-    return tol if isinstance(tol, float) and tol >= 0.0 else require_real(tol, "tol", 0.0)
+    through ``require_real(tol, what, 0.0)``, so NaN, negatives and non-numbers raise."""
+    return tol if isinstance(tol, float) and tol >= 0.0 else require_real(tol, what, 0.0)
 
 
 class InvalidStrategy(SeqracError):

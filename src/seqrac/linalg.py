@@ -45,15 +45,22 @@ class EigenPair(NamedTuple):
     vector: np.ndarray  # unit 2-vector, phase-fixed
 
 
+def _has_bool(v) -> bool:
+    """Whether a list or tuple holds a ``bool`` or ``np.bool_``, at any depth of lists and tuples."""
+    return isinstance(v, (list, tuple)) and any(type(x) in (bool, np.bool_) or _has_bool(x) for x in v)
+
+
 def as_matrix2(m) -> np.ndarray:
     """Coerce input to a complex 2x2 array with parts in ``[-MAX_ENTRY, MAX_ENTRY]``;
-    :class:`DomainError` otherwise."""
+    :class:`DomainError` otherwise (``bool`` entries of a list are not numbers)."""
     try:
         a = np.asarray(m, dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"expected a 2x2 matrix: {exc}") from None
     if a.shape != (2, 2):
         raise DomainError(f"expected a 2x2 matrix, got shape {a.shape}")
+    if _has_bool(m):
+        raise DomainError(f"expected a 2x2 matrix of numbers, got {m!r}")
     return _bounded(a, "matrix")
 
 
@@ -102,15 +109,6 @@ def _psd_part(m, tol: float, what: str = "") -> tuple[np.ndarray, list]:
     return h, entries
 
 
-def _phase_fix(v: np.ndarray) -> np.ndarray:
-    """Rescale a unit vector so its first significant component is real > 0."""
-    pivot = v[0] if abs(v[0]) > 1e-12 else v[1]
-    mag = abs(pivot)
-    if mag == 0.0:
-        return v
-    return v * (mag / pivot)
-
-
 def max_eigenpair(h, tol: float = HERM_TOL) -> EigenPair:
     """Largest eigenvalue and unit eigenvector of a Hermitian 2x2 matrix.
 
@@ -121,8 +119,10 @@ def max_eigenpair(h, tol: float = HERM_TOL) -> EigenPair:
     h00, b, _, h11 = _hermitian_part(h, tol).tolist()
     lam, vec = _top_eigenvector(h00, b, h11)
     vec = np.array(vec, dtype=complex)
-    vec /= np.linalg.norm(vec)  # as _phase_fix, no change to a unit basis vector
-    return EigenPair(lam, _phase_fix(vec))
+    vec /= np.linalg.norm(vec)  # no change to a unit basis vector
+    # The phase fix: a unit vector's second entry has modulus about 1 if its first is tiny.
+    pivot = vec[0] if abs(vec[0]) > 1e-12 else vec[1]
+    return EigenPair(lam, vec * (abs(pivot) / pivot))
 
 
 def _top_eigenvector(h00: complex, b: complex, h11: complex) -> tuple[float, list]:
@@ -278,10 +278,11 @@ class QubitState:
 
 
 def _vector3(v, what: str) -> np.ndarray:
-    """``v`` as a float array of shape ``(3,)`` within ``MAX_ENTRY``, else :class:`DomainError`."""
+    """``v`` as a float array of shape ``(3,)`` within ``MAX_ENTRY``, else :class:`DomainError`
+    (``bool`` entries of a list are not numbers)."""
     try:
         a = np.asarray(v)
-        valid = a.dtype.kind in "iuf" and a.shape == (3,)
+        valid = a.dtype.kind in "iuf" and a.shape == (3,) and not _has_bool(v)
     except ValueError:  # ragged nesting
         valid = False
     if not valid:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .errors import (
     InvalidPovm,
     require_integer,
     require_real,
+    require_tol,
 )
 from .linalg import (
     HERM_TOL,
@@ -88,8 +89,8 @@ class ReducedParameters:
     phi1: float
 
     def __post_init__(self):
-        for name in ("theta", "phi0", "phi1"):
-            require_real(getattr(self, name), name, -1e-12, HALF_PI + 1e-12)
+        for f in fields(self):
+            require_real(getattr(self, f.name), f.name, -1e-12, HALF_PI + 1e-12)
 
 
 def reduced_objective(r: ReducedParameters) -> float:
@@ -213,6 +214,8 @@ def trace_boundary(
     if cfg is not None and not isinstance(cfg, OptimizerConfig):
         raise DomainError(f"cfg must be an OptimizerConfig or None, got {cfg!r}")
     try:
+        if isinstance(alphas, (str, bytes, bytearray)):  # iterable, but not of levels
+            raise TypeError
         levels = iter(alphas)
     except TypeError:
         raise DomainError(f"alphas must be a sequence of levels, got {alphas!r}") from None
@@ -323,7 +326,7 @@ def minimize_scalar(func, lo: float, hi: float, xatol: float) -> tuple[float, fl
     """
     lo = require_real(lo, "lo")
     hi = require_real(hi, "hi", lo)
-    xatol = xatol if isinstance(xatol, float) and xatol >= 0.0 else require_real(xatol, "xatol", 0.0)
+    xatol = require_tol(xatol, "xatol")
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     a, b = lo, hi

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -88,8 +87,8 @@ class VisibilityTriple:
     v_c: float
 
     def __post_init__(self):
-        for name in ("v_a", "v_b", "v_c"):
-            require_real(getattr(self, name), name, 0.0, 1.0)
+        for f in fields(self):
+            require_real(getattr(self, f.name), f.name, 0.0, 1.0)
 
 
 def apply_visibility(s: Strategy, v: VisibilityTriple) -> Strategy:
@@ -134,14 +133,10 @@ class ClassicalStrategy:
     charlie_out: tuple[int, int, int, int]
 
     def __post_init__(self):
-        for name, table in (
-            ("encode", self.encode),
-            ("bob_out", self.bob_out),
-            ("relay", self.relay),
-            ("charlie_out", self.charlie_out),
-        ):
+        for f in fields(self):
+            table = getattr(self, f.name)
             if len(table) != 4 or any(type(bit) is not int or bit not in (0, 1) for bit in table):
-                raise InvalidStrategy(f"{name} must be four bits, got {table!r}")
+                raise InvalidStrategy(f"{f.name} must be four bits, got {table!r}")
 
     @classmethod
     def from_codes(cls, e: int, b: int, r: int, c: int) -> "ClassicalStrategy":
@@ -152,12 +147,7 @@ class ClassicalStrategy:
     @staticmethod
     def relay_first_bit() -> "ClassicalStrategy":
         """Alice sends ``x0``; Bob outputs and relays it; Charlie outputs it."""
-        return ClassicalStrategy(
-            encode=(0, 0, 1, 1),
-            bob_out=(0, 0, 1, 1),
-            relay=(0, 0, 1, 1),
-            charlie_out=(0, 0, 1, 1),
-        )
+        return ClassicalStrategy.from_codes(12, 12, 12, 12)  # every table (0, 0, 1, 1)
 
 
 def enumerate_classical_strategies():
@@ -182,7 +172,7 @@ def witness_pair_classical(cs: ClassicalStrategy) -> WitnessPair:
             for z in (0, 1):
                 if cs.charlie_out[2 * relayed + z] == x[z]:
                     ac_hits += 1
-    return WitnessPair(float(Fraction(ab_hits, 8)), float(Fraction(ac_hits, 16)))
+    return WitnessPair(ab_hits / 8.0, ac_hits / 16.0)
 
 
 _KET = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))

@@ -7,7 +7,6 @@ criterion.  Runtime limits are asserted on warmed-up timings.
 import time
 
 import numpy as np
-import pytest
 
 from seqrac import (
     OptimizerConfig,

@@ -25,7 +25,7 @@ from seqrac import (
     sharpness_upper,
     witness_pair,
 )
-from seqrac.analytics import W_AB_MAX, W_AC_TRIVIAL, round_reported
+from seqrac.analytics import W_AB_MAX, W_AC_TRIVIAL, SelfTestReport, round_reported
 from seqrac.errors import DomainError, InfeasiblePair, InvalidStrategy
 from seqrac.linalg import BinaryPovm, QubitState, state_from_bloch
 from seqrac.sampling import random_strategy, random_su2
@@ -170,9 +170,9 @@ class TestSetMembership:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         for pair in (WitnessPair(bad, 0.7), WitnessPair(0.7, bad)):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="is not finite"):
                 in_classical_set(pair)
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="is not finite"):
                 in_quantum_set(pair)
 
 
@@ -224,6 +224,34 @@ class TestSelfTest:
         s = Strategy(base.preparations, (trivial, base.instruments[1]), base.measurements)
         np.testing.assert_allclose(selftest_report(s).charlie_alignment_defects, (0.0, 0.0),
                                    rtol=0, atol=1e-12)
+
+    def test_second_instrument_without_axis_is_completed_from_the_first(self):
+        # Bob's z axis is missing: the frame completes it from his x axis as y, which
+        # Charlie's z readout misses by |sigma_z - sigma_y|_F = 2.
+        base = canonical_strategy(0.8)
+        trivial = axis_instruments(0.0, 0.0)[1]
+        s = Strategy(base.preparations, (base.instruments[0], trivial), base.measurements)
+        np.testing.assert_allclose(selftest_report(s).charlie_alignment_defects, (0.0, 2.0),
+                                   rtol=0, atol=1e-12)
+
+    def test_collapsed_antipodal_pairs_have_a_right_angle_defect(self):
+        base = canonical_strategy(0.8)
+        same = PreparationEnsemble((state_from_bloch([0.0, 0.0, 1.0]),) * 4)
+        report = selftest_report(Strategy(same, base.instruments, base.measurements))
+        assert report.square_angle_defect == np.pi / 2
+        assert report.antipodality_defects == (2.0, 2.0)
+
+    def test_max_defect_reads_every_field(self):
+        zero = SelfTestReport((0.0,) * 4, (0.0, 0.0), 0.0, (0.0, 0.0), 0.0, 0.0, (0.0, 0.0))
+        assert zero.max_defect() == 0.0
+        for field in dataclasses.fields(SelfTestReport):
+            value = getattr(zero, field.name)
+            if not isinstance(value, tuple):
+                assert dataclasses.replace(zero, **{field.name: 1.0}).max_defect() == 1.0
+                continue
+            for i in range(len(value)):
+                bumped = value[:i] + (1.0,) + value[i + 1:]
+                assert dataclasses.replace(zero, **{field.name: bumped}).max_defect() == 1.0
 
     def test_no_axis_at_all_takes_the_coordinate_frame(self):
         # Both instruments trivial: this is canonical_strategy(0), so every field vanishes.

@@ -189,3 +189,30 @@ def test_search_config_is_none_or_an_optimizer_config(search, cfg):
     # trace_boundary reads no setting of its cfg, but it takes only what seesaw takes.
     with pytest.raises(DomainError, match="cfg must be an OptimizerConfig or None"):
         SEARCHES[search](cfg)
+
+
+# bool is not a number, inside a list or tuple too; np.bool_ neither.
+BOOL_ENTRIES = {
+    "state_from_bloch": (state_from_bloch, [[True, 0, 0], (0.0, np.True_, 0.0)]),
+    "projective_povm": (projective_povm, [(0, 0, True), [0.0, 0.0, np.True_]]),
+    "matrix_sqrt_psd": (matrix_sqrt_psd, [[[True, False], [False, True]],
+                                          ((1.0, 0.0), (0.0, np.True_))]),
+    "max_eigenpair": (max_eigenpair, [[[1.0, False], [False, 1.0]]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOL_ENTRIES))
+def test_bool_entries_of_a_sequence_are_not_numbers(name):
+    func, values = BOOL_ENTRIES[name]
+    for value in values:
+        with pytest.raises(DomainError):
+            func(value)
+
+
+@pytest.mark.parametrize("lo, hi", [(-INF, INF), (0.0, 1.0), (0.5, 0.5), (2.0, 1.0)])
+def test_nan_is_reported_as_not_finite_at_any_bounds(lo, hi):
+    from seqrac.errors import require_real
+
+    for value in (NAN, np.float64(NAN)):
+        with pytest.raises(DomainError, match=r"^x = (np\.float64\()?nan\)? is not finite$"):
+            require_real(value, "x", lo, hi)

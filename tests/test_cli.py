@@ -340,6 +340,25 @@ class TestErrorExitCodes:
         rows = out.read_text().splitlines()[1:]
         assert all("nan" in row for row in rows)
 
+    def test_seesaw_failure_maps_to_4(self, tmp_path, capsys, monkeypatch):
+        from seqrac import cli
+        from seqrac.errors import ConvergenceFailure
+
+        real_seesaw = cli.seesaw
+
+        def fail_at_reference(alpha, cfg=None):  # seesaw's signature
+            if alpha == 0.75:
+                raise ConvergenceFailure(f"all restarts failed at alpha = {alpha!r}")
+            return real_seesaw(alpha, cfg)
+
+        monkeypatch.setattr(cli, "seesaw", fail_at_reference)
+        out = tmp_path / "boundary.csv"
+        assert main(["boundary", "--points", "2", "--with-seesaw", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "seesaw: all restarts failed at alpha = 0.75\n"
+        rows = {row.split(",")[0]: row.split(",") for row in out.read_text().splitlines()[1:]}
+        assert rows["0.75"][-2:] == ["nan", "nan"]
+        assert all("nan" not in cells for alpha, cells in rows.items() if alpha != "0.75")
+
     def test_inequality_violation_maps_to_6(self, capsys, monkeypatch):
         from seqrac import cli
         from seqrac.errors import InequalityViolation

@@ -27,7 +27,7 @@ from seqrac import (
     witness_pair,
 )
 from seqrac.analytics import W_AB_MAX
-from seqrac.errors import DomainError, InequalityViolation, InvalidPovm, NotPsd
+from seqrac.errors import ConvergenceFailure, DomainError, InequalityViolation, InvalidPovm, NotPsd
 from seqrac.linalg import (
     ID2,
     BinaryPovm,
@@ -236,10 +236,31 @@ class TestTraceBoundary:
             with pytest.raises(DomainError):
                 trace_boundary([alpha])
 
-    @pytest.mark.parametrize("alphas", [0.75, None, np.float64(0.75), np.array(0.75)])
+    # A string or bytes iterates, but over characters or byte values, not levels.
+    @pytest.mark.parametrize(
+        "alphas", [0.75, None, np.float64(0.75), np.array(0.75), "0.75", b"0.75"]
+    )
     def test_rejects_levels_that_are_not_iterable(self, alphas):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="alphas must be a sequence of levels"):
             trace_boundary(alphas)
+
+    @pytest.mark.parametrize(
+        "stub, message",
+        [
+            ("_grid_argmax", "no feasible grid point"),
+            ("_ascend", "refinement left the feasible set"),
+            ("reduced_objective", "refinement stalled"),
+        ],
+    )
+    def test_each_convergence_failure_names_alpha(self, monkeypatch, stub, message):
+        fake = {
+            "_grid_argmax": lambda alpha, resolution: (-math.inf, 0.0, 0.0),
+            "_ascend": lambda alpha, theta, phi1, q0, q1, resolution: (-1.0, theta, None, phi1),
+            "reduced_objective": lambda r: 0.0,
+        }
+        monkeypatch.setattr(optimizer, stub, fake[stub])
+        with pytest.raises(ConvergenceFailure, match=rf"{message} at alpha = 0\.75\b"):
+            trace_boundary([0.75])
 
 
 def _meshgrid_charlie_values(alpha, theta, phi1, q0, q1):
@@ -499,6 +520,14 @@ class TestSeesaw:
             result.strategy.validate()
             assert in_quantum_set(result.pair, tol=1e-7)
 
+    def test_all_restarts_failing_raises(self, monkeypatch):
+        def failed_round(alpha, theta, phi1, q0, q1):  # _seesaw_round's signature
+            return (theta, 0.0, phi1), -math.inf, (q0, q1), -math.inf
+
+        monkeypatch.setattr(optimizer, "_seesaw_round", failed_round)
+        with pytest.raises(ConvergenceFailure, match=r"all restarts failed at alpha = 0\.75\b"):
+            seesaw(0.75)
+
 
 class TestClassicalBruteforce:
     def test_exact_maxima(self):
@@ -535,6 +564,10 @@ class TestClassicalBruteforce:
         assert result.max_w_ab == max(p.w_ab for p in pairs)
         assert result.max_w_ac == max(p.w_ac for p in pairs)
         assert list(result.extremes) == hull
+
+    @pytest.mark.parametrize("points", [[], [(3, 4)], [(0, 0), (2, 1)]])
+    def test_hull_of_two_or_fewer_points_is_the_points(self, points):
+        assert _integer_hull(points) == points
 
     def test_key_counts_give_the_sorted_distinct_keys(self):
         ab, ac = _classical_hits()
@@ -608,6 +641,11 @@ class TestTrigInequality:
         with pytest.raises(DomainError):
             trig_grid_max(resolution)
 
+    def test_grid_maximum_above_one_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "trig_grid_max", lambda grid: 1.5)
+        with pytest.raises(InequalityViolation, match=r"trig grid maximum 1\.5 exceeds 1"):
+            optimizer.inequality_report(2, 3, 0)
+
 
 class TestClosedFormEigenvalue:
     def test_matches_direct_eigensolve(self, rng):
@@ -636,6 +674,12 @@ class TestClosedFormEigenvalue:
             cos_beta = float(np.dot(povm.cvec, direction)) / max(povm.sharpness, 1e-300)
             expected = np.sqrt(1 - povm.sharpness**2 * (1 - cos_beta**2))
             assert total == pytest.approx(expected, abs=1e-12)
+
+    def test_zero_direction_gives_zero(self):
+        # |a| = 0 leaves cos(beta) undefined; the eigenvalue of a zero operator is 0.
+        povm = BinaryPovm.from_observable(0.25, [0.5, 0.0, 0.25])
+        for b in (0, 1):
+            assert sandwich_eigenvalue_closed_form(povm, [0.0, 0.0, 0.0], b) == 0.0
 
     def test_rejects_non_finite_direction(self):
         povm = projective_povm([0.0, 0.0, 1.0])

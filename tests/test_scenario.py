@@ -338,6 +338,21 @@ class TestValidation:
         with pytest.raises(InvalidStrategy, match=r"measurements\[0\]"):
             broken.validate()
 
+    def test_validate_rejects_a_stored_povm_that_disagrees_with_kraus(self):
+        import dataclasses
+
+        from seqrac.errors import InvalidStrategy
+
+        strategy = canonical_strategy(0.8)
+        weaker = canonical_strategy(0.7).instruments[1].povm
+        instrument = dataclasses.replace(strategy.instruments[1], povm=weaker)
+        broken = Strategy(strategy.preparations, (strategy.instruments[0], instrument),
+                          strategy.measurements)
+        with pytest.raises(
+            InvalidStrategy, match=r"instruments\[1\]: stored POVM disagrees with Kraus operators"
+        ):
+            broken.validate()
+
     def test_validate_rejects_disagreeing_views(self, rng):
         from seqrac.errors import InvalidStrategy
         from seqrac.linalg import QubitState

@@ -91,6 +91,12 @@ class TestApplyVisibility:
         with pytest.raises(DomainError):
             VisibilityTriple(1.2, 1.0, 1.0)
 
+    def test_rejects_multi_operator_branches(self):
+        # Bob answers 0 to both messages, so branch 0 holds two Kraus operators.
+        embedded = classical_to_strategy(ClassicalStrategy.from_codes(0, 0, 0, 0))
+        with pytest.raises(InvalidStrategy, match="single-Kraus instruments"):
+            apply_visibility(embedded, VisibilityTriple(1.0, 1.0, 1.0))
+
     def test_closed_form_noise_law(self, rng):
         # w_ab = 1/2 + va vb eta / (2 sqrt(2));
         # w_ac = 1/2 + va vc sqrt(2) (1 + sqrt(1 - (vb eta)^2)) / 8
@@ -110,8 +116,9 @@ class TestApplyVisibility:
 
 class TestClassicalModel:
     def test_relay_first_bit_saturates_bound(self):
-        pair = witness_pair_classical(ClassicalStrategy.relay_first_bit())
-        assert pair == (0.75, 0.75)
+        cs = ClassicalStrategy.relay_first_bit()
+        assert cs == ClassicalStrategy((0, 0, 1, 1), (0, 0, 1, 1), (0, 0, 1, 1), (0, 0, 1, 1))
+        assert witness_pair_classical(cs) == (0.75, 0.75)
 
     def test_constant_message_scores_half(self):
         cs = ClassicalStrategy(
