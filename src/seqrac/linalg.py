@@ -52,14 +52,14 @@ def _has_bool(v) -> bool:
 
 def as_matrix2(m) -> np.ndarray:
     """Coerce input to a complex 2x2 array with parts in ``[-MAX_ENTRY, MAX_ENTRY]``;
-    :class:`DomainError` otherwise (``bool`` entries of a list are not numbers)."""
+    :class:`DomainError` otherwise (``bool`` entries of a list or array are not numbers)."""
     try:
         a = np.asarray(m, dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"expected a 2x2 matrix: {exc}") from None
     if a.shape != (2, 2):
         raise DomainError(f"expected a 2x2 matrix, got shape {a.shape}")
-    if _has_bool(m):
+    if _has_bool(m) or isinstance(m, np.ndarray) and m.dtype == bool:
         raise DomainError(f"expected a 2x2 matrix of numbers, got {m!r}")
     return _bounded(a, "matrix")
 

@@ -42,7 +42,7 @@ from .linalg import (
     state_from_bloch,
     validate_povm,
 )
-from .sampling import _draw_observable, random_unit_vector
+from .sampling import random_unit_vector
 from .scenario import (
     INPUT_PAIRS,
     BinaryInstrument,
@@ -675,28 +675,53 @@ def trig_grid_max(resolution: int) -> float:
     )
 
 
-def _suite_draws(rng: np.random.Generator, samples: int, allow_offset: bool, direction):
-    """Draws ``(c0, c, a)``: per sample, the calls of ``random_povm(rng, allow_offset)``,
-    then ``direction(rng)``.  Returns the draws, the effects ``(E0, E1)`` of each as
-    ``from_observable`` builds them in one ``(2n, 2, 2)`` stack, ``|c|``, the ``(n, 3)``
-    directions, ``|a|`` (each ``sqrt(v.dot(v))``, the operations of ``np.linalg.norm``)
-    and the index of the first draw that :func:`_replay` rejects (``n`` if none)."""
-    draws = [(*_draw_observable(rng, allow_offset), direction(rng)) for _ in range(samples)]
-    c0, c, a = zip(*draws)
-    eta, norm = (np.array([math.sqrt(v.dot(v)) for v in vs]) for vs in (c, a))
-    c0, c, a = np.array(c0), np.array(c), np.array(a)
+def _suite_draws(rng: np.random.Generator, samples: int, allow_offset: bool):
+    """Stacks ``(c0, c, a)``: per sample, bit for bit, the draws of ``random_povm(rng,
+    allow_offset)``, then with an offset ``rng.standard_normal(3) * (2.0 * rng.random())``,
+    else ``random_unit_vector(rng)``.  The loop only calls the generator, in that order;
+    the arithmetic runs on the stacks with the float operations of the scalar draws."""
+    random, normal = rng.random, rng.standard_normal
+    eta, offset, scale = [], [], []
+    normals = np.empty((2 * samples, 3))  # per sample: the axis, then the direction
+    rows = iter(normals)
+    for _ in range(samples):
+        eta.append(random())
+        if allow_offset:
+            offset.append(random())
+        normal(out=next(rows))
+        normal(out=next(rows))
+        if allow_offset:
+            scale.append(random())
+    eta, v, w = np.array(eta), normals[0::2], normals[1::2]
+    c = eta[:, None] * (v / _norms(v)[:, None])
+    if allow_offset:
+        c0 = (-1.0 + 2.0 * np.array(offset)) * (1.0 - eta)
+        return c0, c, w * (2.0 * np.array(scale))[:, None]
+    return np.zeros(samples), c, w / _norms(w)[:, None]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """``sqrt(r.dot(r))`` of each row, the operations of ``np.linalg.norm``.  One ``ddot``
+    per row: a stacked ``vecdot``, ``einsum`` or ``norm`` matches OpenBLAS only per kernel."""
+    return np.array([math.sqrt(r.dot(r)) for r in v])
+
+
+def _screen(c0: np.ndarray, c: np.ndarray, a: np.ndarray):
+    """The ``(2n, 2, 2)`` stack of effects ``(E0, E1)`` as ``from_observable`` builds them,
+    ``|c|``, ``|a|`` and the index of the first draw :func:`_replay` rejects (``n`` if none)."""
+    eta, norm = _norms(c), _norms(a)
     with np.errstate(invalid="ignore"):  # rejected draws may be inf or NaN
         bad = ~np.isfinite(c0 + eta) | ~(np.abs(a) <= MAX_ENTRY).all(axis=1)
         bad |= (eta - 1.0 > HERM_TOL) | (np.abs(c0) - (1.0 - eta) > HERM_TOL)
         e0 = _bloch_compose_rows(0.5 * (1.0 + c0), 0.5 * c)
         e1 = _bloch_compose_rows(0.5 * (1.0 - c0), -0.5 * c)
-    return draws, np.stack((e0, e1), axis=1).reshape(-1, 2, 2), eta, a, norm, _first(bad)
+    return np.stack((e0, e1), axis=1).reshape(-1, 2, 2), eta, norm, _first(bad)
 
 
-def _replay(draw) -> None:
-    """Raise what ``from_observable(c0, c)`` or ``_vector3(a, "direction")`` raises on a draw."""
-    BinaryPovm.from_observable(draw[0], draw[1])
-    _vector3(draw[2], "direction")
+def _replay(c0: np.ndarray, c: np.ndarray, a: np.ndarray, i: int) -> None:
+    """Raise what ``from_observable`` (offset a Python float) or ``_vector3`` raises on draw ``i``."""
+    BinaryPovm.from_observable(float(c0[i]), c[i])
+    _vector3(a[i], "direction")
     raise RuntimeError("a batched check failed where the constructors passed")
 
 
@@ -720,12 +745,11 @@ def _bound_suite(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np
     failing sample in draw order raises the scalar path's error: a violation
     from :func:`_sum_bound_rows`, a rejected draw from :func:`_replay`.
     """
-    draws, effects, _, a, rhs, n = _suite_draws(
-        rng, samples, True, lambda g: g.standard_normal(3) * (2.0 * g.random())
-    )
+    c0, c, a = _suite_draws(rng, samples, True)
+    effects, _, rhs, n = _screen(c0, c, a)
     lhs = _sum_bound_rows(effects[: 2 * n], a[:n], rhs[:n])
     if n < samples:
-        _replay(draws[n])
+        _replay(c0, c, a, n)
     return lhs, rhs
 
 
@@ -737,14 +761,13 @@ def _eigen_suite(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np
     :func:`_sandwich_max` and :func:`sandwich_eigenvalue_closed_form`.  The first rejected
     draw is replayed as in :func:`_bound_suite`.
     """
-    draws, effects, eta, u, norm, n = _suite_draws(rng, samples, False, random_unit_vector)
+    c0, c, u = _suite_draws(rng, samples, False)
+    effects, eta, norm, n = _screen(c0, c, u)
     if n < samples:
-        _replay(draws[n])
+        _replay(c0, c, u, n)
     direct = _sandwich_max(effects, np.repeat(_bloch_compose_rows(0.0, u), 2, axis=0))
-    closed = np.array([
-        [_closed_form(c0_i, eta_i, float(c_i.dot(u_i)), norm_i, b) for b in (0, 1)]
-        for (c0_i, c_i, u_i), eta_i, norm_i in zip(draws, eta.tolist(), norm.tolist())
-    ])
+    overlap = np.array([x.dot(y) for x, y in zip(c, u)])  # one ddot per row, as in _norms
+    closed = np.stack([_closed_form(c0, eta, overlap, norm, b) for b in (0, 1)], axis=1)
     return direct.reshape(samples, 2), closed
 
 
@@ -795,15 +818,19 @@ def sandwich_eigenvalue_closed_form(povm, direction, outcome: int) -> float:
     """
     povm, a = _binary_povm(povm), _vector3(direction, "direction")
     norm, outcome = float(np.linalg.norm(a)), require_integer(outcome, "outcome", 0, 1)
-    return _closed_form(povm.c0, povm.sharpness, float(np.dot(povm.cvec, a)), norm, outcome)
+    row = np.array([[povm.c0], [povm.sharpness], [float(np.dot(povm.cvec, a))], [norm]])
+    return float(_closed_form(*row, outcome)[0])
 
 
-def _closed_form(c0: float, eta: float, overlap: float, norm: float, outcome: int) -> float:
-    """:func:`sandwich_eigenvalue_closed_form` from plain floats: ``overlap = c . a``, ``norm = |a|``."""
-    if norm == 0.0:
-        return 0.0
+def _closed_form(c0, eta, overlap, norm, outcome: int) -> np.ndarray:
+    """:func:`sandwich_eigenvalue_closed_form` on ``(n,)`` arrays (``overlap = c . a``, ``norm = |a|``),
+    each entry by the scalar float operations: squares by Python ``x ** 2`` (libm's ``pow``, not
+    a multiply) and clamps by selects that keep ``-0.0`` on ties, as ``max``/``min`` do."""
     sign = -1.0 if outcome else 1.0
-    cos_beta = overlap / (eta * norm) if eta > 1e-15 else 0.0
-    cos_beta = min(max(cos_beta, -1.0), 1.0)
-    radicand = max((1.0 + sign * c0) ** 2 - eta * eta * (1.0 - cos_beta**2), 0.0)
-    return 0.5 * norm * (sign * eta * cos_beta + math.sqrt(radicand))
+    with np.errstate(all="ignore"):  # rows the scalar formula skips (eta or |a| near 0)
+        cos_beta = np.where(eta > 1e-15, overlap / (eta * norm), 0.0)
+        cos_beta = np.where(-1.0 > cos_beta, -1.0, np.where(cos_beta > 1.0, 1.0, cos_beta))
+        squares = np.array([[x**2 for x in v.tolist()] for v in (1.0 + sign * c0, cos_beta)])
+        radicand = squares[0] - eta * eta * (1.0 - squares[1])
+        radicand = np.where(0.0 > radicand, 0.0, radicand)
+        return np.where(norm == 0.0, 0.0, 0.5 * norm * (sign * eta * cos_beta + np.sqrt(radicand)))

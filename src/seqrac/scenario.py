@@ -201,7 +201,9 @@ def joint_prob(s: Strategy, x: tuple[int, int], y: int, z: int, b: int, c: int) 
     branch = np.zeros((2, 2), dtype=complex)  # the unnormalized output sum_j K_bj rho K_bj^dag
     for k in s.instruments[y].kraus[b]:
         branch += k @ rho @ k.conj().T
-    return _clamp_prob(float(np.trace(branch @ s.measurements[z].effects[c]).real))
+    m = branch @ s.measurements[z].effects[c]
+    # np.trace's sum, from 0.0: a bare m00 + m11 would keep a -0.0 that np.trace makes 0.0
+    return _clamp_prob(float((0.0 + m[0, 0].real) + m[1, 1].real))
 
 
 def _matrices(states: Iterable[QubitState]) -> np.ndarray:

@@ -86,6 +86,19 @@ def frozen_sandwich_max(effect, op) -> float:
     return max_eigenpair(root @ op @ root, tol=np.inf).value
 
 
+def frozen_closed_form(c0: float, eta: float, overlap: float, norm: float, outcome: int) -> float:
+    """``sandwich_eigenvalue_closed_form`` from plain floats (``overlap = c . a``, ``norm = |a|``),
+    one sample and one outcome at a time, as written before the ``checks`` eigen suite
+    evaluated it on arrays: the bit oracle of ``optimizer._closed_form``."""
+    if norm == 0.0:
+        return 0.0
+    sign = -1.0 if outcome else 1.0
+    cos_beta = overlap / (eta * norm) if eta > 1e-15 else 0.0
+    cos_beta = min(max(cos_beta, -1.0), 1.0)
+    radicand = max((1.0 + sign * c0) ** 2 - eta * eta * (1.0 - cos_beta**2), 0.0)
+    return 0.5 * norm * (sign * eta * cos_beta + math.sqrt(radicand))
+
+
 def hexes(*values) -> list[str]:
     """``float.hex`` of each value, the format of the recorded JSON."""
     return [float(v).hex() for v in values]

@@ -191,13 +191,15 @@ def test_search_config_is_none_or_an_optimizer_config(search, cfg):
         SEARCHES[search](cfg)
 
 
-# bool is not a number, inside a list or tuple too; np.bool_ neither.
+# bool is not a number, inside a list or tuple too; np.bool_ and bool arrays neither.
 BOOL_ENTRIES = {
     "state_from_bloch": (state_from_bloch, [[True, 0, 0], (0.0, np.True_, 0.0)]),
     "projective_povm": (projective_povm, [(0, 0, True), [0.0, 0.0, np.True_]]),
     "matrix_sqrt_psd": (matrix_sqrt_psd, [[[True, False], [False, True]],
-                                          ((1.0, 0.0), (0.0, np.True_))]),
-    "max_eigenpair": (max_eigenpair, [[[1.0, False], [False, 1.0]]]),
+                                          ((1.0, 0.0), (0.0, np.True_)),
+                                          np.array([[True, False], [False, True]])]),
+    "max_eigenpair": (max_eigenpair, [[[1.0, False], [False, 1.0]],
+                                      np.array([[True, False], [False, True]])]),
 }
 
 

@@ -50,7 +50,7 @@ from seqrac.optimizer import (
     minimize_scalar,
     trig_grid_max,
 )
-from seqrac.sampling import random_povm, random_strategy, random_unit_vector
+from seqrac.sampling import _draw_observable, random_povm, random_strategy, random_unit_vector
 from seqrac.scenario import PreparationEnsemble, WitnessPair
 from seqrac.strategies import (
     X_AXIS,
@@ -58,7 +58,7 @@ from seqrac.strategies import (
     enumerate_classical_strategies,
     witness_pair_classical,
 )
-from conftest import frozen_fixed_charlie_value, frozen_sandwich_max, hexes
+from conftest import frozen_closed_form, frozen_fixed_charlie_value, frozen_sandwich_max, hexes
 
 SQRT2 = np.sqrt(2.0)
 HALF_PI = np.pi / 2
@@ -675,6 +675,21 @@ class TestClosedFormEigenvalue:
             expected = np.sqrt(1 - povm.sharpness**2 * (1 - cos_beta**2))
             assert total == pytest.approx(expected, abs=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.floats(-2.0, 2.0),
+                  st.one_of(st.just(0.0), st.floats(1e-6, 1e3))),
+        min_size=1, max_size=8,
+    ))
+    @example([(-0.0, 0.0, -0.0, 0.0), (0.0, 1e-15, 1.0, 1.0), (-0.0, 0.5, -0.0, 1.0),
+              (1.0, 1.0, -1.0, 1.0), (0.0, 0.5, 0.5 + 2**-50, 1.0), (-1.0, 0.25, -0.75, 3.0)])
+    def test_array_formula_equals_the_frozen_scalar(self, rows):
+        # the clamps at -1, 1 and 0, the eta cut-off, |a| = 0 and signed zeros, entry by entry
+        columns = np.array(rows).T
+        for b in (0, 1):
+            got = optimizer._closed_form(*columns, b).tolist()
+            assert hexes(*got) == hexes(*(frozen_closed_form(*row, b) for row in rows))
+
     def test_zero_direction_gives_zero(self):
         # |a| = 0 leaves cos(beta) undefined; the eigenvalue of a zero operator is 0.
         povm = BinaryPovm.from_observable(0.25, [0.5, 0.0, 0.25])
@@ -822,7 +837,9 @@ class TestInequalityReport:
             u = random_unit_vector(oracle)
             op = bloch_compose(0.0, u)
             assert row_direct == [frozen_sandwich_max(e, op) for e in povm.effects]
-            assert row_closed == [sandwich_eigenvalue_closed_form(povm, u, b) for b in (0, 1)]
+            overlap, norm = float(np.dot(povm.cvec, u)), float(np.linalg.norm(u))
+            want = [frozen_closed_form(povm.c0, povm.sharpness, overlap, norm, b) for b in (0, 1)]
+            assert row_closed == want
         assert rng.bit_generator.state == oracle.bit_generator.state
 
     def test_batches_leave_the_report_unchanged(self, monkeypatch):
@@ -851,26 +868,25 @@ class TestInequalityReport:
         # every eigenvalue sum is set to |a| + excess (the bound allows 1e-9),
         # and one draw may break positivity: the earliest failing sample
         # wins, and within a sample the measurement check runs first
-        real_draw = optimizer._draw_observable
-        draws = []
+        real_draws = optimizer._suite_draws
 
-        def draw(rng, allow_offset):
-            draws.append(real_draw(rng, allow_offset))
-            if len(draws) - 1 == bad_draw:
-                return 0.5, np.array([0.9, 0.0, 0.0])
-            return draws[-1]
+        def draws(rng, samples, allow_offset):
+            c0, c, a = real_draws(rng, samples, allow_offset)
+            if allow_offset and bad_draw is not None:  # the bound suite, which draws first
+                c0[bad_draw], c[bad_draw] = 0.5, [0.9, 0.0, 0.0]
+            return c0, c, a
 
         def sums_to_norm_plus_excess(effects, ops):
             return 0.5 * np.sqrt(-np.linalg.det(ops).real) + 0.5 * excess
 
-        monkeypatch.setattr(optimizer, "_draw_observable", draw)
+        monkeypatch.setattr(optimizer, "_suite_draws", draws)
         monkeypatch.setattr(optimizer, "_sandwich_max", sums_to_norm_plus_excess)
         if error is None:
             lhs, rhs = optimizer._bound_suite(np.random.default_rng([0, 11]), 5)
             assert 0.0 < (lhs - rhs).max() < 1e-9
             return
         rng = np.random.default_rng([0, 11])
-        real_draw(rng, True)
+        _draw_observable(rng, True)
         a = rng.normal(size=3) * rng.uniform(0.0, 2.0)
         lhs = 0.0
         for value in sums_to_norm_plus_excess(None, np.array([bloch_compose(0.0, a)] * 2)):
@@ -892,19 +908,17 @@ class TestInequalityReport:
     ):
         # a measurement that breaks positivity or a NaN direction: the earliest
         # rejected sample wins, and within a sample the measurement runs first
-        real_draw, real_unit = optimizer._draw_observable, optimizer.random_unit_vector
-        samples = []
+        real_draws = optimizer._suite_draws
 
-        def draw(rng, allow_offset):
-            samples.append(real_draw(rng, allow_offset))
-            return (0.5, np.array([0.9, 0.0, 0.0])) if len(samples) - 1 == bad_povm else samples[-1]
+        def draws(rng, samples, allow_offset):
+            c0, c, u = real_draws(rng, samples, allow_offset)
+            if bad_povm is not None:
+                c0[bad_povm], c[bad_povm] = 0.5, [0.9, 0.0, 0.0]
+            if bad_direction is not None:
+                u[bad_direction] = [np.nan, 0.0, 0.0]
+            return c0, c, u
 
-        def unit(rng):
-            u = real_unit(rng)
-            return np.array([np.nan, 0.0, 0.0]) if len(samples) - 1 == bad_direction else u
-
-        monkeypatch.setattr(optimizer, "_draw_observable", draw)
-        monkeypatch.setattr(optimizer, "random_unit_vector", unit)
+        monkeypatch.setattr(optimizer, "_suite_draws", draws)
         message = {
             NotPsd: "offset 0.5 with |c| = 0.9 breaks positivity",
             DomainError: "direction has entries that are not finite",

@@ -1,6 +1,7 @@
 """Witness functionals and the outcome distribution."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from seqrac import (
     witness_pair,
 )
 from seqrac.errors import CompletenessViolated, DomainError
-from seqrac.linalg import projective_povm, state_from_bloch
+from seqrac.linalg import ID2, projective_povm, state_from_bloch
 from seqrac.sampling import random_povm, random_strategy, random_su2
 from seqrac.scenario import INPUT_PAIRS, BinaryInstrument, PreparationEnsemble, difference_vectors
 
@@ -101,6 +102,52 @@ class TestJointProb:
         strategy = canonical_strategy(0.8)
         for x, y, z, b, c in itertools.product(INPUT_PAIRS, *[(0, 1)] * 4):
             assert 0.0 <= joint_prob(strategy, x, y, z, b, c) <= 1.0
+
+
+def frozen_joint_prob(s, x, y, z, b, c) -> float:
+    """``joint_prob`` with its trace taken by ``np.trace``, as written before it read the
+    two diagonal entries itself: the bit oracle of the outcome table."""
+    rho = s.preparations.state(x).matrix
+    branch = np.zeros((2, 2), dtype=complex)
+    for k in s.instruments[y].kraus[b]:
+        branch += k @ rho @ k.conj().T
+    p = float(np.trace(branch @ s.measurements[z].effects[c]).real)
+    return min(max(p, 0.0), 1.0)
+
+
+class TestJointProbBits:
+    @pytest.mark.parametrize("luders", [False, True])
+    def test_table_equals_the_np_trace_copy_on_random_strategies(self, luders):
+        rng = np.random.default_rng([2601, luders])
+        for _ in range(150):
+            s = random_strategy(rng, luders)
+            for index in itertools.product(INPUT_PAIRS, *[(0, 1)] * 4):
+                assert joint_prob(s, *index).hex() == frozen_joint_prob(s, *index).hex(), index
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_table_equals_the_np_trace_copy_on_canonical_strategies(self, eta):
+        # sharpness 1 makes projectors, whose products hold exact zeros
+        s = canonical_strategy(eta)
+        for index in itertools.product(INPUT_PAIRS, *[(0, 1)] * 4):
+            assert joint_prob(s, *index).hex() == frozen_joint_prob(s, *index).hex(), index
+
+    def test_negative_zero_diagonal_reads_as_np_trace_reads_it(self):
+        # a product with -0.0 on both diagonal entries: the trace from 0.0 gives 0.0, where a
+        # bare m00 + m11 would print -0.000000.  The effect hands joint_prob that product
+        # itself, because whether zgemm makes a -0.0 depends on the OpenBLAS kernel.
+        class FixedProduct:
+            __array_ufunc__ = None  # so numpy leaves branch @ effect to __rmatmul__
+
+            def __rmatmul__(self, branch):
+                return np.array([[-0.0, 1.0], [1.0, -0.0]], dtype=complex)
+
+        s = SimpleNamespace(
+            preparations=SimpleNamespace(state=lambda x: SimpleNamespace(matrix=ID2)),
+            instruments=[SimpleNamespace(kraus=((ID2,), (ID2,)))] * 2,
+            measurements=[SimpleNamespace(effects=(FixedProduct(), FixedProduct()))] * 2,
+        )
+        got = joint_prob(s, (0, 0), 0, 0, 0, 0)
+        assert got.hex() == frozen_joint_prob(s, (0, 0), 0, 0, 0, 0).hex() == "0x0.0p+0"
 
 
 class TestWitnessAB:

@@ -7,12 +7,14 @@ from seqrac import (
     canonical_witness_pair,
     double_violation_point,
     party_witness_closed_form,
+    sequence,
     simulate_chain,
     witness_pair,
 )
 from seqrac.errors import DomainError
+from seqrac.scenario import average_instrument_channel, rac_success
 from seqrac.sequence import CHAIN_PARTIES_MAX, ChainConfig
-from seqrac.strategies import canonical_strategy
+from seqrac.strategies import axis_instruments, canonical_strategy, square_preparations
 
 SQRT2 = np.sqrt(2.0)
 
@@ -90,6 +92,27 @@ class TestSimulateChain:
                 0.5 * (1 + radius * eta / SQRT2), abs=1e-12
             )
             radius *= (1 + np.sqrt(1 - eta**2)) / 2
+
+    def test_runs_of_equal_sharpness_equal_a_rebuild_per_party(self, monkeypatch):
+        # one instrument build per run of equal float.hex: 0.0 and -0.0 are separate runs
+        profile = (1.0, 1.0, 0.0, -0.0, -0.0, 0.8, 0.8, 1.0)
+        ensemble, rebuilt = square_preparations(), []
+        for eta in profile:
+            radius = float(np.linalg.norm(ensemble.states[0].bloch))
+            instruments = axis_instruments(eta, eta)
+            witness = rac_success(ensemble.states, tuple(i.povm for i in instruments))
+            rebuilt.append((float(witness).hex(), radius.hex()))
+            ensemble = average_instrument_channel(ensemble.states, instruments)
+        builds = []
+
+        def counted(eta_x, eta_z):
+            builds.append(eta_x)
+            return axis_instruments(eta_x, eta_z)
+
+        monkeypatch.setattr(sequence, "axis_instruments", counted)
+        rows = simulate_chain(ChainConfig(len(profile), profile))
+        assert [(r.witness.hex(), r.entering_radius.hex()) for r in rows] == rebuilt
+        assert [eta.hex() for eta in builds] == [v.hex() for v in (1.0, 0.0, -0.0, 0.8, 1.0)]
 
     def test_rejects_bad_profile(self):
         for args in (
