@@ -74,14 +74,10 @@ from .sequence import (
     simulate_chain,
 )
 from .strategies import (
-    ClassicalStrategy,
     VisibilityTriple,
     apply_visibility,
     canonical_strategy,
     canonical_witness_pair,
-    classical_to_strategy,
-    enumerate_classical_strategies,
-    witness_pair_classical,
 )
 
 __version__ = "0.1.0"

@@ -211,11 +211,10 @@ def _common_unitary_defect(instruments) -> tuple[float, np.ndarray]:
     """
     cross = np.zeros((2, 2), dtype=complex)
     roots = []
-    for inst in instruments:
-        for k in inst.all_kraus():
-            root = polar_decompose(k)[1]
-            roots.append((k, root))
-            cross += k @ root  # root is Hermitian
+    for k in np.concatenate([inst.kraus for inst in instruments]):
+        root = polar_decompose(k)[1]
+        roots.append((k, root))
+        cross += k @ root  # root is Hermitian
     u_fit = polar_decompose(cross)[0]
     worst = max(float(np.linalg.norm(k - u_fit @ root)) for k, root in roots)
     return worst, u_fit

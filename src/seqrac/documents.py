@@ -155,7 +155,7 @@ def _document_payload(s: Strategy) -> dict:
             for st in s.preparations.states
         ],
         "instruments": [
-            {"kraus": [_matrix_payload(k) for k in inst.kraus_pair]}
+            {"kraus": [_matrix_payload(k) for k in inst.kraus]}
             for inst in s.instruments
         ],
         "measurements": [

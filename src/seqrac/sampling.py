@@ -49,8 +49,7 @@ def random_instrument(rng: np.random.Generator, luders: bool = False) -> BinaryI
     povm = random_povm(rng)
     if luders:
         return BinaryInstrument.luders(povm)
-    unitaries = ((random_su2(rng),), (random_su2(rng),))
-    return BinaryInstrument._from_unitaries(unitaries, povm)
+    return BinaryInstrument._from_unitaries(np.array([random_su2(rng), random_su2(rng)]), povm)
 
 
 def random_preparations(rng: np.random.Generator) -> PreparationEnsemble:

@@ -51,86 +51,67 @@ class PreparationEnsemble:
 
 @dataclass(frozen=True)
 class BinaryInstrument:
-    """Binary-outcome instrument; each outcome owns a tuple of Kraus operators.
+    """Binary-outcome instrument with one Kraus operator per outcome, ``K_b = U_b sqrt(M_b)``.
 
-    Standard (extremal) instruments carry one Kraus operator per outcome,
-    ``K_b = U_b sqrt(M_b)``; the classical measure-and-reprepare embedding
-    needs two on a branch, which is why the branches are tuples.  ``povm``
-    holds the induced measurement ``M_b = sum_j K_bj^dag K_bj`` and
-    ``unitaries`` the polar factors of the branch operators.  Direct
-    construction is trusted; use :meth:`from_kraus` / :meth:`from_branches`
-    to validate.
+    ``kraus[b]`` is ``K_b`` and ``unitaries[b]`` its polar unitary ``U_b``, each a
+    ``(2, 2, 2)`` array indexed by outcome; ``povm`` holds the induced measurement
+    ``M_b = K_b^dag K_b``.  These are the extremal instruments of the paper's
+    self-test; a convex mixture of them, which needs more operators per outcome,
+    is not represented.  Direct construction is trusted; use :meth:`from_kraus`
+    or :meth:`from_polar` to validate.
     """
 
-    kraus: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
+    kraus: np.ndarray
     povm: BinaryPovm
-    unitaries: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
+    unitaries: np.ndarray
 
     @classmethod
-    def from_branches(cls, branch0, branch1) -> "BinaryInstrument":
-        branches = tuple(
-            tuple(as_matrix2(k) for k in branch) for branch in (branch0, branch1)
-        )
+    def from_kraus(cls, k0, k1) -> "BinaryInstrument":
+        """Validate the instrument with Kraus operators ``k0`` and ``k1``."""
+        kraus = np.array([as_matrix2(k0), as_matrix2(k1)])
         effects = []
-        for branch in branches:
-            m = np.zeros((2, 2), dtype=complex)
-            for k in branch:
-                m += k.conj().T @ k
+        for k in kraus:
+            m = 0.0 + k.conj().T @ k  # from 0.0, as the per-operator sum was: no -0.0 entry
             effects.append(0.5 * (m + m.conj().T))
         dev = float(np.max(np.abs(effects[0] + effects[1] - ID2)))
         if dev > HERM_TOL:
             raise CompletenessViolated(f"Kraus operators sum to I + {dev:.3e}")
         povm = validate_povm(effects[0], effects[1])
-        unitaries = tuple(
-            tuple(polar_decompose(k)[0] for k in branch) for branch in branches
-        )
-        return cls(branches, povm, unitaries)
-
-    @classmethod
-    def from_kraus(cls, k0, k1) -> "BinaryInstrument":
-        """Validate an extremal instrument (one Kraus operator per outcome)."""
-        return cls.from_branches((k0,), (k1,))
+        return cls(kraus, povm, np.array([polar_decompose(k)[0] for k in kraus]))
 
     @classmethod
     def from_polar(cls, unitaries, povm: BinaryPovm) -> "BinaryInstrument":
-        """Extremal instrument ``K_b = U_b sqrt(M_b)``.
-
-        ``unitaries`` holds one polar unitary per outcome in the branch
-        layout of :attr:`unitaries`, ``((U_0,), (U_1,))``.  :class:`DomainError`
-        if one is not a finite 2x2 matrix, :class:`CompletenessViolated` if an
-        entry of ``U^dag U - I`` exceeds ``HERM_TOL`` in modulus.
-        """
-        unitaries = tuple(tuple(map(as_matrix2, branch)) for branch in unitaries)
-        dev = max((float(np.abs(u.conj().T @ u - ID2).max()) for b in unitaries for u in b), default=0.0)
-        if dev > HERM_TOL:
-            raise CompletenessViolated(f"polar unitaries have U^dag U = I + {dev:.3e}")
-        return cls._from_unitaries(unitaries, povm)
+        """Instrument ``K_b = U_b sqrt(M_b)`` from the pair ``(U_0, U_1)``;
+        :class:`DomainError` if that is not a pair of finite 2x2 matrices,
+        :class:`CompletenessViolated` if one is not unitary (:func:`_unitary_pair`)."""
+        return cls._from_unitaries(_unitary_pair(unitaries), povm)
 
     @classmethod
-    def _from_unitaries(cls, unitaries, povm: BinaryPovm) -> "BinaryInstrument":
-        """:meth:`from_polar` unchecked, for unitaries that are unitary by construction."""
-        kraus = tuple((u[0] @ matrix_sqrt_psd(e),) for u, e in zip(unitaries, povm.effects))
+    def _from_unitaries(cls, unitaries: np.ndarray, povm: BinaryPovm) -> "BinaryInstrument":
+        """:meth:`from_polar` unchecked, for a ``(2, 2, 2)`` stack that is unitary by construction."""
+        kraus = np.array([u @ matrix_sqrt_psd(e) for u, e in zip(unitaries, povm.effects)])
         return cls(kraus, povm, unitaries)
 
     @classmethod
     def luders(cls, povm: BinaryPovm) -> "BinaryInstrument":
         """Instrument with ``K_b = sqrt(M_b)`` (trivial unitary part)."""
-        kraus = tuple((matrix_sqrt_psd(e, tol=np.inf),) for e in povm.effects)
-        return cls(kraus, povm, ((ID2.copy(),), (ID2.copy(),)))
+        kraus = np.array([matrix_sqrt_psd(e, tol=np.inf) for e in povm.effects])
+        return cls(kraus, povm, np.array([ID2, ID2]))
 
-    def is_extremal(self) -> bool:
-        return len(self.kraus[0]) == 1 and len(self.kraus[1]) == 1
 
-    @property
-    def kraus_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """The two Kraus operators of an extremal instrument."""
-        if not self.is_extremal():
-            raise InvalidStrategy("instrument has multi-operator branches")
-        return self.kraus[0][0], self.kraus[1][0]
-
-    def all_kraus(self):
-        for branch in self.kraus:
-            yield from branch
+def _unitary_pair(unitaries) -> np.ndarray:
+    """``(U_0, U_1)`` as a ``(2, 2, 2)`` array.  :class:`DomainError` if it is not a pair
+    of finite 2x2 matrices, :class:`CompletenessViolated` if an entry of some
+    ``U^dag U - I`` exceeds ``HERM_TOL`` in modulus."""
+    try:
+        u0, u1 = unitaries
+    except (TypeError, ValueError):
+        raise DomainError(f"polar unitaries must be a pair (U0, U1), got {unitaries!r}") from None
+    us = np.array([as_matrix2(u0), as_matrix2(u1)])
+    dev = max(float(np.abs(u.conj().T @ u - ID2).max()) for u in us)
+    if dev > HERM_TOL:
+        raise CompletenessViolated(f"polar unitaries have U^dag U = I + {dev:.3e}")
+    return us
 
 
 @dataclass(frozen=True)
@@ -157,7 +138,8 @@ class Strategy:
                 raise InvalidStrategy(f"preparations[{i}]: matrix/bloch views disagree")
         for y, inst in enumerate(self.instruments):
             try:
-                rebuilt = BinaryInstrument.from_branches(*inst.kraus)
+                rebuilt = BinaryInstrument.from_kraus(*inst.kraus)
+                _unitary_pair(inst.unitaries)
             except Exception as exc:
                 raise InvalidStrategy(f"instruments[{y}]: {exc}") from exc
             for own, derived in zip(inst.povm.effects, rebuilt.povm.effects):
@@ -198,10 +180,9 @@ def joint_prob(s: Strategy, x: tuple[int, int], y: int, z: int, b: int, c: int) 
         raise DomainError(f"joint_prob needs x in {INPUT_PAIRS} and y, z, b, c in (0, 1), "
                           f"as ints; got {x!r}, {y!r}, {z!r}, {b!r}, {c!r}")
     rho = s.preparations.state(x).matrix
-    branch = np.zeros((2, 2), dtype=complex)  # the unnormalized output sum_j K_bj rho K_bj^dag
-    for k in s.instruments[y].kraus[b]:
-        branch += k @ rho @ k.conj().T
-    m = branch @ s.measurements[z].effects[c]
+    k = s.instruments[y].kraus[b]
+    # 0.0 + K rho K^dag, as in _channel_sum: the output of branch b, with no -0.0 entry
+    m = (0.0 + k @ rho @ k.conj().T) @ s.measurements[z].effects[c]
     # np.trace's sum, from 0.0: a bare m00 + m11 would keep a -0.0 that np.trace makes 0.0
     return _clamp_prob(float((0.0 + m[0, 0].real) + m[1, 1].real))
 
@@ -214,20 +195,13 @@ def _matrices(states: Iterable[QubitState]) -> np.ndarray:
 def _channel_sum(
     instruments: tuple[BinaryInstrument, BinaryInstrument], rhos: np.ndarray
 ) -> np.ndarray:
-    """``sum_{y,b,j} K rho K^dag`` on a stack, every product from one stacked matmul, added
-    as a per-operator loop adds: ``0 + K rho K^dag`` per operator (zeros for an empty
-    branch), branch 0 plus branch 1, then instrument 0 plus instrument 1."""
-    branches = [branch for inst in instruments for branch in inst.kraus]
-    ops = np.array([k for branch in branches for k in branch])
-    # Every term gets the loop's "0 +"; past a first term that changes no bit (never -0).
-    terms = iter(0.0 + ops[:, None] @ rhos @ ops.conj().transpose(0, 2, 1)[:, None])
-    s = []
-    for branch in branches:
-        acc = next(terms) if branch else np.zeros(rhos.shape, dtype=complex)
-        for _ in branch[1:]:
-            acc = acc + next(terms)
-        s.append(acc)
-    return (s[0] + s[1]) + (s[2] + s[3])
+    """``sum_{y,b} K rho K^dag`` on a stack, every product from one stacked matmul, added
+    as a per-operator loop adds: ``0 + K rho K^dag`` per operator, branch 0 plus branch 1,
+    then instrument 0 plus instrument 1."""
+    ops = np.concatenate((instruments[0].kraus, instruments[1].kraus))
+    # Every term gets the loop's "0 +", which turns a -0.0 into 0.0.
+    t = 0.0 + ops[:, None] @ rhos @ ops.conj().transpose(0, 2, 1)[:, None]
+    return (t[0] + t[1]) + (t[2] + t[3])
 
 
 def _guess_score(ops: np.ndarray, povms: tuple[BinaryPovm, BinaryPovm]) -> float:
@@ -314,10 +288,7 @@ def conjugate_strategy(s: Strategy, u) -> Strategy:
         m = 0.5 * (m + m.conj().T)
         preps.append(QubitState(m, 2.0 * bloch_decompose(m)[1]))
     instruments = tuple(
-        BinaryInstrument.from_branches(
-            tuple(sandwich(k) for k in i.kraus[0]),
-            tuple(sandwich(k) for k in i.kraus[1]),
-        )
+        BinaryInstrument.from_kraus(sandwich(i.kraus[0]), sandwich(i.kraus[1]))
         for i in s.instruments
     )
     measurements = tuple(

@@ -66,9 +66,9 @@ def frozen_fixed_charlie_value(alpha, theta, phi1, q0, q1):
 
 def frozen_branch(inst, rho, b):
     """``sum_k K rho K^dag`` over the Kraus operators of branch ``b``, one at a time,
-    on one 2x2 ``rho`` or a stack."""
+    on one 2x2 ``rho`` or a stack; a branch holds the one operator ``kraus[b]``."""
     out = np.zeros(rho.shape, dtype=complex)
-    for k in inst.kraus[b]:
+    for k in (inst.kraus[b],):
         out += k @ rho @ k.conj().T
     return out
 

@@ -209,7 +209,7 @@ def _perturbed_variants(base: Strategy):
         [[np.cos(angle / 2), -np.sin(angle / 2)], [np.sin(angle / 2), np.cos(angle / 2)]],
         dtype=complex,
     )
-    k0, k1 = base.instruments[0].kraus_pair
+    k0, k1 = base.instruments[0].kraus
     yield "instrument unitary", Strategy(
         base.preparations,
         (BinaryInstrument.from_kraus(twist @ k0, k1), base.instruments[1]),

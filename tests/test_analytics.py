@@ -265,8 +265,8 @@ class TestSelfTest:
         nan_matrix = states[0].matrix.copy()
         nan_matrix[0, 1] = np.nan  # outside the entries that the Bloch view reads
         states[0] = QubitState(nan_matrix, states[0].bloch)
-        k0, k1 = base.instruments[0].kraus_pair
-        incomplete = dataclasses.replace(base.instruments[0], kraus=((0.5 * k0,), (k1,)))
+        k0, k1 = base.instruments[0].kraus
+        incomplete = dataclasses.replace(base.instruments[0], kraus=np.array([0.5 * k0, k1]))
         e0, e1 = base.measurements[0].effects
         nan_effect = dataclasses.replace(base.measurements[0], effects=(e0 + np.nan, e1))
         broken = {
@@ -355,7 +355,7 @@ class TestSelfTest:
             ],
             dtype=complex,
         )
-        k0, k1 = base.instruments[0].kraus_pair
+        k0, k1 = base.instruments[0].kraus
         twisted = BinaryInstrument.from_kraus(twist @ k0, k1)
         broken = Strategy(
             base.preparations, (twisted, base.instruments[1]), base.measurements
@@ -373,9 +373,9 @@ class TestSelfTest:
         assert selftest_report(broken).charlie_alignment_defects[0] > 1e-4
 
     def test_classical_embedding_is_far_from_optimal_form(self):
-        from seqrac.strategies import ClassicalStrategy, classical_to_strategy
+        from classical_model import ClassicalStrategy, embed
 
-        embedded = classical_to_strategy(ClassicalStrategy.relay_first_bit())
+        embedded = embed(ClassicalStrategy.relay_first_bit())
         assert selftest_report(embedded).max_defect() > 0.1
 
     def test_parallel_instrument_axes_do_not_crash(self):
@@ -390,17 +390,3 @@ class TestSelfTest:
             base.preparations, (clone, clone), base.measurements
         )
         assert selftest_report(degenerate).max_defect() > 1e-3
-
-    def test_multi_branch_instruments_supported(self):
-        # constant relay forces a two-operator branch; report still runs
-        from seqrac.strategies import ClassicalStrategy, classical_to_strategy
-
-        cs = ClassicalStrategy(
-            encode=(0, 0, 1, 1),
-            bob_out=(0, 0, 0, 0),
-            relay=(0, 0, 0, 0),
-            charlie_out=(0, 0, 1, 1),
-        )
-        embedded = classical_to_strategy(cs)
-        assert not embedded.instruments[0].is_extremal()
-        assert selftest_report(embedded).max_defect() > 0.1

@@ -22,7 +22,6 @@ from seqrac import (
     BinaryInstrument,
     BinaryPovm,
     ChainConfig,
-    ClassicalStrategy,
     DomainError,
     OptimizerConfig,
     QubitState,
@@ -58,6 +57,7 @@ from seqrac import (
     validate_povm,
 )
 from seqrac.linalg import ID2, MAX_ENTRY, SIGMA_X
+from classical_model import ClassicalStrategy
 
 NAN, INF = float("nan"), float("inf")
 HOSTILE_SCALARS = [
@@ -127,6 +127,7 @@ TABLE = {
     "validate_povm": (validate_povm, "mm"),
     "QubitState.from_matrix": (QubitState.from_matrix, "m"),
     "BinaryInstrument.from_kraus": (BinaryInstrument.from_kraus, "mm"),
+    "BinaryInstrument.from_polar": (lambda u0, u1: BinaryInstrument.from_polar((u0, u1), SHARP_Z), "mm"),
     "conjugate_strategy": (lambda u: conjugate_strategy(CANONICAL, u), "m"),
     "joint_prob": (lambda x0, x1, y, z, b, c: joint_prob(CANONICAL, (x0, x1), y, z, b, c), "iiiiii"),
     "OptimizerConfig": (lambda seed: OptimizerConfig(rng_seed=seed), "i"),
@@ -146,7 +147,7 @@ TABLE = {
     "canonical_witness_pair": (canonical_witness_pair, "r"),
     "VisibilityTriple": (
         lambda *v: apply_visibility(CANONICAL, VisibilityTriple(*v)), "rrr"),
-    "ClassicalStrategy.from_codes": (ClassicalStrategy.from_codes, "iiii"),
+    "ClassicalStrategy.from_codes": (ClassicalStrategy.from_codes, "iiii"),  # the oracle in classical_model
 }
 
 

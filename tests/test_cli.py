@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import seqrac
 from seqrac import canonical_strategy
 from seqrac.cli import BOUNDARY_POINTS_MAX, build_parser, main
-from seqrac.documents import document_text, write_strategy_file
+from seqrac.documents import document_text, read_strategy_file, write_strategy_file
 from seqrac.sequence import CHAIN_PARTIES_MAX
 
 
@@ -118,17 +118,23 @@ class TestEvaluate:
         assert "Traceback" not in err
 
     def test_classical_relay_document(self, tmp_path, capsys):
-        from seqrac.strategies import ClassicalStrategy, classical_to_strategy
+        # relay_first_bit, then every Bob code whose embedding has one Kraus operator per outcome
+        from classical_model import EMBEDDABLE_BOB_CODES, ClassicalStrategy, embed, witness_pair_classical
 
         path = tmp_path / "relay.json"
-        write_strategy_file(
-            classical_to_strategy(ClassicalStrategy.relay_first_bit()), path
-        )
-        assert main(["evaluate", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "w_ab = 0.750000" in out
-        assert "w_ac = 0.750000" in out
-        assert "classical set: True" in out
+        strategies = [ClassicalStrategy.relay_first_bit()] + [
+            ClassicalStrategy.from_codes(e, b, r, c)
+            for b in EMBEDDABLE_BOB_CODES for e, r, c in ((10, 5, 3), (6, 0, 9), (0, 15, 12))
+        ]
+        for cs in strategies:
+            write_strategy_file(embed(cs), path)
+            first = path.read_bytes()
+            write_strategy_file(read_strategy_file(path), path)
+            assert path.read_bytes() == first
+            assert main(["evaluate", str(path)]) == 0
+            exact = witness_pair_classical(cs)
+            out = capsys.readouterr().out
+            assert f"w_ab = {exact.w_ab:.6f}\nw_ac = {exact.w_ac:.6f}\nclassical set: True\n" in out, cs
 
 
 class TestBoundary:

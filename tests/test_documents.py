@@ -9,20 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqrac import (
-    ClassicalStrategy,
-    canonical_strategy,
-    canonical_witness_pair,
-    classical_to_strategy,
-    witness_pair,
-)
+from seqrac import canonical_strategy, canonical_witness_pair, witness_pair
 from seqrac.documents import (
     document_text,
     parse_strategy_document,
     read_strategy_file,
     write_strategy_file,
 )
-from seqrac.errors import DocumentError, DocumentInvariantError, InvalidStrategy
+from seqrac.errors import DocumentError, DocumentInvariantError
 from seqrac.sampling import random_strategy
 
 
@@ -57,12 +51,6 @@ class TestRoundTrip:
                 first = path.read_bytes()
                 write_strategy_file(read_strategy_file(path), path)
                 assert path.read_bytes() == first
-
-    def test_multi_operator_branch_has_no_document(self):
-        # Only single-Kraus instruments are representable in a file.
-        embedded = classical_to_strategy(ClassicalStrategy.from_codes(0, 0, 0, 0))
-        with pytest.raises(InvalidStrategy, match="multi-operator branches"):
-            document_text(embedded)
 
     def test_document_is_valid_json(self):
         doc = canonical_doc()

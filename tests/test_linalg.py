@@ -277,7 +277,7 @@ class TestPolarDecompose:
         u_frame = random_su2(np.random.default_rng(frame_seed))
         rotated = conjugate_strategy(canonical_strategy(eta), u_frame)
         for inst in rotated.instruments:
-            for k in inst.all_kraus():
+            for k in inst.kraus:
                 u, p = polar_decompose(k)
                 assert np.abs(u @ p - k).max() <= 1e-13
                 assert np.abs(u.conj().T @ u - ID2).max() <= 1e-13

@@ -52,12 +52,8 @@ from seqrac.optimizer import (
 )
 from seqrac.sampling import _draw_observable, random_povm, random_strategy, random_unit_vector
 from seqrac.scenario import PreparationEnsemble, WitnessPair
-from seqrac.strategies import (
-    X_AXIS,
-    Z_AXIS,
-    enumerate_classical_strategies,
-    witness_pair_classical,
-)
+from seqrac.strategies import X_AXIS, Z_AXIS
+from classical_model import enumerate_classical_strategies, witness_pair_classical
 from conftest import frozen_closed_form, frozen_fixed_charlie_value, frozen_sandwich_max, hexes
 
 SQRT2 = np.sqrt(2.0)

@@ -93,8 +93,8 @@ def _inputs():
     for _ in range(300):
         s = random_strategy(rng, luders=True)
         for inst in s.instruments:
-            yield from (k for k in inst.all_kraus())
-            yield from (k.conj().T @ k for k in inst.all_kraus())
+            yield from inst.kraus
+            yield from (k.conj().T @ k for k in inst.kraus)
     for _ in range(1500):
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         yield float(rng.random()) * np.outer(v, v.conj())  # rank one

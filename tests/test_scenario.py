@@ -109,7 +109,7 @@ def frozen_joint_prob(s, x, y, z, b, c) -> float:
     two diagonal entries itself: the bit oracle of the outcome table."""
     rho = s.preparations.state(x).matrix
     branch = np.zeros((2, 2), dtype=complex)
-    for k in s.instruments[y].kraus[b]:
+    for k in (s.instruments[y].kraus[b],):
         branch += k @ rho @ k.conj().T
     p = float(np.trace(branch @ s.measurements[z].effects[c]).real)
     return min(max(p, 0.0), 1.0)
@@ -143,7 +143,7 @@ class TestJointProbBits:
 
         s = SimpleNamespace(
             preparations=SimpleNamespace(state=lambda x: SimpleNamespace(matrix=ID2)),
-            instruments=[SimpleNamespace(kraus=((ID2,), (ID2,)))] * 2,
+            instruments=[SimpleNamespace(kraus=(ID2, ID2))] * 2,
             measurements=[SimpleNamespace(effects=(FixedProduct(), FixedProduct()))] * 2,
         )
         got = joint_prob(s, (0, 0), 0, 0, 0, 0)
@@ -273,27 +273,36 @@ class TestFromPolar:
     def test_unitaries_give_the_unchecked_bits(self, rng):
         for _ in range(50):
             povm = random_povm(rng)
-            unitaries = ((random_su2(rng),), (random_su2(rng),))
+            unitaries = (random_su2(rng), random_su2(rng))
             checked = BinaryInstrument.from_polar(unitaries, povm)
-            trusted = BinaryInstrument._from_unitaries(unitaries, povm)
-            for a, b in zip(checked.kraus_pair, trusted.kraus_pair):
-                assert a.tobytes() == b.tobytes()
+            trusted = BinaryInstrument._from_unitaries(np.array(unitaries), povm)
+            assert checked.kraus.tobytes() == trusted.kraus.tobytes()
+            assert checked.unitaries.tobytes() == trusted.unitaries.tobytes()
 
     def test_accepts_rounding_within_herm_tol(self):
-        inst = BinaryInstrument.from_polar(((np.eye(2) * (1.0 + 4e-10),), (np.eye(2),)), SHARP_Z)
-        assert inst.kraus_pair[0][0, 0] == 1.0 + 4e-10
+        inst = BinaryInstrument.from_polar((np.eye(2) * (1.0 + 4e-10), np.eye(2)), SHARP_Z)
+        assert inst.kraus[0][0, 0] == 1.0 + 4e-10
 
     @pytest.mark.parametrize("u", [2.0 * np.eye(2), [[1.0, 1.0], [0.0, 1.0]], np.eye(2) + 2e-9])
     def test_rejects_non_unitary(self, u):
         with pytest.raises(CompletenessViolated, match="^polar unitaries have"):
-            BinaryInstrument.from_polar(((u,), (np.eye(2),)), SHARP_Z)
+            BinaryInstrument.from_polar((u, np.eye(2)), SHARP_Z)
 
     @pytest.mark.parametrize(
         "u", ["abc", [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.inf]], np.eye(3), [[1.0, 0.0], [0.0]]]
     )
     def test_rejects_non_numeric_and_non_finite(self, u):
         with pytest.raises(DomainError):
-            BinaryInstrument.from_polar(((np.eye(2),), (u,)), SHARP_Z)
+            BinaryInstrument.from_polar((np.eye(2), u), SHARP_Z)
+
+    @pytest.mark.parametrize(
+        "unitaries",
+        [((), (ID2,)), ((ID2, ID2), (ID2,)), ((ID2,),), 5, ((ID2,), (ID2,)), ID2, (ID2, ID2, ID2)],
+        ids=["empty branch", "two in a branch", "one branch", "int", "branch layout", "matrix", "triple"],
+    )
+    def test_takes_only_a_pair_of_matrices(self, unitaries):
+        with pytest.raises(DomainError):
+            BinaryInstrument.from_polar(unitaries, SHARP_Z)
 
 
 def _drawn_strategy(seed: int, luders: bool) -> Strategy:
@@ -398,6 +407,19 @@ class TestValidation:
         with pytest.raises(
             InvalidStrategy, match=r"instruments\[1\]: stored POVM disagrees with Kraus operators"
         ):
+            broken.validate()
+
+    def test_validate_rejects_polar_unitaries_that_are_not_unitary(self):
+        # apply_visibility rebuilds the Kraus operators from these, so they must hold too.
+        import dataclasses
+
+        from seqrac.errors import InvalidStrategy
+
+        strategy = canonical_strategy(0.8)
+        instrument = dataclasses.replace(strategy.instruments[0], unitaries=(2.0 * ID2, ID2))
+        broken = Strategy(strategy.preparations, (instrument, strategy.instruments[1]),
+                          strategy.measurements)
+        with pytest.raises(InvalidStrategy, match=r"^instruments\[0\]: polar unitaries have U\^dag U = I \+ 3"):
             broken.validate()
 
     def test_validate_rejects_disagreeing_views(self, rng):

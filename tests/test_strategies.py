@@ -1,4 +1,4 @@
-"""Canonical family, visibility noise, and the classical model."""
+"""Canonical family, visibility noise, and the classical model of the tests."""
 
 import itertools
 
@@ -10,14 +10,18 @@ from seqrac import (
     apply_visibility,
     canonical_strategy,
     canonical_witness_pair,
-    classical_to_strategy,
     joint_prob,
     witness_pair,
-    witness_pair_classical,
 )
 from seqrac.errors import DomainError, InvalidStrategy
 from seqrac.scenario import INPUT_PAIRS
-from seqrac.strategies import ClassicalStrategy
+from classical_model import (
+    EMBEDDABLE_BOB_CODES,
+    ClassicalStrategy,
+    embed,
+    embeddable_strategies,
+    witness_pair_classical,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -91,12 +95,6 @@ class TestApplyVisibility:
         with pytest.raises(DomainError):
             VisibilityTriple(1.2, 1.0, 1.0)
 
-    def test_rejects_multi_operator_branches(self):
-        # Bob answers 0 to both messages, so branch 0 holds two Kraus operators.
-        embedded = classical_to_strategy(ClassicalStrategy.from_codes(0, 0, 0, 0))
-        with pytest.raises(InvalidStrategy, match="single-Kraus instruments"):
-            apply_visibility(embedded, VisibilityTriple(1.0, 1.0, 1.0))
-
     def test_closed_form_noise_law(self, rng):
         # w_ab = 1/2 + va vb eta / (2 sqrt(2));
         # w_ac = 1/2 + va vc sqrt(2) (1 + sqrt(1 - (vb eta)^2)) / 8
@@ -149,9 +147,9 @@ class TestClassicalModel:
 
     def test_embedding_reproduces_distribution_exactly(self, rng):
         for _ in range(40):
-            codes = rng.integers(0, 16, size=4)
-            cs = ClassicalStrategy.from_codes(*[int(v) for v in codes])
-            strategy = classical_to_strategy(cs)
+            e, r, c = rng.integers(0, 16, size=3).tolist()
+            cs = ClassicalStrategy.from_codes(e, int(rng.choice(EMBEDDABLE_BOB_CODES)), r, c)
+            strategy = embed(cs)
             for x in INPUT_PAIRS:
                 m = cs.encode[2 * x[0] + x[1]]
                 for y, z in itertools.product((0, 1), repeat=2):
@@ -163,14 +161,13 @@ class TestClassicalModel:
                             expected, abs=1e-12
                         )
 
-    def test_embedding_matches_exact_witnesses(self, rng):
-        for _ in range(60):
-            codes = rng.integers(0, 16, size=4)
-            cs = ClassicalStrategy.from_codes(*[int(v) for v in codes])
-            exact = witness_pair_classical(cs)
-            embedded = witness_pair(classical_to_strategy(cs))
-            assert embedded.w_ab == pytest.approx(exact.w_ab, abs=1e-12)
-            assert embedded.w_ac == pytest.approx(exact.w_ac, abs=1e-12)
+    def test_embedding_matches_exact_witnesses(self):
+        # Every strategy whose instruments have one Kraus operator per outcome.
+        checked = 0
+        for cs in embeddable_strategies():
+            assert witness_pair(embed(cs)) == witness_pair_classical(cs), cs
+            checked += 1
+        assert checked == 16384
 
     def test_random_sample_respects_classical_bound(self, rng):
         for _ in range(500):
