@@ -56,7 +56,6 @@ from .optimizer import (
 )
 from .scenario import (
     BinaryInstrument,
-    PreparationEnsemble,
     Strategy,
     WitnessPair,
     conjugate_strategy,

@@ -224,7 +224,7 @@ def selftest_report(s: Strategy) -> SelfTestReport:
     """Measure how far a strategy sits from the optimal-pair form;
     :class:`InvalidStrategy` naming the component if ``s`` is not valid."""
     s.validate()
-    blochs = s.preparations.bloch_vectors()
+    blochs = np.array([st.bloch for st in s.preparations])
     purity = tuple(max(0.0, 1.0 - float(np.linalg.norm(n))) for n in blochs)
     antipodality = (
         float(np.linalg.norm(blochs[0] + blochs[3])),

@@ -97,7 +97,7 @@ def cmd_evaluate(args) -> int:
     print(f"quantum set:   {in_quantum_set(pair)}")
     print()
     print("effective ensemble Bloch vectors (after Bob, averaged):")
-    for x, st in zip(INPUT_PAIRS, effective_ensemble(strategy).states):
+    for x, st in zip(INPUT_PAIRS, effective_ensemble(strategy)):
         nx, ny, nz = st.bloch
         print(f"  x=({x[0]},{x[1]}): ({nx:.6f}, {ny:.6f}, {nz:.6f})")
     print()

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DocumentError, DocumentInvariantError
 from .linalg import HERM_TOL, QubitState, bloch_from_matrix, state_from_bloch, validate_povm
-from .scenario import BinaryInstrument, PreparationEnsemble, Strategy
+from .scenario import BinaryInstrument, Strategy
 
 SCHEMA_VERSION = 1
 
@@ -119,7 +119,7 @@ def parse_strategy_document(doc: dict) -> Strategy:
 
     instruments = _parse_devices(doc, "instruments", "kraus", "Kraus", BinaryInstrument.from_kraus)
     measurements = _parse_devices(doc, "measurements", "effects", "effect", validate_povm)
-    return Strategy(PreparationEnsemble(tuple(states)), instruments, measurements)
+    return Strategy(tuple(states), instruments, measurements)
 
 
 def _parse_devices(doc: dict, key: str, field: str, noun: str, build) -> tuple:
@@ -152,7 +152,7 @@ def _document_payload(s: Strategy) -> dict:
                 "bloch": [_fmt(v) for v in bloch_from_matrix(st.matrix)],
                 "matrix": _matrix_payload(st.matrix),
             }
-            for st in s.preparations.states
+            for st in s.preparations
         ],
         "instruments": [
             {"kraus": [_matrix_payload(k) for k in inst.kraus]}

@@ -30,6 +30,7 @@ from .linalg import (
     HERM_TOL,
     MAX_ENTRY,
     BinaryPovm,
+    QubitState,
     _bloch_compose_rows,
     _max_eigvalue_rows,
     _sqrt_psd_rows,
@@ -46,7 +47,6 @@ from .sampling import random_unit_vector
 from .scenario import (
     INPUT_PAIRS,
     BinaryInstrument,
-    PreparationEnsemble,
     Strategy,
     WitnessPair,
     _channel_sum,
@@ -116,11 +116,11 @@ def strategy_from_reduced(r: ReducedParameters) -> Strategy:
     states = tuple(state_from_bloch(n) for n in (u, w, -w, -u))
     instruments = axis_instruments(float(np.cos(r.phi0)), float(np.cos(r.phi1)))
     measurements = (projective_povm(X_AXIS), projective_povm(Z_AXIS))
-    return Strategy(PreparationEnsemble(states), instruments, measurements)
+    return Strategy(states, instruments, measurements)
 
 
 def charlie_best_response(
-    preparations: PreparationEnsemble,
+    preparations: tuple[QubitState, ...],
     instruments: tuple[BinaryInstrument, BinaryInstrument],
 ) -> tuple[tuple[BinaryPovm, BinaryPovm], float]:
     """Optimal final measurements given the rest of the strategy.

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .linalg import BinaryPovm, QubitState, bloch_compose
-from .scenario import BinaryInstrument, PreparationEnsemble, Strategy
+from .scenario import BinaryInstrument, Strategy
 
 
 # rng.random() and rng.standard_normal(k): the bits of uniform() and normal(size=k), cheaper.
@@ -52,8 +52,8 @@ def random_instrument(rng: np.random.Generator, luders: bool = False) -> BinaryI
     return BinaryInstrument._from_unitaries(np.array([random_su2(rng), random_su2(rng)]), povm)
 
 
-def random_preparations(rng: np.random.Generator) -> PreparationEnsemble:
-    return PreparationEnsemble(tuple(random_state(rng) for _ in range(4)))
+def random_preparations(rng: np.random.Generator) -> tuple[QubitState, ...]:
+    return tuple(random_state(rng) for _ in range(4))
 
 
 def random_strategy(rng: np.random.Generator, luders: bool = False) -> Strategy:

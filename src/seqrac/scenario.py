@@ -24,6 +24,7 @@ from .linalg import (
     ID2,
     BinaryPovm,
     QubitState,
+    _psd_part,
     _vector3,
     as_matrix2,
     bloch_compose,
@@ -34,19 +35,6 @@ from .linalg import (
 )
 
 INPUT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-@dataclass(frozen=True)
-class PreparationEnsemble:
-    """Alice's four preparations, indexed by the input pair ``(x0, x1)``."""
-
-    states: tuple[QubitState, QubitState, QubitState, QubitState]
-
-    def state(self, x: tuple[int, int]) -> QubitState:
-        return self.states[2 * x[0] + x[1]]
-
-    def bloch_vectors(self) -> np.ndarray:
-        return np.array([s.bloch for s in self.states])
 
 
 @dataclass(frozen=True)
@@ -118,17 +106,23 @@ def _unitary_pair(unitaries) -> np.ndarray:
 class Strategy:
     """Full prepare-transform-measure strategy.
 
-    ``instruments`` and ``measurements`` are indexed by Bob's input ``y``
-    and Charlie's input ``z`` respectively.
+    ``preparations`` holds Alice's four states, the one for input ``x = (x0, x1)``
+    at index ``2 x0 + x1``; ``instruments`` and ``measurements`` are indexed by
+    Bob's input ``y`` and Charlie's input ``z`` respectively.
     """
 
-    preparations: PreparationEnsemble
+    preparations: tuple[QubitState, QubitState, QubitState, QubitState]
     instruments: tuple[BinaryInstrument, BinaryInstrument]
     measurements: tuple[BinaryPovm, BinaryPovm]
 
     def validate(self) -> "Strategy":
         """Re-validate every component; raises InvalidStrategy naming it."""
-        for i, st in enumerate(self.preparations.states):
+        for name, count in (("preparations", 4), ("instruments", 2), ("measurements", 2)):
+            part = getattr(self, name)
+            got = len(part) if isinstance(part, (tuple, list)) else type(part).__name__
+            if got != count:
+                raise InvalidStrategy(f"{name}: need a tuple or list of {count}, got {got}")
+        for i, st in enumerate(self.preparations):
             try:
                 QubitState.from_matrix(st.matrix)
                 bloch = _vector3(st.bloch, "Bloch vector")
@@ -139,7 +133,9 @@ class Strategy:
         for y, inst in enumerate(self.instruments):
             try:
                 rebuilt = BinaryInstrument.from_kraus(*inst.kraus)
-                _unitary_pair(inst.unitaries)
+                # K_b = U_b sqrt(M_b) holds iff U_b^dag K_b is positive semidefinite.
+                for u, k in zip(_unitary_pair(inst.unitaries), rebuilt.kraus):
+                    _psd_part(u.conj().T @ k, HERM_TOL, "U^dag K has ")
             except Exception as exc:
                 raise InvalidStrategy(f"instruments[{y}]: {exc}") from exc
             for own, derived in zip(inst.povm.effects, rebuilt.povm.effects):
@@ -179,7 +175,7 @@ def joint_prob(s: Strategy, x: tuple[int, int], y: int, z: int, b: int, c: int) 
     ):
         raise DomainError(f"joint_prob needs x in {INPUT_PAIRS} and y, z, b, c in (0, 1), "
                           f"as ints; got {x!r}, {y!r}, {z!r}, {b!r}, {c!r}")
-    rho = s.preparations.state(x).matrix
+    rho = s.preparations[2 * x[0] + x[1]].matrix
     k = s.instruments[y].kraus[b]
     # 0.0 + K rho K^dag, as in _channel_sum: the output of branch b, with no -0.0 entry
     m = (0.0 + k @ rho @ k.conj().T) @ s.measurements[z].effects[c]
@@ -230,7 +226,7 @@ def rac_success(states: Iterable[QubitState], povms: tuple[BinaryPovm, BinaryPov
 
 def witness_ab(s: Strategy) -> float:
     """Alice-Bob witness ``(1/8) sum_{x,y} tr(rho_x M_{x_y|y})``."""
-    return _witness_ab(s, _matrices(s.preparations.states))
+    return _witness_ab(s, _matrices(s.preparations))
 
 
 def _witness_ab(s: Strategy, rhos: np.ndarray) -> float:
@@ -239,24 +235,22 @@ def _witness_ab(s: Strategy, rhos: np.ndarray) -> float:
 
 def average_instrument_channel(
     states: Iterable[QubitState], instruments: tuple[BinaryInstrument, BinaryInstrument]
-) -> PreparationEnsemble:
+) -> tuple[QubitState, ...]:
     """Apply ``rho -> (1/2) sum_{y,b} K_{b|y} rho K_{b|y}^dag`` to each state."""
     acc = _channel_sum(instruments, _matrices(states))
     acc *= 0.5
     acc = 0.5 * (acc + acc.conj().transpose(0, 2, 1))
-    return PreparationEnsemble(
-        tuple(QubitState(m, 2.0 * bloch_decompose(m)[1]) for m in acc)
-    )
+    return tuple(QubitState(m, 2.0 * bloch_decompose(m)[1]) for m in acc)
 
 
-def effective_ensemble(s: Strategy) -> PreparationEnsemble:
-    """Ensemble reaching Charlie, averaged over Bob's inputs and outcomes."""
-    return average_instrument_channel(s.preparations.states, s.instruments)
+def effective_ensemble(s: Strategy) -> tuple[QubitState, ...]:
+    """The four states reaching Charlie, averaged over Bob's inputs and outcomes."""
+    return average_instrument_channel(s.preparations, s.instruments)
 
 
 def witness_ac(s: Strategy) -> float:
     """Alice-Charlie witness ``(1/16) sum_{x,y,b,z} tr(K rho K^dag C_{x_z|z})``."""
-    return _witness_ac(s, _matrices(s.preparations.states))
+    return _witness_ac(s, _matrices(s.preparations))
 
 
 def _witness_ac(s: Strategy, rhos: np.ndarray) -> float:
@@ -264,7 +258,7 @@ def _witness_ac(s: Strategy, rhos: np.ndarray) -> float:
 
 
 def witness_pair(s: Strategy) -> WitnessPair:
-    rhos = _matrices(s.preparations.states)  # one preparation stack for both witnesses
+    rhos = _matrices(s.preparations)  # one preparation stack for both witnesses
     return WitnessPair(_witness_ab(s, rhos), _witness_ac(s, rhos))
 
 
@@ -283,7 +277,7 @@ def conjugate_strategy(s: Strategy, u) -> Strategy:
         return v @ m @ vh
 
     preps = []
-    for st in s.preparations.states:
+    for st in s.preparations:
         m = sandwich(st.matrix)
         m = 0.5 * (m + m.conj().T)
         preps.append(QubitState(m, 2.0 * bloch_decompose(m)[1]))
@@ -295,16 +289,16 @@ def conjugate_strategy(s: Strategy, u) -> Strategy:
         validate_povm(sandwich(p.effects[0]), sandwich(p.effects[1]))
         for p in s.measurements
     )
-    return Strategy(PreparationEnsemble(tuple(preps)), instruments, measurements)
+    return Strategy(tuple(preps), instruments, measurements)
 
 
-def difference_vectors(preparations: PreparationEnsemble) -> tuple[np.ndarray, np.ndarray]:
+def difference_vectors(preparations: tuple[QubitState, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Signed Bloch sums ``m_z = sum_x (-1)^{x_z} n_x`` for ``z = 0, 1``.
 
     The traceless operator ``gamma_z = sum_x (-1)^{x_z} rho_x`` equals
     ``(m_z . sigma) / 2``.
     """
-    n = preparations.bloch_vectors()
+    n = np.array([st.bloch for st in preparations])
     m0 = (n[0] - n[3]) + (n[1] - n[2])
     m1 = (n[0] - n[3]) - (n[1] - n[2])
     return m0, m1

@@ -65,12 +65,12 @@ def simulate_chain(cfg: ChainConfig) -> list[ChainStep]:
     ensemble = square_preparations()
     rows, built = [], None
     for k, eta in enumerate(cfg.sharpness_profile, start=1):
-        radius = float(np.linalg.norm(ensemble.states[0].bloch))
+        radius = float(np.linalg.norm(ensemble[0].bloch))
         if eta.hex() != built:  # a run of equal sharpness shares one build; -0.0 is not 0.0
             built, instruments = eta.hex(), axis_instruments(eta, eta)
-        witness = rac_success(ensemble.states, (instruments[0].povm, instruments[1].povm))
+        witness = rac_success(ensemble, (instruments[0].povm, instruments[1].povm))
         rows.append(ChainStep(k, float(witness), radius))
-        ensemble = average_instrument_channel(ensemble.states, instruments)
+        ensemble = average_instrument_channel(ensemble, instruments)
     return rows
 
 

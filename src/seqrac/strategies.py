@@ -7,11 +7,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import require_real
-from .linalg import BinaryPovm, projective_povm, state_from_bloch
+from .linalg import BinaryPovm, QubitState, projective_povm, state_from_bloch
 from .scenario import (
     INPUT_PAIRS,
     BinaryInstrument,
-    PreparationEnsemble,
     Strategy,
     WitnessPair,
 )
@@ -21,8 +20,8 @@ X_AXIS = np.array([1.0, 0.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
-def square_preparations() -> PreparationEnsemble:
-    """Four pure states at ``((-1)^x0, 0, (-1)^x1) / sqrt(2)``.
+def square_preparations() -> tuple[QubitState, ...]:
+    """Four pure states at ``((-1)^x0, 0, (-1)^x1) / sqrt(2)``, indexed by ``2 x0 + x1``.
 
     The Bloch vectors form a square in the xz-disk whose diagonals are the
     pairs with flipped input bits.
@@ -31,7 +30,7 @@ def square_preparations() -> PreparationEnsemble:
     for x0, x1 in INPUT_PAIRS:
         n = INV_SQRT2 * np.array([(-1.0) ** x0, 0.0, (-1.0) ** x1])
         states.append(state_from_bloch(n))
-    return PreparationEnsemble(tuple(states))
+    return tuple(states)
 
 
 def unsharp_axis_povm(axis: np.ndarray, eta: float) -> BinaryPovm:
@@ -92,11 +91,9 @@ def apply_visibility(s: Strategy, v: VisibilityTriple) -> Strategy:
     Kraus operators are rebuilt as ``U_b sqrt(M'_b)`` with the original
     polar unitaries.  Charlie's observable Bloch vectors shrink by ``v_c``.
     """
-    preps = PreparationEnsemble(
-        tuple(state_from_bloch(v.v_a * st.bloch) for st in s.preparations.states)
-    )
+    preps = tuple(state_from_bloch(v.v_a * st.bloch) for st in s.preparations)
     instruments = tuple(
-        BinaryInstrument._from_unitaries(
+        BinaryInstrument.from_polar(
             inst.unitaries, BinaryPovm.from_observable(inst.povm.c0, v.v_b * inst.povm.cvec)
         )
         for inst in s.instruments

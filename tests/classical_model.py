@@ -14,7 +14,7 @@ import numpy as np
 
 from seqrac.errors import InvalidStrategy, require_integer
 from seqrac.linalg import QubitState, validate_povm
-from seqrac.scenario import INPUT_PAIRS, BinaryInstrument, PreparationEnsemble, Strategy, WitnessPair
+from seqrac.scenario import INPUT_PAIRS, BinaryInstrument, Strategy, WitnessPair
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,10 @@ def embed(cs: ClassicalStrategy) -> Strategy:
 
 
 @functools.cache
-def _preparations(encode: tuple) -> PreparationEnsemble:
-    return PreparationEnsemble(tuple(
+def _preparations(encode: tuple) -> tuple:
+    return tuple(
         QubitState(np.outer(_KET[m], _KET[m]), np.array([0.0, 0.0, 1.0 - 2.0 * m])) for m in encode
-    ))
+    )
 
 
 @functools.cache

@@ -32,7 +32,7 @@ from seqrac.analytics import W_AB_MAX, round_reported
 from seqrac.linalg import BinaryPovm, projective_povm, state_from_bloch
 from seqrac.optimizer import inequality_report
 from seqrac.sampling import random_strategy, random_su2
-from seqrac.scenario import BinaryInstrument, PreparationEnsemble
+from seqrac.scenario import BinaryInstrument
 from seqrac.sequence import ChainConfig, party_witness_closed_form
 from seqrac.strategies import VisibilityTriple, apply_visibility
 
@@ -184,11 +184,9 @@ def test_criterion_09_sequence_law():
 
 
 def _perturbed_variants(base: Strategy):
-    states = list(base.preparations.states)
+    states = list(base.preparations)
     states[0] = state_from_bloch(0.99 * states[0].bloch)
-    yield "preparation purity", Strategy(
-        PreparationEnsemble(tuple(states)), base.instruments, base.measurements
-    )
+    yield "preparation purity", Strategy(tuple(states), base.instruments, base.measurements)
 
     weaker = BinaryInstrument.luders(
         BinaryPovm.from_observable(0.0, 0.99 * base.instruments[0].povm.cvec)

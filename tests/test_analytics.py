@@ -29,7 +29,7 @@ from seqrac.analytics import W_AB_MAX, W_AC_TRIVIAL, SelfTestReport, round_repor
 from seqrac.errors import DomainError, InfeasiblePair, InvalidStrategy
 from seqrac.linalg import BinaryPovm, QubitState, state_from_bloch
 from seqrac.sampling import random_strategy, random_su2
-from seqrac.scenario import BinaryInstrument, PreparationEnsemble
+from seqrac.scenario import BinaryInstrument
 from seqrac.strategies import axis_instruments
 
 SQRT2 = np.sqrt(2.0)
@@ -236,7 +236,7 @@ class TestSelfTest:
 
     def test_collapsed_antipodal_pairs_have_a_right_angle_defect(self):
         base = canonical_strategy(0.8)
-        same = PreparationEnsemble((state_from_bloch([0.0, 0.0, 1.0]),) * 4)
+        same = (state_from_bloch([0.0, 0.0, 1.0]),) * 4
         report = selftest_report(Strategy(same, base.instruments, base.measurements))
         assert report.square_angle_defect == np.pi / 2
         assert report.antipodality_defects == (2.0, 2.0)
@@ -261,7 +261,7 @@ class TestSelfTest:
 
     def test_invalid_strategies_raise_invalid_strategy(self):
         base = canonical_strategy(0.8)
-        states = list(base.preparations.states)
+        states = list(base.preparations)
         nan_matrix = states[0].matrix.copy()
         nan_matrix[0, 1] = np.nan  # outside the entries that the Bloch view reads
         states[0] = QubitState(nan_matrix, states[0].bloch)
@@ -270,8 +270,7 @@ class TestSelfTest:
         e0, e1 = base.measurements[0].effects
         nan_effect = dataclasses.replace(base.measurements[0], effects=(e0 + np.nan, e1))
         broken = {
-            "preparations": Strategy(PreparationEnsemble(tuple(states)), base.instruments,
-                                     base.measurements),
+            "preparations": Strategy(tuple(states), base.instruments, base.measurements),
             "instruments": Strategy(base.preparations, (incomplete, base.instruments[1]),
                                     base.measurements),
             "measurements": Strategy(base.preparations, base.instruments,
@@ -317,11 +316,9 @@ class TestSelfTest:
 
     def test_shrunk_preparation_shows_purity_defect(self):
         base = canonical_strategy(1.0)
-        states = list(base.preparations.states)
+        states = list(base.preparations)
         states[0] = state_from_bloch(0.9 * states[0].bloch)
-        broken = Strategy(
-            PreparationEnsemble(tuple(states)), base.instruments, base.measurements
-        )
+        broken = Strategy(tuple(states), base.instruments, base.measurements)
         report = selftest_report(broken)
         assert report.purity_defects[0] == pytest.approx(0.1, abs=1e-9)
 

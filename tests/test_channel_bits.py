@@ -29,7 +29,6 @@ from seqrac.linalg import (
 from seqrac.sampling import random_strategy, random_su2
 from seqrac.scenario import (
     BinaryInstrument,
-    PreparationEnsemble,
     _channel_sum,
     _matrices,
     conjugate_strategy,
@@ -42,10 +41,10 @@ from conftest import frozen_channel_sum
 
 
 def frozen_effective_ensemble(s):
-    acc = frozen_channel_sum(s.instruments, _matrices(s.preparations.states))
+    acc = frozen_channel_sum(s.instruments, _matrices(s.preparations))
     acc *= 0.5
     acc = 0.5 * (acc + acc.conj().transpose(0, 2, 1))
-    return PreparationEnsemble(tuple(QubitState(m, 2.0 * bloch_decompose(m)[1]) for m in acc))
+    return tuple(QubitState(m, 2.0 * bloch_decompose(m)[1]) for m in acc)
 
 
 def frozen_charlie_best_response(preparations, instruments):
@@ -62,8 +61,8 @@ def _bits(obj) -> list:
         return [(obj.dtype.str, obj.shape, obj.tobytes())]
     if isinstance(obj, (tuple, list)):
         return [b for item in obj for b in _bits(item)]
-    if isinstance(obj, PreparationEnsemble):
-        return [b for st in obj.states for b in _bits((st.matrix, st.bloch))]
+    if isinstance(obj, QubitState):
+        return _bits((obj.matrix, obj.bloch))
     if isinstance(obj, BinaryPovm):
         return _bits((obj.effects, obj.c0, obj.cvec))
     return [float(obj).hex()]
@@ -95,7 +94,7 @@ def _pauli_instruments():
 
 def test_channel_sum_matches_the_per_branch_loop():
     for i, s in enumerate(_strategies()):
-        rhos = _matrices(s.preparations.states)
+        rhos = _matrices(s.preparations)
         gammas = rhos[:2] - rhos[2:]  # traceless stacks reach the sum too
         for stack in (rhos, gammas, rhos[:1]):
             got, want = _channel_sum(s.instruments, stack), frozen_channel_sum(s.instruments, stack)

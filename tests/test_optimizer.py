@@ -51,7 +51,7 @@ from seqrac.optimizer import (
     trig_grid_max,
 )
 from seqrac.sampling import _draw_observable, random_povm, random_strategy, random_unit_vector
-from seqrac.scenario import PreparationEnsemble, WitnessPair
+from seqrac.scenario import WitnessPair
 from seqrac.strategies import X_AXIS, Z_AXIS
 from classical_model import enumerate_classical_strategies, witness_pair_classical
 from conftest import frozen_closed_form, frozen_fixed_charlie_value, frozen_sandwich_max, hexes
@@ -78,7 +78,7 @@ class TestCharlieBestResponse:
 
     def test_tie_break_on_mixed_preparations(self, rng):
         strategy = random_strategy(rng)
-        mixed = PreparationEnsemble(tuple(state_from_bloch([0, 0, 0]) for _ in range(4)))
+        mixed = tuple(state_from_bloch([0, 0, 0]) for _ in range(4))
         povms, value = charlie_best_response(mixed, strategy.instruments)
         assert value == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(povms[0].cvec, [0.0, 0.0, 1.0], atol=1e-12)

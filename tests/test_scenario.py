@@ -1,6 +1,8 @@
 """Witness functionals and the outcome distribution."""
 
+import dataclasses
 import itertools
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,21 +18,26 @@ from seqrac import (
     conjugate_strategy,
     effective_ensemble,
     joint_prob,
+    selftest_report,
     witness_ab,
     witness_ac,
     witness_pair,
 )
-from seqrac.errors import CompletenessViolated, DomainError
-from seqrac.linalg import ID2, projective_povm, state_from_bloch
+from seqrac.documents import document_text, parse_strategy_document
+from seqrac.errors import CompletenessViolated, DomainError, InvalidStrategy
+from seqrac.linalg import ID2, SIGMA_X, projective_povm, state_from_bloch
+from seqrac.optimizer import ReducedParameters, seesaw, strategy_from_reduced
 from seqrac.sampling import random_povm, random_strategy, random_su2
-from seqrac.scenario import INPUT_PAIRS, BinaryInstrument, PreparationEnsemble, difference_vectors
+from seqrac.scenario import INPUT_PAIRS, BinaryInstrument, difference_vectors
+from seqrac.strategies import VisibilityTriple, apply_visibility
+from classical_model import EMBEDDABLE_BOB_CODES, ClassicalStrategy, embed
 
 SQRT2 = np.sqrt(2.0)
 SHARP_Z = projective_povm([0.0, 0.0, 1.0])
 
 
 def all_mixed(strategy: Strategy) -> Strategy:
-    mixed = PreparationEnsemble(tuple(state_from_bloch([0, 0, 0]) for _ in range(4)))
+    mixed = tuple(state_from_bloch([0, 0, 0]) for _ in range(4))
     return Strategy(mixed, strategy.instruments, strategy.measurements)
 
 
@@ -107,7 +114,7 @@ class TestJointProb:
 def frozen_joint_prob(s, x, y, z, b, c) -> float:
     """``joint_prob`` with its trace taken by ``np.trace``, as written before it read the
     two diagonal entries itself: the bit oracle of the outcome table."""
-    rho = s.preparations.state(x).matrix
+    rho = s.preparations[2 * x[0] + x[1]].matrix
     branch = np.zeros((2, 2), dtype=complex)
     for k in (s.instruments[y].kraus[b],):
         branch += k @ rho @ k.conj().T
@@ -142,7 +149,7 @@ class TestJointProbBits:
                 return np.array([[-0.0, 1.0], [1.0, -0.0]], dtype=complex)
 
         s = SimpleNamespace(
-            preparations=SimpleNamespace(state=lambda x: SimpleNamespace(matrix=ID2)),
+            preparations=[SimpleNamespace(matrix=ID2)] * 4,
             instruments=[SimpleNamespace(kraus=(ID2, ID2))] * 2,
             measurements=[SimpleNamespace(effects=(FixedProduct(), FixedProduct()))] * 2,
         )
@@ -191,7 +198,7 @@ class TestWitnessAC:
             strategy = random_strategy(rng)
             reached = effective_ensemble(strategy)
             total = 0.0
-            for x, st in zip(INPUT_PAIRS, reached.states):
+            for x, st in zip(INPUT_PAIRS, reached):
                 for z in (0, 1):
                     effect = strategy.measurements[z].effects[x[z]]
                     total += float(np.trace(st.matrix @ effect).real)
@@ -218,13 +225,13 @@ class TestWitnessPair:
 class TestEffectiveEnsemble:
     def test_sharp_instruments_halve_bloch_vectors(self, canonical_sharp):
         reached = effective_ensemble(canonical_sharp)
-        for before, after in zip(canonical_sharp.preparations.states, reached.states):
+        for before, after in zip(canonical_sharp.preparations, reached):
             np.testing.assert_allclose(after.bloch, 0.5 * before.bloch, atol=1e-12)
 
     def test_noninteracting_instruments_do_nothing(self):
         strategy = canonical_strategy(0.0)
         reached = effective_ensemble(strategy)
-        for before, after in zip(strategy.preparations.states, reached.states):
+        for before, after in zip(strategy.preparations, reached):
             np.testing.assert_allclose(after.bloch, before.bloch, atol=1e-12)
 
     def test_generic_shrink_factor(self):
@@ -232,12 +239,12 @@ class TestEffectiveEnsemble:
             strategy = canonical_strategy(eta)
             factor = (1 + np.sqrt(1 - eta**2)) / 2
             reached = effective_ensemble(strategy)
-            for before, after in zip(strategy.preparations.states, reached.states):
+            for before, after in zip(strategy.preparations, reached):
                 np.testing.assert_allclose(after.bloch, factor * before.bloch, atol=1e-12)
 
     def test_outputs_are_valid_states(self, rng):
         for _ in range(100):
-            for st in effective_ensemble(random_strategy(rng)).states:
+            for st in effective_ensemble(random_strategy(rng)):
                 assert abs(np.trace(st.matrix).real - 1.0) < 1e-9
                 assert np.linalg.eigvalsh(st.matrix)[0] > -1e-9
 
@@ -362,7 +369,7 @@ class TestDifferenceVectors:
         from seqrac.sampling import random_preparations
 
         preparations = random_preparations(rng)
-        n = preparations.bloch_vectors()
+        n = np.array([st.bloch for st in preparations])
         m0, m1 = difference_vectors(preparations)
         np.testing.assert_allclose(m0, (n[0] - n[3]) + (n[1] - n[2]), atol=1e-15)
         np.testing.assert_allclose(m1, (n[0] - n[3]) - (n[1] - n[2]), atol=1e-15)
@@ -422,14 +429,78 @@ class TestValidation:
         with pytest.raises(InvalidStrategy, match=r"^instruments\[0\]: polar unitaries have U\^dag U = I \+ 3"):
             broken.validate()
 
+    def test_validate_rejects_three_preparations(self):
+        # witness_pair reads the stack as it is; selftest_report's contract is InvalidStrategy.
+        strategy = canonical_strategy(0.8)
+        short = dataclasses.replace(strategy, preparations=strategy.preparations[:3])
+        with pytest.raises(InvalidStrategy, match=r"^preparations: need a tuple or list of 4, got 3$"):
+            short.validate()
+        with pytest.raises(InvalidStrategy, match=r"^preparations: "):
+            selftest_report(short)
+
+    def test_validate_rejects_one_instrument(self):
+        strategy = canonical_strategy(0.8)
+        short = dataclasses.replace(strategy, instruments=strategy.instruments[:1])
+        with pytest.raises(InvalidStrategy, match=r"^instruments: need a tuple or list of 2, got 1$"):
+            short.validate()
+
+    def test_validate_rejects_four_measurements(self):
+        strategy = canonical_strategy(0.8)
+        long = dataclasses.replace(strategy, measurements=strategy.measurements * 2)
+        with pytest.raises(InvalidStrategy, match=r"^measurements: need a tuple or list of 2, got 4$"):
+            long.validate()
+
+    @pytest.mark.parametrize("field", ["preparations", "instruments", "measurements"])
+    @pytest.mark.parametrize(
+        "wrap, got", [(iter, "tuple_iterator"), (lambda part: part[0], r"\w+")], ids=["iterator", "entry"]
+    )
+    def test_validate_rejects_a_non_sequence(self, field, wrap, got):
+        strategy = canonical_strategy(0.8)
+        broken = dataclasses.replace(strategy, **{field: wrap(getattr(strategy, field))})
+        with pytest.raises(InvalidStrategy, match=rf"^{field}: need a tuple or list of \d, got {got}$"):
+            broken.validate()
+
+    @pytest.mark.parametrize(
+        "u, message",
+        [(SIGMA_X, r"U\^dag K has negative eigenvalue -3\.162e-01"), (1j * ID2, "hermiticity deviation")],
+        ids=["sigma_x", "i"],
+    )
+    def test_validate_rejects_polar_unitaries_that_do_not_give_the_kraus_operators(self, u, message):
+        # K_b = U_b sqrt(M_b) fails for these unitaries, and apply_visibility rebuilds from them.
+        strategy = canonical_strategy(0.8)
+        instrument = dataclasses.replace(strategy.instruments[0], unitaries=np.array([u, ID2]))
+        broken = Strategy(strategy.preparations, (instrument, strategy.instruments[1]),
+                          strategy.measurements)
+        with pytest.raises(InvalidStrategy, match=rf"^instruments\[0\]: {message}"):
+            broken.validate()
+
+    def test_validate_accepts_every_kind_of_strategy_and_its_document(self):
+        rng = np.random.default_rng(2801)
+        etas = [*np.linspace(0.0, 1.0, 51).tolist(), 1.0 - 2.0**-53]
+        strategies = [random_strategy(rng, luders) for luders in (False, True) for _ in range(150)]
+        strategies += [canonical_strategy(eta) for eta in etas]
+        strategies += [conjugate_strategy(canonical_strategy(eta), random_su2(rng)) for eta in etas]
+        strategies += [conjugate_strategy(random_strategy(rng, luders), random_su2(rng))
+                       for luders in (False, True) for _ in range(50)]
+        noise = VisibilityTriple(0.95, 0.9, 0.85)
+        strategies += [apply_visibility(s, noise) for s in strategies[:20] + strategies[300:320]]
+        strategies += [strategy_from_reduced(ReducedParameters(t, p0, p1))
+                       for t, p0, p1 in rng.uniform(0.0, np.pi / 2, size=(20, 3)).tolist()]
+        strategies += [seesaw(alpha).strategy for alpha in (0.55, 0.75, 0.85)]
+        strategies += [embed(ClassicalStrategy.from_codes(e, b, 6, 5))
+                       for e in (3, 5, 6, 9) for b in EMBEDDABLE_BOB_CODES]
+        for i, s in enumerate(strategies):
+            assert s.validate() is s, i
+            parse_strategy_document(json.loads(document_text(s))).validate()
+
     def test_validate_rejects_disagreeing_views(self, rng):
         from seqrac.errors import InvalidStrategy
         from seqrac.linalg import QubitState
 
         strategy = random_strategy(rng)
-        states = list(strategy.preparations.states)
+        states = list(strategy.preparations)
         states[2] = QubitState(states[2].matrix, states[2].bloch + np.array([0.0, 0.0, 1e-6]))
-        broken = Strategy(PreparationEnsemble(tuple(states)), strategy.instruments,
+        broken = Strategy(tuple(states), strategy.instruments,
                           strategy.measurements)
         with pytest.raises(InvalidStrategy, match=r"preparations\[2\]: matrix/bloch views disagree"):
             broken.validate()
@@ -446,9 +517,9 @@ class TestValidation:
         from seqrac.linalg import QubitState
 
         strategy = canonical_strategy(1.0)
-        states = list(strategy.preparations.states)
+        states = list(strategy.preparations)
         states[1] = QubitState(states[1].matrix, bloch(states[1].bloch))
-        broken = Strategy(PreparationEnsemble(tuple(states)), strategy.instruments,
+        broken = Strategy(tuple(states), strategy.instruments,
                           strategy.measurements)
         with pytest.raises(InvalidStrategy, match=rf"preparations\[1\]: .*{message}"):
             broken.validate()

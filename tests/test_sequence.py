@@ -98,11 +98,11 @@ class TestSimulateChain:
         profile = (1.0, 1.0, 0.0, -0.0, -0.0, 0.8, 0.8, 1.0)
         ensemble, rebuilt = square_preparations(), []
         for eta in profile:
-            radius = float(np.linalg.norm(ensemble.states[0].bloch))
+            radius = float(np.linalg.norm(ensemble[0].bloch))
             instruments = axis_instruments(eta, eta)
-            witness = rac_success(ensemble.states, tuple(i.povm for i in instruments))
+            witness = rac_success(ensemble, tuple(i.povm for i in instruments))
             rebuilt.append((float(witness).hex(), radius.hex()))
-            ensemble = average_instrument_channel(ensemble.states, instruments)
+            ensemble = average_instrument_channel(ensemble, instruments)
         builds = []
 
         def counted(eta_x, eta_z):

@@ -1,5 +1,6 @@
 """Canonical family, visibility noise, and the classical model of the tests."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,8 +14,9 @@ from seqrac import (
     joint_prob,
     witness_pair,
 )
-from seqrac.errors import DomainError, InvalidStrategy
-from seqrac.scenario import INPUT_PAIRS
+from seqrac.errors import CompletenessViolated, DomainError, InvalidStrategy
+from seqrac.linalg import ID2
+from seqrac.scenario import INPUT_PAIRS, Strategy
 from classical_model import (
     EMBEDDABLE_BOB_CODES,
     ClassicalStrategy,
@@ -47,7 +49,7 @@ class TestCanonicalStrategy:
             canonical_strategy(1.5)
 
     def test_preparations_form_a_square(self):
-        blochs = canonical_strategy(0.5).preparations.bloch_vectors()
+        blochs = [st.bloch for st in canonical_strategy(0.5).preparations]
         for n in blochs:
             assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)  # pure
         np.testing.assert_allclose(blochs[0], -blochs[3], atol=1e-12)  # antipodal
@@ -90,6 +92,14 @@ class TestApplyVisibility:
             assert a.w_ac == pytest.approx(b.w_ac, abs=1e-12)
             for inst_a, inst_b in zip(twice.instruments, once.instruments):
                 np.testing.assert_allclose(inst_a.povm.cvec, inst_b.povm.cvec, atol=1e-12)
+
+    def test_rejects_polar_unitaries_that_are_not_unitary(self):
+        # Rebuilt from (2I, I), the Kraus operators would sum to I + 1.5.
+        base = canonical_strategy(0.8)
+        instrument = dataclasses.replace(base.instruments[0], unitaries=np.array([2.0 * ID2, ID2]))
+        broken = Strategy(base.preparations, (instrument, base.instruments[1]), base.measurements)
+        with pytest.raises(CompletenessViolated, match=r"^polar unitaries have U\^dag U = I \+ 3"):
+            apply_visibility(broken, VisibilityTriple(1.0, 1.0, 1.0))
 
     def test_rejects_bad_visibility(self):
         with pytest.raises(DomainError):

@@ -86,7 +86,7 @@ def test_draws_and_witnesses_are_bit_identical(luders, reference):
 def oracle_witness_ab(s) -> float:
     """``(1/8) sum_{x,y} tr(rho_x M_{x_y|y})``, one 2x2 trace at a time."""
     total = 0.0
-    for x, st in zip(INPUT_PAIRS, s.preparations.states):
+    for x, st in zip(INPUT_PAIRS, s.preparations):
         for y in (0, 1):
             effect = s.instruments[y].povm.effects[x[y]]
             total += float(np.trace(st.matrix @ effect).real)
@@ -96,7 +96,7 @@ def oracle_witness_ab(s) -> float:
 def oracle_witness_ac(s) -> float:
     """``(1/16) sum_{x,y,b,z} tr(K rho K^dag C)``, one Kraus operator at a time."""
     total = 0.0
-    for x, st in zip(INPUT_PAIRS, s.preparations.states):
+    for x, st in zip(INPUT_PAIRS, s.preparations):
         acc = frozen_channel_sum(s.instruments, st.matrix)
         for z in (0, 1):
             effect = s.measurements[z].effects[x[z]]
