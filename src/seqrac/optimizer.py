@@ -93,11 +93,17 @@ class ReducedParameters:
             require_real(getattr(self, f.name), f.name, -1e-12, HALF_PI + 1e-12)
 
 
+def _require_reduced(r) -> None:
+    if not isinstance(r, ReducedParameters):
+        raise DomainError(f"r must be a ReducedParameters, got {r!r}")
+
+
 def reduced_objective(r: ReducedParameters) -> float:
     """Best-response Alice-Charlie witness of the reduced strategy family.
 
     ``1/2 + (cos(t/2) + sin(t/2) + cos(t/2) sin(phi1) + sin(t/2) sin(phi0)) / 8``.
     """
+    _require_reduced(r)
     c, s = np.cos(0.5 * r.theta), np.sin(0.5 * r.theta)
     return float(0.5 + (c + s + c * np.sin(r.phi1) + s * np.sin(r.phi0)) / 8.0)
 
@@ -110,6 +116,7 @@ def strategy_from_reduced(r: ReducedParameters) -> Strategy:
     minimally disturbing along those axes.  The measurements are the
     sharp x and z readouts (the best response on this family).
     """
+    _require_reduced(r)
     c, s = np.cos(0.5 * r.theta), np.sin(0.5 * r.theta)
     u = np.array([c, 0.0, s])
     w = np.array([c, 0.0, -s])
@@ -225,7 +232,7 @@ def trace_boundary(
         value, theta, phi1 = _grid_argmax(alpha, GRID_RESOLUTION)
         if not np.isfinite(value):
             raise ConvergenceFailure(f"no feasible grid point at alpha = {alpha!r}")
-        _, theta, phi0, phi1 = _ascend(alpha, theta, phi1, 1.0, 1.0, 1025)
+        [(_, theta, phi0, phi1)] = _ascend(alpha, [(theta, phi1, 1.0, 1.0)], 1025)
         if phi0 is None:
             raise ConvergenceFailure(f"refinement left the feasible set at alpha = {alpha!r}")
         params = ReducedParameters(theta, phi0, phi1)
@@ -279,10 +286,14 @@ def _charlie_value(k, c2, s2, cos_phi1, sin1_phi1, q0, q1) -> tuple[float, float
     return value, phi0
 
 
-def _charlie_values(alpha: float, c2, s2, cos_phi1, sin1_phi1, q0: float, q1: float) -> np.ndarray:
+def _charlie_values(alpha: float, c2, s2, cos_phi1, sin1_phi1, q0, q1) -> np.ndarray:
     """Vectorised :func:`_charlie_value`, ``-inf`` where infeasible, on
-    broadcasting factors.  Products and sums group as in the scalar formula
-    and run in place; a unit overlap skips its product, which is exact."""
+    broadcasting factors: a row, a slab of the grid, or one row per lane of
+    the ascent, whose fixed angles' factors and overlaps come as ``(n, 1)``
+    columns.  Products and sums group as in the scalar formula and run in
+    place, so every element takes the scalar formula's float operations, on
+    its own or in a stack.  ``x * 1.0 == x`` exactly, so a column multiplies
+    by its unit overlaps and a scalar ``1.0`` (the grid's) skips the product."""
     r = s2 * cos_phi1
     np.divide(np.subtract(8.0 * alpha - 4.0, r, out=r), c2, out=r)
     infeasible = r < -1e-9  # r is finite: c2 >= 2 cos(pi/4)
@@ -293,9 +304,9 @@ def _charlie_values(alpha: float, c2, s2, cos_phi1, sin1_phi1, q0: float, q1: fl
     np.sqrt(np.subtract(1.0, r, out=r), out=r)
     r += 1.0
     r *= s2
-    if q1 != 1.0:
+    if type(q1) is not float or q1 != 1.0:
         r *= q1
-    r += c2 * sin1_phi1 if q0 == 1.0 else c2 * sin1_phi1 * q0
+    r += c2 * sin1_phi1 if type(q0) is float and q0 == 1.0 else c2 * sin1_phi1 * q0
     r /= 16.0
     r += 0.5
     np.copyto(r, -np.inf, where=infeasible)
@@ -322,10 +333,13 @@ def minimize_scalar(func, lo: float, hi: float, xatol: float) -> tuple[float, fl
     scipy's ``minimize_scalar(method="bounded")`` with at most 500
     evaluations.  It performs the same float operations in the same order,
     so ``x`` and ``f(x)`` equal scipy's bit for bit, on plain floats and
-    without scipy's per-call overhead.
+    without scipy's per-call overhead.  :class:`DomainError` where ``hi - lo``
+    or ``lo + hi`` overflows: scipy returns a point outside the bounds there.
     """
     lo = require_real(lo, "lo")
     hi = require_real(hi, "hi", lo)
+    if math.isinf(hi - lo) or math.isinf(lo + hi):  # the bracket's width or midpoint
+        raise DomainError(f"bounds [{lo!r}, {hi!r}] overflow: hi - lo or lo + hi is not finite")
     xatol = require_tol(xatol, "xatol")
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
@@ -415,59 +429,103 @@ def _search_coordinate(xs: np.ndarray, row: np.ndarray, objective) -> tuple[floa
 
 
 def _ascend(
-    alpha: float, theta: float, phi1: float, q0: float, q1: float, resolution: int
-) -> tuple[float, float, float | None, float]:
-    """Coordinate ascent of :func:`_charlie_value` over ``(theta, phi1)``.
+    alpha: float, lanes: Sequence[tuple[float, float, float, float]], resolution: int
+) -> list[tuple[float, float, float | None, float]]:
+    """Coordinate ascent of :func:`_charlie_value` over ``(theta, phi1)``, one
+    lane per start ``(theta, phi1, q0, q1)``, all lanes in lockstep.
 
-    Each sweep scans theta, then phi1, on ``resolution``-point rows and
-    stops once it gains at most 1e-15 over its starting value.  Returns
-    the final value, ``theta``, ``phi0`` and ``phi1``.  Unit overlaps
-    ``q0 = q1 = 1`` make the value the boundary objective.
+    Each sweep scans theta, then phi1, on ``resolution``-point rows, and a
+    lane stops once its sweep gains at most 1e-15 over its starting value.
+    Returns, per lane, the final value, ``theta``, ``phi0`` and ``phi1``.
+    Unit overlaps ``q0 = q1 = 1`` make the value the boundary objective.
+    The lanes share only the row kernel: each sweep stacks the rows of every
+    lane that scans into one ``(lanes, resolution)`` call, with the lanes'
+    factors and overlaps as ``(n, 1)`` columns.  Every element of a row goes
+    through the same float operations as on its own, and Brent runs per lane,
+    so a lane's floats do not depend on the other lanes.
     """
     xs, c2_x, s2_x, cos_x, sin1_x = _axis_table(resolution)
     k = 8.0 * alpha - 4.0
-    value_at = _charlie_value
-    # A line search depends only on the fixed angle, so each angle keeps its last
-    # search, keyed by the fixed angle's bits; a result is taken if it beats ``here``.
-    theta_search = phi1_search = (None, None)
+    n = len(lanes)
+    theta, phi1, q0, q1 = (list(v) for v in zip(*lanes))
+    q0_col, q1_col = np.array(q0)[:, None], np.array(q1)[:, None]
+    # A line search depends only on the fixed angle, so each lane keeps its last
+    # search per angle, keyed by the fixed angle's bits; a result is taken if it beats ``here``.
+    theta_search, phi1_search = [(None, None)] * n, [(None, None)] * n
+    along, fixed, here, start = [None] * n, [None] * n, [0.0] * n, [0.0] * n
+    running = list(range(n))
     for _ in range(REFINEMENT_ITERATIONS):
-        # The fixed angle's factors, once per scan, feed its row and Brent.
-        cos_phi1, sin1_phi1 = math.cos(phi1), 1.0 + math.sin(phi1)
-
-        def along_theta(t: float) -> float:
-            c2, s2 = 2.0 * math.cos(0.5 * t), 2.0 * math.sin(0.5 * t)
-            return -value_at(k, c2, s2, cos_phi1, sin1_phi1, q0, q1)[0]
-
-        here = -along_theta(theta)
-        if theta_search[0] != phi1.hex():
-            row = _charlie_values(alpha, c2_x, s2_x, cos_phi1, sin1_phi1, q0, q1)
-            theta_search = (phi1.hex(), _search_coordinate(xs, row, along_theta))
-        moved = theta_search[1][0] if theta_search[1][1] > here else theta
-        start = here if moved == theta else -along_theta(moved)
-        theta = moved
-        if phi1_search[0] != theta.hex():
-            c2, s2 = 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
-            row = _charlie_values(alpha, c2, s2, cos_x, sin1_x, q0, q1)
-
-            def along_phi1(t: float) -> float:
-                return -value_at(k, c2, s2, math.cos(t), 1.0 + math.sin(t), q0, q1)[0]
-
-            phi1_search = (theta.hex(), _search_coordinate(xs, row, along_phi1))
-        phi1, value = phi1_search[1] if phi1_search[1][1] > start else (phi1, start)
-        if value <= here + 1e-15:
+        if not running:
             break
-    c2, s2 = 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
-    value, phi0 = value_at(k, c2, s2, math.cos(phi1), 1.0 + math.sin(phi1), q0, q1)
-    return value, theta, phi0, phi1
+        # The fixed angle's factors, once per scan, feed its row and Brent.
+        for i in running:
+            fixed[i] = (math.cos(phi1[i]), 1.0 + math.sin(phi1[i]))
+            along[i] = _along_theta(k, *fixed[i], q0[i], q1[i])
+            here[i] = -along[i](theta[i])
+        scan = [i for i in running if theta_search[i][0] != phi1[i].hex()]
+        if scan:
+            cols = np.array([fixed[i] for i in scan])
+            rows = _charlie_values(alpha, c2_x, s2_x, cols[:, :1], cols[:, 1:], q0_col[scan], q1_col[scan])
+            for i, row in zip(scan, rows):
+                theta_search[i] = (phi1[i].hex(), _search_coordinate(xs, row, along[i]))
+        for i in running:
+            moved = theta_search[i][1][0] if theta_search[i][1][1] > here[i] else theta[i]
+            start[i] = here[i] if moved == theta[i] else -along[i](moved)
+            theta[i] = moved
+        scan = [i for i in running if phi1_search[i][0] != theta[i].hex()]
+        if scan:
+            halves = [(2.0 * math.cos(0.5 * theta[i]), 2.0 * math.sin(0.5 * theta[i])) for i in scan]
+            cols = np.array(halves)
+            rows = _charlie_values(alpha, cols[:, :1], cols[:, 1:], cos_x, sin1_x, q0_col[scan], q1_col[scan])
+            for i, (c2, s2), row in zip(scan, halves, rows):
+                along_phi1 = _along_phi1(k, c2, s2, q0[i], q1[i])
+                phi1_search[i] = (theta[i].hex(), _search_coordinate(xs, row, along_phi1))
+        still = []
+        for i in running:
+            phi1[i], value = phi1_search[i][1] if phi1_search[i][1][1] > start[i] else (phi1[i], start[i])
+            if not value <= here[i] + 1e-15:
+                still.append(i)
+        running = still
+    out = []
+    for t, p, a, b in zip(theta, phi1, q0, q1):
+        c2, s2 = 2.0 * math.cos(0.5 * t), 2.0 * math.sin(0.5 * t)
+        value, phi0 = _charlie_value(k, c2, s2, math.cos(p), 1.0 + math.sin(p), a, b)
+        out.append((value, t, phi0, p))
+    return out
 
 
-def _seesaw_round(alpha: float, theta: float, phi1: float, q0: float, q1: float):
-    """One see-saw round: refine ``(theta, phi1)`` against Charlie's overlaps,
-    then best-respond.  Returns ``(theta, phi0, phi1)``, the witness before,
-    the overlaps of Charlie's new measurements, and the witness after."""
-    before, theta, phi0, phi1 = _ascend(alpha, theta, phi1, q0, q1, 513)
-    q0, q1, after = _reduced_best_response(theta, phi0, phi1)
-    return (theta, phi0, phi1), before, (q0, q1), after
+def _along_theta(k: float, cos_phi1: float, sin1_phi1: float, q0: float, q1: float):
+    """Brent's objective along theta at a fixed ``phi1``, given as ``cos(phi1)`` and
+    ``1 + sin(phi1)``: minus :func:`_charlie_value`, ``1.0`` where infeasible."""
+    value_at = _charlie_value
+
+    def along_theta(t: float) -> float:
+        c2, s2 = 2.0 * math.cos(0.5 * t), 2.0 * math.sin(0.5 * t)
+        return -value_at(k, c2, s2, cos_phi1, sin1_phi1, q0, q1)[0]
+
+    return along_theta
+
+
+def _along_phi1(k: float, c2: float, s2: float, q0: float, q1: float):
+    """Brent's objective along phi1 at a fixed theta, given as ``2 cos(theta/2)``, ``2 sin(theta/2)``."""
+    value_at = _charlie_value
+
+    def along_phi1(t: float) -> float:
+        return -value_at(k, c2, s2, math.cos(t), 1.0 + math.sin(t), q0, q1)[0]
+
+    return along_phi1
+
+
+def _seesaw_round(alpha: float, starts: Sequence[tuple[float, float, float, float]]) -> list:
+    """See-saw rounds from ``starts``, each ``(theta, phi1, q0, q1)``: refine
+    ``(theta, phi1)`` against Charlie's overlaps (one lane each), then
+    best-respond.  Returns per start ``(theta, phi0, phi1)``, the witness
+    before, the overlaps of Charlie's new measurements, and the witness after."""
+    out = []
+    for before, theta, phi0, phi1 in _ascend(alpha, starts, 513):
+        q0, q1, after = _reduced_best_response(theta, phi0, phi1)
+        out.append(((theta, phi0, phi1), before, (q0, q1), after))
+    return out
 
 
 def _random_feasible_start(alpha: float, rng: np.random.Generator):
@@ -490,18 +548,20 @@ def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
     never decreases across best-response steps.  Restart 0 is seeded from
     a coarse grid, the rest from the seeded generator; the best restart
     wins, ties broken by lower restart index.
+
+    The restarts advance in waves, one round each per wave, until each has
+    converged or run 200 rounds.  A round depends only on the level and on
+    its key ``(theta, phi1, q0, q1)``, so a key already run is replayed and
+    the wave's distinct new keys run as the lanes of one ascent.  A lane's
+    floats do not depend on the other lanes, so every restart follows the
+    trajectory it follows alone, and each distinct key runs exactly once.
     """
     cfg = OptimizerConfig() if cfg is None else cfg
     if not isinstance(cfg, OptimizerConfig):
         raise DomainError(f"cfg must be an OptimizerConfig or None, got {cfg!r}")
     alpha = witness_level("alpha", alpha, tol=1e-12)
     _, grid_theta, grid_phi1 = _grid_argmax(alpha, 64)
-    runs: list[SeesawRun] = []
-    # Charlie enters a round only through q0 = cvec[0] and q1 = cvec[2], so
-    # a round already run from the same start is replayed from this dict,
-    # keyed by the exact bits of its floats.  It lives for this call only.
-    rounds: dict = {}
-    best = None
+    starts = []  # per restart, the start (theta, phi1, q0, q1) of its next round
     for restart in range(SEESAW_RESTARTS):
         rng = np.random.default_rng([cfg.rng_seed, restart])
         start, q = None, (1.0, 1.0)  # Charlie's x and z readouts
@@ -510,24 +570,39 @@ def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
             # The x and z components of projective_povm's unit axes.
             a0, a1 = random_unit_vector(rng), random_unit_vector(rng)
             q = (float(a0[0] / math.sqrt(a0.dot(a0))), float(a1[2] / math.sqrt(a1.dot(a1))))
-        theta, phi1 = start if start is not None else (grid_theta, grid_phi1)
-        run = SeesawRun()
-        value = -np.inf
-        for _ in range(200):
-            key = tuple(map(float.hex, (theta, phi1, *q)))
+        starts.append((*(start if start is not None else (grid_theta, grid_phi1)), *q))
+    runs = [SeesawRun() for _ in starts]
+    angles = [None] * len(starts)
+    # Charlie enters a round only through q0 = cvec[0] and q1 = cvec[2], so
+    # a round already run from the same start is replayed from this dict,
+    # keyed by the exact bits of its floats.  It lives for this call only.
+    rounds: dict = {}
+    running = list(range(len(starts)))
+    for _ in range(200):
+        if not running:
+            break
+        keys = [tuple(map(float.hex, starts[i])) for i in running]
+        new = {}
+        for key, i in zip(keys, running):
             if key not in rounds:
-                rounds[key] = _seesaw_round(alpha, theta, phi1, *q)
-            angles, before, q, after = rounds[key]
-            theta, _, phi1 = angles
+                new.setdefault(key, starts[i])
+        if new:
+            rounds.update(zip(new, _seesaw_round(alpha, list(new.values()))))
+        still = []
+        for key, i in zip(keys, running):
+            angles[i], before, q, after = rounds[key]
+            run = runs[i]
             run.charlie_steps.append((before, after))
-            converged = after - value < CONVERGENCE_EPSILON
-            value = after
-            if converged:
-                break
-        run.final_wac = value
-        runs.append(run)
-        if best is None or value > best[0]:
-            best = (value, angles)
+            converged = after - run.final_wac < CONVERGENCE_EPSILON
+            run.final_wac = after
+            if not converged:
+                starts[i] = (angles[i][0], angles[i][2], *q)
+                still.append(i)
+        running = still
+    best = None
+    for run, point in zip(runs, angles):
+        if best is None or run.final_wac > best[0]:
+            best = (run.final_wac, point)
     if best is None or not np.isfinite(best[0]):
         raise ConvergenceFailure(f"all restarts failed at alpha = {alpha!r}")
     # The winner's measurements come from the object path; the round equals its overlaps and witness.

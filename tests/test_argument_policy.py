@@ -192,6 +192,14 @@ def test_search_config_is_none_or_an_optimizer_config(search, cfg):
         SEARCHES[search](cfg)
 
 
+@pytest.mark.parametrize("func", [reduced_objective, strategy_from_reduced])
+@pytest.mark.parametrize("r", [(0.1, 0.2, 0.3), [0.1, 0.2, 0.3], "abc", None, 0.5])
+def test_reduced_family_takes_only_reduced_parameters(func, r):
+    # A tuple of angles or a string used to raise a bare AttributeError.
+    with pytest.raises(DomainError, match="r must be a ReducedParameters"):
+        func(r)
+
+
 # bool is not a number, inside a list or tuple too; np.bool_ and bool arrays neither.
 BOOL_ENTRIES = {
     "state_from_bloch": (state_from_bloch, [[True, 0, 0], (0.0, np.True_, 0.0)]),

@@ -1,6 +1,7 @@
 """Bit identity of the coordinate ascent against a frozen copy of its earlier body.
 
-``optimizer._ascend`` keeps the last line search of each angle and replays it
+``optimizer._ascend`` runs its starts as lanes in lockstep, keeps the last line
+search of each angle per lane and replays it
 while the fixed angle's bits stay the same; Brent's step and the scalar
 formula's clamp are written with conditionals.  None of this may move a bit,
 so the ascent is compared with the loop as it was before, which scanned on
@@ -8,7 +9,8 @@ every sweep, by ``float.hex``.  The frozen copy calls the live
 ``_charlie_value``, ``_charlie_values`` and ``minimize_scalar``: those have
 their own pins (``TestScalarFormulaOracle``, ``TestAxisTable``,
 ``TestMinimizeScalar``).  Its final value and ``phi0`` come from the frozen
-scalar formula, ``conftest.frozen_fixed_charlie_value``.
+scalar formula, ``conftest.frozen_fixed_charlie_value``.  A lane among others
+is compared with the same start run alone.
 """
 
 import math
@@ -66,8 +68,23 @@ def _frozen_ascend(alpha, theta, phi1, q0, q1, resolution):
     return value, theta, phi0, phi1
 
 
+def _alone(alpha, theta, phi1, q0, q1, resolution):
+    """``_ascend`` on one lane, with ``_frozen_ascend``'s call shape."""
+    [out] = optimizer._ascend(alpha, [(theta, phi1, q0, q1)], resolution)
+    return out
+
+
 def _hex(values):
     return tuple(None if v is None else float(v).hex() for v in values)
+
+
+def _on_edge(alpha, theta, phi1, edge, offset):
+    """``alpha`` moved so that the requirement on ``cos(phi0)`` at ``(theta, phi1)`` lands
+    near an edge of the feasible window [-1e-9, 1 + 1e-9] or of the clip to [0, 1]."""
+    if edge is None:
+        return alpha
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    return ((edge + offset) * 2.0 * c + 4.0 + 2.0 * s * math.cos(phi1)) / 8.0
 
 
 _ANGLES = st.one_of(st.sampled_from([0.0, HALF_PI]), st.floats(0.0, HALF_PI))
@@ -84,14 +101,57 @@ _OVERLAPS = st.one_of(st.just(1.0), st.floats(-1.0, 1.0))
 @example(0.9, 0.3, 0.4, 1.0, 1.0, 513, None, 0.0)  # beyond the curve: no feasible cell
 @example(0.75, 0.3, 0.4, 0.5, -0.25, 513, 1.0 + 1e-9, 1e-10)  # a start just outside the window
 def test_ascend_equals_frozen_loop(alpha, theta, phi1, q0, q1, resolution, edge, offset):
-    if edge is not None:
-        # Move alpha so that the start's requirement on cos(phi0) lands near an
-        # edge of the feasible window [-1e-9, 1 + 1e-9] or of the clip to [0, 1].
-        c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-        alpha = ((edge + offset) * 2.0 * c + 4.0 + 2.0 * s * math.cos(phi1)) / 8.0
+    alpha = _on_edge(alpha, theta, phi1, edge, offset)
     expected = _frozen_ascend(alpha, theta, phi1, q0, q1, resolution)
-    got = optimizer._ascend(alpha, theta, phi1, q0, q1, resolution)
+    got = _alone(alpha, theta, phi1, q0, q1, resolution)
     assert _hex(got) == _hex(expected)
+
+
+_LANES = st.lists(st.tuples(_ANGLES, _ANGLES, _OVERLAPS, _OVERLAPS), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.45, 0.9), _LANES, st.lists(st.integers(0, 5), max_size=3), st.sampled_from([513, 1025]),
+    st.sampled_from([None, -1e-9, 0.0, 1.0, 1.0 + 1e-9]), st.floats(-1e-9, 1e-9),
+)
+@example(0.75, [(0.3, 0.4, 1.0, 1.0), (1.2, 0.1, 0.5, -0.25)], [0], 513, None, 0.0)
+@example(W_AB_MAX, [(0.0, 0.0, 1.0, 1.0), (HALF_PI, HALF_PI, -1.0, 1.0)], [], 1025, None, 0.0)
+@example(0.9, [(0.3, 0.4, 1.0, 1.0), (0.3, 0.4, 0.5, 0.5)], [1, 1], 513, None, 0.0)  # no feasible cell
+@example(0.75, [(0.3, 0.4, 0.5, -0.25), (0.3, 0.4, 1.0, 1.0)], [], 513, 1.0 + 1e-9, 1e-10)
+def test_each_lane_equals_its_ascent_alone(alpha, lanes, repeats, resolution, edge, offset):
+    # Unit and non-unit overlaps, duplicate lanes, and the first lane's start near
+    # an edge of the feasible window or of the clip, with the level moved to put it there.
+    alpha = _on_edge(alpha, *lanes[0][:2], edge, offset)
+    lanes = lanes + [lanes[i % len(lanes)] for i in repeats]
+    got = optimizer._ascend(alpha, lanes, resolution)
+    assert [_hex(out) for out in got] == [_hex(_alone(alpha, *lane, resolution)) for lane in lanes]
+
+
+def test_lanes_that_stop_at_different_sweeps(monkeypatch):
+    # Seeded see-saw starts as lanes; one _along_theta per running lane and sweep counts the sweeps.
+    rng = np.random.default_rng(5102)
+    alpha = 0.7
+    lanes = [(*optimizer._random_feasible_start(alpha, rng), *map(float, rng.uniform(-1.0, 1.0, 2)))
+             for _ in range(12)]
+    lanes += [(0.3, 0.4, 1.0, 1.0), lanes[3]]
+    sweeps = []
+    along_theta = optimizer._along_theta
+
+    def counted(*args):
+        sweeps[-1] += 1
+        return along_theta(*args)
+
+    monkeypatch.setattr(optimizer, "_along_theta", counted)
+    alone = []
+    for lane in lanes:
+        sweeps.append(0)
+        alone.append(_alone(alpha, *lane, 513))
+    assert len(set(sweeps)) > 1
+    sweeps.append(0)
+    got = optimizer._ascend(alpha, lanes, 513)
+    assert sweeps.pop() == sum(sweeps)
+    assert [_hex(out) for out in got] == [_hex(out) for out in alone]
 
 
 def test_an_unchanged_angle_replays_its_search(monkeypatch):
@@ -108,7 +168,7 @@ def test_an_unchanged_angle_replays_its_search(monkeypatch):
     for _ in range(40):
         alpha = float(rng.uniform(0.5, W_AB_MAX))
         theta, phi1 = optimizer._random_feasible_start(alpha, rng)
-        for ascend, searches in ((_frozen_ascend, frozen), (optimizer._ascend, live)):
+        for ascend, searches in ((_frozen_ascend, frozen), (_alone, live)):
             calls.clear()
             ascend(alpha, theta, phi1, 1.0, 1.0, 513)
             searches.append(len(calls))

@@ -1,6 +1,7 @@
 """Best responses, boundary tracing, see-saw, enumeration, inequalities."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -204,6 +205,16 @@ class TestMinimizeScalar:
             with pytest.raises(DomainError):
                 minimize_scalar(abs, lo, hi, 1e-8)
 
+    @pytest.mark.parametrize("lo, hi", [
+        (-1e308, 1e308),  # scipy's bounded method returns (inf, inf) here
+        (-sys.float_info.max, sys.float_info.max),
+        (1e308, 1.7e308),  # a finite width, but lo + hi overflows
+        (-1.7e308, -1e308),
+    ])
+    def test_rejects_bounds_whose_width_or_midpoint_overflows(self, lo, hi):
+        with pytest.raises(DomainError, match=r"hi - lo or lo \+ hi is not finite"):
+            minimize_scalar(abs, lo, hi, 1e-8)
+
     @pytest.mark.parametrize("xatol", [np.nan, -1e-8, -np.inf, "a", None, True])
     def test_rejects_bad_xatol(self, xatol):
         # a NaN makes the loop test false at once, so the search would return its first point
@@ -251,7 +262,7 @@ class TestTraceBoundary:
     def test_each_convergence_failure_names_alpha(self, monkeypatch, stub, message):
         fake = {
             "_grid_argmax": lambda alpha, resolution: (-math.inf, 0.0, 0.0),
-            "_ascend": lambda alpha, theta, phi1, q0, q1, resolution: (-1.0, theta, None, phi1),
+            "_ascend": lambda alpha, lanes, resolution: [(-1.0, t, None, p) for t, p, _, _ in lanes],
             "reduced_objective": lambda r: 0.0,
         }
         monkeypatch.setattr(optimizer, stub, fake[stub])
@@ -405,9 +416,11 @@ class TestScalarFormulaOracle:
 
 
 def _memo_free_seesaw(alpha, cfg):
-    """``seesaw`` with every round run in full, as before the round memo."""
+    """``seesaw`` with every round run in full, as before the round memo, one restart
+    after another; also returns the set of round keys, each ``(theta, phi1, q0, q1)`` by
+    ``float.hex``."""
     _, grid_theta, grid_phi1 = _grid_argmax(alpha, 64)
-    runs, best = [], None
+    runs, best, keys = [], None, set()
     for restart in range(optimizer.SEESAW_RESTARTS):
         rng = np.random.default_rng([cfg.rng_seed, restart])
         if restart == 0:
@@ -424,7 +437,8 @@ def _memo_free_seesaw(alpha, cfg):
         for _ in range(200):
             q0 = float(charlie[0].cvec[0])
             q1 = float(charlie[1].cvec[2])
-            before, theta, phi0, phi1 = optimizer._ascend(alpha, theta, phi1, q0, q1, 513)
+            keys.add(tuple(hexes(theta, phi1, q0, q1)))
+            [(before, theta, phi0, phi1)] = optimizer._ascend(alpha, [(theta, phi1, q0, q1)], 513)
             params = ReducedParameters(theta, phi0, phi1)
             partial = strategy_from_reduced(params)
             charlie, after = charlie_best_response(partial.preparations, partial.instruments)
@@ -438,11 +452,12 @@ def _memo_free_seesaw(alpha, cfg):
             best = (value, params, charlie)
     partial = strategy_from_reduced(best[1])
     strategy = Strategy(partial.preparations, partial.instruments, best[2])
-    return runs, best[1], witness_pair(strategy)
+    return runs, best[1], witness_pair(strategy), keys
 
 
 class TestSeesawRoundMemo:
-    """Replaying repeated rounds within a call changes no bit of the result."""
+    """Replaying repeated rounds within a call, and running the restarts in
+    waves of lanes, changes no bit of the result."""
 
     DRAWS = [
         (float(a), int(s))
@@ -455,13 +470,13 @@ class TestSeesawRoundMemo:
     @pytest.mark.parametrize("alpha, rng_seed", DRAWS)
     def test_matches_memo_free_loop(self, alpha, rng_seed, monkeypatch):
         cfg = OptimizerConfig(rng_seed=rng_seed)
-        runs, params, pair = _memo_free_seesaw(alpha, cfg)
+        runs, params, pair, keys = _memo_free_seesaw(alpha, cfg)
         rounds_run = []
         full_round = optimizer._seesaw_round
 
-        def counted(*args):
-            rounds_run.append(args)
-            return full_round(*args)
+        def counted(alpha, starts):
+            rounds_run.extend(tuple(hexes(*start)) for start in starts)
+            return full_round(alpha, starts)
 
         monkeypatch.setattr(optimizer, "_seesaw_round", counted)
         result = seesaw(alpha, cfg)
@@ -473,8 +488,25 @@ class TestSeesawRoundMemo:
             params.theta, params.phi0, params.phi1
         )
         assert hexes(*result.pair) == hexes(*pair)
-        # Restarts share rounds, so fewer rounds run than steps are recorded.
+        # Restarts share rounds, so fewer rounds run than steps are recorded,
+        # and the rounds run are exactly the distinct keys, each once.
         assert len(rounds_run) < sum(len(steps) for steps, _ in runs)
+        assert len(rounds_run) == len(set(rounds_run)) == len(keys)
+        assert set(rounds_run) == keys
+
+    @pytest.mark.parametrize("alpha, rng_seed", DRAWS[:3] + [(0.75, 20250809)])
+    def test_a_restart_does_not_depend_on_the_others(self, alpha, rng_seed, monkeypatch):
+        # Restarts share waves and lanes, yet each follows its own trajectory.
+        def trace(runs):
+            return [[hexes(*step) for step in run.charlie_steps] + [hexes(run.final_wac)] for run in runs]
+
+        cfg = OptimizerConfig(rng_seed=rng_seed)
+        full = seesaw(alpha, cfg).runs
+        assert len(full) == optimizer.SEESAW_RESTARTS > 5
+        monkeypatch.setattr(optimizer, "SEESAW_RESTARTS", 5)
+        few = seesaw(alpha, cfg).runs
+        assert len(few) == 5
+        assert trace(few) == trace(full[:5])
 
 
 class TestSeesaw:
@@ -517,8 +549,8 @@ class TestSeesaw:
             assert in_quantum_set(result.pair, tol=1e-7)
 
     def test_all_restarts_failing_raises(self, monkeypatch):
-        def failed_round(alpha, theta, phi1, q0, q1):  # _seesaw_round's signature
-            return (theta, 0.0, phi1), -math.inf, (q0, q1), -math.inf
+        def failed_round(alpha, starts):  # _seesaw_round's signature
+            return [((theta, 0.0, phi1), -math.inf, (q0, q1), -math.inf) for theta, phi1, q0, q1 in starts]
 
         monkeypatch.setattr(optimizer, "_seesaw_round", failed_round)
         with pytest.raises(ConvergenceFailure, match=r"all restarts failed at alpha = 0\.75\b"):

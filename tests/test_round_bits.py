@@ -103,7 +103,7 @@ def test_round_reads_charlie_overlaps_as_bloch_decompose():
         if start is None:
             continue
         q = tuple(map(float, rng.uniform(-1.0, 1.0, 2)))
-        angles, _, (q0, q1), after = _seesaw_round(alpha, *start, *q)
+        [(angles, _, (q0, q1), after)] = _seesaw_round(alpha, [(*start, *q)])
         assert _same_as_object_path(angles, (q0, q1, after))
 
 
