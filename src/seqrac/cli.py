@@ -178,7 +178,7 @@ def cmd_noise(args) -> int:
 
 
 def cmd_sequence(args) -> int:
-    if args.eta_profile:
+    if args.eta_profile is not None:  # an empty profile is malformed, not absent
         try:
             profile = tuple(float(v) for v in args.eta_profile.split(","))
         except ValueError as exc:

@@ -334,7 +334,9 @@ def minimize_scalar(func, lo: float, hi: float, xatol: float) -> tuple[float, fl
     evaluations.  It performs the same float operations in the same order,
     so ``x`` and ``f(x)`` equal scipy's bit for bit, on plain floats and
     without scipy's per-call overhead.  :class:`DomainError` where ``hi - lo``
-    or ``lo + hi`` overflows: scipy returns a point outside the bounds there.
+    or ``lo + hi`` overflows, or where the result lies outside ``[lo, hi]``
+    (the parabolic fit's products overflow once ``|x| |f(x)|`` nears the
+    float range): scipy returns a point outside the bounds there.
     """
     lo = require_real(lo, "lo")
     hi = require_real(hi, "hi", lo)
@@ -408,6 +410,8 @@ def minimize_scalar(func, lo: float, hi: float, xatol: float) -> tuple[float, fl
         tol2 = 2.0 * tol1
         if num >= 500:
             break
+    if not lo <= xf <= hi:
+        raise DomainError(f"search left [{lo!r}, {hi!r}]: returned {xf!r}, as f's scale overflows its fit")
     return xf, fx
 
 
@@ -434,60 +438,53 @@ def _ascend(
     """Coordinate ascent of :func:`_charlie_value` over ``(theta, phi1)``, one
     lane per start ``(theta, phi1, q0, q1)``, all lanes in lockstep.
 
-    Each sweep scans theta, then phi1, on ``resolution``-point rows, and a
-    lane stops once its sweep gains at most 1e-15 over its starting value.
-    Returns, per lane, the final value, ``theta``, ``phi0`` and ``phi1``.
-    Unit overlaps ``q0 = q1 = 1`` make the value the boundary objective.
-    The lanes share only the row kernel: each sweep stacks the rows of every
-    lane that scans into one ``(lanes, resolution)`` call, with the lanes'
-    factors and overlaps as ``(n, 1)`` columns.  Every element of a row goes
-    through the same float operations as on its own, and Brent runs per lane,
-    so a lane's floats do not depend on the other lanes.
+    Each sweep scans theta, then phi1, on ``resolution``-point rows.  A lane
+    stops once a sweep gains at most 1e-15 over its starting value or, after
+    its first theta step, at the first step that leaves its angle unchanged by
+    ``float.hex``.  A line search depends only on the fixed angle, so the next
+    search would repeat the last, and a repeat finds the angle where it is or a
+    point rejected against the same value: only sweeps that move nothing and
+    call no Brent are dropped.  Returns, per lane, the final value, ``theta``,
+    ``phi0`` and ``phi1``; unit overlaps ``q0 = q1 = 1`` make the value the
+    boundary objective.  Each step stacks the rows of the lanes that scan into
+    one ``(lanes, resolution)`` call, with their factors and overlaps as
+    ``(n, 1)`` columns.  Every element goes through its float operations as
+    on its own and Brent runs per lane, so a lane's floats do not depend on
+    the other lanes.
     """
     xs, c2_x, s2_x, cos_x, sin1_x = _axis_table(resolution)
     k = 8.0 * alpha - 4.0
-    n = len(lanes)
-    theta, phi1, q0, q1 = (list(v) for v in zip(*lanes))
-    q0_col, q1_col = np.array(q0)[:, None], np.array(q1)[:, None]
-    # A line search depends only on the fixed angle, so each lane keeps its last
-    # search per angle, keyed by the fixed angle's bits; a result is taken if it beats ``here``.
-    theta_search, phi1_search = [(None, None)] * n, [(None, None)] * n
-    along, fixed, here, start = [None] * n, [None] * n, [0.0] * n, [0.0] * n
-    running = list(range(n))
-    for _ in range(REFINEMENT_ITERATIONS):
+    lanes = [list(lane) for lane in lanes]  # [theta, phi1, q0, q1], updated in place
+    running = lanes
+    for sweep in range(REFINEMENT_ITERATIONS):
         if not running:
             break
-        # The fixed angle's factors, once per scan, feed its row and Brent.
-        for i in running:
-            fixed[i] = (math.cos(phi1[i]), 1.0 + math.sin(phi1[i]))
-            along[i] = _along_theta(k, *fixed[i], q0[i], q1[i])
-            here[i] = -along[i](theta[i])
-        scan = [i for i in running if theta_search[i][0] != phi1[i].hex()]
-        if scan:
-            cols = np.array([fixed[i] for i in scan])
-            rows = _charlie_values(alpha, c2_x, s2_x, cols[:, :1], cols[:, 1:], q0_col[scan], q1_col[scan])
-            for i, row in zip(scan, rows):
-                theta_search[i] = (phi1[i].hex(), _search_coordinate(xs, row, along[i]))
-        for i in running:
-            moved = theta_search[i][1][0] if theta_search[i][1][1] > here[i] else theta[i]
-            start[i] = here[i] if moved == theta[i] else -along[i](moved)
-            theta[i] = moved
-        scan = [i for i in running if phi1_search[i][0] != theta[i].hex()]
-        if scan:
-            halves = [(2.0 * math.cos(0.5 * theta[i]), 2.0 * math.sin(0.5 * theta[i])) for i in scan]
-            cols = np.array(halves)
-            rows = _charlie_values(alpha, cols[:, :1], cols[:, 1:], cos_x, sin1_x, q0_col[scan], q1_col[scan])
-            for i, (c2, s2), row in zip(scan, halves, rows):
-                along_phi1 = _along_phi1(k, c2, s2, q0[i], q1[i])
-                phi1_search[i] = (theta[i].hex(), _search_coordinate(xs, row, along_phi1))
-        still = []
-        for i in running:
-            phi1[i], value = phi1_search[i][1] if phi1_search[i][1][1] > start[i] else (phi1[i], start[i])
-            if not value <= here[i] + 1e-15:
-                still.append(i)
-        running = still
+        # The fixed angle's factors and the overlaps, once per scan, feed the row and Brent.
+        fixed = [(math.cos(p), 1.0 + math.sin(p), *q) for _, p, *q in running]
+        rows = _charlie_values(alpha, c2_x, s2_x, *np.array(fixed).T[:, :, None])
+        steps = []  # (lane, its starting value, its value after the theta step)
+        for lane, factors, row in zip(running, fixed, rows):
+            theta = lane[0]
+            along = _along_theta(k, *factors)
+            here = -along(theta)
+            t, value = _search_coordinate(xs, row, along)
+            moved = lane[0] = t if value > here else theta
+            if sweep == 0 or moved.hex() != theta.hex():
+                steps.append((lane, here, here if moved == theta else -along(moved)))
+        if not steps:
+            break
+        halves = [(2.0 * math.cos(0.5 * t), 2.0 * math.sin(0.5 * t), *q) for (t, _, *q), _, _ in steps]
+        c2, s2, q0, q1 = np.array(halves).T[:, :, None]
+        rows = _charlie_values(alpha, c2, s2, cos_x, sin1_x, q0, q1)
+        running = []
+        for (lane, here, start), factors, row in zip(steps, halves, rows):
+            phi1, value = _search_coordinate(xs, row, _along_phi1(k, *factors))
+            moved = phi1 if value > start else lane[1]
+            if moved.hex() != lane[1].hex() and value > here + 1e-15:
+                running.append(lane)
+            lane[1] = moved
     out = []
-    for t, p, a, b in zip(theta, phi1, q0, q1):
+    for t, p, a, b in lanes:
         c2, s2 = 2.0 * math.cos(0.5 * t), 2.0 * math.sin(0.5 * t)
         value, phi0 = _charlie_value(k, c2, s2, math.cos(p), 1.0 + math.sin(p), a, b)
         out.append((value, t, phi0, p))

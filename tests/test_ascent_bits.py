@@ -1,18 +1,20 @@
-"""Bit identity of the coordinate ascent against a frozen copy of its earlier body.
+"""Bit identity of the coordinate ascent against frozen copies of its earlier bodies.
 
-``optimizer._ascend`` runs its starts as lanes in lockstep, keeps the last line
-search of each angle per lane and replays it
-while the fixed angle's bits stay the same; Brent's step and the scalar
-formula's clamp are written with conditionals.  None of this may move a bit,
-so the ascent is compared with the loop as it was before, which scanned on
-every sweep, by ``float.hex``.  The frozen copy calls the live
+``optimizer._ascend`` runs its starts as lanes in lockstep and stops a lane at
+the first step that leaves its angle unchanged, where the next line search
+would repeat the last; Brent's step and the scalar formula's clamp are written
+with conditionals.  None of this may move a bit, so the ascent is compared by
+``float.hex`` with the loop as it was before, which scanned on every sweep, and
+with the single-lane ascent that kept its last search of each angle, whose
+Brent calls it must match one for one.  The frozen copies call the live
 ``_charlie_value``, ``_charlie_values`` and ``minimize_scalar``: those have
 their own pins (``TestScalarFormulaOracle``, ``TestAxisTable``,
-``TestMinimizeScalar``).  Its final value and ``phi0`` come from the frozen
-scalar formula, ``conftest.frozen_fixed_charlie_value``.  A lane among others
-is compared with the same start run alone.
+``TestMinimizeScalar``).  The first copy's final value and ``phi0`` come from
+the frozen scalar formula, ``conftest.frozen_fixed_charlie_value``.  A lane
+among others is compared with the same start run alone.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -40,7 +42,7 @@ def _frozen_scan_coordinate(xs, row, objective, x, here):
 
 
 def _frozen_ascend(alpha, theta, phi1, q0, q1, resolution):
-    """``_ascend`` as written before it kept its line searches."""
+    """``_ascend`` as written before it skipped repeated line searches."""
     xs, c2_x, s2_x, cos_x, sin1_x = _axis_table(resolution)
     k = 8.0 * alpha - 4.0
     for _ in range(REFINEMENT_ITERATIONS):
@@ -65,6 +67,52 @@ def _frozen_ascend(alpha, theta, phi1, q0, q1, resolution):
         if value <= here + 1e-15:
             break
     value, phi0 = frozen_fixed_charlie_value(alpha, theta, phi1, q0, q1)
+    return value, theta, phi0, phi1
+
+
+def _frozen_search(xs, row, objective):
+    i = int(row.argmax())
+    if not math.isfinite(row[i]):
+        return 0.0, -math.inf
+    lo, hi = float(xs[max(0, i - 1)]), float(xs[min(len(xs) - 1, i + 1)])
+    t, ft = optimizer.minimize_scalar(objective, lo, hi, 1e-14)
+    return (t, -ft) if -ft > row[i] else (float(xs[i]), float(row[i]))
+
+
+def _frozen_cached_ascend(alpha, theta, phi1, q0, q1, resolution):
+    """``_ascend`` when it ran one start and kept the last search of each angle,
+    keyed by the fixed angle's bits, in place of its stop at an unchanged angle."""
+    xs, c2_x, s2_x, cos_x, sin1_x = _axis_table(resolution)
+    k = 8.0 * alpha - 4.0
+    value_at = optimizer._charlie_value
+    theta_search = phi1_search = (None, None)
+    for _ in range(REFINEMENT_ITERATIONS):
+        cos_phi1, sin1_phi1 = math.cos(phi1), 1.0 + math.sin(phi1)
+
+        def along_theta(t):
+            c2, s2 = 2.0 * math.cos(0.5 * t), 2.0 * math.sin(0.5 * t)
+            return -value_at(k, c2, s2, cos_phi1, sin1_phi1, q0, q1)[0]
+
+        here = -along_theta(theta)
+        if theta_search[0] != phi1.hex():
+            row = _charlie_values(alpha, c2_x, s2_x, cos_phi1, sin1_phi1, q0, q1)
+            theta_search = (phi1.hex(), _frozen_search(xs, row, along_theta))
+        moved = theta_search[1][0] if theta_search[1][1] > here else theta
+        start = here if moved == theta else -along_theta(moved)
+        theta = moved
+        if phi1_search[0] != theta.hex():
+            c2, s2 = 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
+            row = _charlie_values(alpha, c2, s2, cos_x, sin1_x, q0, q1)
+
+            def along_phi1(t):
+                return -value_at(k, c2, s2, math.cos(t), 1.0 + math.sin(t), q0, q1)[0]
+
+            phi1_search = (theta.hex(), _frozen_search(xs, row, along_phi1))
+        phi1, value = phi1_search[1] if phi1_search[1][1] > start else (phi1, start)
+        if value <= here + 1e-15:
+            break
+    c2, s2 = 2.0 * math.cos(0.5 * theta), 2.0 * math.sin(0.5 * theta)
+    value, phi0 = value_at(k, c2, s2, math.cos(phi1), 1.0 + math.sin(phi1), q0, q1)
     return value, theta, phi0, phi1
 
 
@@ -174,3 +222,32 @@ def test_an_unchanged_angle_replays_its_search(monkeypatch):
             searches.append(len(calls))
     assert all(n_live <= n_frozen for n_live, n_frozen in zip(live, frozen))
     assert sum(live) < sum(frozen)
+
+
+def test_ascend_equals_the_cached_ascent_search_for_search(monkeypatch):
+    # Seeded starts over edge and inner angles, unit and non-unit overlaps, and both row
+    # lengths: equal outputs, and the same Brent brackets in the same order.
+    calls = []
+    brent = optimizer.minimize_scalar
+
+    def counted(*args):
+        calls.append(args[1:])
+        return brent(*args)
+
+    monkeypatch.setattr(optimizer, "minimize_scalar", counted)
+    rng = np.random.default_rng(5103)
+    total = 0
+    for edges in itertools.product([0.0, HALF_PI, None], [0.0, HALF_PI, None], [True, False], [513, 1025]):
+        for _ in range(5):
+            alpha = float(rng.uniform(0.5, W_AB_MAX))
+            theta, phi1 = (float(rng.uniform(0.0, HALF_PI)) if a is None else a for a in edges[:2])
+            q0, q1 = (1.0, 1.0) if edges[2] else (float(q) for q in rng.uniform(-1.0, 1.0, 2))
+            start = (alpha, theta, phi1, q0, q1, edges[3])
+            calls.clear()
+            expected = _frozen_cached_ascend(*start)
+            cached = list(calls)
+            calls.clear()
+            assert _hex(_alone(*start)) == _hex(expected), start
+            assert calls == cached, start
+            total += len(calls)
+    assert total > 0

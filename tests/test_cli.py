@@ -329,6 +329,14 @@ class TestErrorExitCodes:
     def test_bad_profile_maps_to_2(self, capsys):
         assert main(["sequence", "--parties", "2", "--eta-profile", "1,x"]) == 2
 
+    @pytest.mark.parametrize("profile", ["", " ", "0.5,,0.5"])
+    def test_empty_profile_maps_to_2(self, capsys, profile):
+        # Given but empty is malformed: it does not fall back to sharp parties.
+        assert main(["sequence", "--parties", "3", "--eta-profile", profile]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad --eta-profile {profile!r}" in captured.err
+
     def test_unwritable_output_maps_to_2(self, capsys, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert main(["sequence", "--parties", "2", "--out", str(target)]) == 2

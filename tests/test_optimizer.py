@@ -215,6 +215,14 @@ class TestMinimizeScalar:
         with pytest.raises(DomainError, match=r"hi - lo or lo \+ hi is not finite"):
             minimize_scalar(abs, lo, hi, 1e-8)
 
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: -x, 0.0, 1e308),  # scipy's bounded method returns 1.0000000145438716e+308
+        (lambda x: x, -1e308, 0.0),  # and its mirror, a point below lo
+    ])
+    def test_rejects_a_result_outside_the_bounds(self, f, lo, hi):
+        with pytest.raises(DomainError, match=r"search left \["):
+            minimize_scalar(f, lo, hi, 1e-8)
+
     @pytest.mark.parametrize("xatol", [np.nan, -1e-8, -np.inf, "a", None, True])
     def test_rejects_bad_xatol(self, xatol):
         # a NaN makes the loop test false at once, so the search would return its first point
