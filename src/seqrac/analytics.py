@@ -8,7 +8,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .errors import InfeasiblePair, require_real, require_tol
-from .linalg import bloch_compose, polar_decompose
+from .linalg import _dot, _norm, bloch_compose, polar_decompose
 from .scenario import Strategy, WitnessPair, witness_ab
 
 SQRT2 = np.sqrt(2.0)
@@ -176,7 +176,7 @@ def _least_aligned_perp(v: np.ndarray) -> np.ndarray:
     """Unit vector orthogonal to ``v``, from the least-aligned coordinate axis."""
     pick = int(np.argmin(np.abs(v)))
     raw = np.eye(3)[pick] - v[pick] * v
-    return raw / np.linalg.norm(raw)
+    return raw / _norm(raw)
 
 
 def _bob_frame(s: Strategy) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +186,7 @@ def _bob_frame(s: Strategy) -> tuple[np.ndarray, np.ndarray]:
     axes = []
     for inst in s.instruments:
         c = inst.povm.cvec
-        norm = np.linalg.norm(c)
+        norm = _norm(c)
         axes.append(c / norm if norm > 1e-12 else None)
     e_x, a_z = axes
     if e_x is None and a_z is None:
@@ -195,8 +195,8 @@ def _bob_frame(s: Strategy) -> tuple[np.ndarray, np.ndarray]:
         e_x = _least_aligned_perp(a_z)
     if a_z is None:
         a_z = _least_aligned_perp(e_x)
-    raw = a_z - np.dot(a_z, e_x) * e_x
-    norm = np.linalg.norm(raw)
+    raw = a_z - _dot(a_z, e_x) * e_x
+    norm = _norm(raw)
     return e_x, raw / norm if norm >= 1e-12 else _least_aligned_perp(e_x)
 
 
@@ -225,18 +225,15 @@ def selftest_report(s: Strategy) -> SelfTestReport:
     :class:`InvalidStrategy` naming the component if ``s`` is not valid."""
     s.validate()
     blochs = np.array([st.bloch for st in s.preparations])
-    purity = tuple(max(0.0, 1.0 - float(np.linalg.norm(n))) for n in blochs)
-    antipodality = (
-        float(np.linalg.norm(blochs[0] + blochs[3])),
-        float(np.linalg.norm(blochs[1] + blochs[2])),
-    )
+    purity = tuple(max(0.0, 1.0 - _norm(n)) for n in blochs)
+    antipodality = (_norm(blochs[0] + blochs[3]), _norm(blochs[1] + blochs[2]))
     d0 = blochs[0] - blochs[3]
     d1 = blochs[1] - blochs[2]
-    n0, n1 = np.linalg.norm(d0), np.linalg.norm(d1)
+    n0, n1 = _norm(d0), _norm(d1)
     if n0 < 1e-12 or n1 < 1e-12:
         square_angle = np.pi / 2.0
     else:
-        cosang = float(np.clip(np.dot(d0, d1) / (n0 * n1), -1.0, 1.0))
+        cosang = float(np.clip(_dot(d0, d1) / (n0 * n1), -1.0, 1.0))
         square_angle = abs(np.arccos(cosang) - np.pi / 2.0)
 
     offsets = tuple(abs(float(inst.povm.c0)) for inst in s.instruments)

@@ -76,7 +76,8 @@ def parse_strategy_document(doc: dict) -> Strategy:
     """
     _require(isinstance(doc, dict), "$", "document must be an object")
     version = doc.get("schema_version")
-    _require(version == SCHEMA_VERSION, "schema_version",
+    # An int, as elsewhere: true and 1.0 equal 1 but are not a version.
+    _require(type(version) is int and version == SCHEMA_VERSION, "schema_version",
              f"unsupported version {version!r}")
 
     preps_raw = doc.get("preparations")

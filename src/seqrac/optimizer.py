@@ -32,7 +32,10 @@ from .linalg import (
     BinaryPovm,
     QubitState,
     _bloch_compose_rows,
+    _dot,
+    _dots,
     _max_eigvalue_rows,
+    _norm,
     _sqrt_psd_rows,
     _top_eigenvector,
     _vector3,
@@ -177,7 +180,7 @@ def _reduced_best_response(theta: float, phi0: float, phi1: float) -> tuple[floa
     for h00, h01, h10, h11 in (sums[:4], sums[4:]):
         # _hermitian_part: 0.5 * (x + x) == x leaves the diagonal as it is.
         lam, vec = _top_eigenvector(h00, 0.5 * (h01 + h10), h11)
-        scl = 1.0 / math.sqrt(np.dot(vec, vec))  # vec /= np.linalg.norm(vec), a ddot
+        scl = 1.0 / _norm(np.array(vec))  # vec /= np.linalg.norm(vec), a ddot
         vecs += [vec[0] * scl, vec[1] * scl, lam]
     x0, x1, lam0, z0, z1, lam1 = vecs  # bloch_decompose(2 v v^T - I) reads cvec[0] and cvec[2]
     q1 = 0.5 * ((2.0 * (z0 * z0) - 1.0) - (2.0 * (z1 * z1) - 1.0))
@@ -566,7 +569,7 @@ def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
             start = _random_feasible_start(alpha, rng)
             # The x and z components of projective_povm's unit axes.
             a0, a1 = random_unit_vector(rng), random_unit_vector(rng)
-            q = (float(a0[0] / math.sqrt(a0.dot(a0))), float(a1[2] / math.sqrt(a1.dot(a1))))
+            q = (float(a0[0] / _norm(a0)), float(a1[2] / _norm(a1)))
         starts.append((*(start if start is not None else (grid_theta, grid_phi1)), *q))
     runs = [SeesawRun() for _ in starts]
     angles = [None] * len(starts)
@@ -693,11 +696,11 @@ def sandwich_eigenvalue_sum_bound(povm, direction) -> BoundSample:
     :class:`InequalityViolation` if the bound fails beyond ``BOUND_SLACK``.
     """
     povm, a = _binary_povm(povm), _vector3(direction, "direction")
-    rhs = math.sqrt(a.dot(a))  # np.linalg.norm's operations
+    rhs = _norm(a)
     if rhs == 0.0:
         return BoundSample(0.0, 0.0, True)
     lhs = _sum_bound_rows(np.array(povm.effects, dtype=complex), a[None], np.array([rhs]))[0]
-    sharp, overlap = povm.sharpness, abs(float(np.dot(povm.cvec, a)))
+    sharp, overlap = povm.sharpness, abs(_dot(povm.cvec, a))
     aligned = sharp <= BOUND_SLACK or abs(overlap / (sharp * rhs) - 1.0) <= BOUND_SLACK
     return BoundSample(float(lhs), rhs, aligned)
 
@@ -765,23 +768,17 @@ def _suite_draws(rng: np.random.Generator, samples: int, allow_offset: bool):
         if allow_offset:
             scale.append(random())
     eta, v, w = np.array(eta), normals[0::2], normals[1::2]
-    c = eta[:, None] * (v / _norms(v)[:, None])
+    c = eta[:, None] * (v / np.sqrt(_dots(v, v))[:, None])
     if allow_offset:
         c0 = (-1.0 + 2.0 * np.array(offset)) * (1.0 - eta)
         return c0, c, w * (2.0 * np.array(scale))[:, None]
-    return np.zeros(samples), c, w / _norms(w)[:, None]
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """``sqrt(r.dot(r))`` of each row, the operations of ``np.linalg.norm``.  One ``ddot``
-    per row: a stacked ``vecdot``, ``einsum`` or ``norm`` matches OpenBLAS only per kernel."""
-    return np.array([math.sqrt(r.dot(r)) for r in v])
+    return np.zeros(samples), c, w / np.sqrt(_dots(w, w))[:, None]
 
 
 def _screen(c0: np.ndarray, c: np.ndarray, a: np.ndarray):
     """The ``(2n, 2, 2)`` stack of effects ``(E0, E1)`` as ``from_observable`` builds them,
     ``|c|``, ``|a|`` and the index of the first draw :func:`_replay` rejects (``n`` if none)."""
-    eta, norm = _norms(c), _norms(a)
+    eta, norm = np.sqrt(_dots(c, c)), np.sqrt(_dots(a, a))
     with np.errstate(invalid="ignore"):  # rejected draws may be inf or NaN
         bad = ~np.isfinite(c0 + eta) | ~(np.abs(a) <= MAX_ENTRY).all(axis=1)
         bad |= (eta - 1.0 > HERM_TOL) | (np.abs(c0) - (1.0 - eta) > HERM_TOL)
@@ -838,7 +835,7 @@ def _eigen_suite(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np
     if n < samples:
         _replay(c0, c, u, n)
     direct = _sandwich_max(effects, np.repeat(_bloch_compose_rows(0.0, u), 2, axis=0))
-    overlap = np.array([x.dot(y) for x, y in zip(c, u)])  # one ddot per row, as in _norms
+    overlap = _dots(c, u)
     closed = np.stack([_closed_form(c0, eta, overlap, norm, b) for b in (0, 1)], axis=1)
     return direct.reshape(samples, 2), closed
 
@@ -889,8 +886,8 @@ def sandwich_eigenvalue_closed_form(povm, direction, outcome: int) -> float:
     square-root sum used by the trade-off bound.
     """
     povm, a = _binary_povm(povm), _vector3(direction, "direction")
-    norm, outcome = float(np.linalg.norm(a)), require_integer(outcome, "outcome", 0, 1)
-    row = np.array([[povm.c0], [povm.sharpness], [float(np.dot(povm.cvec, a))], [norm]])
+    norm, outcome = _norm(a), require_integer(outcome, "outcome", 0, 1)
+    row = np.array([[povm.c0], [povm.sharpness], [_dot(povm.cvec, a)], [norm]])
     return float(_closed_form(*row, outcome)[0])
 
 

@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .linalg import BinaryPovm, QubitState, bloch_compose
+from .linalg import BinaryPovm, QubitState, _norm, bloch_compose
 from .scenario import BinaryInstrument, Strategy
 
 
 # rng.random() and rng.standard_normal(k): the bits of uniform() and normal(size=k), cheaper.
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(3)
-    return v / math.sqrt(v.dot(v))
+    return v / _norm(v)
 
 
 def random_bloch_in_ball(rng: np.random.Generator) -> np.ndarray:
@@ -23,7 +21,7 @@ def random_bloch_in_ball(rng: np.random.Generator) -> np.ndarray:
 def random_su2(rng: np.random.Generator) -> np.ndarray:
     """Haar-random SU(2) element via a uniform quaternion."""
     q = rng.standard_normal(4)
-    w, x, y, z = (q / math.sqrt(q.dot(q))).tolist()
+    w, x, y, z = (q / _norm(q)).tolist()
     # w I - i (x X + y Y + z Z), entry by entry.
     return np.array([[complex(w, -z), complex(-y, -x)], [complex(y, -x), complex(w, z)]])
 

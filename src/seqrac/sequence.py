@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, require_integer, require_real
+from .linalg import _norm
 from .scenario import WitnessPair, average_instrument_channel, rac_success
 from .strategies import axis_instruments, canonical_witness_pair, square_preparations
 
@@ -65,7 +66,7 @@ def simulate_chain(cfg: ChainConfig) -> list[ChainStep]:
     ensemble = square_preparations()
     rows, built = [], None
     for k, eta in enumerate(cfg.sharpness_profile, start=1):
-        radius = float(np.linalg.norm(ensemble[0].bloch))
+        radius = _norm(ensemble[0].bloch)
         if eta.hex() != built:  # a run of equal sharpness shares one build; -0.0 is not 0.0
             built, instruments = eta.hex(), axis_instruments(eta, eta)
         witness = rac_success(ensemble, (instruments[0].povm, instruments[1].povm))

@@ -337,6 +337,17 @@ class TestErrorExitCodes:
         assert captured.out == ""
         assert f"bad --eta-profile {profile!r}" in captured.err
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_schema_version_not_an_int_maps_to_2(self, capsys, tmp_path, version):
+        doc = json.loads(document_text(canonical_strategy(1 / np.sqrt(2))))
+        doc["schema_version"] = version  # written as true and 1.0
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["evaluate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "schema_version" in captured.err
+
     def test_unwritable_output_maps_to_2(self, capsys, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert main(["sequence", "--parties", "2", "--out", str(target)]) == 2

@@ -165,10 +165,11 @@ class TestParsing:
             parse_strategy_document(doc)
 
     def test_unsupported_schema_version(self):
-        doc = canonical_doc()
-        doc["schema_version"] = 9
-        with pytest.raises(DocumentError, match="schema_version"):
-            parse_strategy_document(doc)
+        for version in (9, True, 1.0):  # true and 1.0 equal 1 but are not an int
+            doc = canonical_doc()
+            doc["schema_version"] = version
+            with pytest.raises(DocumentError, match="schema_version"):
+                parse_strategy_document(doc)
 
     def test_wrong_preparation_count(self):
         doc = canonical_doc()

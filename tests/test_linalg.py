@@ -23,6 +23,9 @@ from seqrac.linalg import (
     SIGMA_Z,
     BinaryPovm,
     QubitState,
+    _dot,
+    _dots,
+    _norm,
     bloch_from_matrix,
     matrix_sqrt_psd,
     max_eigenpair,
@@ -372,3 +375,55 @@ class TestQubitState:
     def test_purity(self):
         assert state_from_bloch([0, 0, 1.0]).purity() == pytest.approx(1.0)
         assert state_from_bloch([0, 0, 0.0]).purity() == pytest.approx(0.5)
+
+
+# Entries whose exponents spread over the whole range within MAX_ENTRY (about
+# 2**498), signed zeros and subnormals included; a dot of such vectors is finite.
+ENTRY = st.one_of(
+    st.floats(-MAX_ENTRY, MAX_ENTRY),
+    st.builds(lambda m, e: m * 2.0**e, st.floats(-1.0, 1.0), st.integers(-490, 490)),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+def vectors(k):
+    return st.lists(ENTRY, min_size=k, max_size=k).map(np.array)
+
+
+def hexes(values) -> list:
+    return [float(x).hex() for x in values]
+
+
+class TestShortDot:
+    """``_dot``, ``_norm`` and ``_dots`` take ``np.dot``'s and ``np.linalg.norm``'s
+    operations, bit for bit, on whatever kernels run below them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda k: st.tuples(vectors(k), vectors(k))))
+    @example((np.zeros(3), np.zeros(3)))
+    @example((np.array([-0.0, -0.0, -0.0]), np.array([0.0, -0.0, 0.0])))
+    @example((np.array([-0.0, 0.0]), np.array([-0.0, 0.0])))
+    def test_dot_and_norm_take_numpys_operations(self, pair):
+        x, y = pair
+        assert type(_dot(x, y)) is float and type(_norm(x)) is float
+        assert _dot(x, y).hex() == float(np.dot(x, y)).hex()
+        assert _norm(x).hex() == float(np.linalg.norm(x)).hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda k: st.integers(1, 12).flatmap(
+                lambda n: st.tuples(*[st.lists(vectors(k), min_size=n, max_size=n)] * 2)
+            )
+        )
+    )
+    @example(([np.zeros(3)], [np.array([-0.0, 0.0, -0.0])]))
+    def test_dots_is_one_dot_per_row(self, rows):
+        x, y = np.array(rows[0]), np.array(rows[1])
+        assert _dots(x, y).shape == (len(x),)
+        assert hexes(_dots(x, y)) == hexes(np.dot(a, b) for a, b in zip(x, y))
+        # The length of each row, as the checks suites take it.
+        assert hexes(np.sqrt(_dots(x, x))) == hexes(np.linalg.norm(r) for r in x)
+        # Rows of a strided stack, as the suites draw them.
+        both = np.stack([x, y], axis=1).reshape(-1, x.shape[1])
+        assert hexes(_dots(both[0::2], both[1::2])) == hexes(_dots(x, y))
