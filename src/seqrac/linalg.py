@@ -38,6 +38,7 @@ HERM_TOL = 1e-9
 # Largest real or imaginary part of a matrix entry: squares and sums of a few
 # squares of such entries stay far below the float maximum of about 1.8e308.
 MAX_ENTRY = 1e150
+_TINY = 2.2250738585072014e-308  # the smallest normal float: a smaller nonzero part is subnormal
 
 
 class EigenPair(NamedTuple):
@@ -73,6 +74,11 @@ def _has_bool(v) -> bool:
 def as_matrix2(m) -> np.ndarray:
     """Coerce input to a complex 2x2 array with parts in ``[-MAX_ENTRY, MAX_ENTRY]``;
     :class:`DomainError` otherwise (``bool`` entries of a list or array are not numbers)."""
+    return _matrix2(m)[0]
+
+
+def _matrix2(m) -> tuple[np.ndarray, list]:
+    """:func:`as_matrix2` of ``m`` and its four entries, row by row, as Python complex numbers."""
     try:
         a = np.asarray(m, dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -81,34 +87,42 @@ def as_matrix2(m) -> np.ndarray:
         raise DomainError(f"expected a 2x2 matrix, got shape {a.shape}")
     if _has_bool(m) or isinstance(m, np.ndarray) and m.dtype == bool:
         raise DomainError(f"expected a 2x2 matrix of numbers, got {m!r}")
-    return _bounded(a, "matrix")
+    entries = a00, a01, a10, a11 = a.ravel().tolist()
+    # _bounded's test written out, run again there to raise its error (abs of a Python
+    # complex, the quicker test, raises OverflowError where the modulus overflows).
+    if not (abs(a00.real) <= MAX_ENTRY >= abs(a00.imag) and abs(a01.real) <= MAX_ENTRY >= abs(a01.imag)
+            and abs(a10.real) <= MAX_ENTRY >= abs(a10.imag) and abs(a11.real) <= MAX_ENTRY >= abs(a11.imag)):
+        _bounded(entries, "matrix")
+    return a, entries
 
 
-def _bounded(a: np.ndarray, what: str) -> np.ndarray:
-    """``a`` if every real and imaginary part is within ``MAX_ENTRY``, else :class:`DomainError`."""
-    entries = a.ravel().tolist()
+def _bounded(entries: list, what: str) -> None:
+    """:class:`DomainError` unless every real and imaginary part of ``entries`` is within ``MAX_ENTRY``."""
     # NaN fails both comparisons, so this one pass screens NaN and inf too.
     if not all(abs(z.real) <= MAX_ENTRY >= abs(z.imag) for z in entries):
         if not all(map(cmath.isfinite, entries)):
             raise DomainError(f"{what} has entries that are not finite")
         raise DomainError(f"{what} has entries beyond {MAX_ENTRY:g}, too large to square")
-    return a
 
 
-def _hermitian_part(m, tol: float) -> np.ndarray:
-    """Entries of ``0.5 * (a + a^dag)`` for ``a = as_matrix2(m)``, as a flat array.
+def _hermitian_part(m, tol: float) -> list:
+    """Entries of ``0.5 * (a + a^dag)`` for ``a = as_matrix2(m)``, row by row, as Python complex numbers.
 
     :class:`NotHermitian` if an entry of ``a - a^dag`` has a modulus (libm's ``hypot``
     on Python complex numbers) above ``tol``, a number >= 0 (``inf`` skips the test).
-    The halving stays a numpy product: numpy fuses multiply-adds on CPUs with FMA,
-    which can set the sign of a zero."""
+    The halving is numpy's complex product ``0.5 * z``, fused on CPUs with FMA: a Python
+    ``0.5 * z`` differs only in the sign of a zero, where a part of an off-diagonal sum is
+    subnormal (a diagonal sum ``(2 x, 0)`` halves exactly), and numpy halves such a matrix."""
     tol = require_tol(tol)
-    a00, a01, a10, a11 = as_matrix2(m).ravel().tolist()
+    a00, a01, a10, a11 = _matrix2(m)[1]
     c00, c01, c10, c11 = a00.conjugate(), a01.conjugate(), a10.conjugate(), a11.conjugate()
     dev = max(abs(a00 - c00), abs(a01 - c10), abs(a10 - c01), abs(a11 - c11))
     if dev > tol:
         raise NotHermitian(f"hermiticity deviation {dev:.3e}")
-    return 0.5 * np.array([a00 + c00, a01 + c10, a10 + c01, a11 + c11])
+    sums = (a00 + c00, a01 + c10, a10 + c01, a11 + c11)
+    if 0.0 < abs(sums[1].real) < _TINY or 0.0 < abs(sums[1].imag) < _TINY:
+        return (0.5 * np.array(sums)).tolist()
+    return [0.5 * z for z in sums]
 
 
 def _spectrum(h00: complex, h01: complex, h11: complex) -> tuple[float, float]:
@@ -118,15 +132,14 @@ def _spectrum(h00: complex, h01: complex, h11: complex) -> tuple[float, float]:
     return 0.5 * (a + d), abs(complex(0.5 * (a - d), abs(h01)))
 
 
-def _psd_part(m, tol: float, what: str = "") -> tuple[np.ndarray, list]:
-    """:func:`_hermitian_part` of ``m`` and its four entries as Python complex numbers;
-    :class:`NotPsd` if the smaller eigenvalue is below ``-tol`` (``what`` starts the message)."""
+def _psd_part(m, tol: float, what: str = "") -> list:
+    """:func:`_hermitian_part` of ``m``; :class:`NotPsd` if the smaller eigenvalue
+    is below ``-tol`` (``what`` starts the message)."""
     h = _hermitian_part(m, tol)
-    entries = h.tolist()
-    mid, half_gap = _spectrum(entries[0], entries[1], entries[3])
+    mid, half_gap = _spectrum(h[0], h[1], h[3])
     if mid - half_gap < -tol:
         raise NotPsd(f"{what}negative eigenvalue {mid - half_gap:.3e}")
-    return h, entries
+    return h
 
 
 def max_eigenpair(h, tol: float = HERM_TOL) -> EigenPair:
@@ -136,7 +149,7 @@ def max_eigenpair(h, tol: float = HERM_TOL) -> EigenPair:
     the eigenvector is phase-fixed so its first significant component is
     real positive.
     """
-    h00, b, _, h11 = _hermitian_part(h, tol).tolist()
+    h00, b, _, h11 = _hermitian_part(h, tol)
     lam, vec = _top_eigenvector(h00, b, h11)
     vec = np.array(vec, dtype=complex)
     vec /= np.linalg.norm(vec)  # no change to a unit basis vector
@@ -165,15 +178,21 @@ def matrix_sqrt_psd(m, tol: float = HERM_TOL) -> np.ndarray:
     For PSD ``M`` with trace t and determinant D,
     ``sqrt(M) = (M + sqrt(D) I) / sqrt(t + 2 sqrt(D))``.
     """
-    h, (h00, h01, _, h11) = _psd_part(m, tol)
+    h = h00, h01, h10, h11 = _psd_part(m, tol)
     t = max(h00.real + h11.real, 0.0)
-    # A numpy square: it overflows to inf where a Python float ** 2 raises.
-    det = max(h00.real * h11.real - np.float64(abs(h01)) ** 2, 0.0)
+    # libm's pow, as numpy's scalar ** 2 is; entries within MAX_ENTRY keep it finite.
+    det = max(h00.real * h11.real - abs(h01) ** 2, 0.0)
     root_det = math.sqrt(det)
     denom_sq = t + 2.0 * root_det
     if denom_sq <= 0.0:
         return np.zeros((2, 2), dtype=complex)
-    return (h.reshape(2, 2) + root_det * ID2) / math.sqrt(denom_sq)
+    if denom_sq < _TINY:  # 1 / s may overflow here: numpy's own expression, with its warning
+        return (np.array(h).reshape(2, 2) + root_det * ID2) / math.sqrt(denom_sq)
+    # numpy's (h + sqrt(D) I) / s: sqrt(D) I is 0.0 * sqrt(D) off the diagonal (a -0.0 root's
+    # sign), and numpy divides a complex by a real as (re + im * 0.0, im - re * 0.0) * (1 / s).
+    scale, off = 1.0 / math.sqrt(denom_sq), complex(0.0 * root_det, 0.0)
+    return np.array([complex((z.real + z.imag * 0.0) * scale, (z.imag - z.real * 0.0) * scale)
+                     for z in (h00 + root_det, h01 + off, h10 + off, h11 + root_det)]).reshape(2, 2)
 
 
 def _sqrt_psd_rows(effects: np.ndarray) -> np.ndarray:
@@ -246,10 +265,12 @@ def bloch_decompose(h: np.ndarray) -> tuple[float, np.ndarray]:
 
 def bloch_compose(c0: float, c: np.ndarray) -> np.ndarray:
     """Hermitian matrix ``c0 I + c . sigma`` from Bloch data (an array or a sequence)."""
-    cx, cy, cz = float(c[0]), float(c[1]), float(c[2])
-    return np.array(
-        [[c0 + cz, cx - 1j * cy], [cx + 1j * cy, c0 - cz]], dtype=complex
-    )
+    return np.array(_bloch_entries(c0, float(c[0]), float(c[1]), float(c[2])), dtype=complex)
+
+
+def _bloch_entries(c0: float, cx: float, cy: float, cz: float) -> list:
+    """The rows of :func:`bloch_compose` as Python numbers."""
+    return [[c0 + cz, cx - 1j * cy], [cx + 1j * cy, c0 - cz]]
 
 
 def _bloch_compose_rows(c0, c: np.ndarray) -> np.ndarray:
@@ -287,7 +308,7 @@ class QubitState:
 
     @classmethod
     def from_matrix(cls, m) -> "QubitState":
-        h = _psd_part(m, HERM_TOL, "density matrix has ")[0].reshape(2, 2)
+        h = np.array(_psd_part(m, HERM_TOL, "density matrix has ")).reshape(2, 2)
         tr = h[0, 0].real + h[1, 1].real
         if abs(tr - 1.0) > HERM_TOL:
             raise NotPsd(f"trace {float(tr)!r} != 1")
@@ -309,7 +330,7 @@ def _vector3(v, what: str) -> np.ndarray:
         raise DomainError(f"{what} must have 3 components that are real numbers, got {v!r}")
     x, y, z = a.tolist()
     if not (abs(x) <= MAX_ENTRY and abs(y) <= MAX_ENTRY and abs(z) <= MAX_ENTRY):
-        _bounded(a, what)  # the same test, run again to raise its error
+        _bounded([x, y, z], what)  # the same test, run again to raise its error
     return a.astype(float, copy=False)
 
 
@@ -352,15 +373,15 @@ class BinaryPovm:
         norm = _norm(c)
         if norm - 1.0 > HERM_TOL or abs(c0) - (1.0 - norm) > HERM_TOL:
             raise NotPsd(f"offset {c0!r} with |c| = {norm!r} breaks positivity")
-        entries = c.tolist()
-        e0 = bloch_compose(0.5 * (1.0 + c0), [0.5 * v for v in entries])
-        e1 = bloch_compose(0.5 * (1.0 - c0), [-0.5 * v for v in entries])
-        return cls((e0, e1), c0, c.copy())
+        x, y, z = c.tolist()
+        e = np.array([_bloch_entries(0.5 * (1.0 + c0), 0.5 * x, 0.5 * y, 0.5 * z),
+                      _bloch_entries(0.5 * (1.0 - c0), -0.5 * x, -0.5 * y, -0.5 * z)], dtype=complex)
+        return cls((e[0], e[1]), c0, c.copy())
 
 
 def validate_povm(e0, e1) -> BinaryPovm:
     """Check a two-effect measurement and return it with Bloch data filled in."""
-    effects = [_psd_part(e, HERM_TOL, what)[0].reshape(2, 2)
+    effects = [np.array(_psd_part(e, HERM_TOL, what)).reshape(2, 2)
                for what, e in (("E0 has ", e0), ("E1 has ", e1))]
     dev = float(np.max(np.abs(effects[0] + effects[1] - ID2)))
     if dev > HERM_TOL:

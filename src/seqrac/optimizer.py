@@ -169,7 +169,7 @@ def _reduced_best_response(theta: float, phi0: float, phi1: float) -> tuple[floa
     hx, hz = 0.5 * math.cos(phi0), 0.5 * math.cos(phi1)
     roots = []
     for a, b, d in ((0.5, hx, 0.5), (0.5, -hx, 0.5), (0.5 + hz, 0.0, 0.5 - hz), (0.5 - hz, 0.0, 0.5 + hz)):
-        # matrix_sqrt_psd, whose numpy scalar ** 2 is libm's pow, as abs(b) ** 2 is.
+        # matrix_sqrt_psd's float operations, abs(b) ** 2 (libm's pow) included.
         root_det = math.sqrt(max(a * d - abs(b) ** 2, 0.0))
         scale = 1.0 / math.sqrt(max(a + d, 0.0) + 2.0 * root_det)
         roots += [(a + root_det) * scale, (b + 0.0) * scale, (b + 0.0) * scale, (d + root_det) * scale]

@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
 from .linalg import BinaryPovm, QubitState, _norm, bloch_compose
 from .scenario import BinaryInstrument, Strategy
+
+
+def _flag(value, what: str) -> bool:
+    """``value`` if it is a ``bool`` or ``np.bool_``, as a bool; :class:`DomainError` otherwise."""
+    if type(value) not in (bool, np.bool_):
+        raise DomainError(f"{what} must be a bool, got {value!r}")
+    return bool(value)
 
 
 # rng.random() and rng.standard_normal(k): the bits of uniform() and normal(size=k), cheaper.
@@ -15,7 +23,9 @@ def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
 
 
 def random_bloch_in_ball(rng: np.random.Generator) -> np.ndarray:
-    return random_unit_vector(rng) * rng.random() ** (1.0 / 3.0)
+    v = rng.standard_normal(3)
+    norm, r = _norm(v), rng.random() ** (1.0 / 3.0)
+    return np.array([x / norm * r for x in v.tolist()])  # random_unit_vector(rng) * r, entry by entry
 
 
 def random_su2(rng: np.random.Generator) -> np.ndarray:
@@ -40,10 +50,11 @@ def _draw_observable(rng: np.random.Generator, allow_offset: bool) -> tuple[floa
 
 def random_povm(rng: np.random.Generator, allow_offset: bool = True) -> BinaryPovm:
     """Random two-effect measurement; offsets stay inside the positivity cone."""
-    return BinaryPovm.from_observable(*_draw_observable(rng, allow_offset))
+    return BinaryPovm.from_observable(*_draw_observable(rng, _flag(allow_offset, "allow_offset")))
 
 
 def random_instrument(rng: np.random.Generator, luders: bool = False) -> BinaryInstrument:
+    luders = _flag(luders, "luders")
     povm = random_povm(rng)
     if luders:
         return BinaryInstrument.luders(povm)
@@ -56,6 +67,7 @@ def random_preparations(rng: np.random.Generator) -> tuple[QubitState, ...]:
 
 def random_strategy(rng: np.random.Generator, luders: bool = False) -> Strategy:
     """Random valid strategy with generic instruments and measurements."""
+    luders = _flag(luders, "luders")
     return Strategy(
         random_preparations(rng),
         (random_instrument(rng, luders), random_instrument(rng, luders)),

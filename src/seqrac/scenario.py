@@ -57,10 +57,8 @@ class BinaryInstrument:
     def from_kraus(cls, k0, k1) -> "BinaryInstrument":
         """Validate the instrument with Kraus operators ``k0`` and ``k1``."""
         kraus = np.array([as_matrix2(k0), as_matrix2(k1)])
-        effects = []
-        for k in kraus:
-            m = 0.0 + k.conj().T @ k  # from 0.0, as the per-operator sum was: no -0.0 entry
-            effects.append(0.5 * (m + m.conj().T))
+        m = 0.0 + kraus.conj().transpose(0, 2, 1) @ kraus  # from 0.0, as the per-operator sum was: no -0.0
+        effects = 0.5 * (m + m.conj().transpose(0, 2, 1))
         dev = float(np.max(np.abs(effects[0] + effects[1] - ID2)))
         if dev > HERM_TOL:
             raise CompletenessViolated(f"Kraus operators sum to I + {dev:.3e}")
@@ -77,8 +75,8 @@ class BinaryInstrument:
     @classmethod
     def _from_unitaries(cls, unitaries: np.ndarray, povm: BinaryPovm) -> "BinaryInstrument":
         """:meth:`from_polar` unchecked, for a ``(2, 2, 2)`` stack that is unitary by construction."""
-        kraus = np.array([u @ matrix_sqrt_psd(e) for u, e in zip(unitaries, povm.effects)])
-        return cls(kraus, povm, unitaries)
+        roots = np.array([matrix_sqrt_psd(e) for e in povm.effects])
+        return cls(unitaries @ roots, povm, unitaries)
 
     @classmethod
     def luders(cls, povm: BinaryPovm) -> "BinaryInstrument":
@@ -272,24 +270,13 @@ def conjugate_strategy(s: Strategy, u) -> Strategy:
     if not dev <= HERM_TOL:
         raise DomainError(f"conjugation matrix is not unitary (|V V^dag - I| = {dev:.3e})")
     vh = v.conj().T
-
-    def sandwich(m: np.ndarray) -> np.ndarray:
-        return v @ m @ vh
-
-    preps = []
-    for st in s.preparations:
-        m = sandwich(st.matrix)
-        m = 0.5 * (m + m.conj().T)
-        preps.append(QubitState(m, 2.0 * bloch_decompose(m)[1]))
-    instruments = tuple(
-        BinaryInstrument.from_kraus(sandwich(i.kraus[0]), sandwich(i.kraus[1]))
-        for i in s.instruments
-    )
-    measurements = tuple(
-        validate_povm(sandwich(p.effects[0]), sandwich(p.effects[1]))
-        for p in s.measurements
-    )
-    return Strategy(tuple(preps), instruments, measurements)
+    # Stacked sandwiches: numpy's matmul makes one 2x2 product per matrix, as v @ m @ vh does.
+    rhos = v @ _matrices(s.preparations) @ vh
+    rhos = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
+    preps = tuple(QubitState(m, 2.0 * bloch_decompose(m)[1]) for m in rhos)
+    instruments = tuple(BinaryInstrument.from_kraus(*(v @ i.kraus @ vh)) for i in s.instruments)
+    measurements = tuple(validate_povm(*(v @ np.array(p.effects) @ vh)) for p in s.measurements)
+    return Strategy(preps, instruments, measurements)
 
 
 def difference_vectors(preparations: tuple[QubitState, ...]) -> tuple[np.ndarray, np.ndarray]:

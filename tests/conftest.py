@@ -48,7 +48,7 @@ def require_hermitian(m, tol=HERM_TOL):
     """``linalg._hermitian_part`` as a 2x2 matrix: the hermiticity gate that
     ``matrix_sqrt_psd`` and ``max_eigenpair`` run first, under the name of the
     public wrapper it once had, which the test ids keep."""
-    return _hermitian_part(m, tol).reshape(2, 2)
+    return np.array(_hermitian_part(m, tol)).reshape(2, 2)
 
 
 def frozen_fixed_charlie_value(alpha, theta, phi1, q0, q1):

@@ -12,6 +12,7 @@ with valid ones, so a bad argument is also met next to good ones.
 
 import cmath
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -57,6 +58,7 @@ from seqrac import (
     validate_povm,
 )
 from seqrac.linalg import ID2, MAX_ENTRY, SIGMA_X
+from seqrac.sampling import random_instrument, random_povm, random_strategy
 from classical_model import ClassicalStrategy
 
 NAN, INF = float("nan"), float("inf")
@@ -218,6 +220,34 @@ def test_bool_entries_of_a_sequence_are_not_numbers(name):
     for value in values:
         with pytest.raises(DomainError):
             func(value)
+
+
+# A sampler's switch is a bool or np.bool_: a truthy string or number used to pick a branch silently.
+FLAGS = {
+    "random_strategy luders": (lambda rng, v: random_strategy(rng, v), "luders"),
+    "random_instrument luders": (lambda rng, v: random_instrument(rng, luders=v), "luders"),
+    "random_povm allow_offset": (lambda rng, v: random_povm(rng, allow_offset=v), "allow_offset"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAGS))
+@pytest.mark.parametrize("value", ["no", "", "True", 0, 1, 1.0, 0j, None, [True], np.int64(1),
+                                   np.array(True), np.float64(0.0)])
+def test_sampler_switches_take_only_a_bool(name, value):
+    func, what = FLAGS[name]
+    rng = np.random.default_rng(1)
+    with pytest.raises(DomainError, match=f"^{what} must be a bool, got "):
+        func(rng, value)
+    assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state  # nothing drawn
+
+
+@pytest.mark.parametrize("name", sorted(FLAGS))
+@pytest.mark.parametrize("value", [False, True])
+def test_sampler_switches_take_numpy_bools(name, value):
+    func, _ = FLAGS[name]
+    got = func(np.random.default_rng(2), np.bool_(value))
+    want = func(np.random.default_rng(2), value)
+    assert pickle.dumps(got) == pickle.dumps(want)  # every array's bytes
 
 
 @pytest.mark.parametrize("lo, hi", [(-INF, INF), (0.0, 1.0), (0.5, 0.5), (2.0, 1.0)])

@@ -52,6 +52,7 @@ TOO_LARGE = (
     [[1.0, 1e308], [1e308, 1.0]],
     np.diag([1e308, -1e308]),
     [[1.0, complex(0.0, 2.0 * MAX_ENTRY)], [complex(0.0, -2.0 * MAX_ENTRY), 1.0]],
+    [[0.0, complex(1.3e308, 1.3e308)], [complex(1.3e308, -1.3e308), 0.0]],  # a modulus overflows
 )
 
 

@@ -1,12 +1,15 @@
 """Bit-exact ``matrix_sqrt_psd``, the Hermitian part (``linalg._hermitian_part``, as
-``conftest.require_hermitian``) and ``BinaryPovm.from_observable`` against frozen
-numpy-array bodies.
+``conftest.require_hermitian``), ``BinaryPovm.from_observable`` and the stacked
+Kraus products of ``BinaryInstrument`` against frozen numpy-array bodies.
 
-The two kernels read the four entries once as Python complex numbers for the
-hermiticity check, the PSD test and the determinant; the halving and the root
-stay numpy array products.  numpy fuses complex multiply-adds on CPUs with
-FMA, so the signed zeros and smallest subnormals below tell a Python copy of
-those products apart.  The oracles are the earlier bodies on 2x2 arrays
+The two kernels read the four entries once as Python complex numbers and do
+the hermiticity check, the halving, the PSD test, the determinant and the root
+on them.  They must still give numpy's bits: numpy fuses complex multiply-adds
+on CPUs with FMA, so a Python ``0.5 * z`` differs where a part is subnormal
+(the kernel halves such a matrix with numpy), and numpy divides by a real as
+``(re + im * 0.0, im - re * 0.0) * (1 / s)``.  The signed zeros and smallest
+subnormals below, and a ``hypothesis`` search over the whole exponent range,
+tell such copies apart.  The oracles are the earlier bodies on 2x2 arrays
 (``0.5 * (a + a^dag)``, ``eigvals_hermitian``, ``(h + sqrt(D) I) / s``).
 Results are compared by ``tobytes()``, dtype and shape; rejected inputs must
 raise the same exception type with the same message.  ``from_observable``
@@ -19,17 +22,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqrac.errors import NotHermitian, NotPsd
 from seqrac.linalg import (
     HERM_TOL,
     ID2,
+    MAX_ENTRY,
     BinaryPovm,
     as_matrix2,
     bloch_compose,
     matrix_sqrt_psd,
 )
-from seqrac.sampling import random_povm, random_strategy
+from seqrac.sampling import random_instrument, random_povm, random_strategy, random_su2
+from seqrac.scenario import BinaryInstrument, conjugate_strategy
 from conftest import require_hermitian
 
 
@@ -156,3 +163,92 @@ def test_from_observable_effects_match_frozen_body():
         got = BinaryPovm.from_observable(c0, c).effects
         want = frozen_from_observable(c0, c)
         assert [e.tobytes() for e in got] == [e.tobytes() for e in want], (c0, c)
+
+
+SMALLEST_NORMAL = 2.2250738585072014e-308
+SIGN = st.sampled_from([1.0, -1.0])
+# A real or imaginary part: m * 2**e over the whole exponent range below MAX_ENTRY
+# (2**498 > MAX_ENTRY), subnormals, signed zeros and the range's edges.
+PART = st.one_of(
+    st.builds(lambda m, e, sign: sign * math.ldexp(m, e),
+              st.floats(1.0, 2.0, exclude_max=True), st.integers(-1080, 497), SIGN),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-323, SMALLEST_NORMAL - 5e-324,
+                     SMALLEST_NORMAL, -SMALLEST_NORMAL, 0.5, -1.0, MAX_ENTRY, -MAX_ENTRY]),
+)
+# A part whose last bits reach the subnormal range: |x| below 2**-960.
+SMALL_PART = st.builds(lambda m, e, sign: sign * math.ldexp(m, e),
+                       st.floats(1.0, 2.0, exclude_max=True), st.integers(-1080, -961), SIGN)
+
+
+def _steps_up(x, k):
+    for _ in range(k):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@st.composite
+def _matrices(draw):
+    kind = draw(st.sampled_from(["generic", "hermitian", "cancelling"]))
+    if kind == "generic":
+        a = [[complex(draw(PART), draw(PART)) for _ in range(2)] for _ in range(2)]
+    elif kind == "hermitian":
+        off = complex(draw(PART), draw(PART))
+        a = [[complex(draw(PART), draw(st.sampled_from([0.0, -0.0, 5e-324]))), off],
+             [off.conjugate(), complex(draw(PART), draw(st.sampled_from([0.0, -0.0])))]]
+    else:
+        # a01 + conj(a10) cancels to k steps of the last bit of each part: zero, subnormal or
+        # a tiny normal number.
+        x, y = draw(SMALL_PART), draw(SMALL_PART)
+        k, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        a = [[complex(draw(PART), 0.0), complex(x, y)],
+             [complex(-_steps_up(x, k), _steps_up(y, j)), complex(draw(PART), 0.0)]]
+    form = draw(st.sampled_from(["array", "list", "tuple", "real list"]))
+    if form == "array":
+        return np.array(a)
+    if form == "tuple":
+        return tuple(tuple(row) for row in a)
+    if form == "real list":
+        return [[z.real for z in row] for row in a]
+    return a
+
+
+@settings(max_examples=500, deadline=None)
+@given(_matrices())
+@example(np.array([[0.5, complex(5e-324, -5e-324)], [0.0, 0.5]]))  # a subnormal sum to halve
+@example(np.array([[0.0, 1e150j], [-1e150j, 5e-324]]))  # at inf, 1 / s overflows
+def test_scalar_bodies_match_frozen_bodies_on_any_exponent(m):
+    for tol in (HERM_TOL, np.inf):
+        for new, old in ((require_hermitian, frozen_require_hermitian),
+                         (matrix_sqrt_psd, frozen_matrix_sqrt_psd)):
+            assert _outcome(new, m, tol) == _outcome(old, m, tol), (tol, new.__name__)
+
+
+def _instrument_cases():
+    """``(unitaries, povm, kraus)`` of instruments sampled, Haar-conjugated, diagonal and built
+    through ``from_polar``."""
+    rng = np.random.default_rng(1603)
+    for _ in range(500):
+        inst = random_instrument(rng)
+        yield inst.unitaries, inst.povm, inst.kraus
+    for _ in range(150):
+        s = conjugate_strategy(random_strategy(rng), random_su2(rng))
+        for inst in s.instruments:
+            yield inst.unitaries, inst.povm, BinaryInstrument._from_unitaries(inst.unitaries, inst.povm).kraus
+    phases = np.array([np.diag([1.0, 1j]), np.diag([-1.0, -0.0 + 1j])])
+    for c0, eta in itertools.product((0.0, -0.0, 0.5), (0.0, 0.25, 0.5, 1.0)):
+        povm = BinaryPovm.from_observable(c0 * (1.0 - eta), [0.0, -0.0, eta])
+        yield phases, povm, BinaryInstrument._from_unitaries(phases, povm).kraus
+    for _ in range(150):
+        inst = BinaryInstrument.from_polar([random_su2(rng).tolist(), random_su2(rng)], random_povm(rng))
+        yield inst.unitaries, inst.povm, inst.kraus
+
+
+def test_stacked_kraus_products_match_per_outcome_products():
+    checked = 0
+    for unitaries, povm, kraus in _instrument_cases():
+        want = np.array([u @ matrix_sqrt_psd(e) for u, e in zip(unitaries, povm.effects)])
+        assert kraus.dtype == want.dtype and kraus.tobytes() == want.tobytes()
+        roots = np.array([matrix_sqrt_psd(e, tol=np.inf) for e in povm.effects])
+        assert BinaryInstrument.luders(povm).kraus.tobytes() == roots.tobytes()
+        checked += 1
+    assert checked > 900

@@ -25,7 +25,19 @@ from seqrac import (
 )
 from seqrac.documents import document_text, parse_strategy_document
 from seqrac.errors import CompletenessViolated, DomainError, InvalidStrategy
-from seqrac.linalg import ID2, SIGMA_X, projective_povm, state_from_bloch
+from seqrac.linalg import (
+    HERM_TOL,
+    ID2,
+    SIGMA_X,
+    SIGMA_Y,
+    QubitState,
+    as_matrix2,
+    bloch_decompose,
+    polar_decompose,
+    projective_povm,
+    state_from_bloch,
+    validate_povm,
+)
 from seqrac.optimizer import ReducedParameters, seesaw, strategy_from_reduced
 from seqrac.sampling import random_povm, random_strategy, random_su2
 from seqrac.scenario import INPUT_PAIRS, BinaryInstrument, difference_vectors
@@ -274,6 +286,76 @@ class TestFrameInvariance:
     def test_rejects_non_unitary_and_non_finite(self, canonical_sharp, u):
         with pytest.raises(DomainError, match="^conjugation matrix"):
             conjugate_strategy(canonical_sharp, u)
+
+
+def frozen_from_kraus(k0, k1) -> BinaryInstrument:
+    """``BinaryInstrument.from_kraus`` as it was, one ``K^dag K`` per operator."""
+    kraus = np.array([as_matrix2(k0), as_matrix2(k1)])
+    effects = []
+    for k in kraus:
+        m = 0.0 + k.conj().T @ k
+        effects.append(0.5 * (m + m.conj().T))
+    dev = float(np.max(np.abs(effects[0] + effects[1] - ID2)))
+    if dev > HERM_TOL:
+        raise CompletenessViolated(f"Kraus operators sum to I + {dev:.3e}")
+    povm = validate_povm(effects[0], effects[1])
+    return BinaryInstrument(kraus, povm, np.array([polar_decompose(k)[0] for k in kraus]))
+
+
+def frozen_conjugate_strategy(s: Strategy, v: np.ndarray) -> Strategy:
+    """``conjugate_strategy`` as it was, one ``v @ m @ v^dag`` per matrix."""
+    vh = v.conj().T
+    preps = []
+    for st in s.preparations:
+        m = v @ st.matrix @ vh
+        m = 0.5 * (m + m.conj().T)
+        preps.append(QubitState(m, 2.0 * bloch_decompose(m)[1]))
+    instruments = tuple(frozen_from_kraus(v @ i.kraus[0] @ vh, v @ i.kraus[1] @ vh) for i in s.instruments)
+    measurements = tuple(validate_povm(v @ p.effects[0] @ vh, v @ p.effects[1] @ vh) for p in s.measurements)
+    return Strategy(tuple(preps), instruments, measurements)
+
+
+def _bits(obj) -> list:
+    """Every array's dtype, shape and bytes, and every float's hex, in field order."""
+    if isinstance(obj, np.ndarray):
+        return [f"{obj.dtype.str}{obj.shape}{obj.tobytes().hex()}"]
+    if dataclasses.is_dataclass(obj):
+        return [b for f in dataclasses.fields(obj) for b in _bits(getattr(obj, f.name))]
+    if isinstance(obj, tuple):
+        return [b for item in obj for b in _bits(item)]
+    return [float(obj).hex()]
+
+
+class TestStackedProducts:
+    """``conjugate_strategy`` and ``from_kraus`` make their 2x2 products as one stacked matmul;
+    they must give the bits of the per-matrix bodies above."""
+
+    def _strategies(self):
+        rng = np.random.default_rng(2607)
+        for luders in (False, True):
+            for _ in range(100):
+                yield random_strategy(rng, luders)
+        for eta in (0.0, 0.5, 1.0):
+            yield canonical_strategy(eta)
+        for code in range(16):  # classical embeddings: zero entries of either sign
+            yield embed(ClassicalStrategy.from_codes(code, EMBEDDABLE_BOB_CODES[code % 4], 15 - code, 3))
+
+    def test_conjugate_strategy_matches_per_matrix_body(self):
+        rng = np.random.default_rng(2608)
+        frames = [ID2, SIGMA_X, SIGMA_Y, np.diag([1.0, -0.0 + 1j])]
+        checked = 0
+        for s in self._strategies():
+            for v in frames + [random_su2(rng)]:
+                assert _bits(conjugate_strategy(s, v)) == _bits(frozen_conjugate_strategy(s, v))
+                checked += 1
+        assert checked > 1000
+
+    def test_from_kraus_matches_per_operator_body(self):
+        pairs = [inst.kraus for s in self._strategies() for inst in s.instruments]
+        for z in itertools.product((0.0, -0.0), repeat=4):  # basis projectors, zeros of either sign
+            pairs.append(([[1.0, z[0]], [z[1], z[2]]], [[z[3], -0.0], [z[0], -1.0]]))
+        for k0, k1 in pairs:
+            assert _bits(BinaryInstrument.from_kraus(k0, k1)) == _bits(frozen_from_kraus(k0, k1))
 
 
 class TestFromPolar:
