@@ -80,67 +80,60 @@ def parse_strategy_document(doc: dict) -> Strategy:
     _require(type(version) is int and version == SCHEMA_VERSION, "schema_version",
              f"unsupported version {version!r}")
 
-    preps_raw = doc.get("preparations")
-    _require(isinstance(preps_raw, list) and len(preps_raw) == 4, "preparations",
-             "expected four entries")
-    states = []
-    for i, entry in enumerate(preps_raw):
-        path = f"preparations[{i}]"
-        _require(isinstance(entry, dict), path, "expected an object")
-        bloch = entry.get("bloch")
-        matrix = entry.get("matrix")
-        _require(bloch is not None or matrix is not None, path,
-                 "needs 'bloch' or 'matrix'")
-        parsed_matrix = None
-        if matrix is not None:
-            parsed_matrix = _parse_matrix(matrix, f"{path}.matrix")
-        parsed_bloch = None
-        if bloch is not None:
-            _require(isinstance(bloch, list) and len(bloch) == 3, f"{path}.bloch",
-                     "expected three components")
-            parsed_bloch = np.array(
-                [_parse_real(v, f"{path}.bloch[{k}]") for k, v in enumerate(bloch)]
-            )
-        try:
-            if parsed_matrix is not None:
-                state = QubitState.from_matrix(parsed_matrix)
-                if parsed_bloch is not None:
-                    gap = float(np.max(np.abs(state.bloch - parsed_bloch)))
-                    if gap > HERM_TOL:
-                        raise DocumentInvariantError(
-                            path, f"bloch and matrix views disagree by {gap:.3e}"
-                        )
-            else:
-                state = state_from_bloch(parsed_bloch)
-        except DocumentInvariantError:
-            raise
-        except Exception as exc:
-            raise DocumentInvariantError(path, str(exc)) from exc
-        states.append(state)
-
-    instruments = _parse_devices(doc, "instruments", "kraus", "Kraus", BinaryInstrument.from_kraus)
-    measurements = _parse_devices(doc, "measurements", "effects", "effect", validate_povm)
-    return Strategy(tuple(states), instruments, measurements)
+    return Strategy(
+        _parse_list(doc, "preparations", 4, _parse_state),
+        _parse_list(doc, "instruments", 2, _parse_device, "kraus", "Kraus", BinaryInstrument.from_kraus),
+        _parse_list(doc, "measurements", 2, _parse_device, "effects", "effect", validate_povm),
+    )
 
 
-def _parse_devices(doc: dict, key: str, field: str, noun: str, build) -> tuple:
-    """The two devices listed under ``key``, each built by ``build`` from the
-    two ``noun`` matrices under its ``field``."""
+def _parse_list(doc: dict, key: str, count: int, parse, *args) -> tuple:
+    """The ``count`` objects listed under ``key``, each read by ``parse(entry, path, *args)``;
+    an error that is not a document error becomes a :class:`DocumentInvariantError` at the
+    entry's path."""
     entries = doc.get(key)
-    _require(isinstance(entries, list) and len(entries) == 2, key, "expected two entries")
-    devices = []
+    _require(isinstance(entries, list) and len(entries) == count, key,
+             f"expected {({2: 'two', 4: 'four'})[count]} entries")
+    parsed = []
     for i, entry in enumerate(entries):
         path = f"{key}[{i}]"
         _require(isinstance(entry, dict), path, "expected an object")
-        mats = entry.get(field)
-        _require(isinstance(mats, list) and len(mats) == 2, f"{path}.{field}",
-                 f"expected two {noun} matrices")
-        parsed = [_parse_matrix(m, f"{path}.{field}[{b}]") for b, m in enumerate(mats)]
         try:
-            devices.append(build(*parsed))
+            parsed.append(parse(entry, path, *args))
+        except (DocumentError, DocumentInvariantError):
+            raise
         except Exception as exc:
             raise DocumentInvariantError(path, str(exc)) from exc
-    return tuple(devices)
+    return tuple(parsed)
+
+
+def _parse_state(entry: dict, path: str) -> QubitState:
+    """A preparation from its ``bloch`` vector, its ``matrix``, or both if they agree."""
+    bloch = entry.get("bloch")
+    matrix = entry.get("matrix")
+    _require(bloch is not None or matrix is not None, path, "needs 'bloch' or 'matrix'")
+    parsed_matrix = None if matrix is None else _parse_matrix(matrix, f"{path}.matrix")
+    parsed_bloch = None
+    if bloch is not None:
+        _require(isinstance(bloch, list) and len(bloch) == 3, f"{path}.bloch",
+                 "expected three components")
+        parsed_bloch = np.array([_parse_real(v, f"{path}.bloch[{k}]") for k, v in enumerate(bloch)])
+    if parsed_matrix is None:
+        return state_from_bloch(parsed_bloch)
+    state = QubitState.from_matrix(parsed_matrix)
+    if parsed_bloch is not None:
+        gap = float(np.max(np.abs(state.bloch - parsed_bloch)))
+        if gap > HERM_TOL:
+            raise DocumentInvariantError(path, f"bloch and matrix views disagree by {gap:.3e}")
+    return state
+
+
+def _parse_device(entry: dict, path: str, field: str, noun: str, build):
+    """A device built by ``build`` from the two ``noun`` matrices under its ``field``."""
+    mats = entry.get(field)
+    _require(isinstance(mats, list) and len(mats) == 2, f"{path}.{field}",
+             f"expected two {noun} matrices")
+    return build(*[_parse_matrix(m, f"{path}.{field}[{b}]") for b, m in enumerate(mats)])
 
 
 def _document_payload(s: Strategy) -> dict:

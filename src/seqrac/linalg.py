@@ -176,9 +176,10 @@ def matrix_sqrt_psd(m, tol: float = HERM_TOL) -> np.ndarray:
     """Positive square root of a PSD 2x2 matrix (closed form).
 
     For PSD ``M`` with trace t and determinant D,
-    ``sqrt(M) = (M + sqrt(D) I) / sqrt(t + 2 sqrt(D))``.
+    ``sqrt(M) = (M + sqrt(D) I) / sqrt(t + 2 sqrt(D))``.  :class:`DomainError` if an entry
+    overflows (a non-PSD ``M`` that ``tol`` lets through, with ``t + 2 sqrt(D)`` subnormal).
     """
-    h = h00, h01, h10, h11 = _psd_part(m, tol)
+    h00, h01, h10, h11 = _psd_part(m, tol)
     t = max(h00.real + h11.real, 0.0)
     # libm's pow, as numpy's scalar ** 2 is; entries within MAX_ENTRY keep it finite.
     det = max(h00.real * h11.real - abs(h01) ** 2, 0.0)
@@ -186,13 +187,14 @@ def matrix_sqrt_psd(m, tol: float = HERM_TOL) -> np.ndarray:
     denom_sq = t + 2.0 * root_det
     if denom_sq <= 0.0:
         return np.zeros((2, 2), dtype=complex)
-    if denom_sq < _TINY:  # 1 / s may overflow here: numpy's own expression, with its warning
-        return (np.array(h).reshape(2, 2) + root_det * ID2) / math.sqrt(denom_sq)
     # numpy's (h + sqrt(D) I) / s: sqrt(D) I is 0.0 * sqrt(D) off the diagonal (a -0.0 root's
     # sign), and numpy divides a complex by a real as (re + im * 0.0, im - re * 0.0) * (1 / s).
     scale, off = 1.0 / math.sqrt(denom_sq), complex(0.0 * root_det, 0.0)
-    return np.array([complex((z.real + z.imag * 0.0) * scale, (z.imag - z.real * 0.0) * scale)
-                     for z in (h00 + root_det, h01 + off, h10 + off, h11 + root_det)]).reshape(2, 2)
+    root = [complex((z.real + z.imag * 0.0) * scale, (z.imag - z.real * 0.0) * scale)
+            for z in (h00 + root_det, h01 + off, h10 + off, h11 + root_det)]
+    if denom_sq < _TINY and not all(map(cmath.isfinite, root)):  # 1 / s may overflow here
+        raise DomainError(f"square root has entries that are not finite (t + 2 sqrt(D) = {denom_sq!r})")
+    return np.array(root).reshape(2, 2)
 
 
 def _sqrt_psd_rows(effects: np.ndarray) -> np.ndarray:

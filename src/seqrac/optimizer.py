@@ -295,8 +295,8 @@ def _charlie_values(alpha: float, c2, s2, cos_phi1, sin1_phi1, q0, q1) -> np.nda
     the ascent, whose fixed angles' factors and overlaps come as ``(n, 1)``
     columns.  Products and sums group as in the scalar formula and run in
     place, so every element takes the scalar formula's float operations, on
-    its own or in a stack.  ``x * 1.0 == x`` exactly, so a column multiplies
-    by its unit overlaps and a scalar ``1.0`` (the grid's) skips the product."""
+    its own or in a stack.  ``x * 1.0 == x`` exactly, so the grid's scalar
+    overlaps ``1.0`` multiply as a lane's unit column does."""
     r = s2 * cos_phi1
     np.divide(np.subtract(8.0 * alpha - 4.0, r, out=r), c2, out=r)
     infeasible = r < -1e-9  # r is finite: c2 >= 2 cos(pi/4)
@@ -307,9 +307,8 @@ def _charlie_values(alpha: float, c2, s2, cos_phi1, sin1_phi1, q0, q1) -> np.nda
     np.sqrt(np.subtract(1.0, r, out=r), out=r)
     r += 1.0
     r *= s2
-    if type(q1) is not float or q1 != 1.0:
-        r *= q1
-    r += c2 * sin1_phi1 if type(q0) is float and q0 == 1.0 else c2 * sin1_phi1 * q0
+    r *= q1
+    r += np.multiply(t := c2 * sin1_phi1, q0, out=t)  # in place: one slab-sized temporary
     r /= 16.0
     r += 0.5
     np.copyto(r, -np.inf, where=infeasible)
@@ -586,8 +585,7 @@ def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
         for key, i in zip(keys, running):
             if key not in rounds:
                 new.setdefault(key, starts[i])
-        if new:
-            rounds.update(zip(new, _seesaw_round(alpha, list(new.values()))))
+        rounds.update(zip(new, _seesaw_round(alpha, list(new.values()))))
         still = []
         for key, i in zip(keys, running):
             angles[i], before, q, after = rounds[key]
@@ -603,7 +601,7 @@ def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
     for run, point in zip(runs, angles):
         if best is None or run.final_wac > best[0]:
             best = (run.final_wac, point)
-    if best is None or not np.isfinite(best[0]):
+    if not np.isfinite(best[0]):
         raise ConvergenceFailure(f"all restarts failed at alpha = {alpha!r}")
     # The winner's measurements come from the object path; the round equals its overlaps and witness.
     params = ReducedParameters(*best[1])

@@ -41,16 +41,12 @@ def random_state(rng: np.random.Generator) -> QubitState:
     return QubitState(bloch_compose(0.5, [0.5 * v for v in n.tolist()]), n)
 
 
-def _draw_observable(rng: np.random.Generator, allow_offset: bool) -> tuple[float, np.ndarray]:
-    """The draws of :func:`random_povm`: offset ``c0`` and observable vector."""
-    eta = rng.random()
-    c0 = (-1.0 + 2.0 * rng.random()) * (1.0 - eta) if allow_offset else 0.0
-    return c0, eta * random_unit_vector(rng)
-
-
 def random_povm(rng: np.random.Generator, allow_offset: bool = True) -> BinaryPovm:
     """Random two-effect measurement; offsets stay inside the positivity cone."""
-    return BinaryPovm.from_observable(*_draw_observable(rng, _flag(allow_offset, "allow_offset")))
+    allow_offset = _flag(allow_offset, "allow_offset")
+    eta = rng.random()
+    c0 = (-1.0 + 2.0 * rng.random()) * (1.0 - eta) if allow_offset else 0.0
+    return BinaryPovm.from_observable(c0, eta * random_unit_vector(rng))
 
 
 def random_instrument(rng: np.random.Generator, luders: bool = False) -> BinaryInstrument:

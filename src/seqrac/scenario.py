@@ -222,13 +222,18 @@ def rac_success(states: Iterable[QubitState], povms: tuple[BinaryPovm, BinaryPov
     return _guess_score(_matrices(states), povms) / 8.0
 
 
+def witness_pair(s: Strategy) -> WitnessPair:
+    """Both witnesses, :func:`witness_ab` and :func:`witness_ac`, from one preparation stack."""
+    rhos = _matrices(s.preparations)
+    return WitnessPair(
+        _clamp_prob(_guess_score(rhos, tuple(i.povm for i in s.instruments)) / 8.0),
+        _clamp_prob(_guess_score(_channel_sum(s.instruments, rhos), s.measurements) / 16.0),
+    )
+
+
 def witness_ab(s: Strategy) -> float:
     """Alice-Bob witness ``(1/8) sum_{x,y} tr(rho_x M_{x_y|y})``."""
-    return _witness_ab(s, _matrices(s.preparations))
-
-
-def _witness_ab(s: Strategy, rhos: np.ndarray) -> float:
-    return _clamp_prob(_guess_score(rhos, tuple(i.povm for i in s.instruments)) / 8.0)
+    return witness_pair(s).w_ab
 
 
 def average_instrument_channel(
@@ -248,16 +253,7 @@ def effective_ensemble(s: Strategy) -> tuple[QubitState, ...]:
 
 def witness_ac(s: Strategy) -> float:
     """Alice-Charlie witness ``(1/16) sum_{x,y,b,z} tr(K rho K^dag C_{x_z|z})``."""
-    return _witness_ac(s, _matrices(s.preparations))
-
-
-def _witness_ac(s: Strategy, rhos: np.ndarray) -> float:
-    return _clamp_prob(_guess_score(_channel_sum(s.instruments, rhos), s.measurements) / 16.0)
-
-
-def witness_pair(s: Strategy) -> WitnessPair:
-    rhos = _matrices(s.preparations)  # one preparation stack for both witnesses
-    return WitnessPair(_witness_ab(s, rhos), _witness_ac(s, rhos))
+    return witness_pair(s).w_ac
 
 
 def conjugate_strategy(s: Strategy, u) -> Strategy:

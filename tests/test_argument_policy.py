@@ -13,6 +13,7 @@ with valid ones, so a bad argument is also met next to good ones.
 import cmath
 import dataclasses
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,15 @@ def test_finite_result_or_seqrac_error(name, data):
         return
     assert _finite(result), (name, args, result)
 
+
+
+def test_root_that_would_overflow_raises_domain_error():
+    # tol=inf lets this non-PSD matrix through; t + 2 sqrt(D) is 5e-324, and 1e150 / sqrt(5e-324)
+    # overflows.  The warnings filter turns any RuntimeWarning into an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^square root has entries that are not finite"):
+            matrix_sqrt_psd([[0, 1e150j], [-1e150j, 5e-324]], tol=np.inf)
 
 
 SEARCHES = {

@@ -177,6 +177,24 @@ class TestParsing:
         with pytest.raises(DocumentError, match="preparations"):
             parse_strategy_document(doc)
 
+    @pytest.mark.parametrize("key, count", [("preparations", "four"), ("instruments", "two"),
+                                            ("measurements", "two")])
+    def test_each_list_reports_its_own_count_and_entry_paths(self, key, count):
+        for entries in (None, {}, "abc", [], canonical_doc()[key][:1], canonical_doc()[key] * 2):
+            doc = canonical_doc()
+            doc[key] = entries
+            with pytest.raises(DocumentError) as info:
+                parse_strategy_document(doc)
+            assert str(info.value) == f"{key}: expected {count} entries"
+        for i in range(len(canonical_doc()[key])):
+            for entry in ([], "x", None, 1.0):
+                doc = canonical_doc()
+                doc[key][i] = entry
+                with pytest.raises(DocumentError) as info:
+                    parse_strategy_document(doc)
+                assert info.value.path == f"{key}[{i}]"
+                assert str(info.value) == f"{key}[{i}]: expected an object"
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         for raw in (

@@ -92,8 +92,12 @@ def test_vector_draws_match_uniform_and_normal(new, old):
 
 @pytest.mark.parametrize("allow_offset", [True, False])
 def test_observable_draw_matches(allow_offset):
+    def draw(rng):
+        povm = sampling.random_povm(rng, allow_offset)
+        return povm.c0, povm.cvec
+
     _assert_same_stream(
-        lambda rng: sampling._draw_observable(rng, allow_offset),
+        draw,
         lambda rng: old_draw_observable(rng, allow_offset),
         [1502, allow_offset],
     )

@@ -51,7 +51,7 @@ from seqrac.optimizer import (
     minimize_scalar,
     trig_grid_max,
 )
-from seqrac.sampling import _draw_observable, random_povm, random_strategy, random_unit_vector
+from seqrac.sampling import random_povm, random_strategy, random_unit_vector
 from seqrac.scenario import WitnessPair
 from seqrac.strategies import X_AXIS, Z_AXIS
 from classical_model import enumerate_classical_strategies, witness_pair_classical
@@ -922,7 +922,7 @@ class TestInequalityReport:
             assert 0.0 < (lhs - rhs).max() < 1e-9
             return
         rng = np.random.default_rng([0, 11])
-        _draw_observable(rng, True)
+        random_povm(rng)
         a = rng.normal(size=3) * rng.uniform(0.0, 2.0)
         lhs = 0.0
         for value in sums_to_norm_plus_excess(None, np.array([bloch_compose(0.0, a)] * 2)):

@@ -12,9 +12,11 @@ subnormals below, and a ``hypothesis`` search over the whole exponent range,
 tell such copies apart.  The oracles are the earlier bodies on 2x2 arrays
 (``0.5 * (a + a^dag)``, ``eigvals_hermitian``, ``(h + sqrt(D) I) / s``).
 Results are compared by ``tobytes()``, dtype and shape; rejected inputs must
-raise the same exception type with the same message.  ``from_observable``
-builds its effects from ``c.tolist()`` instead of the arrays ``0.5 * c`` and
-``-0.5 * c``.
+raise the same exception type with the same message.  Where the frozen root
+overflows (a non-PSD matrix at ``tol=inf`` with a subnormal ``t + 2 sqrt(D)``),
+the kernel raises :class:`DomainError` in place of the infinite entries.
+``from_observable`` builds its effects from ``c.tolist()`` instead of the
+arrays ``0.5 * c`` and ``-0.5 * c``.
 """
 
 import itertools
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqrac.errors import NotHermitian, NotPsd
+from seqrac.errors import DomainError, NotHermitian, NotPsd
 from seqrac.linalg import (
     HERM_TOL,
     ID2,
@@ -71,7 +73,11 @@ def frozen_matrix_sqrt_psd(m, tol=HERM_TOL):
     denom_sq = t + 2.0 * root_det
     if denom_sq <= 0.0:
         return np.zeros((2, 2), dtype=complex)
-    return (h + root_det * ID2) / math.sqrt(denom_sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = (h + root_det * ID2) / math.sqrt(denom_sq)
+    if not np.isfinite(root).all():  # 1 / s overflowed: a non-PSD matrix at tol=inf
+        raise DomainError(f"square root has entries that are not finite (t + 2 sqrt(D) = {denom_sq!r})")
+    return root
 
 
 def _outcome(func, m, tol):

@@ -233,6 +233,16 @@ class TestWitnessPair:
         pair = witness_pair(all_mixed(random_strategy(rng)))
         assert pair == pytest.approx(WitnessPair(0.5, 0.5), abs=1e-12)
 
+    def test_single_witnesses_are_the_pair_fields(self):
+        rng = np.random.default_rng(3301)
+        strategies = [random_strategy(rng, luders) for luders in (False, True) for _ in range(100)]
+        strategies += [canonical_strategy(eta) for eta in (0.0, 0.5, 0.8, 1 / SQRT2, 1.0)]
+        codes = itertools.product((0, 6, 9, 15), EMBEDDABLE_BOB_CODES, (3, 12), (5, 10))
+        strategies += [embed(ClassicalStrategy.from_codes(*code)) for code in codes]
+        for s in strategies:
+            pair = witness_pair(s)
+            assert (witness_ab(s).hex(), witness_ac(s).hex()) == (pair.w_ab.hex(), pair.w_ac.hex())
+
 
 class TestEffectiveEnsemble:
     def test_sharp_instruments_halve_bloch_vectors(self, canonical_sharp):
