@@ -267,12 +267,12 @@ def bloch_decompose(h: np.ndarray) -> tuple[float, np.ndarray]:
 
 def bloch_compose(c0: float, c: np.ndarray) -> np.ndarray:
     """Hermitian matrix ``c0 I + c . sigma`` from Bloch data (an array or a sequence)."""
-    return np.array(_bloch_entries(c0, float(c[0]), float(c[1]), float(c[2])), dtype=complex)
+    return np.array(_bloch_entries(c0, float(c[0]), float(c[1]), float(c[2])), dtype=complex).reshape(2, 2)
 
 
 def _bloch_entries(c0: float, cx: float, cy: float, cz: float) -> list:
-    """The rows of :func:`bloch_compose` as Python numbers."""
-    return [[c0 + cz, cx - 1j * cy], [cx + 1j * cy, c0 - cz]]
+    """The entries of :func:`bloch_compose`, row by row, as Python numbers."""
+    return [c0 + cz, cx - 1j * cy, cx + 1j * cy, c0 - cz]
 
 
 def _bloch_compose_rows(c0, c: np.ndarray) -> np.ndarray:
@@ -349,13 +349,13 @@ def state_from_bloch(n) -> QubitState:
 class BinaryPovm:
     """Two-effect qubit measurement ``(E0, E1)`` with observable Bloch data.
 
-    ``c0`` and ``cvec`` parameterize the observable
-    ``E0 - E1 = c0 I + cvec . sigma``; positivity of the effects forces
-    ``|cvec| - 1 <= c0 <= 1 - |cvec|``.  Direct construction is trusted;
-    use :func:`validate_povm` for checked construction.
+    ``effects[b]`` is ``E_b``, in one C-contiguous complex ``(2, 2, 2)`` array as an instrument's
+    ``kraus`` is.  ``c0`` and ``cvec`` parameterize the observable ``E0 - E1 = c0 I + cvec . sigma``;
+    positivity of the effects forces ``|cvec| - 1 <= c0 <= 1 - |cvec|``.  Direct construction is
+    trusted; use :func:`validate_povm` for checked construction.
     """
 
-    effects: tuple[np.ndarray, np.ndarray]
+    effects: np.ndarray
     c0: float
     cvec: np.ndarray
 
@@ -376,20 +376,19 @@ class BinaryPovm:
         if norm - 1.0 > HERM_TOL or abs(c0) - (1.0 - norm) > HERM_TOL:
             raise NotPsd(f"offset {c0!r} with |c| = {norm!r} breaks positivity")
         x, y, z = c.tolist()
-        e = np.array([_bloch_entries(0.5 * (1.0 + c0), 0.5 * x, 0.5 * y, 0.5 * z),
-                      _bloch_entries(0.5 * (1.0 - c0), -0.5 * x, -0.5 * y, -0.5 * z)], dtype=complex)
-        return cls((e[0], e[1]), c0, c.copy())
+        e = np.array(_bloch_entries(0.5 * (1.0 + c0), 0.5 * x, 0.5 * y, 0.5 * z)
+                     + _bloch_entries(0.5 * (1.0 - c0), -0.5 * x, -0.5 * y, -0.5 * z), dtype=complex)
+        return cls(e.reshape(2, 2, 2), c0, c.copy())
 
 
 def validate_povm(e0, e1) -> BinaryPovm:
     """Check a two-effect measurement and return it with Bloch data filled in."""
-    effects = [np.array(_psd_part(e, HERM_TOL, what)).reshape(2, 2)
-               for what, e in (("E0 has ", e0), ("E1 has ", e1))]
+    effects = np.array(_psd_part(e0, HERM_TOL, "E0 has ")
+                       + _psd_part(e1, HERM_TOL, "E1 has ")).reshape(2, 2, 2)
     dev = float(np.max(np.abs(effects[0] + effects[1] - ID2)))
     if dev > HERM_TOL:
         raise CompletenessViolated(f"effects sum to identity + {dev:.3e}")
-    c0, cvec = bloch_decompose(effects[0] - effects[1])
-    return BinaryPovm((effects[0], effects[1]), c0, cvec)
+    return BinaryPovm(effects, *bloch_decompose(effects[0] - effects[1]))
 
 
 def projective_povm(axis) -> BinaryPovm:

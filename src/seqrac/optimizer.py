@@ -145,7 +145,7 @@ def charlie_best_response(
     gammas = np.array([bloch_compose(0.0, 0.5 * m) for m in difference_vectors(preparations)])
     projectors, value = _best_projectors(_channel_sum(instruments, gammas))
     eye = np.eye(2)
-    povms = [BinaryPovm((p, eye - p), *bloch_decompose(2.0 * p - eye)) for p in projectors]
+    povms = [BinaryPovm(np.array([p, eye - p]), *bloch_decompose(2.0 * p - eye)) for p in projectors]
     return (povms[0], povms[1]), value
 
 
@@ -562,9 +562,9 @@ def seesaw(alpha: float, cfg: OptimizerConfig | None = None) -> SeesawResult:
     _, grid_theta, grid_phi1 = _grid_argmax(alpha, 64)
     starts = []  # per restart, the start (theta, phi1, q0, q1) of its next round
     for restart in range(SEESAW_RESTARTS):
-        rng = np.random.default_rng([cfg.rng_seed, restart])
         start, q = None, (1.0, 1.0)  # Charlie's x and z readouts
-        if restart:
+        if restart:  # restart 0 draws nothing, so it builds no generator
+            rng = np.random.default_rng([cfg.rng_seed, restart])
             start = _random_feasible_start(alpha, rng)
             # The x and z components of projective_povm's unit axes.
             a0, a1 = random_unit_vector(rng), random_unit_vector(rng)
@@ -697,7 +697,7 @@ def sandwich_eigenvalue_sum_bound(povm, direction) -> BoundSample:
     rhs = _norm(a)
     if rhs == 0.0:
         return BoundSample(0.0, 0.0, True)
-    lhs = _sum_bound_rows(np.array(povm.effects, dtype=complex), a[None], np.array([rhs]))[0]
+    lhs = _sum_bound_rows(povm.effects, a[None], np.array([rhs]))[0]
     sharp, overlap = povm.sharpness, abs(_dot(povm.cvec, a))
     aligned = sharp <= BOUND_SLACK or abs(overlap / (sharp * rhs) - 1.0) <= BOUND_SLACK
     return BoundSample(float(lhs), rhs, aligned)
@@ -725,27 +725,27 @@ def _sum_bound_rows(effects: np.ndarray, a: np.ndarray, norm: np.ndarray) -> np.
     return lhs
 
 
-# Largest per-axis resolution of ``trig_grid_max``: one theta slab holds
-# resolution**2 float64 values, about 100 MB at this size.
+# Largest per-axis resolution of ``trig_grid_max``: a slab holds at most
+# max(32768, resolution**2) float64 values, about 100 MB at this size.
 TRIG_GRID_MAX = 3500
 
 
 def trig_grid_max(resolution: int) -> float:
     """Maximum of the trigonometric bound expression on a full-domain grid.
 
-    The ``resolution**3`` grid is scanned one theta slab at a time, so
-    memory grows with ``resolution**2``; ``resolution`` must lie in
-    ``[1, TRIG_GRID_MAX]``.
+    The ``resolution**3`` grid is scanned in slabs of whole theta rows, about
+    32k cells each and never less than one row, so memory grows with
+    ``resolution**2``; ``resolution`` must lie in ``[1, TRIG_GRID_MAX]``.
     """
     resolution = require_integer(resolution, "grid", 1, TRIG_GRID_MAX)
-    theta = np.linspace(0.0, np.pi, resolution)
+    theta = np.linspace(0.0, np.pi, resolution)[:, None, None]
     phi0 = np.linspace(0.0, HALF_PI, resolution)[:, None]
     phi1 = np.linspace(0.0, HALF_PI, resolution)[None, :]
     spread = np.cos(phi0) ** 2 - np.cos(phi1) ** 2
     overlap = np.cos(phi0 - phi1)
-    return float(
-        max((c * spread + s * overlap).max() for c, s in zip(np.cos(theta), np.sin(theta)))
-    )
+    c, s, rows = np.cos(theta), np.sin(theta), max(1, 32768 // resolution**2)
+    return float(max((c[i : i + rows] * spread + s[i : i + rows] * overlap).max()
+                     for i in range(0, resolution, rows)))
 
 
 def _suite_draws(rng: np.random.Generator, samples: int, allow_offset: bool):

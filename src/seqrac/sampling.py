@@ -30,10 +30,14 @@ def random_bloch_in_ball(rng: np.random.Generator) -> np.ndarray:
 
 def random_su2(rng: np.random.Generator) -> np.ndarray:
     """Haar-random SU(2) element via a uniform quaternion."""
+    return np.array(_su2_entries(rng)).reshape(2, 2)
+
+
+def _su2_entries(rng: np.random.Generator) -> list:
+    """The entries of :func:`random_su2`, ``w I - i (x X + y Y + z Z)``, row by row as Python numbers."""
     q = rng.standard_normal(4)
     w, x, y, z = (q / _norm(q)).tolist()
-    # w I - i (x X + y Y + z Z), entry by entry.
-    return np.array([[complex(w, -z), complex(-y, -x)], [complex(y, -x), complex(w, z)]])
+    return [complex(w, -z), complex(-y, -x), complex(y, -x), complex(w, z)]
 
 
 def random_state(rng: np.random.Generator) -> QubitState:
@@ -54,7 +58,8 @@ def random_instrument(rng: np.random.Generator, luders: bool = False) -> BinaryI
     povm = random_povm(rng)
     if luders:
         return BinaryInstrument.luders(povm)
-    return BinaryInstrument._from_unitaries(np.array([random_su2(rng), random_su2(rng)]), povm)
+    unitaries = np.array(_su2_entries(rng) + _su2_entries(rng)).reshape(2, 2, 2)
+    return BinaryInstrument._from_unitaries(unitaries, povm)
 
 
 def random_preparations(rng: np.random.Generator) -> tuple[QubitState, ...]:

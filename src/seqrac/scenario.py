@@ -35,6 +35,8 @@ from .linalg import (
 )
 
 INPUT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# Per score w and input pair x, where E_{x_0|0} and E_{x_1|1} sit in _guess_scores' effect stack.
+_GUESSES = np.array([[[4 * w + x0, 4 * w + 2 + x1] for x0, x1 in INPUT_PAIRS] for w in (0, 1)])
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,15 @@ def _unitary_pair(unitaries) -> np.ndarray:
     return us
 
 
+def _effect_array(povm: BinaryPovm) -> np.ndarray:
+    """``povm.effects``; :class:`DomainError` unless it is one C-contiguous complex ``(2, 2, 2)`` array."""
+    e = povm.effects
+    if type(e) is not np.ndarray or e.dtype != complex or e.shape != (2, 2, 2) or not e.flags.c_contiguous:
+        got = f"{e.dtype} array of shape {e.shape}" if isinstance(e, np.ndarray) else type(e).__name__
+        raise DomainError(f"POVM effects must be one C-contiguous complex (2, 2, 2) array, got {got}")
+    return e
+
+
 @dataclass(frozen=True)
 class Strategy:
     """Full prepare-transform-measure strategy.
@@ -130,20 +141,18 @@ class Strategy:
                 raise InvalidStrategy(f"preparations[{i}]: matrix/bloch views disagree")
         for y, inst in enumerate(self.instruments):
             try:
+                own = _effect_array(inst.povm)
                 rebuilt = BinaryInstrument.from_kraus(*inst.kraus)
                 # K_b = U_b sqrt(M_b) holds iff U_b^dag K_b is positive semidefinite.
                 for u, k in zip(_unitary_pair(inst.unitaries), rebuilt.kraus):
                     _psd_part(u.conj().T @ k, HERM_TOL, "U^dag K has ")
             except Exception as exc:
                 raise InvalidStrategy(f"instruments[{y}]: {exc}") from exc
-            for own, derived in zip(inst.povm.effects, rebuilt.povm.effects):
-                if np.max(np.abs(own - derived)) > HERM_TOL:
-                    raise InvalidStrategy(
-                        f"instruments[{y}]: stored POVM disagrees with Kraus operators"
-                    )
+            if np.max(np.abs(own - rebuilt.povm.effects)) > HERM_TOL:
+                raise InvalidStrategy(f"instruments[{y}]: stored POVM disagrees with Kraus operators")
         for z, povm in enumerate(self.measurements):
             try:
-                validate_povm(*povm.effects)
+                validate_povm(*_effect_array(povm))
             except Exception as exc:
                 raise InvalidStrategy(f"measurements[{z}]: {exc}") from exc
         return self
@@ -198,19 +207,17 @@ def _channel_sum(
     return (t[0] + t[1]) + (t[2] + t[3])
 
 
-def _guess_score(ops: np.ndarray, povms: tuple[BinaryPovm, BinaryPovm]) -> float:
-    """``sum_{x,i} tr(ops_x E_{x_i|i})`` for a ``(4, 2, 2)`` stack ``ops``.
-
-    The eight products come from one stacked matmul; their traces are added
-    as Python floats in the ``x``-major order of a per-matrix loop.
-    """
-    effects = np.array([[povms[i].effects[x[i]] for i in (0, 1)] for x in INPUT_PAIRS])
-    prods = ops[:, None] @ effects
-    total = 0.0
+def _guess_scores(ops: np.ndarray, povms: tuple[BinaryPovm, ...]) -> list[float]:
+    """``sum_{x,i} tr(ops[w, x] E_{x_i|i})`` per ``w`` of a ``(k, 4, 2, 2)`` stack, ``k <= 2``, with
+    ``povms[2 w + i]`` measuring guess ``i``: every effect from one constant index, every product
+    from one stacked matmul, each score's traces added in the ``x``-major order of a loop."""
+    effects = np.concatenate([p.effects for p in povms])[_GUESSES[: len(ops)]]
+    prods = ops[:, :, None] @ effects
+    totals = [0.0] * len(ops)
     # A plain loop, not sum(): Python 3.12+ compensates float sums.
-    for tr in (prods[..., 0, 0].real + prods[..., 1, 1].real).ravel().tolist():
-        total += tr
-    return total
+    for i, tr in enumerate((prods[..., 0, 0].real + prods[..., 1, 1].real).ravel().tolist()):
+        totals[i // 8] += tr
+    return totals
 
 
 def rac_success(states: Iterable[QubitState], povms: tuple[BinaryPovm, BinaryPovm]) -> float:
@@ -219,16 +226,15 @@ def rac_success(states: Iterable[QubitState], povms: tuple[BinaryPovm, BinaryPov
     Computes ``(1/8) sum_{x,y} tr(rho_x M_{x_y | y})`` for the four-state
     ensemble; this is the generic one-step random-access score.
     """
-    return _guess_score(_matrices(states), povms) / 8.0
+    return _guess_scores(_matrices(states)[None], povms)[0] / 8.0
 
 
 def witness_pair(s: Strategy) -> WitnessPair:
     """Both witnesses, :func:`witness_ab` and :func:`witness_ac`, from one preparation stack."""
     rhos = _matrices(s.preparations)
-    return WitnessPair(
-        _clamp_prob(_guess_score(rhos, tuple(i.povm for i in s.instruments)) / 8.0),
-        _clamp_prob(_guess_score(_channel_sum(s.instruments, rhos), s.measurements) / 16.0),
-    )
+    povms = (s.instruments[0].povm, s.instruments[1].povm, *s.measurements)
+    w_ab, w_ac = _guess_scores(np.array([rhos, _channel_sum(s.instruments, rhos)]), povms)
+    return WitnessPair(_clamp_prob(w_ab / 8.0), _clamp_prob(w_ac / 16.0))
 
 
 def witness_ab(s: Strategy) -> float:
@@ -271,7 +277,7 @@ def conjugate_strategy(s: Strategy, u) -> Strategy:
     rhos = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
     preps = tuple(QubitState(m, 2.0 * bloch_decompose(m)[1]) for m in rhos)
     instruments = tuple(BinaryInstrument.from_kraus(*(v @ i.kraus @ vh)) for i in s.instruments)
-    measurements = tuple(validate_povm(*(v @ np.array(p.effects) @ vh)) for p in s.measurements)
+    measurements = tuple(validate_povm(*(v @ p.effects @ vh)) for p in s.measurements)
     return Strategy(preps, instruments, measurements)
 
 

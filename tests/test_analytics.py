@@ -268,7 +268,7 @@ class TestSelfTest:
         k0, k1 = base.instruments[0].kraus
         incomplete = dataclasses.replace(base.instruments[0], kraus=np.array([0.5 * k0, k1]))
         e0, e1 = base.measurements[0].effects
-        nan_effect = dataclasses.replace(base.measurements[0], effects=(e0 + np.nan, e1))
+        nan_effect = dataclasses.replace(base.measurements[0], effects=np.array([e0 + np.nan, e1]))
         broken = {
             "preparations": Strategy(tuple(states), base.instruments, base.measurements),
             "instruments": Strategy(base.preparations, (incomplete, base.instruments[1]),

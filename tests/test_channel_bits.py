@@ -9,13 +9,16 @@ are compared with it by ``tobytes()`` on classical embeddings (exact zeros and
 ones), random strategies with and without Lüders instruments, noisy canonical
 strategies conjugated by random unitaries, and Pauli-Kraus instruments on
 Pauli eigenstates, whose signed zeros pin the ``0 +`` of every term.
+On the same strategies, ``scenario._guess_scores``, which scores both witnesses
+from one constant index into the four POVMs' stacked effects, is compared with
+the one-score body that stacked each score's eight effects from a nested list.
 """
 
 import itertools
 
 import numpy as np
 
-from seqrac import optimizer
+from seqrac import optimizer, scenario
 from seqrac.linalg import (
     ID2,
     SIGMA_X,
@@ -28,8 +31,10 @@ from seqrac.linalg import (
 )
 from seqrac.sampling import random_strategy, random_su2
 from seqrac.scenario import (
+    INPUT_PAIRS,
     BinaryInstrument,
     _channel_sum,
+    _guess_scores,
     _matrices,
     conjugate_strategy,
     difference_vectors,
@@ -51,8 +56,22 @@ def frozen_charlie_best_response(preparations, instruments):
     gammas = np.array([bloch_compose(0.0, 0.5 * m) for m in difference_vectors(preparations)])
     projectors, value = optimizer._best_projectors(frozen_channel_sum(instruments, gammas))
     eye = np.eye(2)
-    povms = [BinaryPovm((p, eye - p), *bloch_decompose(2.0 * p - eye)) for p in projectors]
+    povms = [BinaryPovm(np.array([p, eye - p]), *bloch_decompose(2.0 * p - eye)) for p in projectors]
     return (povms[0], povms[1]), value
+
+
+def frozen_guess_stack(povms):
+    """The eight effects of one guess score, stacked from a nested list as the one-score body did."""
+    return np.array([[povms[i].effects[x[i]] for i in (0, 1)] for x in INPUT_PAIRS])
+
+
+def frozen_guess_score(ops, povms):
+    """One guess score by the one-score body: eight products, traces added in ``x``-major order."""
+    prods = ops[:, None] @ frozen_guess_stack(povms)
+    total = 0.0
+    for tr in (prods[..., 0, 0].real + prods[..., 1, 1].real).ravel().tolist():
+        total += tr
+    return total
 
 
 def _bits(obj) -> list:
@@ -111,3 +130,18 @@ def test_effective_ensemble_and_best_response_match():
         got = optimizer.charlie_best_response(s.preparations, s.instruments)
         want = frozen_charlie_best_response(s.preparations, s.instruments)
         assert _bits(got) == _bits(want), i
+
+
+def test_index_built_stack_and_witness_scores_match_the_old_bodies():
+    for i, s in enumerate(_strategies()):
+        rhos = _matrices(s.preparations)
+        channel = frozen_channel_sum(s.instruments, rhos)
+        povms = (s.instruments[0].povm, s.instruments[1].povm, *s.measurements)
+        stack = np.concatenate([p.effects for p in povms])[scenario._GUESSES]
+        want = [frozen_guess_stack(povms[:2]), frozen_guess_stack(povms[2:])]
+        assert _bits(stack) == _bits(np.array(want)), i
+        scores = _guess_scores(np.array([rhos, channel]), povms)
+        assert [x.hex() for x in scores] == [
+            frozen_guess_score(rhos, povms[:2]).hex(), frozen_guess_score(channel, povms[2:]).hex()
+        ], i
+        assert _guess_scores(rhos[None], povms[:2])[0].hex() == scores[0].hex(), i

@@ -672,6 +672,18 @@ class TestTrigInequality:
             ) * np.cos(phi0 - phi1)
             assert trig_grid_max(resolution) == float(dense.max())
 
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 60, 127, 128, 181, 182])
+    def test_slabs_of_several_rows_match_the_per_theta_loop(self, resolution):
+        # 32768 // resolution**2 rows per slab: one slab up to 3, a short last slab at 60,
+        # two rows at 127 and 128, one at 181 and 182.
+        theta = np.linspace(0.0, np.pi, resolution)
+        phi0 = np.linspace(0.0, HALF_PI, resolution)[:, None]
+        phi1 = np.linspace(0.0, HALF_PI, resolution)[None, :]
+        spread = np.cos(phi0) ** 2 - np.cos(phi1) ** 2
+        overlap = np.cos(phi0 - phi1)
+        want = float(max((c * spread + s * overlap).max() for c, s in zip(np.cos(theta), np.sin(theta))))
+        assert trig_grid_max(resolution).hex() == want.hex()
+
     @pytest.mark.parametrize("resolution", [0, -2, TRIG_GRID_MAX + 1, 2_000_000])
     def test_grid_size_outside_domain_rejected(self, resolution):
         with pytest.raises(DomainError):

@@ -167,8 +167,8 @@ def test_from_observable_effects_match_frozen_body():
         draws.append(((2.0 * float(rng.random()) - 1.0) * (1.0 - eta), eta * v / np.linalg.norm(v)))
     for c0, c in draws:
         got = BinaryPovm.from_observable(c0, c).effects
-        want = frozen_from_observable(c0, c)
-        assert [e.tobytes() for e in got] == [e.tobytes() for e in want], (c0, c)
+        want = np.array(frozen_from_observable(c0, c))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (c0, c)
 
 
 SMALLEST_NORMAL = 2.2250738585072014e-308

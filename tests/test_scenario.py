@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +31,7 @@ from seqrac.linalg import (
     ID2,
     SIGMA_X,
     SIGMA_Y,
+    BinaryPovm,
     QubitState,
     as_matrix2,
     bloch_decompose,
@@ -475,6 +477,31 @@ class TestDifferenceVectors:
         assert np.linalg.norm(m0) == pytest.approx(2 * np.sqrt(2.0), abs=1e-12)
 
 
+class TestEffectsLayout:
+    """Every ``BinaryPovm`` that seqrac builds holds one C-contiguous complex128 ``(2, 2, 2)`` array."""
+
+    def test_every_constructor_builds_one_array(self, rng):
+        s = random_strategy(rng)
+        parsed = parse_strategy_document(json.loads(document_text(s)))
+        povms = [
+            BinaryPovm.from_observable(0.1, [0.3, 0.0, 0.4]),
+            validate_povm(ID2, 0.0 * ID2),
+            projective_povm([1.0, 1.0, 0.0]),
+            random_povm(rng),
+            random_povm(rng, allow_offset=False),
+            *parsed.measurements,
+            *(i.povm for i in parsed.instruments),
+            *charlie_best_response(s.preparations, s.instruments)[0],
+            *conjugate_strategy(s, random_su2(rng)).measurements,
+            *apply_visibility(s, VisibilityTriple(0.9, 0.8, 0.7)).measurements,
+            *(BinaryInstrument.from_kraus(*i.kraus).povm for i in s.instruments),
+        ]
+        for povm in povms:
+            e = povm.effects
+            assert type(e) is np.ndarray and e.dtype == np.complex128 and e.shape == (2, 2, 2)
+            assert e.flags.c_contiguous
+
+
 class TestValidation:
     def test_validate_accepts_random_strategies(self, rng):
         for _ in range(20):
@@ -488,7 +515,7 @@ class TestValidation:
         broken = Strategy(
             strategy.preparations,
             strategy.instruments,
-            (BinaryPovm((ID2, ID2), 0.0, np.zeros(3)), strategy.measurements[1]),
+            (BinaryPovm(np.array([ID2, ID2]), 0.0, np.zeros(3)), strategy.measurements[1]),
         )
         with pytest.raises(InvalidStrategy, match=r"measurements\[0\]"):
             broken.validate()
@@ -506,6 +533,30 @@ class TestValidation:
         with pytest.raises(
             InvalidStrategy, match=r"instruments\[1\]: stored POVM disagrees with Kraus operators"
         ):
+            broken.validate()
+
+    @pytest.mark.parametrize(
+        "layout, got",
+        [(tuple, "tuple"), (np.asfortranarray, "complex128 array of shape \\(2, 2, 2\\)"),
+         (lambda e: e.real.copy(), "float64 array of shape \\(2, 2, 2\\)"),
+         (lambda e: e[:, None], "complex128 array of shape \\(2, 1, 2, 2\\)")],
+        ids=["tuple", "fortran", "real", "shape"],
+    )
+    @pytest.mark.parametrize("where", ["instruments[1]", "measurements[0]"])
+    def test_validate_rejects_effects_outside_the_one_layout(self, where, layout, got):
+        # Before validate_povm: a tuple of two effects would pass every numeric check.
+        strategy = canonical_strategy(0.8)
+        if where == "measurements[0]":
+            povm = strategy.measurements[0]
+            broken = dataclasses.replace(strategy, measurements=(
+                dataclasses.replace(povm, effects=layout(povm.effects)), strategy.measurements[1]))
+        else:
+            inst = strategy.instruments[1]
+            povm = dataclasses.replace(inst.povm, effects=layout(inst.povm.effects))
+            broken = dataclasses.replace(strategy, instruments=(
+                strategy.instruments[0], dataclasses.replace(inst, povm=povm)))
+        message = rf"^{re.escape(where)}: POVM effects must be one C-contiguous complex \(2, 2, 2\) array, got {got}$"
+        with pytest.raises(InvalidStrategy, match=message):
             broken.validate()
 
     def test_validate_rejects_polar_unitaries_that_are_not_unitary(self):
