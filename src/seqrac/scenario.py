@@ -13,7 +13,7 @@ function of immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -27,7 +27,6 @@ from .linalg import (
     _psd_part,
     _vector3,
     as_matrix2,
-    bloch_compose,
     bloch_decompose,
     matrix_sqrt_psd,
     polar_decompose,
@@ -57,15 +56,10 @@ class BinaryInstrument:
 
     @classmethod
     def from_kraus(cls, k0, k1) -> "BinaryInstrument":
-        """Validate the instrument with Kraus operators ``k0`` and ``k1``."""
+        """Instrument of Kraus operators ``k0``, ``k1``; :func:`validate_povm` of ``K^dag K`` checks it."""
         kraus = np.array([as_matrix2(k0), as_matrix2(k1)])
         m = 0.0 + kraus.conj().transpose(0, 2, 1) @ kraus  # from 0.0, as the per-operator sum was: no -0.0
-        effects = 0.5 * (m + m.conj().transpose(0, 2, 1))
-        dev = float(np.max(np.abs(effects[0] + effects[1] - ID2)))
-        if dev > HERM_TOL:
-            raise CompletenessViolated(f"Kraus operators sum to I + {dev:.3e}")
-        povm = validate_povm(effects[0], effects[1])
-        return cls(kraus, povm, np.array([polar_decompose(k)[0] for k in kraus]))
+        return cls(kraus, validate_povm(*m), np.array([polar_decompose(k)[0] for k in kraus]))
 
     @classmethod
     def from_polar(cls, unitaries, povm: BinaryPovm) -> "BinaryInstrument":
@@ -102,13 +96,20 @@ def _unitary_pair(unitaries) -> np.ndarray:
     return us
 
 
-def _effect_array(povm: BinaryPovm) -> np.ndarray:
-    """``povm.effects``; :class:`DomainError` unless it is one C-contiguous complex ``(2, 2, 2)`` array."""
-    e = povm.effects
-    if type(e) is not np.ndarray or e.dtype != complex or e.shape != (2, 2, 2) or not e.flags.c_contiguous:
-        got = f"{e.dtype} array of shape {e.shape}" if isinstance(e, np.ndarray) else type(e).__name__
-        raise DomainError(f"POVM effects must be one C-contiguous complex (2, 2, 2) array, got {got}")
-    return e
+def _operator_array(a, what: str) -> np.ndarray:
+    """``a``; :class:`DomainError` unless it is one C-contiguous complex ``(2, 2, 2)`` array."""
+    if type(a) is not np.ndarray or a.dtype != complex or a.shape != (2, 2, 2) or not a.flags.c_contiguous:
+        got = f"{a.dtype} array of shape {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
+        raise DomainError(f"{what} must be one C-contiguous complex (2, 2, 2) array, got {got}")
+    return a
+
+
+def _same_views(stored, rebuilt, what: str) -> None:
+    """:class:`DomainError` unless ``stored``'s fields have ``rebuilt``'s shapes and values, to HERM_TOL."""
+    views = [(getattr(stored, f.name), getattr(rebuilt, f.name)) for f in fields(rebuilt)]
+    gap = np.max([abs(np.subtract(v, r)).max() if np.shape(v) == np.shape(r) else np.nan for v, r in views])
+    if not gap <= HERM_TOL:  # NaN fails
+        raise DomainError(f"{what} by {gap:.3e}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ class Strategy:
     measurements: tuple[BinaryPovm, BinaryPovm]
 
     def validate(self) -> "Strategy":
-        """Re-validate every component; raises InvalidStrategy naming it."""
+        """Match every stored view to its component's validated rebuild; raises InvalidStrategy naming it."""
         for name, count in (("preparations", 4), ("instruments", 2), ("measurements", 2)):
             part = getattr(self, name)
             got = len(part) if isinstance(part, (tuple, list)) else type(part).__name__
@@ -133,26 +134,25 @@ class Strategy:
                 raise InvalidStrategy(f"{name}: need a tuple or list of {count}, got {got}")
         for i, st in enumerate(self.preparations):
             try:
-                QubitState.from_matrix(st.matrix)
-                bloch = _vector3(st.bloch, "Bloch vector")
+                _vector3(st.bloch, "Bloch vector")
+                _same_views(st, QubitState.from_matrix(st.matrix), "matrix/bloch views disagree")
             except Exception as exc:
                 raise InvalidStrategy(f"preparations[{i}]: {exc}") from exc
-            if np.max(np.abs(st.matrix - bloch_compose(0.5, 0.5 * bloch))) > HERM_TOL:
-                raise InvalidStrategy(f"preparations[{i}]: matrix/bloch views disagree")
         for y, inst in enumerate(self.instruments):
             try:
-                own = _effect_array(inst.povm)
-                rebuilt = BinaryInstrument.from_kraus(*inst.kraus)
+                kraus, unitaries, _ = map(_operator_array, (inst.kraus, inst.unitaries, inst.povm.effects),
+                                          ("Kraus operators", "polar unitaries", "POVM effects"))
+                rebuilt = BinaryInstrument.from_kraus(*kraus).povm
                 # K_b = U_b sqrt(M_b) holds iff U_b^dag K_b is positive semidefinite.
-                for u, k in zip(_unitary_pair(inst.unitaries), rebuilt.kraus):
+                for u, k in zip(_unitary_pair(unitaries), kraus):
                     _psd_part(u.conj().T @ k, HERM_TOL, "U^dag K has ")
+                _same_views(inst.povm, rebuilt, "stored POVM disagrees with Kraus operators")
             except Exception as exc:
                 raise InvalidStrategy(f"instruments[{y}]: {exc}") from exc
-            if np.max(np.abs(own - rebuilt.povm.effects)) > HERM_TOL:
-                raise InvalidStrategy(f"instruments[{y}]: stored POVM disagrees with Kraus operators")
         for z, povm in enumerate(self.measurements):
             try:
-                validate_povm(*_effect_array(povm))
+                rebuilt = validate_povm(*_operator_array(povm.effects, "POVM effects"))
+                _same_views(povm, rebuilt, "stored POVM disagrees with its effects")
             except Exception as exc:
                 raise InvalidStrategy(f"measurements[{z}]: {exc}") from exc
         return self

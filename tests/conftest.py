@@ -104,6 +104,14 @@ def hexes(*values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
+@pytest.fixture(autouse=True)
+def _no_caller_seed(monkeypatch):
+    """Run every test with ``SEQRAC_SEED`` unset, as ``bench/run.py`` runs its workers:
+    ``boundary`` and ``checks`` resolve the fallback seed even where they draw nothing.
+    The fallback-seed tests set the variable themselves."""
+    monkeypatch.delenv("SEQRAC_SEED", raising=False)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250809)

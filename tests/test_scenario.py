@@ -369,6 +369,19 @@ class TestStackedProducts:
         for k0, k1 in pairs:
             assert _bits(BinaryInstrument.from_kraus(k0, k1)) == _bits(frozen_from_kraus(k0, k1))
 
+    @pytest.mark.parametrize(
+        "scale, error, message",
+        [(2.0, CompletenessViolated, r"^effects sum to identity \+ 4\.000e\+00$"),
+         (1e30, CompletenessViolated, r"^effects sum to identity \+ 1\.000e\+60$"),
+         (1e76, DomainError, r"^matrix has entries beyond 1e\+150, too large to square$"),
+         (1e149, DomainError, r"^matrix has entries beyond 1e\+150, too large to square$")],
+        ids=["moderate", "large", "above_1e75", "near_max_entry"],
+    )
+    def test_incomplete_pairs_fail_in_validate_povm(self, scale, error, message):
+        # validate_povm owns the checks of K^dag K; its entry bound comes before completeness.
+        with pytest.raises(error, match=message):
+            BinaryInstrument.from_kraus(scale * ID2, ID2)
+
 
 class TestFromPolar:
     def test_unitaries_give_the_unchecked_bits(self, rng):
@@ -559,6 +572,78 @@ class TestValidation:
         with pytest.raises(InvalidStrategy, match=message):
             broken.validate()
 
+    @pytest.mark.parametrize(
+        "layout, got",
+        [(tuple, "tuple"), (np.asfortranarray, "complex128 array of shape \\(2, 2, 2\\)"),
+         (lambda a: a.real.copy(), "float64 array of shape \\(2, 2, 2\\)"),
+         (lambda a: a[:, None], "complex128 array of shape \\(2, 1, 2, 2\\)")],
+        ids=["tuple", "fortran", "real", "shape"],
+    )
+    @pytest.mark.parametrize("field, what", [("kraus", "Kraus operators"), ("unitaries", "polar unitaries")])
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_validate_rejects_operators_outside_the_one_layout(self, y, field, what, layout, got):
+        # witness_pair would read any of these as it is.
+        strategy = canonical_strategy(0.8)
+        inst = strategy.instruments[y]
+        inst = dataclasses.replace(inst, **{field: layout(getattr(inst, field))})
+        broken = dataclasses.replace(strategy, instruments=tuple(
+            inst if i == y else strategy.instruments[i] for i in (0, 1)))
+        message = rf"^instruments\[{y}\]: {what} must be one C-contiguous complex \(2, 2, 2\) array"
+        with pytest.raises(InvalidStrategy, match=rf"{message}, got {got}$"):
+            broken.validate()
+
+    @pytest.mark.parametrize(
+        "field, stale, gap",
+        [("c0", lambda povm: 0.1, r"1\.000e-01"), ("c0", lambda povm: np.nan, "nan"),
+         ("cvec", lambda povm: 0.5 * povm.cvec, r"\d\.\d{3}e-01"),
+         ("cvec", lambda povm: povm.cvec[:2], "nan")],
+        ids=["c0", "nan_c0", "half_cvec", "short_cvec"],
+    )
+    @pytest.mark.parametrize(
+        "where", ["instruments[0]", "instruments[1]", "measurements[0]", "measurements[1]"]
+    )
+    def test_validate_rejects_bloch_data_that_disagrees_with_the_effects(self, where, field, stale, gap):
+        # The effects stay valid; only c0 or cvec, which selftest_report reads, is stale.
+        strategy = canonical_strategy(0.8)
+        name, index = where[:-3], int(where[-2])
+        part = list(getattr(strategy, name))
+        povm = part[index].povm if name == "instruments" else part[index]
+        povm = dataclasses.replace(povm, **{field: stale(povm)})
+        part[index] = dataclasses.replace(part[index], povm=povm) if name == "instruments" else povm
+        broken = dataclasses.replace(strategy, **{name: tuple(part)})
+        source = "Kraus operators" if name == "instruments" else "its effects"
+        message = rf"^{re.escape(where)}: stored POVM disagrees with {source} by {gap}$"
+        with pytest.raises(InvalidStrategy, match=message):
+            broken.validate()
+        with pytest.raises(InvalidStrategy, match=message):
+            selftest_report(broken)
+
+    def test_selftest_report_rejects_stale_instrument_and_measurement_data(self):
+        # With these, selftest_report once gave bob_offsets (0.1, 0.0) and a sharpness defect 0.400.
+        strategy = canonical_strategy(0.8)
+        inst = strategy.instruments[0]
+        stale = dataclasses.replace(inst.povm, c0=0.1, cvec=0.5 * inst.povm.cvec)
+        broken = dataclasses.replace(strategy, instruments=(
+            dataclasses.replace(inst, povm=stale), strategy.instruments[1]))
+        with pytest.raises(InvalidStrategy, match=r"^instruments\[0\]: stored POVM disagrees with Kraus"):
+            selftest_report(broken)
+        wrong = dataclasses.replace(strategy.measurements[0], cvec=-strategy.measurements[0].cvec)
+        broken = dataclasses.replace(strategy, measurements=(wrong, strategy.measurements[1]))
+        with pytest.raises(InvalidStrategy, match=r"^measurements\[0\]: stored POVM disagrees with its"):
+            selftest_report(broken)
+
+    def test_validate_compares_the_bloch_view_with_the_readers_rebuild(self):
+        # The strategy-file reader's rule, |bloch - from_matrix(matrix).bloch| <= HERM_TOL.
+        strategy = canonical_strategy(0.8)
+        states = list(strategy.preparations)
+        states[3] = QubitState(states[3].matrix, states[3].bloch + np.array([0.0, 1.5 * HERM_TOL, 0.0]))
+        broken = dataclasses.replace(strategy, preparations=tuple(states))
+        message = r"^preparations\[3\]: matrix/bloch views disagree by 1\.500e-09$"
+        with pytest.raises(InvalidStrategy, match=message):
+            broken.validate()
+        states[3] = QubitState(states[3].matrix, strategy.preparations[3].bloch + 0.5 * HERM_TOL)
+        dataclasses.replace(strategy, preparations=tuple(states)).validate()
+
     def test_validate_rejects_polar_unitaries_that_are_not_unitary(self):
         # apply_visibility rebuilds the Kraus operators from these, so they must hold too.
         import dataclasses
@@ -566,7 +651,7 @@ class TestValidation:
         from seqrac.errors import InvalidStrategy
 
         strategy = canonical_strategy(0.8)
-        instrument = dataclasses.replace(strategy.instruments[0], unitaries=(2.0 * ID2, ID2))
+        instrument = dataclasses.replace(strategy.instruments[0], unitaries=np.array([2.0 * ID2, ID2]))
         broken = Strategy(strategy.preparations, (instrument, strategy.instruments[1]),
                           strategy.measurements)
         with pytest.raises(InvalidStrategy, match=r"^instruments\[0\]: polar unitaries have U\^dag U = I \+ 3"):
@@ -632,6 +717,9 @@ class TestValidation:
         strategies += [seesaw(alpha).strategy for alpha in (0.55, 0.75, 0.85)]
         strategies += [embed(ClassicalStrategy.from_codes(e, b, 6, 5))
                        for e in (3, 5, 6, 9) for b in EMBEDDABLE_BOB_CODES]
+        # Every device of the 16384 embeddings: validate checks each component on its own.
+        strategies += [embed(ClassicalStrategy.from_codes(i, b, i, i))
+                       for b in EMBEDDABLE_BOB_CODES for i in range(16)]
         for i, s in enumerate(strategies):
             assert s.validate() is s, i
             parse_strategy_document(json.loads(document_text(s))).validate()
