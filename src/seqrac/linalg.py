@@ -46,10 +46,10 @@ class EigenPair(NamedTuple):
     vector: np.ndarray  # unit 2-vector, phase-fixed
 
 
-# The short real dot.  Its rounding is OpenBLAS's ``ddot`` kernel's: on SkylakeX
-# kernels it differs from the sequential sum on about a fifth of the squared
-# lengths of random 3-vectors, on Haswell kernels never.  Every length and
-# overlap of a real vector goes through these three, so that choice is made here.
+# The short real dot.  Its rounding is OpenBLAS's ``ddot`` kernel's: on SkylakeX kernels it
+# differs from the sequential sum on about a fifth of the squared lengths of random 3-vectors,
+# on Haswell kernels never.  ``x.dot(y)`` and ``np.vecdot`` run numpy's one ``ddot`` loop
+# (``einsum`` and ``sum`` do not); every length and overlap of a real vector goes through here.
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
     """``x . y`` of two real 1-D float arrays, by one ``ddot``."""
     return float(x.dot(y))
@@ -61,9 +61,8 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """:func:`_dot` of each pair of rows of two ``(n, k)`` real arrays, one ``ddot`` per row:
-    a stacked ``vecdot``, ``einsum`` or ``norm`` matches OpenBLAS only per kernel."""
-    return np.array([a.dot(b) for a, b in zip(x, y)])
+    """:func:`_dot` of each pair of rows of two ``(n, k)`` real arrays, bit for bit, in one call."""
+    return np.vecdot(x, y)
 
 
 def _has_bool(v) -> bool:
@@ -385,10 +384,15 @@ def validate_povm(e0, e1) -> BinaryPovm:
     """Check a two-effect measurement and return it with Bloch data filled in."""
     effects = np.array(_psd_part(e0, HERM_TOL, "E0 has ")
                        + _psd_part(e1, HERM_TOL, "E1 has ")).reshape(2, 2, 2)
+    _require_complete(effects)
+    return BinaryPovm(effects, *bloch_decompose(effects[0] - effects[1]))
+
+
+def _require_complete(effects: np.ndarray) -> None:
+    """:class:`CompletenessViolated` unless the ``(2, 2, 2)`` stack of effects sums to ``I``."""
     dev = float(np.max(np.abs(effects[0] + effects[1] - ID2)))
     if dev > HERM_TOL:
         raise CompletenessViolated(f"effects sum to identity + {dev:.3e}")
-    return BinaryPovm(effects, *bloch_decompose(effects[0] - effects[1]))
 
 
 def projective_povm(axis) -> BinaryPovm:

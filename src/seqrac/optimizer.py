@@ -751,21 +751,20 @@ def trig_grid_max(resolution: int) -> float:
 def _suite_draws(rng: np.random.Generator, samples: int, allow_offset: bool):
     """Stacks ``(c0, c, a)``: per sample, bit for bit, the draws of ``random_povm(rng,
     allow_offset)``, then with an offset ``rng.standard_normal(3) * (2.0 * rng.random())``,
-    else ``random_unit_vector(rng)``.  The loop only calls the generator, in that order;
-    the arithmetic runs on the stacks with the float operations of the scalar draws."""
+    else ``random_unit_vector(rng)``.  The loop only calls the generator, in that order,
+    one call of six normals drawing the axis and the direction as two of three would; the
+    arithmetic runs on the stacks with the float operations of the scalar draws."""
     random, normal = rng.random, rng.standard_normal
     eta, offset, scale = [], [], []
-    normals = np.empty((2 * samples, 3))  # per sample: the axis, then the direction
-    rows = iter(normals)
-    for _ in range(samples):
+    normals = np.empty((samples, 6))  # per sample: the axis, then the direction
+    for row in normals:
         eta.append(random())
         if allow_offset:
             offset.append(random())
-        normal(out=next(rows))
-        normal(out=next(rows))
+        normal(out=row)
         if allow_offset:
             scale.append(random())
-    eta, v, w = np.array(eta), normals[0::2], normals[1::2]
+    eta, v, w = np.array(eta), normals[:, :3], normals[:, 3:]
     c = eta[:, None] * (v / np.sqrt(_dots(v, v))[:, None])
     if allow_offset:
         c0 = (-1.0 + 2.0 * np.array(offset)) * (1.0 - eta)

@@ -24,7 +24,9 @@ from .linalg import (
     ID2,
     BinaryPovm,
     QubitState,
+    _hermitian_part,
     _psd_part,
+    _require_complete,
     _vector3,
     as_matrix2,
     bloch_decompose,
@@ -56,9 +58,12 @@ class BinaryInstrument:
 
     @classmethod
     def from_kraus(cls, k0, k1) -> "BinaryInstrument":
-        """Instrument of Kraus operators ``k0``, ``k1``; :func:`validate_povm` of ``K^dag K`` checks it."""
+        """Instrument of Kraus operators ``k0``, ``k1``; :func:`validate_povm` of ``K^dag K`` checks it,
+        completeness first: only rounding, which grows with the entries, fails its other checks."""
         kraus = np.array([as_matrix2(k0), as_matrix2(k1)])
         m = 0.0 + kraus.conj().transpose(0, 2, 1) @ kraus  # from 0.0, as the per-operator sum was: no -0.0
+        parts = _hermitian_part(m[0], np.inf) + _hermitian_part(m[1], np.inf)  # validate_povm's effects
+        _require_complete(np.array(parts).reshape(2, 2, 2))
         return cls(kraus, validate_povm(*m), np.array([polar_decompose(k)[0] for k in kraus]))
 
     @classmethod

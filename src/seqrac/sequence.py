@@ -9,19 +9,21 @@ party ``k`` scores ``(1 + sqrt(2)/2^k) / 2``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, require_integer, require_real
-from .linalg import _norm
+from .linalg import QubitState, _norm
 from .scenario import WitnessPair, average_instrument_channel, rac_success
 from .strategies import axis_instruments, canonical_witness_pair, square_preparations
 
 
 # Largest chain: a party keeps its row and CSV line, about 0.5 kB, so the
-# longest chain holds about 50 MB (and runs for about 8 s on a 2-vCPU Xeon VM).
+# longest chain holds about 50 MB.  On a 2-vCPU Xeon VM it runs for about 0.5 s
+# sharp, fixed from party 55 on, and for about 6 s if no party repeats its ensemble.
 CHAIN_PARTIES_MAX = 100_000
 
 
@@ -52,7 +54,7 @@ def party_witness_closed_form(k: int) -> float:
     """Witness of the k-th sharp party, ``(1 + sqrt(2)/2^k) / 2``."""
     k = require_integer(k, "party index", 1, CHAIN_PARTIES_MAX)
     # 2.0**-k underflows to 0 for huge k, where 2.0**k would overflow.
-    return float(0.5 * (1.0 + np.sqrt(2.0) * 2.0**-k))
+    return 0.5 * (1.0 + math.sqrt(2.0) * 2.0**-k)
 
 
 def simulate_chain(cfg: ChainConfig) -> list[ChainStep]:
@@ -61,18 +63,28 @@ def simulate_chain(cfg: ChainConfig) -> list[ChainStep]:
     Each row reports the party index (1-based), its witness, and the
     common Bloch radius of the ensemble it receives.  A party is scored on
     its own instrument outcome, so a non-interacting party scores exactly
-    1/2.
+    1/2.  A row is a function of the ensemble's bits and the sharpness's, so
+    once a party hands on the ensemble it received, bit for bit, each later
+    party of the same sharpness copies its row.
     """
     ensemble = square_preparations()
-    rows, built = [], None
+    rows, built, fixed, key = [], None, False, _bits(ensemble)
     for k, eta in enumerate(cfg.sharpness_profile, start=1):
-        radius = _norm(ensemble[0].bloch)
         if eta.hex() != built:  # a run of equal sharpness shares one build; -0.0 is not 0.0
-            built, instruments = eta.hex(), axis_instruments(eta, eta)
-        witness = rac_success(ensemble, (instruments[0].povm, instruments[1].povm))
-        rows.append(ChainStep(k, float(witness), radius))
-        ensemble = average_instrument_channel(ensemble, instruments)
+            built, instruments, fixed = eta.hex(), axis_instruments(eta, eta), False
+        if not fixed:
+            radius = _norm(ensemble[0].bloch)
+            witness = float(rac_success(ensemble, (instruments[0].povm, instruments[1].povm)))
+            ensemble = average_instrument_channel(ensemble, instruments)
+            received, key = key, _bits(ensemble)
+            fixed = key == received
+        rows.append(ChainStep(k, witness, radius))
     return rows
+
+
+def _bits(ensemble: tuple[QubitState, ...]) -> bytes:
+    """The bytes of every matrix and Bloch vector of an ensemble."""
+    return b"".join(s.matrix.tobytes() + s.bloch.tobytes() for s in ensemble)
 
 
 def double_violation_point() -> tuple[float, WitnessPair]:

@@ -147,3 +147,44 @@ def test_feasible_start_draws_match():
         outcomes.add(new is None)
     assert outcomes == {False, True}
     assert a.bit_generator.state == b.bit_generator.state
+
+
+def frozen_suite_draws(rng, samples, allow_offset):
+    """``optimizer._suite_draws`` as it was: two calls of three normals per sample, into
+    alternate rows, and one ``ddot`` per row for each norm."""
+
+    def dots(x, y):
+        return np.array([a.dot(b) for a, b in zip(x, y)])
+
+    random, normal = rng.random, rng.standard_normal
+    eta, offset, scale = [], [], []
+    normals = np.empty((2 * samples, 3))  # per sample: the axis, then the direction
+    rows = iter(normals)
+    for _ in range(samples):
+        eta.append(random())
+        if allow_offset:
+            offset.append(random())
+        normal(out=next(rows))
+        normal(out=next(rows))
+        if allow_offset:
+            scale.append(random())
+    eta, v, w = np.array(eta), normals[0::2], normals[1::2]
+    c = eta[:, None] * (v / np.sqrt(dots(v, v))[:, None])
+    if allow_offset:
+        c0 = (-1.0 + 2.0 * np.array(offset)) * (1.0 - eta)
+        return c0, c, w * (2.0 * np.array(scale))[:, None]
+    return np.zeros(samples), c, w / np.sqrt(dots(w, w))[:, None]
+
+
+@pytest.mark.parametrize("samples", [1, 100, 4096])
+@pytest.mark.parametrize("allow_offset", [True, False])
+def test_suite_draws_match_the_two_call_loop(allow_offset, samples):
+    # Two batches from each generator, so the second starts where the first left it.
+    a, b = np.random.default_rng([1506, samples]), np.random.default_rng([1506, samples])
+    for _ in range(2):
+        new = optimizer._suite_draws(a, samples, allow_offset)
+        old = frozen_suite_draws(b, samples, allow_offset)
+        for x, y in zip(new, old, strict=True):
+            assert x.shape == y.shape
+            assert [v.hex() for v in x.ravel().tolist()] == [v.hex() for v in y.ravel().tolist()]
+    assert a.bit_generator.state == b.bit_generator.state

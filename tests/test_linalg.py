@@ -410,21 +410,25 @@ class TestShortDot:
         assert _dot(x, y).hex() == float(np.dot(x, y)).hex()
         assert _norm(x).hex() == float(np.linalg.norm(x)).hex()
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.integers(2, 4).flatmap(
-            lambda k: st.integers(1, 12).flatmap(
-                lambda n: st.tuples(*[st.lists(vectors(k), min_size=n, max_size=n)] * 2)
-            )
-        )
-    )
-    @example(([np.zeros(3)], [np.array([-0.0, 0.0, -0.0])]))
-    def test_dots_is_one_dot_per_row(self, rows):
-        x, y = np.array(rows[0]), np.array(rows[1])
-        assert _dots(x, y).shape == (len(x),)
-        assert hexes(_dots(x, y)) == hexes(np.dot(a, b) for a, b in zip(x, y))
-        # The length of each row, as the checks suites take it.
-        assert hexes(np.sqrt(_dots(x, x))) == hexes(np.linalg.norm(r) for r in x)
-        # Rows of a strided stack, as the suites draw them.
-        both = np.stack([x, y], axis=1).reshape(-1, x.shape[1])
-        assert hexes(_dots(both[0::2], both[1::2])) == hexes(_dots(x, y))
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda k: st.tuples(st.just(k), st.lists(vectors(2 * k), max_size=12))))
+    @example((3, []))
+    @example((2, [np.array([-0.0, 0.0, 0.0, -0.0])]))
+    @example((3, [np.zeros(6), np.array([-0.0, 0.0, -0.0, 0.0, -0.0, 0.0])]))
+    def test_dots_is_one_dot_per_row(self, case):
+        # Each row of ``both`` holds x, then y, as ``optimizer._suite_draws`` stacks the axis
+        # and the direction; the pairs are taken as contiguous copies, as column views of
+        # ``both`` and as every other row of its ``(2n, k)`` reshape.
+        k, rows = case
+        both = np.array(rows).reshape(-1, 2 * k)
+        pairs = both.reshape(-1, k)
+        views = [
+            (np.ascontiguousarray(both[:, :k]), np.ascontiguousarray(both[:, k:])),
+            (both[:, :k], both[:, k:]),
+            (pairs[0::2], pairs[1::2]),
+        ]
+        for x, y in views:
+            assert _dots(x, y).shape == (len(rows),)
+            assert hexes(_dots(x, y)) == hexes(a.dot(b) for a, b in zip(x, y))
+            # The length of each row, as the checks suites take it.
+            assert hexes(np.sqrt(_dots(x, x))) == hexes(np.linalg.norm(r) for r in x)

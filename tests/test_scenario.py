@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqrac import (
@@ -381,6 +381,17 @@ class TestStackedProducts:
         # validate_povm owns the checks of K^dag K; its entry bound comes before completeness.
         with pytest.raises(error, match=message):
             BinaryInstrument.from_kraus(scale * ID2, ID2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16), st.floats(0.0, 6.0))
+    def test_incomplete_pairs_fail_completeness_at_any_scale(self, parts, exponent):
+        # K^dag K is Hermitian and positive by construction, but its rounding grows with the
+        # entries and passes HERM_TOL from about 1e4 on: an incomplete pair must still be
+        # named incomplete, not non-Hermitian or non-positive, up to entries of 1e6.
+        kraus = 10.0**exponent * (np.array(parts[:8]) + 1j * np.array(parts[8:])).reshape(2, 2, 2)
+        assume(np.abs(sum(k.conj().T @ k for k in kraus) - ID2).max() > 1e-6)
+        with pytest.raises(CompletenessViolated, match=r"^effects sum to identity \+ "):
+            BinaryInstrument.from_kraus(*kraus)
 
 
 class TestFromPolar:

@@ -11,9 +11,11 @@ from seqrac import (
     simulate_chain,
     witness_pair,
 )
+from seqrac.cli import main
 from seqrac.errors import DomainError
+from seqrac.linalg import _norm
 from seqrac.scenario import average_instrument_channel, rac_success
-from seqrac.sequence import CHAIN_PARTIES_MAX, ChainConfig
+from seqrac.sequence import CHAIN_PARTIES_MAX, ChainConfig, ChainStep
 from seqrac.strategies import axis_instruments, canonical_strategy, square_preparations
 
 SQRT2 = np.sqrt(2.0)
@@ -29,11 +31,29 @@ class TestClosedForm:
     def test_limit_is_coin_flip(self):
         assert party_witness_closed_form(60) == pytest.approx(0.5, abs=1e-15)
 
+    def test_bits_of_the_numpy_formula(self):
+        # The law on Python floats takes the float operations of its numpy scalar form.
+        for k in list(range(1, 1200)) + [CHAIN_PARTIES_MAX]:
+            assert party_witness_closed_form(k).hex() == float(0.5 * (1.0 + np.sqrt(2.0) * 2.0**-k)).hex()
+
     def test_rejects_bad_index(self):
         for k in (0, -3, np.nan, np.inf, 2.5, 2.0, "3"):
             with pytest.raises(DomainError):
                 party_witness_closed_form(k)
         assert party_witness_closed_form(np.int64(2)) == party_witness_closed_form(2)
+
+
+def frozen_simulate_chain(profile) -> list:
+    """``simulate_chain`` as it was: every party runs the channel, one build per run of equal sharpness."""
+    ensemble, rows, built = square_preparations(), [], None
+    for k, eta in enumerate(profile, start=1):
+        radius = _norm(ensemble[0].bloch)
+        if eta.hex() != built:
+            built, instruments = eta.hex(), axis_instruments(eta, eta)
+        witness = rac_success(ensemble, (instruments[0].povm, instruments[1].povm))
+        rows.append(ChainStep(k, float(witness), radius))
+        ensemble = average_instrument_channel(ensemble, instruments)
+    return rows
 
 
 class TestSimulateChain:
@@ -113,6 +133,46 @@ class TestSimulateChain:
         rows = simulate_chain(ChainConfig(len(profile), profile))
         assert [(r.witness.hex(), r.entering_radius.hex()) for r in rows] == rebuilt
         assert [eta.hex() for eta in builds] == [v.hex() for v in (1.0, 0.0, -0.0, 0.8, 1.0)]
+
+    # The most channel runs each chain takes: a sharp chain is fixed from party 55 on, an
+    # unsharp one later; an idle party's channel moves the last bits, so 50 idle parties run 50.
+    @pytest.mark.parametrize(
+        "profile, channels",
+        [
+            ((1.0,) * 2000, 60),
+            ((0.0,) * 50, 50),
+            ((0.5,) * 900, 600),
+            ((1.0,) * 80 + (0.0,) * 10 + (-0.0,) * 10 + (1.0,) * 30 + (0.7, 0.7, 1.0) * 20 + (0.3,) * 600, 150),
+        ],
+        ids=["sharp", "idle", "unsharp", "changes_after_the_fixed_point"],
+    )
+    def test_fixed_point_skip_matches_a_channel_per_party(self, monkeypatch, profile, channels):
+        expected = frozen_simulate_chain(profile)
+        calls = []
+
+        def counted(ensemble, instruments):
+            calls.append(None)
+            return average_instrument_channel(ensemble, instruments)
+
+        monkeypatch.setattr(sequence, "average_instrument_channel", counted)
+        rows = simulate_chain(ChainConfig(len(profile), profile))
+        assert [(r.party, r.witness.hex(), r.entering_radius.hex()) for r in rows] == [
+            (r.party, r.witness.hex(), r.entering_radius.hex()) for r in expected
+        ]
+        assert len(calls) <= channels
+
+    def test_cli_rows_match_a_format_per_row(self, tmp_path):
+        # A chain at its fixed point repeats its row's text; every row is formatted as it was.
+        profile = (1.0,) * 300 + (0.0,) * 5 + (-0.0,) * 5 + (1.0,) * 10
+        out = tmp_path / "chain.csv"
+        args = ["sequence", "--parties", str(len(profile)), "--eta-profile", ",".join(map(str, profile))]
+        assert main([*args, "--out", str(out)]) == 0
+        lines = ["k,witness,radius,closed_form,diff"]
+        for step in frozen_simulate_chain(profile):
+            closed = party_witness_closed_form(step.party)
+            values = (step.witness, step.entering_radius, closed, step.witness - closed)
+            lines.append(",".join([str(step.party), *(format(v, ".17g") for v in values)]))
+        assert out.read_text() == "\n".join(lines) + "\n"
 
     def test_rejects_bad_profile(self):
         for args in (
