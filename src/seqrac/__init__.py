@@ -5,7 +5,6 @@ from .analytics import (
     SharpnessInterval,
     boundary_wac,
     certify_interval,
-    equal_witness_point,
     in_classical_set,
     in_quantum_set,
     selftest_report,
@@ -21,7 +20,6 @@ from .errors import (
     DomainError,
     InequalityViolation,
     InfeasiblePair,
-    InvalidPovm,
     InvalidStrategy,
     NotHermitian,
     NotPsd,
@@ -48,8 +46,6 @@ from .optimizer import (
     charlie_best_response,
     classical_bruteforce,
     reduced_objective,
-    sandwich_eigenvalue_closed_form,
-    sandwich_eigenvalue_sum_bound,
     seesaw,
     strategy_from_reduced,
     trace_boundary,
@@ -62,13 +58,11 @@ from .scenario import (
     effective_ensemble,
     joint_prob,
     witness_ab,
-    witness_ac,
     witness_pair,
 )
 from .sequence import (
     ChainConfig,
     ChainStep,
-    double_violation_point,
     party_witness_closed_form,
     simulate_chain,
 )

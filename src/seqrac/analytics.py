@@ -51,11 +51,6 @@ def boundary_wac(alpha: float) -> float:
     return float(0.125 * (4.0 + SQRT2 + np.sqrt(radicand)))
 
 
-def equal_witness_point() -> float:
-    """The fixed point ``boundary_wac(a) = a``, namely ``(5 + 2 sqrt(2))/10``."""
-    return float((5.0 + 2.0 * SQRT2) / 10.0)
-
-
 def _required_sharpness(w_ab: float):
     """``sqrt(2) (2 w_ab - 1)``, signed and unclamped: the instrument
     sharpness that an observed ``w_ab`` demands."""
@@ -94,10 +89,6 @@ class SharpnessInterval:
 
     def rounded(self) -> tuple[float, float]:
         return round_reported(self.lower), round_reported(self.upper)
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 def certify_interval(w: WitnessPair, tol: float = FEASIBILITY_TOL) -> SharpnessInterval:

@@ -68,10 +68,6 @@ class InvalidStrategy(SeqracError):
     """A strategy component fails validation."""
 
 
-class InvalidPovm(SeqracError):
-    """An object passed where a binary POVM is required is not one."""
-
-
 class InfeasiblePair(SeqracError):
     """A witness pair admits no qubit model (empty sharpness interval)."""
 

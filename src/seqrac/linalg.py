@@ -315,9 +315,6 @@ class QubitState:
             raise NotPsd(f"trace {float(tr)!r} != 1")
         return cls(h, 2.0 * bloch_decompose(h)[1])
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 def _vector3(v, what: str) -> np.ndarray:
     """``v`` as a float array of shape ``(3,)`` within ``MAX_ENTRY``, else :class:`DomainError`

@@ -21,7 +21,6 @@ from .errors import (
     ConvergenceFailure,
     DomainError,
     InequalityViolation,
-    InvalidPovm,
     require_integer,
     require_real,
     require_tol,
@@ -32,7 +31,6 @@ from .linalg import (
     BinaryPovm,
     QubitState,
     _bloch_compose_rows,
-    _dot,
     _dots,
     _max_eigvalue_rows,
     _norm,
@@ -44,7 +42,6 @@ from .linalg import (
     max_eigenpair,
     projective_povm,
     state_from_bloch,
-    validate_povm,
 )
 from .sampling import random_unit_vector
 from .scenario import (
@@ -669,12 +666,6 @@ def _integer_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return lower[:-1] + upper[:-1]
 
 
-class BoundSample(NamedTuple):
-    lhs: float
-    rhs: float
-    equality: bool
-
-
 def _sandwich_max(effects: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """``lambda_max[sqrt(E) op sqrt(E)]`` for each pair of two C-contiguous ``(n, 2, 2)`` stacks.
 
@@ -686,35 +677,12 @@ def _sandwich_max(effects: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return _max_eigvalue_rows(roots @ ops @ roots)
 
 
-def sandwich_eigenvalue_sum_bound(povm, direction) -> BoundSample:
-    """Check ``sum_b lambda_max[sqrt(M_b) (a.sigma) sqrt(M_b)] <= |a|``.
-
-    Equality holds exactly when the direction is (anti)parallel to the
-    measurement's Bloch axis, or the axis vanishes.  Raises
-    :class:`InequalityViolation` if the bound fails beyond ``BOUND_SLACK``.
-    """
-    povm, a = _binary_povm(povm), _vector3(direction, "direction")
-    rhs = _norm(a)
-    if rhs == 0.0:
-        return BoundSample(0.0, 0.0, True)
-    lhs = _sum_bound_rows(povm.effects, a[None], np.array([rhs]))[0]
-    sharp, overlap = povm.sharpness, abs(_dot(povm.cvec, a))
-    aligned = sharp <= BOUND_SLACK or abs(overlap / (sharp * rhs) - 1.0) <= BOUND_SLACK
-    return BoundSample(float(lhs), rhs, aligned)
-
-
-def _binary_povm(povm) -> BinaryPovm:
-    """``povm``, or its effect pair validated; :class:`InvalidPovm` if it is neither."""
-    try:
-        return povm if isinstance(povm, BinaryPovm) else validate_povm(povm[0], povm[1])
-    except Exception as exc:
-        raise InvalidPovm(str(exc)) from exc
-
-
 def _sum_bound_rows(effects: np.ndarray, a: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """The eigenvalue sum of :func:`sandwich_eigenvalue_sum_bound` per row ``i``: effects
-    ``effects[2i : 2i + 2]``, direction ``a[i]``, ``norm[i] = |a[i]|``, sum 0 where ``|a| = 0``.
-    Raises :class:`InequalityViolation` at the first row above ``|a| + BOUND_SLACK``."""
+    """``sum_b lambda_max[sqrt(M_b) (a.sigma) sqrt(M_b)] <= |a|`` per row ``i``: effects
+    ``M_b = effects[2i + b]``, direction ``a[i]``, ``norm[i] = |a[i]|``, sum 0 where ``|a| = 0``.
+    Equality holds exactly when ``a`` is (anti)parallel to the measurement's Bloch axis, or the
+    axis vanishes.  Returns the sums; raises :class:`InequalityViolation` at the first row above
+    ``|a| + BOUND_SLACK``."""
     pairs = _sandwich_max(effects, np.repeat(_bloch_compose_rows(0.0, a), 2, axis=0))
     lhs = np.where(norm == 0.0, 0.0, 0.0 + pairs[0::2] + pairs[1::2])
     i = _first(lhs > norm + BOUND_SLACK)
@@ -804,11 +772,11 @@ _SUITE_BATCH = 4096
 
 
 def _bound_suite(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample ``(lhs, rhs)`` of :func:`sandwich_eigenvalue_sum_bound` on random draws.
+    """Per-sample ``(lhs, rhs)`` of the bound of :func:`_sum_bound_rows` on random draws.
 
     Sample by sample the draws are those of ``random_povm(rng)`` and then
     ``rng.normal(size=3) * rng.uniform(0, 2)``, bit for bit.  The first
-    failing sample in draw order raises the scalar path's error: a violation
+    failing sample in draw order raises the per-sample error: a violation
     from :func:`_sum_bound_rows`, a rejected draw from :func:`_replay`.
     """
     c0, c, a = _suite_draws(rng, samples, True)
@@ -824,7 +792,7 @@ def _eigen_suite(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np
 
     Sample by sample the draws are those of ``random_povm(rng, allow_offset=False)`` and
     then ``random_unit_vector(rng)``.  Column ``b`` holds outcome ``b``: the eigensolve of
-    :func:`_sandwich_max` and :func:`sandwich_eigenvalue_closed_form`.  The first rejected
+    :func:`_sandwich_max` and :func:`_closed_form`.  The first rejected
     draw is replayed as in :func:`_bound_suite`.
     """
     c0, c, u = _suite_draws(rng, samples, False)
@@ -870,30 +838,18 @@ def inequality_report(samples: int, grid: int, seed: int) -> dict:
     }
 
 
-def sandwich_eigenvalue_closed_form(povm, direction, outcome: int) -> float:
-    """Closed-form ``lambda_max[sqrt(M_b) (a.sigma) sqrt(M_b)]``.
-
-    With sharpness ``eta``, offset ``c0`` and ``cos(beta)`` the unit-vector
-    overlap with the measurement axis:
-
-    ``|a|/2 * ((-1)^b eta cos(beta)
-               + sqrt((1 + (-1)^b c0)^2 - eta^2 (1 - cos(beta)^2)))``
-
-    The odd first term cancels in the sum over outcomes, leaving the
-    square-root sum used by the trade-off bound.
-    """
-    povm, a = _binary_povm(povm), _vector3(direction, "direction")
-    norm, outcome = _norm(a), require_integer(outcome, "outcome", 0, 1)
-    row = np.array([[povm.c0], [povm.sharpness], [_dot(povm.cvec, a)], [norm]])
-    return float(_closed_form(*row, outcome)[0])
-
-
 def _closed_form(c0, eta, overlap, norm, outcome: int) -> np.ndarray:
-    """:func:`sandwich_eigenvalue_closed_form` on ``(n,)`` arrays (``overlap = c . a``, ``norm = |a|``),
-    each entry by the scalar float operations: squares by Python ``x ** 2`` (libm's ``pow``, not
-    a multiply) and clamps by selects that keep ``-0.0`` on ties, as ``max``/``min`` do."""
+    """Closed-form ``lambda_max[sqrt(M_b) (a.sigma) sqrt(M_b)]`` on ``(n,)`` arrays: offset ``c0``,
+    sharpness ``eta``, ``overlap = c . a``, ``norm = |a|`` and ``cos(beta) = overlap / (eta |a|)``,
+
+    ``|a|/2 * ((-1)^b eta cos(beta) + sqrt((1 + (-1)^b c0)^2 - eta^2 (1 - cos(beta)^2)))``.
+
+    The odd first term cancels in the sum over outcomes, leaving the square-root sum of the
+    trade-off bound.  Each entry takes the float operations of the formula on one sample:
+    squares by Python ``x ** 2`` (libm's ``pow``, not a multiply) and clamps by selects that
+    keep ``-0.0`` on ties, as ``max``/``min`` do."""
     sign = -1.0 if outcome else 1.0
-    with np.errstate(all="ignore"):  # rows the scalar formula skips (eta or |a| near 0)
+    with np.errstate(all="ignore"):  # rows the one-sample formula skips (eta or |a| near 0)
         cos_beta = np.where(eta > 1e-15, overlap / (eta * norm), 0.0)
         cos_beta = np.where(-1.0 > cos_beta, -1.0, np.where(cos_beta > 1.0, 1.0, cos_beta))
         squares = np.array([[x**2 for x in v.tolist()] for v in (1.0 + sign * c0, cos_beta)])

@@ -235,7 +235,8 @@ def rac_success(states: Iterable[QubitState], povms: tuple[BinaryPovm, BinaryPov
 
 
 def witness_pair(s: Strategy) -> WitnessPair:
-    """Both witnesses, :func:`witness_ab` and :func:`witness_ac`, from one preparation stack."""
+    """Both witnesses from one preparation stack: ``w_ab`` of :func:`witness_ab`, and the
+    Alice-Charlie ``w_ac = (1/16) sum_{x,y,b,z} tr(K rho K^dag C_{x_z|z})``."""
     rhos = _matrices(s.preparations)
     povms = (s.instruments[0].povm, s.instruments[1].povm, *s.measurements)
     w_ab, w_ac = _guess_scores(np.array([rhos, _channel_sum(s.instruments, rhos)]), povms)
@@ -260,11 +261,6 @@ def average_instrument_channel(
 def effective_ensemble(s: Strategy) -> tuple[QubitState, ...]:
     """The four states reaching Charlie, averaged over Bob's inputs and outcomes."""
     return average_instrument_channel(s.preparations, s.instruments)
-
-
-def witness_ac(s: Strategy) -> float:
-    """Alice-Charlie witness ``(1/16) sum_{x,y,b,z} tr(K rho K^dag C_{x_z|z})``."""
-    return witness_pair(s).w_ac
 
 
 def conjugate_strategy(s: Strategy, u) -> Strategy:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DomainError, require_integer, require_real
 from .linalg import QubitState, _norm
-from .scenario import WitnessPair, average_instrument_channel, rac_success
-from .strategies import axis_instruments, canonical_witness_pair, square_preparations
+from .scenario import average_instrument_channel, rac_success
+from .strategies import axis_instruments, square_preparations
 
 
 # Largest chain: a party keeps its row and CSV line, about 0.5 kB, so the
@@ -60,12 +60,12 @@ def party_witness_closed_form(k: int) -> float:
 def simulate_chain(cfg: ChainConfig) -> list[ChainStep]:
     """Iterate the averaged instrument channel down the chain.
 
-    Each row reports the party index (1-based), its witness, and the
-    common Bloch radius of the ensemble it receives.  A party is scored on
-    its own instrument outcome, so a non-interacting party scores exactly
-    1/2.  A row is a function of the ensemble's bits and the sharpness's, so
-    once a party hands on the ensemble it received, bit for bit, each later
-    party of the same sharpness copies its row.
+    Each row reports the party index (1-based), its witness, and the common Bloch radius
+    of the ensemble it receives.  A party is scored on its own instrument outcome, so an
+    idle party scores 1/2 up to rounding: each idle channel shrinks the ensemble by a few
+    ulps (party 50 of an idle chain scores 0.4999999999999955).  A row is a function of the
+    ensemble's bits and the sharpness's, so once a party hands on the ensemble it received,
+    bit for bit, each later party of the same sharpness copies its row.
     """
     ensemble = square_preparations()
     rows, built, fixed, key = [], None, False, _bits(ensemble)
@@ -85,8 +85,3 @@ def simulate_chain(cfg: ChainConfig) -> list[ChainStep]:
 def _bits(ensemble: tuple[QubitState, ...]) -> bytes:
     """The bytes of every matrix and Bloch vector of an ensemble."""
     return b"".join(s.matrix.tobytes() + s.bloch.tobytes() for s in ensemble)
-
-
-def double_violation_point() -> tuple[float, WitnessPair]:
-    """Sharpness 4/5 puts both witnesses at ``(5 + 2 sqrt(2))/10 > 3/4``."""
-    return 0.8, canonical_witness_pair(0.8)

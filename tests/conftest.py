@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from seqrac import canonical_strategy
-from seqrac.linalg import HERM_TOL, _hermitian_part, matrix_sqrt_psd, max_eigenpair
+from seqrac.linalg import HERM_TOL, _hermitian_part, bloch_compose, matrix_sqrt_psd, max_eigenpair
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -86,8 +86,21 @@ def frozen_sandwich_max(effect, op) -> float:
     return max_eigenpair(root @ op @ root, tol=np.inf).value
 
 
+def frozen_sum_bound(povm, a) -> tuple[float, float]:
+    """The eigenvalue-sum bound ``(lhs, rhs)`` one effect at a time: ``lhs`` summed from ``0.0``,
+    ``rhs = np.linalg.norm(a)``, and ``(0.0, 0.0)`` at ``|a| = 0``."""
+    rhs = float(np.linalg.norm(a))
+    if rhs == 0.0:
+        return 0.0, 0.0
+    op = bloch_compose(0.0, a)
+    lhs = 0.0
+    for effect in povm.effects:
+        lhs += frozen_sandwich_max(effect, op)
+    return lhs, rhs
+
+
 def frozen_closed_form(c0: float, eta: float, overlap: float, norm: float, outcome: int) -> float:
-    """``sandwich_eigenvalue_closed_form`` from plain floats (``overlap = c . a``, ``norm = |a|``),
+    """The closed-form sandwich eigenvalue from plain floats (``overlap = c . a``, ``norm = |a|``),
     one sample and one outcome at a time, as written before the ``checks`` eigen suite
     evaluated it on arrays: the bit oracle of ``optimizer._closed_form``."""
     if norm == 0.0:

@@ -15,9 +15,9 @@ from seqrac import (
     apply_visibility,
     boundary_wac,
     canonical_strategy,
+    canonical_witness_pair,
     certify_interval,
     conjugate_strategy,
-    equal_witness_point,
     in_classical_set,
     in_quantum_set,
     selftest_report,
@@ -33,6 +33,7 @@ from seqrac.scenario import BinaryInstrument
 from seqrac.strategies import axis_instruments
 
 SQRT2 = np.sqrt(2.0)
+EQUAL_WITNESS = (5 + 2 * SQRT2) / 10  # the fixed point boundary_wac(a) = a
 
 
 class TestBoundary:
@@ -61,16 +62,20 @@ class TestBoundary:
 
 class TestEqualWitnessPoint:
     def test_closed_form(self):
-        assert equal_witness_point() == pytest.approx((5 + 2 * SQRT2) / 10, abs=1e-15)
+        # (5 + 2 sqrt 2) / 10 is the boundary pair at sharpness 0.8, which certifies it
+        pair = canonical_witness_pair(0.8)
+        assert (pair.w_ab, pair.w_ac) == pytest.approx((EQUAL_WITNESS, EQUAL_WITNESS), abs=1e-15)
+        interval = certify_interval(WitnessPair(EQUAL_WITNESS, EQUAL_WITNESS))
+        assert (interval.lower, interval.upper) == pytest.approx((0.8, 0.8), abs=1e-12)
 
     def test_fixed_point(self):
-        alpha = equal_witness_point()
+        alpha = EQUAL_WITNESS
         assert boundary_wac(alpha) - alpha == pytest.approx(0.0, abs=1e-12)
 
     def test_bisection_oracle(self):
         hi = min(0.8536, W_AB_MAX)
         root = brentq(lambda a: boundary_wac(a) - a, 0.75, hi, xtol=1e-14)
-        assert root == pytest.approx(equal_witness_point(), abs=1e-10)
+        assert root == pytest.approx(EQUAL_WITNESS, abs=1e-10)
 
 
 class TestSharpnessBounds:
@@ -121,7 +126,7 @@ class TestCertifyInterval:
     def test_boundary_pairs_are_degenerate(self):
         for alpha in np.linspace(0.5, W_AB_MAX, 21):
             interval = certify_interval(WitnessPair(alpha, boundary_wac(alpha)))
-            assert 0.0 <= interval.width <= 1e-9
+            assert 0.0 <= interval.upper - interval.lower <= 1e-9
 
     def test_infeasible_pair(self):
         with pytest.raises(InfeasiblePair):
@@ -156,7 +161,7 @@ class TestSetMembership:
         assert in_classical_set(WitnessPair(0.75, 0.75))
 
     def test_equal_point_is_quantum_not_classical(self):
-        a = equal_witness_point()
+        a = EQUAL_WITNESS
         assert not in_classical_set(WitnessPair(a, a))
         assert in_quantum_set(WitnessPair(a, a))
 
@@ -165,7 +170,7 @@ class TestSetMembership:
 
     def test_symmetrization(self):
         assert in_classical_set(WitnessPair(0.25, 0.3))
-        assert in_quantum_set(WitnessPair(1 - equal_witness_point(), 0.5))
+        assert in_quantum_set(WitnessPair(1 - EQUAL_WITNESS, 0.5))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):

@@ -48,8 +48,6 @@ from seqrac import (
     polar_decompose,
     projective_povm,
     reduced_objective,
-    sandwich_eigenvalue_closed_form,
-    sandwich_eigenvalue_sum_bound,
     seesaw,
     sharpness_lower,
     sharpness_upper,
@@ -140,9 +138,6 @@ TABLE = {
     "trace_boundary": (lambda alpha: trace_boundary([alpha]), "r"),
     "trace_boundary alphas": (trace_boundary, "r"),  # the level list itself, unwrapped
     "seesaw": (seesaw, "r"),
-    "sandwich_eigenvalue_sum_bound": (lambda a: sandwich_eigenvalue_sum_bound(SHARP_Z, a), "v"),
-    "sandwich_eigenvalue_closed_form": (
-        lambda a, b: sandwich_eigenvalue_closed_form(SHARP_Z, a, b), "vi"),
     "ChainConfig.parties": (ChainConfig, "i"),
     "ChainConfig.sharpness_profile": (lambda e0, e1: ChainConfig(2, (e0, e1)), "rr"),
     "party_witness_closed_form": (party_witness_closed_form, "i"),

@@ -7,7 +7,8 @@ and the closed form, for each outcome).  This file pins the sha256 of the
 ``float.hex`` of every one of those values, and the generator state after
 each suite, for several seeds.  The reference was recorded with the
 per-matrix loop in :func:`scalar_suites`, which uses only the scalar
-kernels ``matrix_sqrt_psd`` and ``max_eigenpair``.
+kernels ``matrix_sqrt_psd`` and ``max_eigenpair`` and the one-sample
+closed form ``conftest.frozen_closed_form``.
 
 Regenerate the reference (only after a deliberate numerical change) with
 ``PYTHONPATH=src python tests/test_checks_bits.py``.
@@ -21,9 +22,9 @@ import numpy as np
 import pytest
 
 from seqrac import optimizer
-from seqrac.linalg import bloch_compose
+from seqrac.linalg import _dot, _norm, bloch_compose
 from seqrac.sampling import random_povm, random_unit_vector
-from conftest import frozen_sandwich_max
+from conftest import frozen_closed_form, frozen_sandwich_max, frozen_sum_bound
 
 DATA = Path(__file__).parent / "data" / "checks_bits.json"
 SEEDS = (0, 1, 9301, 20250809)
@@ -40,12 +41,7 @@ def scalar_suites(seed: int, samples: int) -> dict:
     bound = []
     for _ in range(samples):
         povm = random_povm(rng)
-        a = rng.normal(size=3) * rng.uniform(0.0, 2.0)
-        op = bloch_compose(0.0, a)
-        lhs = 0.0
-        for effect in povm.effects:
-            lhs += frozen_sandwich_max(effect, op)
-        bound += [lhs, float(np.linalg.norm(a))]
+        bound += frozen_sum_bound(povm, rng.normal(size=3) * rng.uniform(0.0, 2.0))
     bound_state = rng.bit_generator.state
 
     rng = np.random.default_rng([seed, 13])
@@ -56,7 +52,8 @@ def scalar_suites(seed: int, samples: int) -> dict:
         op = bloch_compose(0.0, direction)
         for b in (0, 1):
             eigen.append(frozen_sandwich_max(povm.effects[b], op))
-            eigen.append(optimizer.sandwich_eigenvalue_closed_form(povm, direction, b))
+            eigen.append(frozen_closed_form(povm.c0, povm.sharpness, _dot(povm.cvec, direction),
+                                            _norm(direction), b))
     return {
         "bound": digest(bound),
         "bound_state": bound_state,

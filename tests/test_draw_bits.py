@@ -20,7 +20,7 @@ from seqrac import optimizer, sampling
 from seqrac.analytics import W_AB_MAX
 from seqrac.linalg import BinaryPovm
 from seqrac.optimizer import HALF_PI
-from conftest import frozen_fixed_charlie_value
+from conftest import frozen_fixed_charlie_value, frozen_sum_bound
 
 DRAWS = 3000
 
@@ -127,11 +127,11 @@ def test_bound_suite_draws_match():
     lhs, rhs = optimizer._bound_suite(rng, samples)
     oracle = np.random.default_rng(1504)
     bounds = [
-        optimizer.sandwich_eigenvalue_sum_bound(BinaryPovm.from_observable(c0, c), a)
+        frozen_sum_bound(BinaryPovm.from_observable(c0, c), a)
         for c0, c, a in (old_bound_draw(oracle) for _ in range(samples))
     ]
-    assert _bits(tuple(lhs.tolist())) == _bits(tuple(b.lhs for b in bounds))
-    assert _bits(tuple(rhs.tolist())) == _bits(tuple(b.rhs for b in bounds))
+    assert _bits(tuple(lhs.tolist())) == _bits(tuple(b[0] for b in bounds))
+    assert _bits(tuple(rhs.tolist())) == _bits(tuple(b[1] for b in bounds))
     assert rng.bit_generator.state == oracle.bit_generator.state
 
 

@@ -374,8 +374,10 @@ class TestQubitState:
             QubitState.from_matrix(0.5 * ID2 + SIGMA_Z)
 
     def test_purity(self):
-        assert state_from_bloch([0, 0, 1.0]).purity() == pytest.approx(1.0)
-        assert state_from_bloch([0, 0, 0.0]).purity() == pytest.approx(0.5)
+        # trace(rho^2) = (1 + |r|^2) / 2: 1 for a pure state, 1/2 for the maximally mixed one
+        for r, purity in (([0, 0, 1.0], 1.0), ([0, 0, 0.0], 0.5), ([0.3, -0.4, 0.0], 0.625)):
+            rho = state_from_bloch(r).matrix
+            assert float(np.trace(rho @ rho).real) == pytest.approx(purity, abs=1e-15)
 
 
 # Entries whose exponents spread over the whole range within MAX_ENTRY (about

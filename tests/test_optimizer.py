@@ -18,26 +18,21 @@ from seqrac import (
     classical_bruteforce,
     in_quantum_set,
     reduced_objective,
-    sandwich_eigenvalue_closed_form,
-    sandwich_eigenvalue_sum_bound,
     seesaw,
     strategy_from_reduced,
     trace_boundary,
     witness_ab,
-    witness_ac,
     witness_pair,
 )
 from seqrac.analytics import W_AB_MAX
-from seqrac.errors import ConvergenceFailure, DomainError, InequalityViolation, InvalidPovm, NotPsd
+from seqrac.errors import ConvergenceFailure, DomainError, InequalityViolation, NotPsd
 from seqrac.linalg import (
-    ID2,
     BinaryPovm,
     bloch_compose,
     matrix_sqrt_psd,
     max_eigenpair,
     projective_povm,
     state_from_bloch,
-    validate_povm,
 )
 from seqrac import optimizer
 from seqrac.optimizer import (
@@ -55,7 +50,13 @@ from seqrac.sampling import random_povm, random_strategy, random_unit_vector
 from seqrac.scenario import WitnessPair
 from seqrac.strategies import X_AXIS, Z_AXIS
 from classical_model import enumerate_classical_strategies, witness_pair_classical
-from conftest import frozen_closed_form, frozen_fixed_charlie_value, frozen_sandwich_max, hexes
+from conftest import (
+    frozen_closed_form,
+    frozen_fixed_charlie_value,
+    frozen_sandwich_max,
+    frozen_sum_bound,
+    hexes,
+)
 
 SQRT2 = np.sqrt(2.0)
 HALF_PI = np.pi / 2
@@ -75,7 +76,7 @@ class TestCharlieBestResponse:
         )
         np.testing.assert_allclose(povms[0].cvec, [1.0, 0.0, 0.0], atol=1e-10)
         np.testing.assert_allclose(povms[1].cvec, [0.0, 0.0, 1.0], atol=1e-10)
-        assert value == pytest.approx(witness_ac(strategy), abs=1e-12)
+        assert value == pytest.approx(witness_pair(strategy).w_ac, abs=1e-12)
 
     def test_tie_break_on_mixed_preparations(self, rng):
         strategy = random_strategy(rng)
@@ -90,16 +91,16 @@ class TestCharlieBestResponse:
             povms, value = charlie_best_response(
                 strategy.preparations, strategy.instruments
             )
-            assert value >= witness_ac(strategy) - 1e-12
+            assert value >= witness_pair(strategy).w_ac - 1e-12
             replaced = Strategy(strategy.preparations, strategy.instruments, povms)
-            assert witness_ac(replaced) == pytest.approx(value, abs=1e-12)
+            assert witness_pair(replaced).w_ac == pytest.approx(value, abs=1e-12)
             for _ in range(10):
                 rival = Strategy(
                     strategy.preparations,
                     strategy.instruments,
                     (random_povm(rng), random_povm(rng)),
                 )
-                assert witness_ac(rival) <= value + 1e-12
+                assert witness_pair(rival).w_ac <= value + 1e-12
 
 
 class TestReducedForms:
@@ -612,40 +613,64 @@ class TestClassicalBruteforce:
 
 
 class TestEigenvalueSumBound:
+    """``optimizer._sum_bound_rows``: ``sum_b lambda_max[sqrt(M_b) (a.sigma) sqrt(M_b)] <= |a|``."""
+
     def test_aligned_is_tight(self):
         povm = random_povm(np.random.default_rng(1), allow_offset=False)
         axis = povm.cvec / povm.sharpness
-        sample = sandwich_eigenvalue_sum_bound(povm, axis)
-        assert sample.lhs == pytest.approx(sample.rhs, abs=1e-12)
-        assert sample.equality
+        rhs = np.linalg.norm(axis)
+        lhs = optimizer._sum_bound_rows(povm.effects, axis[None], np.array([rhs]))
+        assert lhs[0] == pytest.approx(rhs, abs=1e-12)
 
     def test_orthogonal_projective_collapses(self):
-        from seqrac.linalg import projective_povm
-
-        sample = sandwich_eigenvalue_sum_bound(projective_povm([0, 0, 1.0]), [1.0, 0, 0])
-        assert sample.lhs == pytest.approx(0.0, abs=1e-12)
-        assert not sample.equality
+        effects = projective_povm([0, 0, 1.0]).effects
+        lhs = optimizer._sum_bound_rows(effects, np.array([[1.0, 0, 0]]), np.ones(1))
+        assert lhs[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_no_violation_on_random_draws(self, rng):
         worst = -np.inf
         for _ in range(2000):
             povm = random_povm(rng)
             a = rng.normal(size=3) * rng.uniform(0, 2)
-            sample = sandwich_eigenvalue_sum_bound(povm, a)
-            worst = max(worst, sample.lhs - sample.rhs)
+            rhs = np.linalg.norm(a)
+            lhs = optimizer._sum_bound_rows(povm.effects, a[None], np.array([rhs]))
+            worst = max(worst, lhs[0] - rhs)
         assert worst <= 1e-9
 
-    def test_rejects_bad_povm(self):
-        from seqrac.errors import InvalidPovm
-        from seqrac.linalg import ID2
+    def test_anti_aligned_is_tight(self):
+        povm = random_povm(np.random.default_rng(2), allow_offset=False)
+        axis = -povm.cvec / povm.sharpness
+        rhs = np.linalg.norm(axis)
+        lhs = optimizer._sum_bound_rows(povm.effects, axis[None], np.array([rhs]))
+        assert lhs[0] == pytest.approx(rhs, abs=1e-12)
 
-        with pytest.raises(InvalidPovm):
-            sandwich_eigenvalue_sum_bound((ID2, ID2), [0, 0, 1.0])
+    def test_trivial_measurement_is_tight_in_every_direction(self, rng):
+        # M_b = c0_b I, so the sum is (c0_0 + c0_1) |a| = |a|
+        effects = BinaryPovm.from_observable(0.3, np.zeros(3)).effects
+        for _ in range(100):
+            a = rng.normal(size=3) * rng.uniform(0, 2)
+            rhs = np.linalg.norm(a)
+            assert optimizer._sum_bound_rows(effects, a[None], np.array([rhs]))[0] == pytest.approx(
+                rhs, abs=1e-12
+            )
 
-    @pytest.mark.parametrize("direction", ["abc", [1.0, 0.0], [np.nan, 0.0, 0.0]])
-    def test_rejects_malformed_direction(self, direction):
-        with pytest.raises(DomainError):
-            sandwich_eigenvalue_sum_bound(projective_povm([0.0, 0.0, 1.0]), direction)
+    def test_sum_is_homogeneous_in_the_direction(self, rng):
+        for _ in range(200):
+            povm = random_povm(rng)
+            a = random_unit_vector(rng)
+            t = rng.uniform(0.0, 5.0)
+            unit, scaled = (
+                optimizer._sum_bound_rows(povm.effects, v[None], np.array([np.linalg.norm(v)]))[0]
+                for v in (a, t * a)
+            )
+            assert scaled == pytest.approx(t * unit, abs=1e-12)
+
+    def test_names_the_first_row_above_the_bound(self):
+        # a stated |a| below the true one puts the second and third rows over the bound
+        effects = np.concatenate([projective_povm([0.0, 0.0, 1.0]).effects] * 3)
+        a = np.array([[0.0, 0.0, 1.0]] * 3)
+        with pytest.raises(InequalityViolation, match=r"eigenvalue sum 1\.0 exceeds \|a\| = 0\.5"):
+            optimizer._sum_bound_rows(effects, a, np.array([1.0, 0.5, 0.25]))
 
 
 class TestTrigInequality:
@@ -695,6 +720,11 @@ class TestTrigInequality:
             optimizer.inequality_report(2, 3, 0)
 
 
+def _columns(povm, a) -> np.ndarray:
+    """The ``(c0, eta, c . a, |a|)`` columns of ``optimizer._closed_form`` for one sample."""
+    return np.array([[povm.c0], [povm.sharpness], [np.dot(povm.cvec, a)], [np.linalg.norm(a)]])
+
+
 class TestClosedFormEigenvalue:
     def test_matches_direct_eigensolve(self, rng):
         worst = 0.0
@@ -706,7 +736,7 @@ class TestClosedFormEigenvalue:
                 root = matrix_sqrt_psd(povm.effects[b])
                 direct = max_eigenpair(root @ op @ root).value
                 oracle = float(np.linalg.eigvalsh(root @ op @ root)[-1])
-                closed = sandwich_eigenvalue_closed_form(povm, direction, b)
+                closed = optimizer._closed_form(*_columns(povm, direction), b)[0]
                 worst = max(worst, abs(direct - closed), abs(oracle - closed))
         assert worst <= 1e-10
 
@@ -716,9 +746,7 @@ class TestClosedFormEigenvalue:
         for _ in range(500):
             povm = random_povm(rng, allow_offset=False)
             direction = random_unit_vector(rng)
-            total = sum(
-                sandwich_eigenvalue_closed_form(povm, direction, b) for b in (0, 1)
-            )
+            total = sum(optimizer._closed_form(*_columns(povm, direction), b)[0] for b in (0, 1))
             cos_beta = float(np.dot(povm.cvec, direction)) / max(povm.sharpness, 1e-300)
             expected = np.sqrt(1 - povm.sharpness**2 * (1 - cos_beta**2))
             assert total == pytest.approx(expected, abs=1e-12)
@@ -742,33 +770,34 @@ class TestClosedFormEigenvalue:
         # |a| = 0 leaves cos(beta) undefined; the eigenvalue of a zero operator is 0.
         povm = BinaryPovm.from_observable(0.25, [0.5, 0.0, 0.25])
         for b in (0, 1):
-            assert sandwich_eigenvalue_closed_form(povm, [0.0, 0.0, 0.0], b) == 0.0
+            assert optimizer._closed_form(*_columns(povm, np.zeros(3)), b).tolist() == [0.0]
 
-    def test_rejects_non_finite_direction(self):
+    def test_sharp_aligned_outcomes_give_one_and_zero(self):
+        # M_0 = |0><0| and M_1 = |1><1| sandwich sigma_z into |0><0| and -|1><1|
         povm = projective_povm([0.0, 0.0, 1.0])
-        for direction in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [1.0, 0.0], "abc"):
-            with pytest.raises(DomainError):
-                sandwich_eigenvalue_closed_form(povm, direction, 0)
+        columns = _columns(povm, np.array([0.0, 0.0, 1.0]))
+        assert [optimizer._closed_form(*columns, b)[0] for b in (0, 1)] == pytest.approx(
+            [1.0, 0.0], abs=1e-15
+        )
 
-    def test_takes_the_povm_as_the_sum_bound_does(self):
-        # a BinaryPovm or its effect pair, with the same bits; InvalidPovm on anything else
-        povm = BinaryPovm.from_observable(0.25, [0.5, 0.0, 0.25])  # dyadic: the pair round-trips
-        a = [0.6, 0.0, 0.8]
-        for b in (0, 1):
-            by_pair = sandwich_eigenvalue_closed_form(povm.effects, a, b)
-            assert by_pair.hex() == sandwich_eigenvalue_closed_form(povm, a, b).hex()
-        by_pair, by_povm = (sandwich_eigenvalue_sum_bound(p, a) for p in (povm.effects, povm))
-        assert (by_pair.lhs.hex(), by_pair.rhs.hex()) == (by_povm.lhs.hex(), by_povm.rhs.hex())
-        for junk in ((ID2, ID2), (ID2,), "ab", 3, None):
-            with pytest.raises(InvalidPovm):
-                sandwich_eigenvalue_closed_form(junk, a, 0)
-            with pytest.raises(InvalidPovm):
-                sandwich_eigenvalue_sum_bound(junk, a)
+    def test_outcome_sum_equals_the_bound_rows(self, rng):
+        # the two row forms of the trade-off bound agree sample by sample
+        for _ in range(500):
+            povm = random_povm(rng)
+            a = rng.normal(size=3) * rng.uniform(0, 2)
+            rows = optimizer._sum_bound_rows(povm.effects, a[None], np.array([np.linalg.norm(a)]))
+            total = sum(optimizer._closed_form(*_columns(povm, a), b)[0] for b in (0, 1))
+            assert total == pytest.approx(rows[0], abs=1e-10)
 
-    @pytest.mark.parametrize("outcome", [2, -1, 0.5, "1"])
-    def test_rejects_outcome_outside_0_1(self, outcome):
-        with pytest.raises(DomainError, match="outcome"):
-            sandwich_eigenvalue_closed_form(projective_povm([0.0, 0.0, 1.0]), [1.0, 0.0, 0.0], outcome)
+    def test_scales_with_the_direction(self, rng):
+        for _ in range(200):
+            povm = random_povm(rng)
+            a = random_unit_vector(rng)
+            t = rng.uniform(0.0, 5.0)
+            for b in (0, 1):
+                unit = optimizer._closed_form(*_columns(povm, a), b)[0]
+                scaled = optimizer._closed_form(*_columns(povm, t * a), b)[0]
+                assert scaled == pytest.approx(t * unit, abs=1e-12)
 
     def test_general_offset_matches_eigensolve(self, rng):
         for _ in range(500):
@@ -778,7 +807,7 @@ class TestClosedFormEigenvalue:
             for b in (0, 1):
                 root = matrix_sqrt_psd(povm.effects[b])
                 direct = max_eigenpair(root @ op @ root).value
-                closed = sandwich_eigenvalue_closed_form(povm, direction, b)
+                closed = optimizer._closed_form(*_columns(povm, direction), b)[0]
                 assert direct == pytest.approx(closed, abs=1e-10)
 
 
@@ -829,21 +858,6 @@ _DIRECTIONS = st.one_of(
 )
 
 
-def _frozen_sum_bound(povm, a) -> tuple[float, float, bool]:
-    """The eigenvalue-sum bound one effect at a time: ``(lhs, rhs, equality)``."""
-    rhs = float(np.linalg.norm(a))
-    if rhs == 0.0:
-        return 0.0, 0.0, True
-    op = bloch_compose(0.0, a)
-    lhs = 0.0
-    for effect in povm.effects:
-        lhs += frozen_sandwich_max(effect, op)
-    sharp = povm.sharpness
-    if sharp <= 1e-9:
-        return lhs, rhs, True
-    return lhs, rhs, abs(abs(float(np.dot(povm.cvec, a))) / (sharp * rhs) - 1.0) <= 1e-9
-
-
 class TestInequalityReport:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(_EFFECTS, _OPS), min_size=1, max_size=6))
@@ -854,16 +868,17 @@ class TestInequalityReport:
         assert stacked.tolist() == [frozen_sandwich_max(e, op) for e, op in pairs]
 
     @settings(max_examples=400, deadline=None)
-    @given(_POVMS, _DIRECTIONS, st.booleans())
-    @example(BinaryPovm.from_observable(0.0, np.array([0.0, 0.0, 1.0])), np.zeros(3), False)
-    @example(BinaryPovm.from_observable(0.0, np.array([0.6, 0.0, 0.8])),
-             np.array([3e4, 0.0, 4e4]), True)
-    def test_scalar_bound_equals_the_per_effect_loop(self, povm, a, raw):
-        # raw input is the effect pair, which validate_povm turns into a BinaryPovm
-        got = sandwich_eigenvalue_sum_bound(tuple(povm.effects) if raw else povm, a)
-        want = _frozen_sum_bound(validate_povm(*povm.effects) if raw else povm, a)
-        assert (got.lhs.hex(), got.rhs.hex()) == (want[0].hex(), want[1].hex())
-        assert got.equality == want[2]
+    @given(st.lists(st.tuples(_POVMS, _DIRECTIONS), min_size=1, max_size=6))
+    @example([(BinaryPovm.from_observable(0.0, np.array([0.0, 0.0, 1.0])), np.zeros(3))])
+    @example([(BinaryPovm.from_observable(0.0, np.array([0.6, 0.0, 0.8])), np.array([3e4, 0.0, 4e4])),
+              (BinaryPovm.from_observable(0.25, np.array([0.5, 0.0, 0.25])), np.zeros(3))])
+    def test_bound_rows_equal_the_per_effect_loop(self, samples):
+        # row i takes effects 2i and 2i + 1 and direction i; the rows run stacked
+        effects = np.concatenate([povm.effects for povm, _ in samples])
+        directions = np.array([a for _, a in samples])
+        want = [frozen_sum_bound(povm, a) for povm, a in samples]
+        got = optimizer._sum_bound_rows(effects, directions, np.array([rhs for _, rhs in want]))
+        assert hexes(*got) == hexes(*(lhs for lhs, _ in want))
 
     def test_draws_and_values_match_the_scalar_suites(self):
         # the batched suites against the per-sample loops they replace
@@ -871,10 +886,8 @@ class TestInequalityReport:
         lhs, rhs = optimizer._bound_suite(rng, 300)
         oracle = np.random.default_rng([4, 11])
         for got_lhs, got_rhs in zip(lhs.tolist(), rhs.tolist()):
-            sample = sandwich_eigenvalue_sum_bound(
-                random_povm(oracle), oracle.normal(size=3) * oracle.uniform(0.0, 2.0)
-            )
-            assert (got_lhs, got_rhs) == (sample.lhs, sample.rhs)
+            want = frozen_sum_bound(random_povm(oracle), oracle.normal(size=3) * oracle.uniform(0.0, 2.0))
+            assert (got_lhs, got_rhs) == want
         assert rng.bit_generator.state == oracle.bit_generator.state
 
         rng = np.random.default_rng([4, 13])

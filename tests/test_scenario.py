@@ -21,7 +21,6 @@ from seqrac import (
     joint_prob,
     selftest_report,
     witness_ab,
-    witness_ac,
     witness_pair,
 )
 from seqrac.documents import document_text, parse_strategy_document
@@ -188,13 +187,13 @@ class TestWitnessAB:
 
 class TestWitnessAC:
     def test_sharp_value(self, canonical_sharp):
-        assert witness_ac(canonical_sharp) == pytest.approx((4 + SQRT2) / 8, abs=1e-12)
+        assert witness_pair(canonical_sharp).w_ac == pytest.approx((4 + SQRT2) / 8, abs=1e-12)
 
     def test_half_sharp_value(self, canonical_half):
-        assert witness_ac(canonical_half) == pytest.approx((5 + SQRT2) / 8, abs=1e-12)
+        assert witness_pair(canonical_half).w_ac == pytest.approx((5 + SQRT2) / 8, abs=1e-12)
 
     def test_noninteracting_value(self):
-        assert witness_ac(canonical_strategy(0.0)) == pytest.approx(
+        assert witness_pair(canonical_strategy(0.0)).w_ac == pytest.approx(
             (2 + SQRT2) / 4, abs=1e-12
         )
 
@@ -205,7 +204,7 @@ class TestWitnessAC:
             for x in INPUT_PAIRS:
                 for y, b, z in itertools.product((0, 1), repeat=3):
                     total += joint_prob(strategy, x, y, z, b, x[z])
-            assert witness_ac(strategy) == pytest.approx(total / 16.0, abs=1e-12)
+            assert witness_pair(strategy).w_ac == pytest.approx(total / 16.0, abs=1e-12)
 
     def test_equals_effective_ensemble_route(self, rng):
         for _ in range(50):
@@ -216,7 +215,7 @@ class TestWitnessAC:
                 for z in (0, 1):
                     effect = strategy.measurements[z].effects[x[z]]
                     total += float(np.trace(st.matrix @ effect).real)
-            assert witness_ac(strategy) == pytest.approx(total / 8.0, abs=1e-12)
+            assert witness_pair(strategy).w_ac == pytest.approx(total / 8.0, abs=1e-12)
 
 
 class TestWitnessPair:
@@ -235,7 +234,7 @@ class TestWitnessPair:
         pair = witness_pair(all_mixed(random_strategy(rng)))
         assert pair == pytest.approx(WitnessPair(0.5, 0.5), abs=1e-12)
 
-    def test_single_witnesses_are_the_pair_fields(self):
+    def test_single_witness_is_the_pair_field(self):
         rng = np.random.default_rng(3301)
         strategies = [random_strategy(rng, luders) for luders in (False, True) for _ in range(100)]
         strategies += [canonical_strategy(eta) for eta in (0.0, 0.5, 0.8, 1 / SQRT2, 1.0)]
@@ -243,7 +242,7 @@ class TestWitnessPair:
         strategies += [embed(ClassicalStrategy.from_codes(*code)) for code in codes]
         for s in strategies:
             pair = witness_pair(s)
-            assert (witness_ab(s).hex(), witness_ac(s).hex()) == (pair.w_ab.hex(), pair.w_ac.hex())
+            assert witness_ab(s).hex() == pair.w_ab.hex()
 
 
 class TestEffectiveEnsemble:
@@ -478,7 +477,7 @@ class TestDataProcessing:
             _, best = charlie_best_response(
                 strategy.preparations, strategy.instruments
             )
-            assert best >= witness_ac(strategy) - 1e-12
+            assert best >= witness_pair(strategy).w_ac - 1e-12
 
 
 class TestDifferenceVectors:

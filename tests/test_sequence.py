@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from seqrac import (
+    boundary_wac,
     canonical_witness_pair,
-    double_violation_point,
     party_witness_closed_form,
     sequence,
     simulate_chain,
@@ -86,12 +86,14 @@ class TestSimulateChain:
         assert all(a > b for a, b in zip(witnesses, witnesses[1:]))
         assert all(w > 0.5 for w in witnesses)
 
-    def test_idle_party_scores_half_and_preserves_radius(self):
-        rows = simulate_chain(ChainConfig(3, (1.0, 0.0, 1.0)))
-        assert rows[1].witness == pytest.approx(0.5, abs=1e-12)
-        assert rows[2].entering_radius == pytest.approx(
-            rows[1].entering_radius, abs=1e-12
-        )
+    @pytest.mark.parametrize("profile", [(1.0, 0.0, 1.0), (0.0,) * 50], ids=["one-idle", "50-idle"])
+    def test_idle_party_scores_half_and_preserves_radius(self, profile):
+        # an idle party's channel moves the last bits: party 50 of the idle chain scores
+        # 0.4999999999999955 and receives the radius 0.9999999999999916
+        rows = simulate_chain(ChainConfig(len(profile), profile))
+        for k in (k for k, eta in enumerate(profile) if eta == 0.0):
+            assert rows[k].witness == pytest.approx(0.5, abs=1e-12)
+            assert rows[-1].entering_radius == pytest.approx(rows[k].entering_radius, abs=1e-12)
 
     def test_radius_recursion_for_generic_profile(self):
         profile = (1.0, 0.6, 0.3, 0.85)
@@ -193,20 +195,19 @@ class TestSimulateChain:
 
 class TestDoubleViolation:
     def test_point_value(self):
-        eta, pair = double_violation_point()
-        assert eta == 0.8
+        pair = canonical_witness_pair(0.8)
         expected = (5 + 2 * SQRT2) / 10
         assert pair.w_ab == pytest.approx(expected, abs=1e-12)
         assert pair.w_ac == pytest.approx(expected, abs=1e-12)
         assert pair.w_ab > 0.75 and pair.w_ac > 0.75
 
     def test_matches_full_simulation(self):
-        eta, pair = double_violation_point()
-        direct = witness_pair(canonical_strategy(eta))
+        pair = canonical_witness_pair(0.8)
+        direct = witness_pair(canonical_strategy(0.8))
         assert direct.w_ab == pytest.approx(pair.w_ab, abs=1e-12)
         assert direct.w_ac == pytest.approx(pair.w_ac, abs=1e-12)
 
     def test_closed_form_consistency(self):
-        eta, pair = double_violation_point()
-        closed = canonical_witness_pair(eta)
-        assert closed.w_ab == pytest.approx(pair.w_ab, abs=1e-15)
+        # the double violation lies on the optimal trade-off boundary
+        pair = canonical_witness_pair(0.8)
+        assert boundary_wac(pair.w_ab) == pytest.approx(pair.w_ac, abs=1e-15)
